@@ -50,6 +50,6 @@ from .privacy import (
     release_k_way,
     release_synthetic,
 )
-from .regression import L1Problem, L1Solution, solve_l1
+from .regression import L1Problem, L1Solution, LPNotOptimal, solve_l1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

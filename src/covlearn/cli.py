@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -29,7 +28,6 @@ from .coverage import (
     l1_distance_mc,
     average_project,
     random_coverage,
-    walsh_hadamard,
 )
 from .cube import DistributionSpec, child_rng, format_point_line, sample_masks
 from .estimation import exact_source, lattice_search
@@ -51,7 +49,6 @@ from .privacy import (
     Dataset,
     GateRefused,
     all_conjunction_answers,
-    counting_query,
     coverage_of_dataset,
     gate_size,
     k_way_query_budget,
@@ -61,7 +58,7 @@ from .privacy import (
     release_synthetic,
     synthetic_query_budget,
 )
-from .regression import L1Problem, solve_l1
+from .regression import L1Problem, LPNotOptimal, solve_l1
 from .serialize import (
     DATASET_EXPANSION_CAP,
     coverage_from_json,
@@ -401,7 +398,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     for trial in range(trials):
         try:
             row, hypothesis = _run_learn_trial(cfg, learner, trial, seed)
-        except OracleExhausted as exc:
+        except (OracleExhausted, LPNotOptimal) as exc:
             row, hypothesis = (
                 {"trial": trial, "seed": _trial_seed(seed, trial),
                  "error": str(exc), "success": False},
@@ -480,19 +477,25 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     for trial in range(trials):
         tseed = _trial_seed(seed, trial)
         start = time.monotonic()
-        if variant == "all-marginals":
-            summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
-            qdist = DistributionSpec.uniform(d.n)
-        elif variant == "k-way":
-            k = _get(cfg, "k", int, required=True)
-            summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
-            qdist = DistributionSpec.layer(d.n, k)
-        else:
-            size_bound = _get(cfg, "size_bound", float, math.inf)
-            summary = release_synthetic(
-                d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
+        try:
+            if variant == "all-marginals":
+                summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
+                qdist = DistributionSpec.uniform(d.n)
+            elif variant == "k-way":
+                k = _get(cfg, "k", int, required=True)
+                summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
+                qdist = DistributionSpec.layer(d.n, k)
+            else:
+                size_bound = _get(cfg, "size_bound", float, math.inf)
+                summary = release_synthetic(
+                    d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
+                )
+                qdist = DistributionSpec.uniform(d.n)
+        except LPNotOptimal as exc:
+            rows.append(
+                {"trial": trial, "seed": tseed, "error": str(exc), "success": False}
             )
-            qdist = DistributionSpec.uniform(d.n)
+            continue
         x_masks = sample_masks(qdist, eval_queries, child_rng(seed, trial, 2))
         answers = summary.answer_masks(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())

@@ -8,7 +8,7 @@ term, keeping evaluation exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -21,8 +21,6 @@ from .cube import (
     child_rng,
     eval_disjunction_batch,
     iter_submasks,
-    parity_sign,
-    popcount,
     sample_masks,
 )
 

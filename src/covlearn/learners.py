@@ -41,7 +41,6 @@ from .cube import (
 )
 from .estimation import (
     CoeffSource,
-    CoefficientEstimate,
     SampleBatch,
     batch_source,
     hoeffding_half_width,

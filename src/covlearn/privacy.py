@@ -189,6 +189,11 @@ class PrivateOracle:
     delta: float
     rng: np.random.Generator
     used: int = 0
+    # audit draws come from a stream spawned off rng on first use, so an
+    # audit leaves the query noise, and with it every release, unchanged
+    _audit_rng: np.random.Generator | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.q < 1 or self.tau <= 0 or not 0 < self.delta < 1:
@@ -205,17 +210,25 @@ class PrivateOracle:
             return 0.0
         return self.q / (self.epsilon * self.dataset.size)
 
-    def noise(self, count: int = 1) -> np.ndarray:
-        """The Laplace draws used by queries; exposed for auditing."""
+    def _laplace(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.scale == 0.0:
             return np.zeros(count)
-        return self.rng.laplace(0.0, self.scale, size=count)
+        return rng.laplace(0.0, self.scale, size=count)
+
+    def noise(self, count: int = 1) -> np.ndarray:
+        """Draws from the query noise distribution, for auditing; they come
+        from their own stream and do not shift later query noise."""
+        if self._audit_rng is None:
+            self._audit_rng = self.rng.spawn(1)[0]
+        return self._laplace(self._audit_rng, count)
 
     def query(self, predicate: Predicate) -> float:
         if self.used >= self.q:
             raise BudgetExhausted(f"query budget of {self.q} exhausted")
         self.used += 1
-        value = counting_query(self.dataset, predicate) + float(self.noise(1)[0])
+        value = counting_query(self.dataset, predicate) + float(
+            self._laplace(self.rng, 1)[0]
+        )
         return min(1.0, max(0.0, value))
 
 

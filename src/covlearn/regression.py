@@ -6,6 +6,12 @@ over coefficients beta, optionally constrained to beta >= 0 and
 sum(beta) <= 1 ("simplex-like", which makes the fit a legal coverage
 weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
 with equality rows Phi beta + r+ - r- = y and objective sum(r+ + r-).
+
+Examples drawn from a noiseless oracle repeat, so rows that share the same
+(design row, target) are merged into one LP row whose residual pair costs
+its multiplicity: the weighted LP has the same optimum and the same
+objective, sum over the original rows of |r_i|, so its primal-dual gap is
+in those units too.  When every row is distinct the LP is the plain one.
 """
 
 from __future__ import annotations
@@ -22,9 +28,14 @@ SIMPLEX_LIKE = "simplex_like"
 MAX_COLUMNS = 20000
 CONSTRAINT_TOL = 1e-9
 OPT_TOL = 1e-7
-# above this row count the interior-point method (with crossover) is far
-# faster than simplex and still certifies the gap via exact duals
+# above this distinct-row count the interior-point method (with crossover)
+# is far faster than simplex and still certifies the gap via exact duals
 IPM_ROW_THRESHOLD = 10000
+
+
+class LPNotOptimal(RuntimeError):
+    """HiGHS stopped without a certified optimum (iteration limit, numerical
+    trouble); its coefficients must not become a hypothesis."""
 
 
 @dataclass(frozen=True)
@@ -62,14 +73,38 @@ class L1Solution:
             raise ValueError(f"unknown status {self.status!r}")
 
 
+def _collapse_rows(
+    design: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (design row, target) pairs in first-occurrence order, with
+    their multiplicities.  When every row is distinct the caller's arrays
+    come back uncopied."""
+    m, k = design.shape
+    pairs = np.ascontiguousarray(np.column_stack([design, targets]))
+    keys = pairs.view(np.dtype((np.void, pairs.itemsize * (k + 1)))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if len(first) == m:
+        return design, targets, np.ones(m)
+    order = np.argsort(first)
+    rows = first[order]
+    return design[rows], targets[rows], counts[order].astype(np.float64)
+
+
 def solve_l1(p: L1Problem) -> L1Solution:
     """Solve the LP; the reported objective is within 1e-7 of the optimum,
-    certified by the primal-dual gap."""
-    m, k = p.design.shape
-    phi = sp.csc_matrix(p.design)
+    certified by the primal-dual gap.
+
+    Repeated (design row, target) pairs become one LP row weighted by its
+    multiplicity, so the gap is in units of the sum of |residual| over the
+    original rows, and IPM_ROW_THRESHOLD counts distinct rows.  Raises
+    LPNotOptimal when the solver stops short of an optimum.
+    """
+    design, targets, weights = _collapse_rows(p.design, p.targets)
+    m, k = design.shape
+    phi = sp.csc_matrix(design)
     eye = sp.identity(m, format="csc")
     a_eq = sp.hstack([phi, eye, -eye], format="csc")
-    cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
+    cost = np.concatenate([np.zeros(k), weights, weights])
     if p.constraint == SIMPLEX_LIKE:
         bounds = [(0, None)] * (k + 2 * m)
         a_ub = sp.hstack(
@@ -82,18 +117,14 @@ def solve_l1(p: L1Problem) -> L1Solution:
     res = linprog(
         cost,
         A_eq=a_eq,
-        b_eq=p.targets,
+        b_eq=targets,
         A_ub=a_ub,
         b_ub=b_ub,
         bounds=bounds,
         method="highs" if m <= IPM_ROW_THRESHOLD else "highs-ipm",
     )
-    if res.status == 1:
-        status = "iteration_limit"
-    elif res.status == 0:
-        status = "optimal"
-    else:
-        raise RuntimeError(f"internal LP failure: {res.message}")
+    if res.status != 0:
+        raise LPNotOptimal(f"LP status {res.status}: {res.message}")
 
     beta = np.asarray(res.x[:k], dtype=np.float64)
     if p.constraint == SIMPLEX_LIKE:
@@ -104,10 +135,10 @@ def solve_l1(p: L1Problem) -> L1Solution:
             if total > 1.0 + CONSTRAINT_TOL:
                 raise RuntimeError("LP violated the simplex constraint")
             beta = beta / total
-    objective = float(np.abs(p.design @ beta - p.targets).sum()) / m
+    objective = float(np.abs(p.design @ beta - p.targets).sum()) / len(p.targets)
 
-    dual = float(p.targets @ res.eqlin.marginals)
+    dual = float(targets @ res.eqlin.marginals)
     if p.constraint == SIMPLEX_LIKE:
         dual += float(b_ub @ res.ineqlin.marginals)
     gap = abs(float(res.fun) - dual)
-    return L1Solution(beta, objective, gap, status)
+    return L1Solution(beta, objective, gap, "optimal")

@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from covlearn import regression
 from covlearn.cli import (
     EXIT_CONTRACT,
     EXIT_GATE,
@@ -13,6 +15,7 @@ from covlearn.cli import (
     main,
 )
 from covlearn.privacy import gate_size, marginals_query_budget
+from covlearn.regression import L1Problem, LPNotOptimal, solve_l1
 from covlearn.serialize import coverage_from_json, dataset_from_text, load_json
 
 
@@ -298,6 +301,52 @@ class TestRelease:
         code, _ = run(tmp_path, "release", cfg)
         assert code == EXIT_USAGE
         assert "all-marginals" in capsys.readouterr().err
+
+
+class TestLpNotOptimal:
+    @pytest.mark.parametrize(
+        "verb,cfg,output",
+        [
+            (
+                "learn",
+                {
+                    "learner": "proper",
+                    "n": 5,
+                    "eval_samples": 1000,
+                    "target": {"max_terms": 2, "max_arity": 2},
+                    "params": {"epsilon": 0.4, "size_bound": 2},
+                },
+                "hypothesis_000.json",
+            ),
+            (
+                "release",
+                {
+                    "release": "k-way",
+                    "k": 2,
+                    "alpha_bar": 0.9,
+                    "epsilon": 1.0,
+                    "delta": 0.1,
+                    "dataset": {"n": 3, "gate_factor": 2},
+                },
+                "summary_000.json",
+            ),
+        ],
+    )
+    def test_becomes_a_failed_trial_row(
+        self, tmp_path, capsys, monkeypatch, verb, cfg, output
+    ):
+        def stopped(*args, **kwargs):
+            return OptimizeResult(status=1, message="Iteration limit reached.")
+
+        monkeypatch.setattr(regression, "linprog", stopped)
+        with pytest.raises(LPNotOptimal, match="status 1"):
+            solve_l1(L1Problem(np.ones((2, 1)), np.zeros(2)))
+        code, out_dir = run(tmp_path, verb, dict(cfg, seed=1, trials=1))
+        assert code == EXIT_CONTRACT
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert row["success"] is False
+        assert "Iteration limit reached" in row["error"]
+        assert not os.path.exists(os.path.join(out_dir, output))
 
 
 class TestSelftest:

@@ -155,6 +155,17 @@ class TestPrivateOracle:
         # mean absolute value of Laplace(0, b) is b
         assert abs(np.abs(draws).mean() - o.scale) < 0.02 * o.scale
 
+    def test_audit_draws_leave_query_noise_unchanged(self):
+        d = Dataset.from_multiplicities([(0, 10**9)], 2)
+        plain = PrivateOracle(d, 10, 0.25, 1.0, 0.1, child_rng(4, 0))
+        audited = PrivateOracle(d, 10, 0.25, 1.0, 0.1, child_rng(4, 0))
+        answers, audited_answers = [], []
+        for mask in (0b01, 0b10, 0b11):
+            answers.append(plain.query(and_query(mask)))
+            audited.noise(3)
+            audited_answers.append(audited.query(and_query(mask)))
+        assert audited_answers == answers
+
 
 class TestReleases:
     def test_all_marginals_noiseless_small(self):

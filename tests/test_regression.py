@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from covlearn import regression
 from covlearn.coverage import random_coverage
 from covlearn.cube import child_rng, eval_disjunction_batch
 from covlearn.regression import (
@@ -10,6 +15,87 @@ from covlearn.regression import (
     L1Solution,
     solve_l1,
 )
+
+
+def reference_l1(design, targets, constraint):
+    """One LP row per example, with no merging of repeated rows: the
+    coefficients (snapped as solve_l1 snaps them) and the mean objective."""
+    m, k = design.shape
+    eye = sp.identity(m, format="csc")
+    a_eq = sp.hstack([sp.csc_matrix(design), eye, -eye], format="csc")
+    cost = np.concatenate([np.zeros(k), np.ones(2 * m)])
+    a_ub = b_ub = None
+    bounds = [(None, None)] * k + [(0, None)] * (2 * m)
+    if constraint == SIMPLEX_LIKE:
+        a_ub = sp.hstack([sp.csr_matrix(np.ones((1, k))), sp.csr_matrix((1, 2 * m))])
+        b_ub = np.array([1.0])
+        bounds = [(0, None)] * (k + 2 * m)
+    res = linprog(cost, A_eq=a_eq, b_eq=targets, A_ub=a_ub, b_ub=b_ub,
+                  bounds=bounds, method="highs")
+    assert res.status == 0
+    beta = np.asarray(res.x[:k], dtype=np.float64)
+    if constraint == SIMPLEX_LIKE:
+        beta = np.clip(beta, 0.0, None)
+        beta = beta / max(beta.sum(), 1.0)
+    return beta, res.fun / m
+
+
+@st.composite
+def repeated_rows(draw):
+    """Rows drawn from a small pool of (design row, target) pairs, each with
+    its own multiplicity, in shuffled order."""
+    k = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                st.integers(0, 4),
+                st.integers(1, 6),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = [(row, target / 4) for row, target, mult in pool for _ in range(mult)]
+    rows = draw(st.permutations(rows))
+    design = np.array([row for row, _ in rows], dtype=np.float64)
+    return design, np.array([t for _, t in rows])
+
+
+class TestRowCollapse:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=repeated_rows(), constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]))
+    def test_matches_one_row_per_example(self, problem, constraint):
+        design, targets = problem
+        s = solve_l1(L1Problem(design, targets, constraint))
+        _, ref_objective = reference_l1(design, targets, constraint)
+        assert s.objective == pytest.approx(ref_objective, abs=1e-7)
+        assert s.duality_gap <= 1e-7
+
+    @pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
+    def test_distinct_rows_solve_the_same_lp(self, constraint):
+        rng = child_rng(3, 0)
+        design = rng.standard_normal((40, 5))
+        targets = rng.random(40)
+        merged_design, merged_targets, weights = regression._collapse_rows(
+            design, targets
+        )
+        assert merged_design is design and merged_targets is targets
+        assert (weights == 1.0).all()
+        s = solve_l1(L1Problem(design, targets, constraint))
+        ref_beta, _ = reference_l1(design, targets, constraint)
+        assert np.array_equal(s.coefficients, ref_beta)
+
+    def test_first_occurrence_order(self):
+        design = np.array([[2.0], [1.0], [2.0], [3.0], [1.0], [2.0]])
+        targets = np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5])
+        merged_design, merged_targets, weights = regression._collapse_rows(
+            design, targets
+        )
+        assert merged_design[:, 0].tolist() == [2.0, 1.0, 3.0]
+        assert merged_targets.tolist() == [0.5, 0.0, 1.0]
+        assert weights.tolist() == [3.0, 2.0, 1.0]
+
 
 
 class TestValidation:
