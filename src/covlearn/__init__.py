@@ -14,7 +14,6 @@ from .coverage import (
 )
 from .cube import DimensionMismatch, DistributionSpec, IndexSet, Point, child_rng
 from .estimation import (
-    CoefficientEstimate,
     SampleBatch,
     hoeffding_samples,
     lattice_search,

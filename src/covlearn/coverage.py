@@ -238,7 +238,3 @@ def l1_distance_mc(
         remaining -= chunk
     half_width = float(np.sqrt(np.log(2 / 0.05) * 2 / samples))
     return total / samples, half_width
-
-
-def masks_evaluator(c: CoverageFunction) -> Callable[[np.ndarray], np.ndarray]:
-    return c.eval_masks

@@ -1,10 +1,11 @@
 """Sample-based Fourier coefficient estimation and the monotone lattice search.
 
-A "coefficient source" is any callable mask -> CoefficientEstimate.  Three
-implementations live here: empirical estimation over a sample batch, exact
-lookup in a Fourier table, and lookup in a precomputed spectrum built from
-aggregated per-point counts (the route used when nominal sample counts are
-astronomically large but n is small).
+A "coefficient source" is any callable mask -> float, the estimated Fourier
+coefficient at that set; it raises ValueError for a mask outside [0, 2^n).
+Three implementations live here: empirical estimation over a sample batch,
+exact lookup in a Fourier table, and lookup in a precomputed spectrum built
+from aggregated per-point counts (the route used when nominal sample counts
+are astronomically large but n is small).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .coverage import FourierTable, walsh_hadamard
 from .cube import IndexSet, eval_parity_batch
 
-CoeffSource = Callable[[int], "CoefficientEstimate"]
+CoeffSource = Callable[[int], float]
 
 LABEL_TOL = 1e-9
 
@@ -44,19 +45,6 @@ class SampleBatch:
         return len(self.masks)
 
 
-@dataclass(frozen=True)
-class CoefficientEstimate:
-    """An estimate of one Fourier coefficient with its confidence half-width."""
-
-    index: IndexSet
-    value: float
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
 def hoeffding_samples(tolerance: float, failure: float) -> int:
     """Samples for a two-sided Hoeffding bound on range-[-1,1] variables:
     ceil((2/tolerance^2) * ln(2/failure))."""
@@ -65,44 +53,40 @@ def hoeffding_samples(tolerance: float, failure: float) -> int:
     return math.ceil(2.0 / tolerance**2 * math.log(2.0 / failure))
 
 
-def hoeffding_half_width(samples: int, failure: float) -> float:
-    return math.sqrt(2.0 * math.log(2.0 / failure) / samples)
+def check_mask(mask: int, n: int) -> None:
+    """Rejects a set mask outside [0, 2^n); numpy would wrap a negative one."""
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"set mask {mask} outside [0, 2^{n})")
 
 
-def estimate_coefficient(
-    batch: SampleBatch, t: IndexSet, failure: float = 1e-3
-) -> CoefficientEstimate:
-    """Empirical mean of label * parity over the batch.
-
-    Unbiased for the coefficient when the batch is uniform; the tolerance is
-    the Hoeffding half-width at the caller's per-estimate failure budget.
-    """
-    signs = eval_parity_batch(t.mask, batch.masks)
-    value = float(signs @ batch.labels) / len(batch)
-    return CoefficientEstimate(t, value, hoeffding_half_width(len(batch), failure))
+def estimate_coefficient(batch: SampleBatch, mask: int) -> float:
+    """Empirical mean of label * parity over the batch; unbiased for the
+    coefficient when the batch is uniform."""
+    check_mask(mask, batch.n)
+    signs = eval_parity_batch(mask, batch.masks)
+    return float(signs @ batch.labels) / len(batch)
 
 
-def batch_source(batch: SampleBatch, failure: float) -> CoeffSource:
-    def source(mask: int) -> CoefficientEstimate:
-        return estimate_coefficient(batch, IndexSet(mask, batch.n), failure)
-
-    return source
+def batch_source(batch: SampleBatch) -> CoeffSource:
+    return lambda mask: estimate_coefficient(batch, mask)
 
 
 def exact_source(table: FourierTable) -> CoeffSource:
-    def source(mask: int) -> CoefficientEstimate:
-        return CoefficientEstimate(IndexSet(mask, table.n), table[mask], 1e-15)
+    def source(mask: int) -> float:
+        check_mask(mask, table.n)
+        return table[mask]
 
     return source
 
 
-def spectrum_source(n: int, spectrum: np.ndarray, tolerance: float) -> CoeffSource:
+def spectrum_source(n: int, spectrum: np.ndarray) -> CoeffSource:
     """Lookup into a length-2^n array of coefficients indexed by set mask."""
     if len(spectrum) != 1 << n:
         raise ValueError("spectrum length must be 2^n")
 
-    def source(mask: int) -> CoefficientEstimate:
-        return CoefficientEstimate(IndexSet(mask, n), float(spectrum[mask]), tolerance)
+    def source(mask: int) -> float:
+        check_mask(mask, n)
+        return float(spectrum[mask])
 
     return source
 
@@ -126,23 +110,23 @@ def lattice_search(
     candidate_vars: IndexSet,
     theta: float,
     max_level: int,
-) -> dict[int, CoefficientEstimate]:
+) -> dict[int, float]:
     """Breadth-first search of the subset lattice of candidate_vars.
 
     Level t extends each surviving (t-1)-set; a set is kept iff the estimated
     coefficient satisfies |estimate| >= theta.  Runs exactly max_level levels
-    and returns all kept sets plus the estimate at the empty set.  Each set
-    is visited once: a set is extended only by variables above its maximum
-    element, which reaches every subset exactly once, and coefficient-
-    magnitude monotonicity over supersets means the surviving sets coincide
-    with the all-orders search.
+    and returns the estimate of every kept set plus the empty set, keyed by
+    mask.  Each set is visited once: a set is extended only by variables
+    above its maximum element, which reaches every subset exactly once, and
+    coefficient-magnitude monotonicity over supersets means the surviving
+    sets coincide with the all-orders search.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     candidates = candidate_vars.indices()
-    kept: dict[int, CoefficientEstimate] = {0: coeff_source(0)}
+    kept = {0: coeff_source(0)}
     frontier = [0]
     for _ in range(max_level):
         next_frontier = []
@@ -153,7 +137,7 @@ def lattice_search(
                     continue
                 ext = t_mask | 1 << i
                 est = coeff_source(ext)
-                if abs(est.value) >= theta:
+                if abs(est) >= theta:
                     kept[ext] = est
                     next_frontier.append(ext)
         if not next_frontier:
@@ -161,9 +145,3 @@ def lattice_search(
         frontier = next_frontier
     return kept
 
-
-def split_budget(phase_failure: float, count: int) -> float:
-    """Uniform union-bound split of a phase failure budget over count estimates."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return phase_failure / count

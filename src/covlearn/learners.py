@@ -43,7 +43,6 @@ from .estimation import (
     CoeffSource,
     SampleBatch,
     batch_source,
-    hoeffding_half_width,
     hoeffding_samples,
     lattice_search,
     spectrum_from_counts,
@@ -63,7 +62,6 @@ REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 FEATURE_CAP = 20000
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
-REJECTION_CAP_FACTOR = 100
 
 
 class OracleExhausted(RuntimeError):
@@ -322,58 +320,20 @@ class SampledOracle:
         return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class RejectionRestrictedOracle:
-    """Conditions a generic oracle on x_var = sign by rejection sampling,
-    giving up after 100x the expected number of draws."""
-
-    parent: "SampledOracle | RejectionRestrictedOracle"
-    var: int
-    sign: int
-
-    @property
-    def n(self) -> int:
-        return self.parent.n
-
-    def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        want = 1 if self.sign == -1 else 0
-        out_masks: list[np.ndarray] = []
-        out_labels: list[np.ndarray] = []
-        got = 0
-        budget = REJECTION_CAP_FACTOR * 2 * m
-        while got < m:
-            take = min(max(2 * (m - got), 64), DIRECT_DRAW_CAP)
-            if budget <= 0:
-                raise OracleExhausted("rejection sampling budget exhausted")
-            take = min(take, budget)
-            budget -= take
-            masks, labels = self.parent.draw(take, rng)
-            sel = ((masks >> np.uint64(self.var)) & np.uint64(1)) == want
-            out_masks.append(masks[sel])
-            out_labels.append(labels[sel])
-            got += int(sel.sum())
-        masks = np.concatenate(out_masks)[:m]
-        labels = np.concatenate(out_labels)[:m]
-        return masks, labels
-
-
-def _oracle_coeff_source(
-    oracle, m: int, rng: np.random.Generator, failure: float
-) -> CoeffSource:
+def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSource:
     """Empirical coefficient source from one sample of size m."""
     if isinstance(oracle, UniformTableOracle):
         counts = oracle.draw_counts(m, rng)
-        spectrum = spectrum_from_counts(counts, oracle.values)
-        return spectrum_source(oracle.n, spectrum, hoeffding_half_width(m, failure))
+        return spectrum_source(oracle.n, spectrum_from_counts(counts, oracle.values))
     masks, labels = oracle.draw(m, rng)
-    return batch_source(SampleBatch(oracle.n, masks, labels), failure)
+    return batch_source(SampleBatch(oracle.n, masks, labels))
 
 
 # --------------------------------------------------------------------------
 # PAC learning (improper)
 
 
-def _pac_pool_bound(theta: float, itilde_size: int) -> int:
+def pac_pool_bound(theta: float, itilde_size: int) -> int:
     # every kept set satisfies |estimate| >= theta, so |true coeff| >= theta/2
     # and spectral-norm 2 bounds kept sets by 4/theta; each is extended by at
     # most |I~| candidates
@@ -394,13 +354,13 @@ def pac_core(
     """
     theta = eps * eps / PAC_THETA_DIV
     max_level = math.ceil(math.log2(2.0 / theta))
-    itilde = [i for i in range(n) if abs(phase1_source(1 << i).value) >= theta]
-    pool = _pac_pool_bound(theta, len(itilde))
+    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
+    pool = pac_pool_bound(theta, len(itilde))
     source = phase2_source_for(pool)
     kept = lattice_search(
         source, IndexSet.from_indices(itilde, n), theta, max_level
     )
-    return SparsePolynomial(n, "parity", {t: e.value for t, e in kept.items()})
+    return SparsePolynomial(n, "parity", kept)
 
 
 def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
@@ -411,12 +371,12 @@ def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
     n = oracle.n
     theta = eps * eps / PAC_THETA_DIV
     m1 = hoeffding_samples(theta / 2, PAC_PHASE_FAILURE / n)
-    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1), PAC_PHASE_FAILURE / n)
+    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
 
     def phase2_for(pool: int) -> CoeffSource:
         failure = PAC_PHASE_FAILURE / pool
         m2 = hoeffding_samples(theta / 2, failure)
-        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2), failure)
+        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
 
     return pac_core(n, eps, phase1, phase2_for)
 
@@ -551,6 +511,21 @@ def proper_size_bound(eps: float, size_bound: float) -> float:
     return min(size_bound, (12.0 / eps) ** math.ceil(math.log2(6.0 / eps)))
 
 
+def _fit_coverage(
+    n: int, sets: Sequence[int], masks: np.ndarray, labels: np.ndarray
+) -> CoverageFunction:
+    """Simplex-constrained l1 fit of the labels over an affine column plus
+    one OR_S column per set; the weights form a coverage function."""
+    design = np.empty((len(masks), len(sets) + 1), dtype=np.float64)
+    design[:, 0] = 1.0
+    for j, s in enumerate(sets):
+        design[:, j + 1] = eval_disjunction_batch(s, masks)
+    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE))
+    affine = float(sol.coefficients[0])
+    terms = {s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0}
+    return CoverageFunction(n, affine, terms)
+
+
 def proper_pac_core(
     n: int,
     eps: float,
@@ -567,7 +542,7 @@ def proper_pac_core(
     keep_thr = eps * eps / (54.0 * s_eps)
     est_tol = eps * eps / (108.0 * s_eps)
 
-    itilde = [i for i in range(n) if abs(phase1_source(1 << i).value) >= theta]
+    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
     pool = math.ceil(2.0 / est_tol * max(len(itilde), 1)) + 1
     kept = lattice_search(
         phase2_source_for(pool),
@@ -581,17 +556,7 @@ def proper_pac_core(
         hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE),
         math.ceil(REGRESSION_SAMPLE_FACTOR * (len(sets) + 1) / eps**2),
     )
-    masks, labels = draw_labeled(m3)
-    design = np.empty((len(masks), len(sets) + 1), dtype=np.float64)
-    design[:, 0] = 1.0
-    for j, s in enumerate(sets):
-        design[:, j + 1] = eval_disjunction_batch(s, masks)
-    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE))
-    affine = float(sol.coefficients[0])
-    terms = {
-        s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0
-    }
-    return CoverageFunction(n, affine, terms)
+    return _fit_coverage(n, sets, *draw_labeled(m3))
 
 
 def proper_pac_learn(
@@ -609,14 +574,12 @@ def proper_pac_learn(
     theta = eps * eps / PROPER_THETA_DIV
     est_tol = eps * eps / (108.0 * s_eps)
     m1 = hoeffding_samples(theta / 2, PROPER_PHASE_FAILURE / n)
-    phase1 = _oracle_coeff_source(
-        oracle, m1, child_rng(seed, 1), PROPER_PHASE_FAILURE / n
-    )
+    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
 
     def phase2_for(pool: int) -> CoeffSource:
         failure = PROPER_PHASE_FAILURE / pool
         m2 = hoeffding_samples(est_tol, failure)
-        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2), failure)
+        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
 
     def draw_labeled(m3: int) -> tuple[np.ndarray, np.ndarray]:
         return oracle.draw(m3, child_rng(seed, 3))
@@ -632,7 +595,7 @@ def agnostic_degree(eps: float) -> int:
     return math.ceil(math.log2(3.0 / eps))
 
 
-def _sets_up_to(n: int, degree: int, include_empty: bool = True) -> list[int]:
+def sets_up_to(n: int, degree: int, include_empty: bool = True) -> list[int]:
     out = [0] if include_empty else []
     for size in range(1, min(degree, n) + 1):
         for combo in itertools.combinations(range(n), size):
@@ -650,7 +613,7 @@ def agnostic_learn(
         raise ValueError("eps must lie in (0,1)")
     n = d.n
     deg = agnostic_degree(eps)
-    parities = _sets_up_to(n, deg)
+    parities = sets_up_to(n, deg)
 
     if d.variant in ("uniform", "product"):
         layer_keys: list[int] | None = None
@@ -717,21 +680,13 @@ def proper_agnostic_learn(
 
     half = eps / 2.0
     k_len = truncation_length(kappa, half)
-    sets = _sets_up_to(d.n, k_len, include_empty=False)
+    sets = sets_up_to(d.n, k_len, include_empty=False)
     if len(sets) + 1 > FEATURE_CAP:
         raise BasisTooLarge(
             f"basis needs {len(sets) + 1} features, over the cap {FEATURE_CAP}"
         )
     m = math.ceil(REGRESSION_SAMPLE_FACTOR * (len(sets) + 1) / half**2)
-    masks, labels = oracle.draw(m, child_rng(seed, 0))
-    design = np.empty((m, len(sets) + 1), dtype=np.float64)
-    design[:, 0] = 1.0
-    for j, s in enumerate(sets):
-        design[:, j + 1] = eval_disjunction_batch(s, masks)
-    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE))
-    affine = float(sol.coefficients[0])
-    terms = {s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0}
-    return CoverageFunction(d.n, affine, terms)
+    return _fit_coverage(d.n, sets, *oracle.draw(m, child_rng(seed, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -852,9 +807,6 @@ class _MappedOracle:
     def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         masks, ys = self.base.draw(m, rng)
         return dnf_input_map(masks, self.n_orig), 1.0 - ys / self.s
-
-    def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 def dnf_reduction_learn(

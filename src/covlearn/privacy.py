@@ -23,22 +23,24 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import cube
 from .coverage import CoverageFunction
-from .cube import child_rng, popcount
-from .estimation import CoefficientEstimate, hoeffding_samples
+from .cube import DistributionSpec, child_rng, popcount
+from .estimation import CoeffSource, check_mask, hoeffding_samples
 from .learners import (
+    PAC_THETA_DIV,
     PROPER_PHASE_FAILURE,
+    PROPER_THETA_DIV,
     REGRESSION_SAMPLE_FACTOR,
     SparsePolynomial,
-    _pac_pool_bound,
-    _sets_up_to,
     agnostic_degree,
     agnostic_learn,
     pac_core,
+    pac_pool_bound,
     proper_pac_core,
     proper_size_bound,
+    sets_up_to,
 )
-from .cube import IndexSet
 
 Predicate = Callable[[np.ndarray], np.ndarray]
 
@@ -250,25 +252,35 @@ def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
     return predicate
 
 
-def _private_coeff_source(oracle: PrivateOracle, tolerance: float):
+def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
     """Fourier coefficients of c_D through private counting queries:
     coefficient = 2 * query(F_T) - 1."""
-    n = oracle.dataset.n
+    d = oracle.dataset
 
-    def source(mask: int) -> CoefficientEstimate:
-        value = 2.0 * oracle.query(_fourier_predicate(oracle.dataset, mask)) - 1.0
-        return CoefficientEstimate(IndexSet(mask, n), value, tolerance)
+    def source(mask: int) -> float:
+        check_mask(mask, d.n)
+        return 2.0 * oracle.query(_fourier_predicate(d, mask)) - 1.0
 
     return source
 
 
-def _private_labels(
-    oracle: PrivateOracle, masks: np.ndarray
-) -> np.ndarray:
-    """Training labels for c_D: 1 - private answer to AND over S_x."""
-    return np.array(
-        [1.0 - oracle.query(and_query(int(m))) for m in masks], dtype=np.float64
-    )
+@dataclass(frozen=True)
+class _PrivateLabelOracle:
+    """Example oracle for the regression stage of a release: points drawn
+    from dist, each labelled for c_D as 1 - private answer to AND over S_x."""
+
+    oracle: PrivateOracle
+    dist: DistributionSpec
+
+    @property
+    def n(self) -> int:
+        return self.dist.n
+
+    def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        # looked up on the module: perfbench traces the cube.sample_masks site
+        masks = cube.sample_masks(self.dist, m, rng)
+        labels = [1.0 - self.oracle.query(and_query(int(x))) for x in masks]
+        return masks, np.array(labels, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -313,9 +325,9 @@ class ReleaseSummary:
 def marginals_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the all-marginals release: one query per estimated
     Fourier coefficient, bounded a priori."""
-    theta = alpha_bar**2 / 6.0
+    theta = alpha_bar**2 / PAC_THETA_DIV
     itilde_bound = math.ceil(4.0 / theta)
-    q = n + _pac_pool_bound(theta, itilde_bound)
+    q = n + pac_pool_bound(theta, itilde_bound)
     return q, theta / 4.0
 
 
@@ -326,10 +338,9 @@ def release_all_marginals(
     average error alpha_bar over the uniform query distribution."""
     if not 0 < alpha_bar < 1:
         raise ValueError("alpha_bar must lie in (0,1)")
-    theta = alpha_bar**2 / 6.0
     q, tau = marginals_query_budget(d.n, alpha_bar)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
-    source = _private_coeff_source(oracle, theta / 2.0)
+    source = _private_coeff_source(oracle)
     poly = pac_core(d.n, alpha_bar, source, lambda pool: source)
     return ReleaseSummary(
         "fourier",
@@ -346,7 +357,7 @@ def release_all_marginals(
 def k_way_query_budget(n: int, k: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the k-way release: one query per regression example."""
     deg = agnostic_degree(alpha_bar / 2.0)
-    features = len(_sets_up_to(n, deg))
+    features = len(sets_up_to(n, deg))
     q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha_bar / 2.0) ** 2)
     return q, alpha_bar / 4.0
 
@@ -360,23 +371,12 @@ def release_k_way(
         raise ValueError("alpha_bar must lie in (0,1)")
     if not 0 <= k <= d.n:
         raise ValueError("k must lie in 0..n")
-    from .cube import DistributionSpec
-
     q, tau = k_way_query_budget(d.n, k, alpha_bar)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     dist = DistributionSpec.layer(d.n, k)
-
-    class _Wrapper:
-        n = d.n
-
-        @staticmethod
-        def draw(m: int, rng: np.random.Generator):
-            from .cube import sample_masks
-
-            masks = sample_masks(dist, m, rng)
-            return masks, _private_labels(oracle, masks)
-
-    poly = agnostic_learn(_Wrapper(), dist, alpha_bar / 2.0, seed)
+    poly = agnostic_learn(
+        _PrivateLabelOracle(oracle, dist), dist, alpha_bar / 2.0, seed
+    )
     return ReleaseSummary(
         "polynomial",
         d.n,
@@ -396,8 +396,8 @@ def synthetic_query_budget(
     query per regression example, all bounded a priori."""
     eps_l = alpha_bar / 2.0
     s_eps = proper_size_bound(eps_l, size_bound)
-    theta = eps_l**2 / 108.0
-    est_tol = eps_l**2 / (108.0 * s_eps)
+    theta = eps_l**2 / PROPER_THETA_DIV
+    est_tol = eps_l**2 / (PROPER_THETA_DIV * s_eps)
     itilde_bound = math.ceil(4.0 / theta)
     kept_bound = math.ceil(2.0 / est_tol)
     pool_bound = kept_bound * itilde_bound + 2
@@ -429,23 +429,17 @@ def release_synthetic(
         raise ValueError("alpha_bar must lie in (0,1)")
     eps_l = alpha_bar / 2.0
     s_eps = proper_size_bound(eps_l, size_bound)
-    est_tol = eps_l**2 / (108.0 * s_eps)
     q, tau = synthetic_query_budget(d.n, alpha_bar, size_bound)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
-
-    phase1 = _private_coeff_source(oracle, (eps_l**2 / 108.0) / 2.0)
-    phase2 = _private_coeff_source(oracle, est_tol)
-
-    def draw_labeled(m3: int) -> tuple[np.ndarray, np.ndarray]:
-        from .cube import DistributionSpec, sample_masks
-
-        masks = sample_masks(
-            DistributionSpec.uniform(d.n), m3, child_rng(seed, 1)
-        )
-        return masks, _private_labels(oracle, masks)
-
+    source = _private_coeff_source(oracle)
+    labeled = _PrivateLabelOracle(oracle, DistributionSpec.uniform(d.n))
     hypothesis = proper_pac_core(
-        d.n, eps_l, s_eps, phase1, lambda pool: phase2, draw_labeled
+        d.n,
+        eps_l,
+        s_eps,
+        source,
+        lambda pool: source,
+        lambda m3: labeled.draw(m3, child_rng(seed, 1)),
     )
     synthetic = synthesize_dataset(hypothesis, alpha_bar)
     return ReleaseSummary(

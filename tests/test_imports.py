@@ -1,5 +1,6 @@
-"""Every module-level import in the package's modules is used: the check a
-linter's unused-import rule would make."""
+"""Import hygiene of the package's modules: every module-level import is
+used (the check a linter's unused-import rule would make), every import is
+at module level, and no module imports a private name from a sibling."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,31 @@ def test_no_unused_module_imports(path):
         if (alias.asname or alias.name.split(".")[0]) not in referenced
     ]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+PACKAGE_MODULES = sorted(Path(covlearn.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_imports_are_module_level(path):
+    tree = ast.parse(path.read_text())
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == [], f"{path.name} imports inside a function or class: {nested}"
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_private_names_from_sibling_modules(path):
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("covlearn"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names: {private}"

@@ -18,7 +18,6 @@ from covlearn.learners import (
     PmacHypothesis,
     PmacPolyLeaf,
     PmacZeroLeaf,
-    RejectionRestrictedOracle,
     SampledOracle,
     SparsePolynomial,
     UniformTableOracle,
@@ -94,23 +93,6 @@ class TestUniformTableOracle:
         o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
         with pytest.raises(OracleExhausted):
             o.draw(1 << 27, child_rng(0, 0))
-
-
-class TestRejectionOracle:
-    def test_conditioned_draws(self):
-        d = DistributionSpec.uniform(4)
-        base = SampledOracle(d, lambda m, rng: np.zeros(len(m)))
-        r = RejectionRestrictedOracle(base, 2, -1)
-        masks, _ = r.draw(500, child_rng(2, 0))
-        assert (((masks >> np.uint64(2)) & np.uint64(1)) == 1).all()
-
-    def test_budget_exhaustion(self):
-        # conditioning on a layer-0 distribution having a -1 bit never succeeds
-        d = DistributionSpec.layer(4, 0)
-        base = SampledOracle(d, lambda m, rng: np.zeros(len(m)))
-        r = RejectionRestrictedOracle(base, 0, -1)
-        with pytest.raises(OracleExhausted):
-            r.draw(100, child_rng(3, 0))
 
 
 class TestPacLearning:
