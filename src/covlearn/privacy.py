@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -103,8 +104,9 @@ class Dataset:
         nz = counts.nonzero()[0]
         return cls(n, nz.astype(np.uint64), counts[nz].astype(np.int64))
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # each private query reads it up to three times
         return int(self.mults.sum())
 
     def is_empty(self) -> bool:

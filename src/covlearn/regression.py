@@ -7,11 +7,15 @@ sum(beta) <= 1 ("simplex-like", which makes the fit a legal coverage
 weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
 with equality rows Phi beta + r+ - r- = y and objective sum(r+ + r-).
 
-Examples drawn from a noiseless oracle repeat, so rows that share the same
-(design row, target) are merged into one LP row whose residual pair costs
-its multiplicity: the weighted LP has the same optimum and the same
-objective, sum over the original rows of |r_i|, so its primal-dual gap is
-in those units too.  When every row is distinct the LP is the plain one.
+The loss is separable by design row, so the LP has one equality row per
+distinct design row (Barrodale and Roberts 1973).  Repeated (design row,
+target) pairs first become one pair weighted by its multiplicity; a design
+row that still carries several targets, as noisy private labels do, keeps
+them as sorted breakpoints of its convex piecewise-linear loss, one bounded
+segment column per gap between consecutive targets.  The optimum is that of
+one row per example, and the primal-dual gap is in units of the sum of
+|r_i| over the original rows.  When every design row has one target the LP
+is the plain one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ SIMPLEX_LIKE = "simplex_like"
 MAX_COLUMNS = 20000
 CONSTRAINT_TOL = 1e-9
 OPT_TOL = 1e-7
-# above this distinct-row count the interior-point method (with crossover)
+# above this equality-row count the interior-point method (with crossover)
 # is far faster than simplex and still certifies the gap via exact duals
 IPM_ROW_THRESHOLD = 10000
 
@@ -90,38 +94,91 @@ def _collapse_rows(
     return design[rows], targets[rows], counts[order].astype(np.float64)
 
 
+def _group_by_design_row(
+    design: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Group weighted (design row, target) pairs by design row.
+
+    Groups come in first-occurrence order and targets ascend within each
+    group.  Returns the groups' design rows, smallest targets and total
+    weights, and for each gap between consecutive targets of a group: its
+    group, its width, and its slope, the group's weight at or below the gap
+    minus its weight above it.
+    """
+    m = len(targets)
+    by = np.lexsort((targets, *design.T))
+    ordered = design[by]
+    runs = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    first = np.empty(m, dtype=np.intp)
+    first[by] = np.repeat(np.minimum.reduceat(by, runs), np.diff(np.r_[runs, m]))
+    order = np.lexsort((targets, first))
+    first, y, w = first[order], targets[order], weights[order]
+    new = np.r_[True, first[1:] != first[:-1]]
+    starts = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    weight = np.add.reduceat(w, starts)
+    at_or_below = np.cumsum(w)
+    at_or_below -= (at_or_below - w)[starts][group]
+    gap = np.flatnonzero(~new[1:])
+    return (
+        design[first[starts]],
+        y[starts],
+        weight,
+        group[gap],
+        y[gap + 1] - y[gap],
+        2.0 * at_or_below[gap] - weight[group[gap]],
+    )
+
+
 def solve_l1(p: L1Problem) -> L1Solution:
     """Solve the LP; the reported objective is within 1e-7 of the optimum,
     certified by the primal-dual gap.
 
-    Repeated (design row, target) pairs become one LP row weighted by its
-    multiplicity, so the gap is in units of the sum of |residual| over the
-    original rows, and IPM_ROW_THRESHOLD counts distinct rows.  Raises
+    The LP has one equality row per distinct design row.  A design row with
+    sorted distinct targets y_1 < ... < y_M of multiplicities w_j and total
+    weight W has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
+    cost W each and the segment column z_j in [0, y_{j+1} - y_j] costs
+    2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
+    the sum of |residual| over the original rows.  The gap (counting the
+    segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
+    counts equality rows.  When every design row has one target there are no
+    segment columns and the LP is the one-row-per-distinct-pair LP.  Raises
     LPNotOptimal when the solver stops short of an optimum.
     """
     design, targets, weights = _collapse_rows(p.design, p.targets)
-    m, k = design.shape
-    phi = sp.csc_matrix(design)
+    rows, low, weight, seg_row, width, slope = _group_by_design_row(
+        design, targets, weights
+    )
+    m, k = rows.shape
+    s = len(seg_row)
+    phi = sp.csc_matrix(rows)
     eye = sp.identity(m, format="csc")
-    a_eq = sp.hstack([phi, eye, -eye], format="csc")
-    cost = np.concatenate([np.zeros(k), weights, weights])
+    seg = sp.csc_matrix((np.full(s, -1.0), (seg_row, np.arange(s))), shape=(m, s))
+    a_eq = sp.hstack([phi, eye, -eye, seg], format="csc")
+    cost = np.concatenate([np.zeros(k), weight, weight, slope])
+    bounds = np.zeros((k + 2 * m + s, 2))
+    bounds[:, 1] = np.inf
+    bounds[k + 2 * m :, 1] = width
     if p.constraint == SIMPLEX_LIKE:
-        bounds = [(0, None)] * (k + 2 * m)
         a_ub = sp.hstack(
-            [sp.csr_matrix(np.ones((1, k))), sp.csr_matrix((1, 2 * m))], format="csc"
+            [sp.csr_matrix(np.ones((1, k))), sp.csr_matrix((1, 2 * m + s))],
+            format="csc",
         )
         b_ub = np.array([1.0])
     else:
-        bounds = [(None, None)] * k + [(0, None)] * (2 * m)
+        bounds[:k, 0] = -np.inf
         a_ub, b_ub = None, None
     res = linprog(
         cost,
         A_eq=a_eq,
-        b_eq=targets,
+        b_eq=low,
         A_ub=a_ub,
         b_ub=b_ub,
         bounds=bounds,
         method="highs" if m <= IPM_ROW_THRESHOLD else "highs-ipm",
+        # a row's segment columns are parallel, and HiGHS presolve takes
+        # time quadratic in their count, many times what the solve takes
+        options={"presolve": s == 0},
     )
     if res.status != 0:
         raise LPNotOptimal(f"LP status {res.status}: {res.message}")
@@ -137,8 +194,9 @@ def solve_l1(p: L1Problem) -> L1Solution:
             beta = beta / total
     objective = float(np.abs(p.design @ beta - p.targets).sum()) / len(p.targets)
 
-    dual = float(targets @ res.eqlin.marginals)
+    dual = float(low @ res.eqlin.marginals)
     if p.constraint == SIMPLEX_LIKE:
         dual += float(b_ub @ res.ineqlin.marginals)
+    dual += float(width @ res.upper.marginals[k + 2 * m :])
     gap = abs(float(res.fun) - dual)
     return L1Solution(beta, objective, gap, "optimal")

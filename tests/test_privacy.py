@@ -166,6 +166,18 @@ class TestPrivateOracle:
             audited_answers.append(audited.query(and_query(mask)))
         assert audited_answers == answers
 
+    def test_query_is_clamped_count_plus_laplace(self):
+        d = Dataset.from_multiplicities([(0b01, 700), (0b10, 200), (0b11, 100)], 2)
+        o = PrivateOracle(d, 30, 0.25, 2.0, 0.1, child_rng(5, 0))
+        twin = child_rng(5, 0)
+        scale = 30 / (2.0 * 1000)
+        for i in range(30):
+            predicate = and_query(i % 4)
+            expected = counting_query(d, predicate) + float(
+                twin.laplace(0.0, scale, size=1)[0]
+            )
+            assert o.query(predicate) == min(1.0, max(0.0, expected))
+
 
 class TestReleases:
     def test_all_marginals_noiseless_small(self):

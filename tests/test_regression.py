@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -96,6 +98,51 @@ class TestRowCollapse:
         assert merged_targets.tolist() == [0.5, 0.0, 1.0]
         assert weights.tolist() == [3.0, 2.0, 1.0]
 
+
+
+@st.composite
+def noisy_labels(draw):
+    """Distinct design rows, each carrying several distinct labels with
+    their own multiplicities, in shuffled order."""
+    k = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                st.lists(
+                    st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                    min_size=1,
+                    max_size=4,
+                    unique_by=lambda label: label[0],
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda group: tuple(group[0]),
+        )
+    )
+    rows = [
+        (row, target / 8)
+        for row, labels in pool
+        for target, mult in labels
+        for _ in range(mult)
+    ]
+    rows = draw(st.permutations(rows))
+    design = np.array([row for row, _ in rows], dtype=np.float64)
+    return design, np.array([t for _, t in rows])
+
+
+class TestLabelSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=noisy_labels(), constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]))
+    def test_one_lp_row_per_design_row(self, problem, constraint):
+        design, targets = problem
+        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+            s = solve_l1(L1Problem(design, targets, constraint))
+        assert spy.call_args.kwargs["A_eq"].shape[0] == len(np.unique(design, axis=0))
+        _, ref_objective = reference_l1(design, targets, constraint)
+        assert s.objective == pytest.approx(ref_objective, abs=1e-7)
+        assert s.duality_gap <= 1e-7
 
 
 class TestValidation:
