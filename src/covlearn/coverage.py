@@ -108,20 +108,28 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 
     Index bit i of a table position corresponds to coordinate i being -1,
     matching the mask encoding.  Output[t] = sum_x values[x]*chi_t(x); divide
-    by 2^n for Fourier coefficients.
+    by 2^n for Fourier coefficients.  The result is a new array; values is
+    left unchanged.
+
+    Constant-geometry (Pease) form: every level reads the even and odd
+    entries of one buffer and writes their sums to the first half and their
+    differences to the second half of the other.  Each level therefore
+    rotates the index right by one bit, so level k pairs the entries whose
+    original indices differ in bit k, and after n levels the rotation is
+    the identity.  Each butterfly computes x0 + x1 and x0 - x1 on the same
+    operands as the in-order, level-by-level form, so the output is
+    bit-for-bit the same as that form's.
     """
     a = np.array(values, dtype=np.float64)
     size = len(a)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] += a[:, h:]
-        a[:, h:] = left - a[:, h:]
-        a = a.reshape(size)
-        h *= 2
+    half = size // 2
+    b = np.empty_like(a)
+    for _ in range(size.bit_length() - 1):
+        np.add(a[0::2], a[1::2], out=b[:half])
+        np.subtract(a[0::2], a[1::2], out=b[half:])
+        a, b = b, a
     return a
 
 
@@ -223,8 +231,9 @@ def l1_distance_mc(
     """Monte-Carlo estimate of E_d |f - g| with a Hoeffding half-width.
 
     f and g map arrays of point masks to value arrays.  Returns (estimate,
-    half-width) where the half-width is sqrt(ln(2/0.05)*2/samples), valid
-    for gaps in [0,1].
+    half-width) where the half-width is sqrt(2*ln(2/0.05)/samples): the 95%
+    two-sided Hoeffding half-width for a mean of gaps in a range of width 2,
+    such as [-1,1].  For gaps in [0,1] it is twice as wide as needed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -11,6 +11,7 @@ are astronomically large but n is small).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,11 +82,13 @@ def exact_source(table: FourierTable) -> CoeffSource:
 
 def spectrum_source(n: int, spectrum: np.ndarray) -> CoeffSource:
     """Lookup into a length-2^n array of coefficients indexed by set mask."""
-    if len(spectrum) != 1 << n:
+    size = 1 << n
+    if len(spectrum) != size:
         raise ValueError("spectrum length must be 2^n")
 
     def source(mask: int) -> float:
-        check_mask(mask, n)
+        if not 0 <= mask < size:  # check_mask, inlined: it runs per lookup
+            raise ValueError(f"set mask {mask} outside [0, 2^{n})")
         return float(spectrum[mask])
 
     return source
@@ -102,7 +105,9 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     total = float(weights.sum())
     if total <= 0:
         raise ValueError("weights must have positive total")
-    return walsh_hadamard(np.asarray(weights, dtype=np.float64) * labels) / total
+    spectrum = walsh_hadamard(np.asarray(weights, dtype=np.float64) * labels)
+    spectrum /= total
+    return spectrum
 
 
 def lattice_search(
@@ -114,28 +119,28 @@ def lattice_search(
     """Breadth-first search of the subset lattice of candidate_vars.
 
     Level t extends each surviving (t-1)-set; a set is kept iff the estimated
-    coefficient satisfies |estimate| >= theta.  Runs exactly max_level levels
-    and returns the estimate of every kept set plus the empty set, keyed by
-    mask.  Each set is visited once: a set is extended only by variables
-    above its maximum element, which reaches every subset exactly once, and
-    coefficient-magnitude monotonicity over supersets means the surviving
-    sets coincide with the all-orders search.
+    coefficient satisfies |estimate| >= theta.  Runs at most max_level levels,
+    stopping after the first level that keeps no set, and returns the
+    estimate of every kept set plus the empty set, keyed by mask, in the
+    order the sets were visited.  Each set is visited once: a set is
+    extended only by variables above its maximum element, which reaches
+    every subset exactly once, and coefficient-magnitude monotonicity over
+    supersets means the surviving sets coincide with the all-orders search.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    candidates = candidate_vars.indices()
+    candidates = candidate_vars.indices()  # ascending
+    bits = [1 << i for i in candidates]
     kept = {0: coeff_source(0)}
     frontier = [0]
     for _ in range(max_level):
         next_frontier = []
         for t_mask in frontier:
-            low = t_mask.bit_length()  # extend by i > max(T) only
-            for i in candidates:
-                if i < low:
-                    continue
-                ext = t_mask | 1 << i
+            # extend by i > max(T) only
+            for bit in bits[bisect_left(candidates, t_mask.bit_length()):]:
+                ext = t_mask | bit
                 est = coeff_source(ext)
                 if abs(est) >= theta:
                     kept[ext] = est

@@ -143,8 +143,10 @@ def _eval_parity_poly(
         return np.zeros(len(masks), dtype=np.float64)
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= 24:
         dense = np.zeros(1 << n, dtype=np.float64)
-        for t, v in coeffs.items():
-            dense[t] = v
+        size = len(coeffs)
+        dense[np.fromiter(coeffs.keys(), np.int64, size)] = np.fromiter(
+            coeffs.values(), np.float64, size
+        )
         return walsh_hadamard(dense)[masks]
     out = np.zeros(len(masks), dtype=np.float64)
     for t, v in coeffs.items():

@@ -69,7 +69,47 @@ class TestEvalCoverage:
             assert vals[m] == eval_coverage(self.c, Point(m, 2))
 
 
+def reference_wht(values):
+    """The in-order, level-by-level butterfly: level h adds and subtracts
+    the entries h apart within each block of 2h."""
+    a = np.array(values, dtype=np.float64)
+    size = len(a)
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        a[:, :h] += a[:, h:]
+        a[:, h:] = left - a[:, h:]
+        a = a.reshape(size)
+        h *= 2
+    return a
+
+
+def assert_same_bits_as_reference(values):
+    before = values.tobytes()
+    out = walsh_hadamard(values)
+    assert out.tobytes() == reference_wht(values).tobytes()
+    assert values.tobytes() == before
+    assert out is not values
+
+
 class TestWalshHadamard:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e15]),
+    )
+    def test_bits_equal_level_by_level_form(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        assert_same_bits_as_reference(rng.uniform(-scale, scale, 1 << n))
+
+    def test_bits_equal_level_by_level_form_at_n16(self):
+        rng = np.random.default_rng(16)
+        # multinomial-count-like cells at mixed magnitudes
+        values = rng.random(1 << 16) * 10.0 ** rng.integers(-3, 16, 1 << 16)
+        assert_same_bits_as_reference(values)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_hadamard(np.zeros(3))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlearn.coverage import CoverageFunction, exact_fourier, random_coverage
 from covlearn.cube import DistributionSpec, IndexSet, child_rng, sample_masks
@@ -134,7 +136,62 @@ class TestSources:
         assert src(3) == 0.0
 
 
+def reference_lattice_search(coeff_source, candidate_vars, theta, max_level):
+    """The lattice loop that skips candidates below max(T) one by one."""
+    candidates = candidate_vars.indices()
+    kept = {0: coeff_source(0)}
+    frontier = [0]
+    for _ in range(max_level):
+        next_frontier = []
+        for t_mask in frontier:
+            low = t_mask.bit_length()
+            for i in candidates:
+                if i < low:
+                    continue
+                ext = t_mask | 1 << i
+                est = coeff_source(ext)
+                if abs(est) >= theta:
+                    kept[ext] = est
+                    next_frontier.append(ext)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return kept
+
+
+def spy(source, seen):
+    def wrapped(mask):
+        seen.append(mask)
+        return source(mask)
+
+    return wrapped
+
+
 class TestLatticeSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        candidate_mask=st.integers(0, 2**9 - 1),
+        theta=st.floats(1e-3, 0.5),
+        max_level=st.integers(1, 9),
+    )
+    def test_same_kept_order_and_lookups_as_reference(
+        self, n, seed, candidate_mask, theta, max_level
+    ):
+        # random spectra, not monotone ones, so levels end at every depth
+        rng = np.random.default_rng(seed)
+        spectrum = rng.uniform(-1, 1, 1 << n) * rng.random(1 << n) ** 4
+        source = spectrum_source(n, spectrum)
+        candidates = IndexSet(candidate_mask & ((1 << n) - 1), n)
+        seen, seen_ref = [], []
+        kept = lattice_search(spy(source, seen), candidates, theta, max_level)
+        ref = reference_lattice_search(
+            spy(source, seen_ref), candidates, theta, max_level
+        )
+        assert list(kept.items()) == list(ref.items())
+        assert seen == seen_ref
+
     def test_pair_disjunction_example(self):
         c = CoverageFunction(2, 0.0, {0b11: 0.25})
         src = exact_source(exact_fourier(c))

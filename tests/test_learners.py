@@ -8,10 +8,12 @@ from covlearn.coverage import (
     dense_table,
     exact_fourier,
     random_coverage,
+    walsh_hadamard,
 )
 from covlearn.cube import DistributionSpec, child_rng
 from covlearn.estimation import exact_source
 from covlearn.learners import (
+    DENSE_EVAL_SUPPORT,
     DisjointDnf,
     DnfClassifier,
     OracleExhausted,
@@ -33,6 +35,7 @@ from covlearn.learners import (
     proper_pac_learn,
     proper_size_bound,
     random_disjoint_dnf,
+    _eval_parity_poly,
     truncation_length,
 )
 
@@ -64,6 +67,18 @@ class TestSparsePolynomial:
         rest = SparsePolynomial(10, "parity", dict(list(coeffs.items())[100:]))
         combined = sparse.eval_masks(masks) + rest.eval_masks(masks)
         assert np.abs(p_big.eval_masks(masks) - combined).max() < 1e-9
+
+    def test_dense_fill_equals_per_coefficient_fill(self):
+        n = 10
+        rng = child_rng(0, 1)
+        keys = rng.choice(1 << n, size=DENSE_EVAL_SUPPORT + 50, replace=False)
+        coeffs = {int(t): float(v) for t, v in zip(keys, rng.normal(size=len(keys)))}
+        masks = np.arange(1 << n, dtype=np.uint64)
+        dense = np.zeros(1 << n, dtype=np.float64)
+        for t, v in coeffs.items():
+            dense[t] = v
+        expected = walsh_hadamard(dense)[masks]
+        assert _eval_parity_poly(n, coeffs, masks).tobytes() == expected.tobytes()
 
 
 class TestUniformTableOracle:
