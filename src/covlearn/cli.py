@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from .coverage import (
     average_project,
     random_coverage,
 )
-from .cube import DistributionSpec, child_rng, format_point_line, sample_masks
+from .cube import DistributionSpec, IndexSet, child_rng, format_point_line, sample_masks
 from .estimation import exact_source, lattice_search
-from .cube import IndexSet
 from .learners import (
     OracleExhausted,
     SampledOracle,
@@ -81,6 +80,10 @@ RELEASE_NAMES = ("all-marginals", "k-way", "synthetic")
 DEFAULT_EVAL_SAMPLES = 100_000
 DEFAULT_EVAL_QUERIES = 10_000
 SUCCESS_THRESHOLD = 2.0 / 3.0
+REPORT_COLUMNS = (  # report.csv columns, in order; those no row has are left out
+    "trial", "seed", "l1_error", "l1_half_width", "mult_fraction", "avg_error",
+    "samples", "privacy_budget", "runtime_sec", "success",
+)
 
 
 class SchemaError(ValueError):
@@ -97,6 +100,13 @@ def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"field {key!r}: {exc}") from exc
+
+
+def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
+    value = _get(cfg, key, int, default, required)
+    if value < 1:
+        raise SchemaError(f"field {key!r}: must be >= 1")
+    return value
 
 
 def _dist_from_json(obj) -> DistributionSpec:
@@ -135,9 +145,7 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
         n = _get(block, "n", int, required=True)
         max_terms = _get(block, "max_terms", int, required=True)
         max_arity = _get(block, "max_arity", int, required=True)
-        count = _get(block, "count", int, 1)
-        if count < 1:
-            raise SchemaError("field 'count': must be >= 1")
+        count = _count(block, "count", 1)
         pattern = _get(block, "out", str, "target_{i}.json")
         for i in range(count):
             try:
@@ -150,9 +158,7 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
     if "dataset" in cfg:
         block = cfg["dataset"]
         dist = _dist_from_json(block.get("distribution"))
-        size = _get(block, "size", int, required=True)
-        if size < 1:
-            raise SchemaError("field 'size': must be >= 1")
+        size = _count(block, "size", required=True)
         if size > DATASET_EXPANSION_CAP:
             raise SchemaError(
                 f"field 'size': {size} exceeds the text expansion cap"
@@ -169,14 +175,57 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
 
 
 # --------------------------------------------------------------------------
+# trials and reports
+
+
+def _run_trials(
+    cfg: dict, out_dir: str, trials: int, seed: int, run_trial, head: str, tail: str
+) -> int:
+    """Runs run_trial(trial) for each trial, which writes the trial's files
+    and returns its report row; a trial whose oracle or LP gives out becomes
+    a failed row.  Then writes report.json and report.csv, prints
+    "head: successes/trials tail" and returns the exit code."""
+    rows = []
+    for trial in range(trials):
+        try:
+            rows.append(run_trial(trial))
+        except (OracleExhausted, LPNotOptimal) as exc:
+            rows.append(
+                {"trial": trial, "seed": _trial_seed(seed, trial),
+                 "error": str(exc), "success": False}
+            )
+    successes = sum(1 for r in rows if r["success"])
+    aggregate = {
+        "trials": trials,
+        "successes": successes,
+        "success_fraction": successes / trials,
+        "success_threshold": SUCCESS_THRESHOLD,
+        "pass": successes >= SUCCESS_THRESHOLD * trials,
+    }
+    dump_json(
+        {"config": cfg, "rows": rows, "aggregate": aggregate},
+        os.path.join(out_dir, "report.json"),
+    )
+    used = [c for c in REPORT_COLUMNS if any(c in r for r in rows)]
+    with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(used)
+        for r in rows:
+            writer.writerow(["" if r.get(c) is None else r.get(c) for c in used])
+    print(f"{head}: {successes}/{trials} {tail}")
+    return EXIT_PASS if aggregate["pass"] else EXIT_CONTRACT
+
+
+# --------------------------------------------------------------------------
 # learn
 
 
 @dataclass(frozen=True)
 class _CountingTableOracle(UniformTableOracle):
-    """Table oracle that tallies how many examples it has produced."""
+    """Table oracle that tallies the examples it draws; its restricted and
+    scaled copies share the tally."""
 
-    counter: list = field(default_factory=lambda: [0])
+    counter: list  # one shared cell: [examples drawn]
 
     def draw(self, m, rng):
         self.counter[0] += int(m)
@@ -185,22 +234,6 @@ class _CountingTableOracle(UniformTableOracle):
     def draw_counts(self, total, rng):
         self.counter[0] += int(total)
         return super().draw_counts(total, rng)
-
-
-class _CountingDraw:
-    """Counting proxy for oracles used only through .draw."""
-
-    def __init__(self, base):
-        self.base = base
-        self.count = 0
-
-    @property
-    def n(self):
-        return self.base.n
-
-    def draw(self, m, rng):
-        self.count += int(m)
-        return self.base.draw(m, rng)
 
 
 def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
@@ -228,28 +261,34 @@ class _PerturbedEval:
         return self.inner.eval_masks(masks) + self.eps * signs
 
 
-def _run_learn_trial(cfg: dict, learner: str, trial: int, seed: int) -> dict:
+def _run_learn_trial(
+    cfg: dict, learner: str, trial: int, seed: int, eval_samples: int, out_dir: str
+) -> dict:
+    """One learn trial: each learner branch builds its oracle, hypothesis,
+    truth function, evaluation distribution and error bound; one block
+    then evaluates the hypothesis and finishes the row.  samples is every
+    example any oracle of the trial drew."""
     n = _get(cfg, "n", int, required=True)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
-    eval_samples = _get(cfg, "eval_samples", int, DEFAULT_EVAL_SAMPLES)
     tseed = _trial_seed(seed, trial)
     eval_seed = _trial_seed(seed, trial, 1)
-    row: dict = {"trial": trial, "seed": tseed}
+    drawn = [0]  # examples drawn by the trial's oracles
     start = time.monotonic()
-
     if learner == "dnf-reduction":
         s = _get(params, "s", int, required=True)
         eps = _get(params, "epsilon", float, required=True)
         inner_kind = _get(params, "inner", str, "exact")
         dnf = random_disjoint_dnf(n, s, tseed)
         target_cov = dnf_to_coverage(dnf)
-        oracle = _CountingDraw(
-            SampledOracle(
-                DistributionSpec.uniform(n), lambda masks, rng: dnf.eval_masks(masks)
-            )
-        )
+        truth, dist = dnf.eval_masks, DistributionSpec.uniform(n)
+
+        def labels(masks, rng):
+            drawn[0] += len(masks)
+            return dnf.eval_masks(masks)
+
+        oracle = SampledOracle(dist, labels)
         if inner_kind == "exact":
             inner_learner = lambda orc, e: target_cov
         elif inner_kind == "perturbed":
@@ -257,131 +296,79 @@ def _run_learn_trial(cfg: dict, learner: str, trial: int, seed: int) -> dict:
         else:
             raise SchemaError("field 'inner': expected 'exact' or 'perturbed'")
         h = dnf_reduction_learn(oracle, s, eps, inner_learner)
-        err, hw = l1_distance_mc(
-            h.eval_masks,
-            dnf.eval_masks,
-            DistributionSpec.uniform(n),
-            eval_samples,
-            eval_seed,
-        )
-        row.update(
-            l1_error=err,
-            l1_half_width=hw,
-            mult_fraction=None,
-            samples=oracle.count,
-            success=err <= eps,
-        )
-        hypothesis = hypothesis_to_json(target_cov) if inner_kind == "exact" else None
-        row["runtime_sec"] = time.monotonic() - start
-        return row, hypothesis
-
-    target = _load_target(cfg, n, tseed)
-    uniform = DistributionSpec.uniform(n)
-
-    if learner in ("pac", "pmac", "proper"):
-        oracle = _CountingTableOracle(
-            target.n, tuple(range(target.n)), dense_table(target)
-        )
-        if learner == "pac":
+        bound = eps
+        hypothesis = target_cov if inner_kind == "exact" else None
+    else:
+        target = _load_target(cfg, n, tseed)
+        truth, dist = target.eval_masks, DistributionSpec.uniform(n)
+        if learner in ("agnostic", "proper-agnostic"):
             eps = _get(params, "epsilon", float, required=True)
-            h = pac_learn_uniform(oracle, eps, tseed)
-            err, hw = l1_distance_mc(
-                h.eval_masks, target.eval_masks, uniform, eval_samples, eval_seed
-            )
-            row.update(
-                l1_error=err, l1_half_width=hw, mult_fraction=None, success=err <= eps
-            )
-        elif learner == "proper":
-            eps = _get(params, "epsilon", float, required=True)
-            size_bound = _get(params, "size_bound", float, math.inf)
-            h = proper_pac_learn(oracle, eps, size_bound, tseed)
-            err, hw = l1_distance_mc(
-                h.eval_masks, target.eval_masks, uniform, eval_samples, eval_seed
-            )
-            row.update(
-                l1_error=err, l1_half_width=hw, mult_fraction=None, success=err <= eps
-            )
+            noise_scale = _get(params, "noise_scale", float, 0.0)
+            if "distribution" in cfg:
+                dist = _dist_from_json(cfg["distribution"])
+
+            def labels(masks, rng):
+                drawn[0] += len(masks)
+                vals = target.eval_masks(masks)
+                if noise_scale > 0:
+                    vals = vals + rng.laplace(0.0, noise_scale, size=len(masks))
+                return np.clip(vals, 0.0, 1.0)
+
+            oracle = SampledOracle(dist, labels)
+            if learner == "agnostic":
+                h = agnostic_learn(oracle, dist, eps, tseed)
+            else:
+                kappa = _get(params, "kappa", float, required=True)
+                h = proper_agnostic_learn(oracle, dist, eps, kappa, tseed)
+            bound = eps + noise_scale
         else:
-            gamma = _get(params, "gamma", float, required=True)
-            delta = _get(params, "delta", float, required=True)
-            h = pmac_learn(oracle, gamma, delta, tseed)
-            masks = sample_masks(uniform, eval_samples, child_rng(eval_seed, 0))
-            cv = target.eval_masks(masks)
-            hv = h.eval_masks(masks)
-            tol = 1e-9
-            frac = float(
-                ((hv <= cv + tol) & (cv <= (1 + gamma) * hv + tol)).mean()
+            oracle = _CountingTableOracle(
+                target.n, tuple(range(target.n)), dense_table(target), drawn
             )
-            hw = float(np.sqrt(np.log(2 / 0.05) / (2 * eval_samples)))
-            err = float(np.abs(hv - cv).mean())
-            row.update(
-                l1_error=err,
-                l1_half_width=hw,
-                mult_fraction=frac,
-                success=frac >= 1 - delta,
-            )
-        row["samples"] = oracle.counter[0]
-        row["runtime_sec"] = time.monotonic() - start
-        return row, hypothesis_to_json(h)
+            if learner == "pmac":
+                gamma = _get(params, "gamma", float, required=True)
+                delta = _get(params, "delta", float, required=True)
+                h = pmac_learn(oracle, gamma, delta, tseed)
+            else:
+                bound = _get(params, "epsilon", float, required=True)
+                if learner == "pac":
+                    h = pac_learn_uniform(oracle, bound, tseed)
+                else:
+                    size_bound = _get(params, "size_bound", float, math.inf)
+                    h = proper_pac_learn(oracle, bound, size_bound, tseed)
+        hypothesis = h
 
-    if learner in ("agnostic", "proper-agnostic"):
-        eps = _get(params, "epsilon", float, required=True)
-        noise_scale = _get(params, "noise_scale", float, 0.0)
-        dist = (
-            _dist_from_json(cfg["distribution"]) if "distribution" in cfg else uniform
+    if learner == "pmac":
+        masks = sample_masks(dist, eval_samples, child_rng(eval_seed, 0))
+        cv = truth(masks)
+        hv = h.eval_masks(masks)
+        tol = 1e-9
+        mult_fraction = float(
+            ((hv <= cv + tol) & (cv <= (1 + gamma) * hv + tol)).mean()
         )
-
-        def labels(masks, rng):
-            vals = target.eval_masks(masks)
-            if noise_scale > 0:
-                vals = vals + rng.laplace(0.0, noise_scale, size=len(masks))
-            return np.clip(vals, 0.0, 1.0)
-
-        oracle = _CountingDraw(SampledOracle(dist, labels))
-        if learner == "agnostic":
-            h = agnostic_learn(oracle, dist, eps, tseed)
-        else:
-            kappa = _get(params, "kappa", float, required=True)
-            h = proper_agnostic_learn(oracle, dist, eps, kappa, tseed)
-        err, hw = l1_distance_mc(
-            h.eval_masks, target.eval_masks, dist, eval_samples, eval_seed
+        hw = float(np.sqrt(np.log(2 / 0.05) / (2 * eval_samples)))
+        err = float(np.abs(hv - cv).mean())
+        success = mult_fraction >= 1 - delta
+    else:
+        err, hw = l1_distance_mc(h.eval_masks, truth, dist, eval_samples, eval_seed)
+        mult_fraction = None
+        success = err <= bound
+    row = {
+        "trial": trial,
+        "seed": tseed,
+        "l1_error": err,
+        "l1_half_width": hw,
+        "mult_fraction": mult_fraction,
+        "samples": drawn[0],
+        "success": success,
+        "runtime_sec": time.monotonic() - start,
+    }
+    if hypothesis is not None:
+        dump_json(
+            hypothesis_to_json(hypothesis),
+            os.path.join(out_dir, f"hypothesis_{trial:03d}.json"),
         )
-        row.update(
-            l1_error=err,
-            l1_half_width=hw,
-            mult_fraction=None,
-            samples=oracle.count,
-            success=err <= eps + noise_scale,
-        )
-        row["runtime_sec"] = time.monotonic() - start
-        return row, hypothesis_to_json(h)
-
-    raise AssertionError("unreachable")
-
-
-def _write_report(rows: list[dict], aggregate: dict, cfg: dict, out_dir: str) -> None:
-    dump_json(
-        {"config": cfg, "rows": rows, "aggregate": aggregate},
-        os.path.join(out_dir, "report.json"),
-    )
-    columns = [
-        "trial",
-        "seed",
-        "l1_error",
-        "l1_half_width",
-        "mult_fraction",
-        "avg_error",
-        "samples",
-        "privacy_budget",
-        "runtime_sec",
-        "success",
-    ]
-    used = [c for c in columns if any(c in r for r in rows)]
-    with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(used)
-        for r in rows:
-            writer.writerow(["" if r.get(c) is None else r.get(c) for c in used])
+    return row
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> int:
@@ -390,37 +377,16 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         raise SchemaError(
             f"unknown learner {learner!r}; valid names: {', '.join(LEARNER_NAMES)}"
         )
-    trials = _get(cfg, "trials", int, 1)
-    if trials < 1:
-        raise SchemaError("field 'trials': must be >= 1")
+    trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", int, 0)
-    rows = []
-    for trial in range(trials):
-        try:
-            row, hypothesis = _run_learn_trial(cfg, learner, trial, seed)
-        except (OracleExhausted, LPNotOptimal) as exc:
-            row, hypothesis = (
-                {"trial": trial, "seed": _trial_seed(seed, trial),
-                 "error": str(exc), "success": False},
-                None,
-            )
-        rows.append(row)
-        if hypothesis is not None:
-            dump_json(hypothesis, os.path.join(out_dir, f"hypothesis_{trial:03d}.json"))
-    successes = sum(1 for r in rows if r.get("success"))
-    aggregate = {
-        "trials": trials,
-        "successes": successes,
-        "success_fraction": successes / trials,
-        "success_threshold": SUCCESS_THRESHOLD,
-        "pass": successes >= SUCCESS_THRESHOLD * trials,
-    }
-    _write_report(rows, aggregate, cfg, out_dir)
-    print(
-        f"learn {learner}: {successes}/{trials} successful trials "
-        f"(threshold {SUCCESS_THRESHOLD:.3f})"
-    )
-    return EXIT_PASS if aggregate["pass"] else EXIT_CONTRACT
+    eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
+
+    def run_trial(trial: int) -> dict:
+        return _run_learn_trial(cfg, learner, trial, seed, eval_samples, out_dir)
+
+    head = f"learn {learner}"
+    tail = f"successful trials (threshold {SUCCESS_THRESHOLD:.3f})"
+    return _run_trials(cfg, out_dir, trials, seed, run_trial, head, tail)
 
 
 # --------------------------------------------------------------------------
@@ -467,72 +433,52 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     alpha_bar = _get(cfg, "alpha_bar", float, required=True)
     epsilon = _get(cfg, "epsilon", float, required=True)
     delta = _get(cfg, "delta", float, required=True)
-    trials = _get(cfg, "trials", int, 1)
+    trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", int, 0)
-    eval_queries = _get(cfg, "eval_queries", int, DEFAULT_EVAL_QUERIES)
+    eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
     d = _release_dataset(cfg, alpha_bar, variant)
-
     truth_table = all_conjunction_answers(d)
-    rows = []
-    for trial in range(trials):
+
+    def run_trial(trial: int) -> dict:
         tseed = _trial_seed(seed, trial)
         start = time.monotonic()
-        try:
-            if variant == "all-marginals":
-                summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
-                qdist = DistributionSpec.uniform(d.n)
-            elif variant == "k-way":
-                k = _get(cfg, "k", int, required=True)
-                summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
-                qdist = DistributionSpec.layer(d.n, k)
-            else:
-                size_bound = _get(cfg, "size_bound", float, math.inf)
-                summary = release_synthetic(
-                    d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
-                )
-                qdist = DistributionSpec.uniform(d.n)
-        except LPNotOptimal as exc:
-            rows.append(
-                {"trial": trial, "seed": tseed, "error": str(exc), "success": False}
+        if variant == "all-marginals":
+            summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
+            qdist = DistributionSpec.uniform(d.n)
+        elif variant == "k-way":
+            k = _get(cfg, "k", int, required=True)
+            summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
+            qdist = DistributionSpec.layer(d.n, k)
+        else:
+            size_bound = _get(cfg, "size_bound", float, math.inf)
+            summary = release_synthetic(
+                d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
             )
-            continue
+            qdist = DistributionSpec.uniform(d.n)
         x_masks = sample_masks(qdist, eval_queries, child_rng(seed, trial, 2))
         answers = summary.answer_masks(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
         hw = float(np.sqrt(np.log(2 / 0.05) / (2 * eval_queries)))
-        rows.append(
-            {
-                "trial": trial,
-                "seed": tseed,
-                "avg_error": avg_error,
-                "l1_half_width": hw,
-                "privacy_budget": summary.queries_used,
-                "runtime_sec": time.monotonic() - start,
-                "success": avg_error <= alpha_bar,
-            }
-        )
+        row = {
+            "trial": trial,
+            "seed": tseed,
+            "avg_error": avg_error,
+            "l1_half_width": hw,
+            "privacy_budget": summary.queries_used,
+            "runtime_sec": time.monotonic() - start,
+            "success": avg_error <= alpha_bar,
+        }
         dump_json(
             summary_to_json(summary), os.path.join(out_dir, f"summary_{trial:03d}.json")
         )
         if summary.synthetic is not None and not summary.synthetic.is_empty():
-            with open(
-                os.path.join(out_dir, f"synthetic_{trial:03d}.txt"), "w"
-            ) as fh:
+            with open(os.path.join(out_dir, f"synthetic_{trial:03d}.txt"), "w") as fh:
                 fh.write(dataset_to_text(summary.synthetic))
-    successes = sum(1 for r in rows if r["success"])
-    aggregate = {
-        "trials": trials,
-        "successes": successes,
-        "success_fraction": successes / trials,
-        "success_threshold": SUCCESS_THRESHOLD,
-        "pass": successes >= SUCCESS_THRESHOLD * trials,
-    }
-    _write_report(rows, aggregate, cfg, out_dir)
-    print(
-        f"release {variant}: {successes}/{trials} trials within "
-        f"average error {alpha_bar}"
-    )
-    return EXIT_PASS if aggregate["pass"] else EXIT_CONTRACT
+        return row
+
+    head = f"release {variant}"
+    tail = f"trials within average error {alpha_bar}"
+    return _run_trials(cfg, out_dir, trials, seed, run_trial, head, tail)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -72,19 +72,6 @@ class BasisTooLarge(ValueError):
     """Feature basis exceeds the documented column cap."""
 
 
-@dataclass(frozen=True)
-class LearnParams:
-    """Bundle of learner parameters; epsilon doubles as gamma for PMAC."""
-
-    epsilon: float
-    delta: float = 1 / 3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1 or not 0 < self.delta < 1:
-            raise ValueError("parameters must lie in (0,1)")
-
-
 # --------------------------------------------------------------------------
 # Hypothesis representations
 
@@ -111,11 +98,6 @@ class SparsePolynomial:
         if self.basis == "layered_parity":
             if any(not 0 <= k <= self.n for k in self.layers):
                 raise ValueError("layer keys must lie in 0..n")
-
-    def support_size(self) -> int:
-        if self.basis == "parity":
-            return len(self.coeffs)
-        return sum(len(c) for c in self.layers.values())
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.uint64)
@@ -245,13 +227,6 @@ class UniformTableOracle:
         masks = np.arange(1 << c.n, dtype=np.uint64)
         return cls(c.n, tuple(range(c.n)), c.eval_masks(masks))
 
-    @classmethod
-    def from_function(
-        cls, f: Callable[[np.ndarray], np.ndarray], n: int
-    ) -> "UniformTableOracle":
-        masks = np.arange(1 << n, dtype=np.uint64)
-        return cls(n, tuple(range(n)), np.asarray(f(masks), dtype=np.float64))
-
     @property
     def n(self) -> int:
         return len(self.free_vars)
@@ -287,13 +262,13 @@ class UniformTableOracle:
         want = 1 if sign == -1 else 0
         sel = (idx >> compact_var) & 1 == want
         new_vars = tuple(v for i, v in enumerate(self.free_vars) if i != compact_var)
-        return UniformTableOracle(self.n_total, new_vars, self.values[sel])
+        return replace(self, free_vars=new_vars, values=self.values[sel])
 
     def scaled(self, factor: float, clamp_unit: bool = False) -> "UniformTableOracle":
         vals = self.values * factor
         if clamp_unit:
             vals = np.clip(vals, 0.0, 1.0)
-        return UniformTableOracle(self.n_total, self.free_vars, vals)
+        return replace(self, values=vals)
 
     def lift_set(self, compact_set_mask: int) -> int:
         mask = 0
@@ -388,20 +363,18 @@ def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
 
 
 def _score_on_holdout(
-    oracle, hyps: Sequence[SparsePolynomial], m: int, rng: np.random.Generator
+    oracle: UniformTableOracle,
+    hyps: Sequence[SparsePolynomial],
+    m: int,
+    rng: np.random.Generator,
 ) -> int:
     """Index of the hypothesis with least empirical l1 error on a fresh
     held-out sample of size m."""
-    if isinstance(oracle, UniformTableOracle):
-        counts = oracle.draw_counts(m, rng)
-        cells = np.arange(len(oracle.values), dtype=np.uint64)
-        scores = [
-            float(counts @ np.abs(h.eval_masks(cells) - oracle.values)) / m
-            for h in hyps
-        ]
-    else:
-        masks, labels = oracle.draw(m, rng)
-        scores = [float(np.abs(h.eval_masks(masks) - labels).mean()) for h in hyps]
+    counts = oracle.draw_counts(m, rng)
+    cells = np.arange(len(oracle.values), dtype=np.uint64)
+    scores = [
+        float(counts @ np.abs(h.eval_masks(cells) - oracle.values)) / m for h in hyps
+    ]
     return int(np.argmin(scores))
 
 
@@ -494,14 +467,11 @@ def _pmac_recurse(
 
 
 def _estimate_small_fraction(
-    oracle, threshold: float, m: int, rng: np.random.Generator
+    oracle: UniformTableOracle, threshold: float, m: int, rng: np.random.Generator
 ) -> float:
     """Empirical estimate of Pr[label <= threshold] over m fresh examples."""
-    if isinstance(oracle, UniformTableOracle):
-        counts = oracle.draw_counts(m, rng)
-        return float(counts[oracle.values <= threshold].sum()) / m
-    _, labels = oracle.draw(m, rng)
-    return float((labels <= threshold).mean())
+    counts = oracle.draw_counts(m, rng)
+    return float(counts[oracle.values <= threshold].sum()) / m
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from covlearn import regression
+from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.cli import (
     EXIT_CONTRACT,
     EXIT_GATE,
@@ -222,6 +223,89 @@ class TestLearn:
         }
         code, out_dir = run(tmp_path, "learn", cfg)
         assert code == EXIT_PASS
+
+
+class TestSampleCount:
+    """A learn row's samples is every example the trial's oracles drew,
+    counted exactly, PMAC's restricted and scaled oracles included."""
+
+    @pytest.mark.parametrize(
+        "learner,params",
+        [
+            ("pac", {"epsilon": 0.4}),
+            ("pmac", {"gamma": 0.5, "delta": 0.2}),
+            ("proper", {"epsilon": 0.4, "size_bound": 3}),
+            ("agnostic", {"epsilon": 0.5, "noise_scale": 0.05}),
+            ("proper-agnostic", {"epsilon": 0.6, "kappa": 0.5}),
+        ],
+    )
+    def test_samples_equal_examples_drawn(
+        self, tmp_path, capsys, monkeypatch, learner, params
+    ):
+        drawn = []
+
+        def spy(cls, name):
+            orig = getattr(cls, name)
+
+            def counted(self, size, rng):
+                drawn.append(int(size))
+                return orig(self, size, rng)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(UniformTableOracle, "draw")
+        spy(UniformTableOracle, "draw_counts")
+        spy(SampledOracle, "draw")
+        cfg = {
+            "learner": learner,
+            "n": 4 if "agnostic" in learner else 6,
+            "seed": 4,
+            "trials": 1,
+            "eval_samples": 2000,
+            "target": {"max_terms": 3, "max_arity": 2},
+            "params": params,
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code in (EXIT_PASS, EXIT_CONTRACT)
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert drawn and type(row["samples"]) is int
+        assert row["samples"] == sum(drawn)
+
+
+class TestCountFields:
+    LEARN = {
+        "learner": "pac",
+        "n": 4,
+        "target": {"max_terms": 2, "max_arity": 2},
+        "params": {"epsilon": 0.4},
+    }
+    RELEASE = {
+        "release": "all-marginals",
+        "alpha_bar": 0.4,
+        "epsilon": 1e18,
+        "delta": 0.1,
+        "dataset": {"n": 3, "size": 50},
+    }
+
+    @pytest.mark.parametrize(
+        "verb,field,value",
+        [
+            ("learn", "trials", 0),
+            ("learn", "trials", -2),
+            ("learn", "eval_samples", 0),
+            ("release", "trials", 0),
+            ("release", "trials", -2),
+            ("release", "eval_queries", 0),
+        ],
+    )
+    def test_below_one_is_a_schema_error(
+        self, tmp_path, capsys, verb, field, value
+    ):
+        base = self.LEARN if verb == "learn" else self.RELEASE
+        code, out_dir = run(tmp_path, verb, dict(base, **{field: value}))
+        assert code == EXIT_USAGE
+        assert f"field {field!r}: must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
 class TestRelease:

@@ -55,3 +55,15 @@ def test_no_private_names_from_sibling_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_one_import_statement_per_sibling_module(path):
+    tree = ast.parse(path.read_text())
+    sources = [
+        "." * node.level + (node.module or "")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    repeated = sorted({s for s in sources if sources.count(s) > 1})
+    assert repeated == [], f"{path.name} imports more than once from {repeated}"
