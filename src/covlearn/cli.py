@@ -2,7 +2,8 @@
 release algorithms from JSON configs, evaluate hypotheses, emit reports.
 
 Verbs: generate | learn | release | selftest.  Exit codes: 0 pass,
-1 contract failure, 2 usage or schema error, 3 privacy-gate refusal.
+1 contract failure, 2 usage, schema or out-of-range config error,
+3 privacy-gate refusal.
 Everything is deterministic in (config, seed); trials use disjoint child
 seeds, and report rows are ordered by trial index.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -241,7 +241,10 @@ def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
     if not isinstance(block, dict):
         raise SchemaError("learn config needs a 'target' object")
     if "path" in block:
-        return coverage_from_json(load_json(block["path"]))
+        target = coverage_from_json(load_json(block["path"]))
+        if target.n != n:
+            raise SchemaError(f"target has n={target.n} but the config has n={n}")
+        return target
     max_terms = _get(block, "max_terms", int, required=True)
     max_arity = _get(block, "max_arity", int, required=True)
     return random_coverage(n, max_terms, max_arity, trial_seed)
@@ -268,7 +271,7 @@ def _run_learn_trial(
     truth function, evaluation distribution and error bound; one block
     then evaluates the hypothesis and finishes the row.  samples is every
     example any oracle of the trial drew."""
-    n = _get(cfg, "n", int, required=True)
+    n = _count(cfg, "n", required=True)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
@@ -306,6 +309,10 @@ def _run_learn_trial(
             noise_scale = _get(params, "noise_scale", float, 0.0)
             if "distribution" in cfg:
                 dist = _dist_from_json(cfg["distribution"])
+                if dist.n != n:
+                    raise SchemaError(
+                        f"distribution has n={dist.n} but the config has n={n}"
+                    )
 
             def labels(masks, rng):
                 drawn[0] += len(masks)
@@ -414,11 +421,13 @@ def _release_dataset(cfg: dict, alpha_bar: float, variant: str) -> Dataset:
     if "path" in block:
         with open(block["path"]) as fh:
             return dataset_from_text(fh.read())
-    n = _get(block, "n", int, required=True)
+    n = _count(block, "n", required=True)
     if "size" in block:
-        size = _get(block, "size", int)
+        size = _count(block, "size")
     else:
         factor = _get(block, "gate_factor", float, required=True)
+        if not factor > 0:
+            raise SchemaError("field 'gate_factor': must be > 0")
         size = math.ceil(factor * max(_release_gate(variant, n, cfg, alpha_bar), 1.0))
     seed = _get(cfg, "seed", int, 0)
     return Dataset.iid_uniform(n, size, child_rng(seed, 10**6 + 1))
@@ -640,7 +649,7 @@ def main(argv=None) -> int:
         if args.verb == "learn":
             return cmd_learn(cfg, args.out)
         return cmd_release(cfg, args.out)
-    except (SchemaError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GateRefused as exc:

@@ -8,14 +8,13 @@ weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
 with equality rows Phi beta + r+ - r- = y and objective sum(r+ + r-).
 
 The loss is separable by design row, so the LP has one equality row per
-distinct design row (Barrodale and Roberts 1973).  Repeated (design row,
-target) pairs first become one pair weighted by its multiplicity; a design
-row that still carries several targets, as noisy private labels do, keeps
-them as sorted breakpoints of its convex piecewise-linear loss, one bounded
-segment column per gap between consecutive targets.  The optimum is that of
-one row per example, and the primal-dual gap is in units of the sum of
-|r_i| over the original rows.  When every design row has one target the LP
-is the plain one.
+distinct design row (Barrodale and Roberts 1973).  One sort groups the
+examples by design row.  Equal targets of a row become one target weighted
+by its count.  A row with several distinct targets, as noisy private labels
+give, keeps them as sorted breakpoints of its convex piecewise-linear loss,
+one bounded segment column per gap between consecutive targets.  The
+optimum is that of one row per example, and the primal-dual gap is in units
+of the sum of |r_i| over the original rows.
 """
 
 from __future__ import annotations
@@ -77,43 +76,29 @@ class L1Solution:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def _collapse_rows(
-    design: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (design row, target) pairs in first-occurrence order, with
-    their multiplicities.  When every row is distinct the caller's arrays
-    come back uncopied."""
-    m, k = design.shape
-    pairs = np.ascontiguousarray(np.column_stack([design, targets]))
-    keys = pairs.view(np.dtype((np.void, pairs.itemsize * (k + 1)))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if len(first) == m:
-        return design, targets, np.ones(m)
-    order = np.argsort(first)
-    rows = first[order]
-    return design[rows], targets[rows], counts[order].astype(np.float64)
-
-
 def _group_by_design_row(
-    design: np.ndarray, targets: np.ndarray, weights: np.ndarray
+    design: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Group weighted (design row, target) pairs by design row.
+    """Group the examples by design row.
 
-    Groups come in first-occurrence order and targets ascend within each
-    group.  Returns the groups' design rows, smallest targets and total
-    weights, and for each gap between consecutive targets of a group: its
-    group, its width, and its slope, the group's weight at or below the gap
-    minus its weight above it.
+    Groups come in first-occurrence order.  Within a group, equal targets
+    become one target weighted by its count, and targets ascend.  Returns
+    the groups' design rows, smallest targets and sizes, and for each gap
+    between consecutive targets of a group: its group, its width, and its
+    slope, the group's count at or below the gap minus its count above it.
     """
     m = len(targets)
     by = np.lexsort((targets, *design.T))
     ordered = design[by]
     runs = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    first = np.empty(m, dtype=np.intp)
-    first[by] = np.repeat(np.minimum.reduceat(by, runs), np.diff(np.r_[runs, m]))
-    order = np.lexsort((targets, first))
-    first, y, w = first[order], targets[order], weights[order]
+    first = np.repeat(np.minimum.reduceat(by, runs), np.diff(np.r_[runs, m]))
+    # stable, so targets still ascend within each group
+    order = np.argsort(first, kind="stable")
+    first, y = first[order], targets[by[order]]
     new = np.r_[True, first[1:] != first[:-1]]
+    distinct = np.flatnonzero(new | np.r_[True, y[1:] != y[:-1]])
+    w = np.diff(np.r_[distinct, m]).astype(np.float64)
+    first, y, new = first[distinct], y[distinct], new[distinct]
     starts = np.flatnonzero(new)
     group = np.cumsum(new) - 1
     weight = np.add.reduceat(w, starts)
@@ -141,13 +126,12 @@ def solve_l1(p: L1Problem) -> L1Solution:
     2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
     the sum of |residual| over the original rows.  The gap (counting the
     segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
-    counts equality rows.  When every design row has one target there are no
-    segment columns and the LP is the one-row-per-distinct-pair LP.  Raises
-    LPNotOptimal when the solver stops short of an optimum.
+    counts equality rows.  A design row with one distinct target has no
+    segment columns.  Raises LPNotOptimal when the solver stops short of an
+    optimum.
     """
-    design, targets, weights = _collapse_rows(p.design, p.targets)
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
-        design, targets, weights
+        p.design, p.targets
     )
     m, k = rows.shape
     s = len(seg_row)

@@ -308,6 +308,63 @@ class TestCountFields:
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+class TestOutOfRange:
+    """Config values the library rejects are usage errors, not crashes."""
+
+    LEARN = TestCountFields.LEARN
+    RELEASE = TestCountFields.RELEASE
+
+    @pytest.mark.parametrize(
+        "verb,cfg",
+        [
+            ("learn", dict(LEARN, params={"epsilon": 1.5})),
+            ("learn", dict(LEARN, n=0)),
+            (
+                "learn",
+                dict(LEARN, learner="pmac", params={"gamma": 0.5, "delta": 1.5}),
+            ),
+            ("release", dict(RELEASE, alpha_bar=1.5)),
+            ("release", dict(RELEASE, dataset={"n": 3, "size": -3})),
+            ("release", dict(RELEASE, dataset={"n": 0, "size": 50})),
+            ("release", dict(RELEASE, release="k-way", k=9)),
+            ("release", dict(RELEASE, dataset={"n": 3, "gate_factor": -1})),
+        ],
+        ids=[
+            "epsilon", "n", "pmac-delta", "alpha_bar", "size", "dataset-n", "k",
+            "gate_factor",
+        ],
+    )
+    def test_exits_with_usage_error(self, tmp_path, capsys, verb, cfg):
+        code, out_dir = run(tmp_path, verb, cfg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+    @pytest.mark.parametrize("where", ["target", "distribution"])
+    def test_n_must_match_the_config(self, tmp_path, capsys, where):
+        gen = {
+            "seed": 2,
+            "coverage": {"n": 5, "max_terms": 2, "max_arity": 2, "out": "t.json"},
+        }
+        _, gen_dir = run(tmp_path, "generate", gen, out="gen")
+        cfg = {
+            "learner": "agnostic",
+            "n": 5,
+            "eval_samples": 1000,
+            "target": {"path": os.path.join(gen_dir, "t.json")},
+            "distribution": {"variant": "uniform", "n": 5},
+            "params": {"epsilon": 0.5},
+        }
+        if where == "target":
+            cfg["n"] = cfg["distribution"]["n"] = 7
+        else:
+            cfg["distribution"]["n"] = 7
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert f"{where} has n=" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
 class TestRelease:
     def test_all_marginals_noiseless(self, tmp_path, capsys):
         cfg = {

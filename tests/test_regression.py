@@ -79,25 +79,79 @@ class TestRowCollapse:
         rng = child_rng(3, 0)
         design = rng.standard_normal((40, 5))
         targets = rng.random(40)
-        merged_design, merged_targets, weights = regression._collapse_rows(
-            design, targets
-        )
-        assert merged_design is design and merged_targets is targets
-        assert (weights == 1.0).all()
-        s = solve_l1(L1Problem(design, targets, constraint))
+        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+            s = solve_l1(L1Problem(design, targets, constraint))
+        assert spy.call_args.kwargs["A_eq"].shape[0] == 40
         ref_beta, _ = reference_l1(design, targets, constraint)
         assert np.array_equal(s.coefficients, ref_beta)
 
     def test_first_occurrence_order(self):
         design = np.array([[2.0], [1.0], [2.0], [3.0], [1.0], [2.0]])
         targets = np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5])
-        merged_design, merged_targets, weights = regression._collapse_rows(
-            design, targets
-        )
-        assert merged_design[:, 0].tolist() == [2.0, 1.0, 3.0]
-        assert merged_targets.tolist() == [0.5, 0.0, 1.0]
-        assert weights.tolist() == [3.0, 2.0, 1.0]
+        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+            solve_l1(L1Problem(design, targets))
+        args = spy.call_args
+        assert args.kwargs["A_eq"][:, 0].toarray().ravel().tolist() == [2.0, 1.0, 3.0]
+        assert args.kwargs["b_eq"].tolist() == [0.5, 0.0, 1.0]
+        # the columns: beta, then r+ and r- per row, each costing the
+        # row's multiplicity
+        assert args.args[0].tolist() == [0.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
 
+
+def dict_grouping(design, targets):
+    """_group_by_design_row in plain Python: the same six outputs, built
+    from an insertion-ordered dict of per-row target counts."""
+    groups = {}
+    for row, target in zip(map(tuple, design.tolist()), targets.tolist()):
+        counts = groups.setdefault(row, {})
+        counts[target] = counts.get(target, 0) + 1
+    rows, low, weight, seg_row, width, slope = [], [], [], [], [], []
+    for g, (row, counts) in enumerate(groups.items()):
+        ys = sorted(counts)
+        total = sum(counts.values())
+        rows.append(row)
+        low.append(ys[0])
+        weight.append(total)
+        below = 0
+        for y, above in zip(ys, ys[1:]):
+            below += counts[y]
+            seg_row.append(g)
+            width.append(above - y)
+            slope.append(2 * below - total)
+    return rows, low, weight, seg_row, width, slope
+
+
+@st.composite
+def pooled_examples(draw):
+    """Examples whose design rows and targets come from small pools, so
+    pairs repeat and a design row carries several labels."""
+    k = draw(st.integers(1, 3))
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(-1, 1), min_size=k, max_size=k), min_size=1, max_size=5
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 4)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    design = np.array([pool[i] for i, _ in picks], dtype=np.float64)
+    return design, np.array([t / 4 for _, t in picks])
+
+
+class TestGrouping:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=pooled_examples())
+    def test_matches_dict_grouping(self, problem):
+        design, targets = problem
+        got = regression._group_by_design_row(design, targets)
+        want = dict_grouping(design, targets)
+        assert got[0].tolist() == [list(row) for row in want[0]]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tolist() == w
 
 
 @st.composite
@@ -243,3 +297,18 @@ class TestInvariants:
         s = solve_l1(L1Problem(design, targets, SIMPLEX_LIKE))
         assert s.objective <= 1e-7
         assert np.abs(design @ s.coefficients - targets).max() <= 1e-6
+
+
+@pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
+def test_interior_point_above_row_threshold(constraint):
+    # distinct rows past the threshold, with targets in the span of the
+    # columns, so the fit is exact and its coefficients are known
+    rng = child_rng(4, 0)
+    design = rng.random((regression.IPM_ROW_THRESHOLD + 1, 3))
+    beta = np.array([0.2, 0.3, 0.1])
+    with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        s = solve_l1(L1Problem(design, design @ beta, constraint))
+    assert spy.call_args.kwargs["A_eq"].shape[0] == regression.IPM_ROW_THRESHOLD + 1
+    assert spy.call_args.kwargs["method"] == "highs-ipm"
+    assert s.duality_gap <= regression.OPT_TOL
+    assert s.coefficients == pytest.approx(beta, abs=1e-7)
