@@ -29,7 +29,14 @@ from .coverage import (
     average_project,
     random_coverage,
 )
-from .cube import DistributionSpec, IndexSet, child_rng, format_point_line, sample_masks
+from .cube import (
+    DistributionSpec,
+    IndexSet,
+    child_rng,
+    child_seed,
+    format_point_line,
+    sample_masks,
+)
 from .estimation import exact_source, lattice_search
 from .learners import (
     OracleExhausted,
@@ -129,10 +136,6 @@ def _dist_from_json(obj) -> DistributionSpec:
     raise SchemaError(f"unknown distribution variant {variant!r}")
 
 
-def _trial_seed(seed: int, trial: int, slot: int = 0) -> int:
-    return int(child_rng(seed, trial, slot).integers(0, 2**31))
-
-
 # --------------------------------------------------------------------------
 # generate
 
@@ -149,7 +152,7 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
         pattern = _get(block, "out", str, "target_{i}.json")
         for i in range(count):
             try:
-                c = random_coverage(n, max_terms, max_arity, _trial_seed(seed, i))
+                c = random_coverage(n, max_terms, max_arity, child_seed(seed, i, 0))
             except ValueError as exc:
                 raise SchemaError(f"coverage block: {exc}") from exc
             name = pattern.format(i=i) if count > 1 or "{i}" in pattern else pattern
@@ -191,7 +194,7 @@ def _run_trials(
             rows.append(run_trial(trial))
         except (OracleExhausted, LPNotOptimal) as exc:
             rows.append(
-                {"trial": trial, "seed": _trial_seed(seed, trial),
+                {"trial": trial, "seed": child_seed(seed, trial, 0),
                  "error": str(exc), "success": False}
             )
     successes = sum(1 for r in rows if r["success"])
@@ -275,8 +278,8 @@ def _run_learn_trial(
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
-    tseed = _trial_seed(seed, trial)
-    eval_seed = _trial_seed(seed, trial, 1)
+    tseed = child_seed(seed, trial, 0)
+    eval_seed = child_seed(seed, trial, 1)
     drawn = [0]  # examples drawn by the trial's oracles
     start = time.monotonic()
     if learner == "dnf-reduction":
@@ -449,7 +452,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     truth_table = all_conjunction_answers(d)
 
     def run_trial(trial: int) -> dict:
-        tseed = _trial_seed(seed, trial)
+        tseed = child_seed(seed, trial, 0)
         start = time.monotonic()
         if variant == "all-marginals":
             summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)

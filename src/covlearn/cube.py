@@ -201,6 +201,12 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
+def child_seed(seed: int, *path: int) -> int:
+    """An integer seed in [0, 2^31) drawn from the stream child_rng(seed, *path),
+    for callees that take a seed rather than a generator."""
+    return int(child_rng(seed, *path).integers(0, 2**31))
+
+
 def _sample_layer(n: int, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform points of prescribed Hamming weights, one mask per entry of ks."""
     m = len(ks)
@@ -220,8 +226,6 @@ def sample_masks(d: DistributionSpec, m: int, rng: np.random.Generator) -> np.nd
     if n > MAX_COMPACT_N:
         raise ValueError(f"batch sampling supports n <= {MAX_COMPACT_N}")
     if d.variant == "uniform":
-        if n == 64:
-            return rng.integers(0, 2**64, size=m, dtype=np.uint64)
         return rng.integers(0, 1 << n, size=m, dtype=np.uint64)
     if d.variant == "product":
         bits = rng.random((m, n)) < np.asarray(d.biases)[None, :]

@@ -34,6 +34,7 @@ from .cube import (
     DistributionSpec,
     IndexSet,
     child_rng,
+    child_seed,
     eval_disjunction_batch,
     eval_parity_batch,
     popcount,
@@ -48,7 +49,7 @@ from .estimation import (
     spectrum_from_counts,
     spectrum_source,
 )
-from .regression import SIMPLEX_LIKE, UNCONSTRAINED, L1Problem, solve_l1
+from .regression import MAX_COLUMNS, SIMPLEX_LIKE, UNCONSTRAINED, L1Problem, solve_l1
 
 # Centralized algorithm constants.  Accuracy/confidence parameters flow in
 # from callers; these are the fixed numeric choices of the implementation.
@@ -59,7 +60,6 @@ PROPER_PHASE_FAILURE = 1 / 9  # three phases at 1/9 each
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 BOOST_REPS_FACTOR = 8  # r = ceil(8 ln(2/eta)) repetitions
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
-FEATURE_CAP = 20000
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
 
@@ -264,11 +264,9 @@ class UniformTableOracle:
         new_vars = tuple(v for i, v in enumerate(self.free_vars) if i != compact_var)
         return replace(self, free_vars=new_vars, values=self.values[sel])
 
-    def scaled(self, factor: float, clamp_unit: bool = False) -> "UniformTableOracle":
-        vals = self.values * factor
-        if clamp_unit:
-            vals = np.clip(vals, 0.0, 1.0)
-        return replace(self, values=vals)
+    def scaled(self, factor: float) -> "UniformTableOracle":
+        """Labels multiplied by factor and clamped to [0, 1]."""
+        return replace(self, values=np.clip(self.values * factor, 0.0, 1.0))
 
     def lift_set(self, compact_set_mask: int) -> int:
         mask = 0
@@ -317,6 +315,26 @@ def pac_pool_bound(theta: float, itilde_size: int) -> int:
     return math.ceil(4.0 / theta * max(itilde_size, 1)) + 1
 
 
+def _screen_and_search(
+    n: int,
+    theta: float,
+    keep_thr: float,
+    max_level: int,
+    phase1_source: CoeffSource,
+    phase2_source_for: Callable[[int], CoeffSource],
+) -> dict[int, float]:
+    """Singletons whose phase-1 estimate reaches theta, then a lattice search
+    over them at keep_thr.  phase2_source_for receives the union-bound pool
+    size so the caller can budget its per-estimate confidence."""
+    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
+    return lattice_search(
+        phase2_source_for(pac_pool_bound(keep_thr, len(itilde))),
+        IndexSet.from_indices(itilde, n),
+        keep_thr,
+        max_level,
+    )
+
+
 def pac_core(
     n: int,
     eps: float,
@@ -324,18 +342,11 @@ def pac_core(
     phase2_source_for: Callable[[int], CoeffSource],
 ) -> SparsePolynomial:
     """Two-phase sparse Fourier selection shared by the sampled and the
-    private-query paths: singleton screen, then lattice search.
-
-    phase2_source_for receives the union-bound pool size so the caller can
-    budget its per-estimate confidence.
-    """
+    private-query paths: singleton screen, then lattice search."""
     theta = eps * eps / PAC_THETA_DIV
     max_level = math.ceil(math.log2(2.0 / theta))
-    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
-    pool = pac_pool_bound(theta, len(itilde))
-    source = phase2_source_for(pool)
-    kept = lattice_search(
-        source, IndexSet.from_indices(itilde, n), theta, max_level
+    kept = _screen_and_search(
+        n, theta, theta, max_level, phase1_source, phase2_source_for
     )
     return SparsePolynomial(n, "parity", kept)
 
@@ -362,35 +373,35 @@ def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
 # PMAC learning
 
 
-def _score_on_holdout(
+def _pmac_leaf(
     oracle: UniformTableOracle,
-    hyps: Sequence[SparsePolynomial],
-    m: int,
-    rng: np.random.Generator,
-) -> int:
-    """Index of the hypothesis with least empirical l1 error on a fresh
-    held-out sample of size m."""
-    counts = oracle.draw_counts(m, rng)
-    cells = np.arange(len(oracle.values), dtype=np.uint64)
-    scores = [
-        float(counts @ np.abs(h.eval_masks(cells) - oracle.values)) / m for h in hyps
-    ]
-    return int(np.argmin(scores))
-
-
-def _boosted_pac(oracle, eps: float, eta: float, seed: int) -> SparsePolynomial:
-    """PAC learner with confidence boosted from 2/3 to 1-eta: r independent
-    runs scored on a held-out batch, keeping the best."""
+    m_tilde: float,
+    eps: float,
+    shift: float,
+    eta: float,
+    seed: int,
+    *path: int,
+) -> PmacPolyLeaf:
+    """PAC fit of the labels scaled by 1/(3 m~), with confidence boosted from
+    2/3 to 1-eta: r independent runs scored on a held-out sample, the best
+    one lifted to the full cube.  Run i is seeded from path + (i,), the
+    hold-out sample draws from path."""
+    scaled = oracle.scaled(1.0 / (3.0 * m_tilde))
     r = math.ceil(BOOST_REPS_FACTOR * math.log(2.0 / eta))
-    hyps = [pac_learn_uniform(oracle, eps, seed * 1000 + 7 * i) for i in range(r)]
+    hyps = [
+        pac_learn_uniform(scaled, eps, child_seed(seed, *path, i)) for i in range(r)
+    ]
     m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
-    best = _score_on_holdout(oracle, hyps, m_hold, child_rng(seed, 999))
-    return hyps[best]
-
-
-def _lift_poly(poly: SparsePolynomial, oracle: UniformTableOracle) -> SparsePolynomial:
-    coeffs = {oracle.lift_set(t): v for t, v in poly.coeffs.items()}
-    return SparsePolynomial(oracle.n_total, "parity", coeffs)
+    counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
+    cells = np.arange(len(scaled.values), dtype=np.uint64)
+    errors = [
+        float(counts @ np.abs(h.eval_masks(cells) - scaled.values)) / m_hold
+        for h in hyps
+    ]
+    best = hyps[int(np.argmin(errors))]
+    coeffs = {oracle.lift_set(t): v for t, v in best.coeffs.items()}
+    poly = SparsePolynomial(oracle.n_total, "parity", coeffs)
+    return PmacPolyLeaf(poly, m_tilde, shift)
 
 
 def pmac_learn(
@@ -400,78 +411,58 @@ def pmac_learn(
     h satisfies Pr[h(x) <= c(x) <= (1+gamma) h(x)] >= 1-delta.
 
     The target may be any non-negative coverage function; the range is not
-    assumed bounded by 1.
+    assumed bounded by 1.  Level k walks one subcube further down the plus
+    half of each pivot and draws from child_rng(seed, k, 0); it either stops
+    with a leaf (stream path (k, 1)) or splits off a minus-half leaf (path
+    (k, 2)).
     """
     if not 0 < gamma or not 0 < delta < 1:
         raise ValueError("gamma must be positive and delta in (0,1)")
     depth_cap = math.log2(3.0 / delta)
     eta = PMAC_ETA_NUM / depth_cap
-    root = _pmac_recurse(oracle, 0, gamma, delta, eta, depth_cap, seed)
-    return PmacHypothesis(oracle.n_total, root)
-
-
-def _pmac_recurse(
-    oracle: UniformTableOracle,
-    k: int,
-    gamma: float,
-    delta: float,
-    eta: float,
-    depth_cap: float,
-    seed: int,
-):
-    if k > depth_cap:
-        return PmacZeroLeaf()
-    rng = child_rng(seed, k, 0)
+    log_term = math.log(9.0 / delta)
     # 3-approximation of the maximum: Pr[c >= M/3] >= 1/4 per sample
     m_max = math.ceil(math.log(2.0 / eta) / math.log(4.0 / 3.0))
-    _, labels = oracle.draw(m_max, rng)
-    m_tilde = float(labels.max())
-    if m_tilde == 0.0:
-        return PmacZeroLeaf()
-
     # p~ estimates Pr[c <= M~/4] within delta/9
     m_p = hoeffding_samples(delta / 9, eta)
-    p_tilde = _estimate_small_fraction(oracle, m_tilde / 4.0, m_p, rng)
-
-    if p_tilde < 2 * delta / 9:
-        eps1 = (1.0 / 12.0) * (gamma / 2.0) * (delta / 3.0)
-        scaled = oracle.scaled(1.0 / (3.0 * m_tilde), clamp_unit=True)
-        poly = _boosted_pac(scaled, eps1, eta, seed * 31 + k)
-        return PmacPolyLeaf(_lift_poly(poly, oracle), m_tilde, gamma / 24.0)
-
-    # pivot search: a coordinate whose -1 half has uniformly large labels
-    log_term = math.log(9.0 / delta)
-    m_piv = math.ceil((3.0 / delta) * math.log(oracle.n / eta))
-    masks, labels = oracle.draw(m_piv, rng)
-    label_floor = m_tilde / (16.0 * log_term)
-    pivot = None
-    for j in range(oracle.n):
-        sel = ((masks >> np.uint64(j)) & np.uint64(1)) == 1
-        if not sel.any() or labels[sel].min() >= label_floor:
-            pivot = j
+    splits = []  # (pivot coordinate, minus leaf), root first
+    tail = PmacZeroLeaf()
+    for k in range(math.floor(depth_cap) + 1):
+        rng = child_rng(seed, k, 0)
+        _, labels = oracle.draw(m_max, rng)
+        m_tilde = float(labels.max())
+        if m_tilde == 0.0:
             break
-    if pivot is None:
-        return PmacZeroLeaf()
+        small = oracle.values <= m_tilde / 4.0
+        p_tilde = float(oracle.draw_counts(m_p, rng)[small].sum()) / m_p
+        if p_tilde < 2 * delta / 9:
+            eps1 = (1.0 / 12.0) * (gamma / 2.0) * (delta / 3.0)
+            tail = _pmac_leaf(oracle, m_tilde, eps1, gamma / 24.0, eta, seed, k, 1)
+            break
 
-    minus_oracle = oracle.restrict(pivot, -1)
-    eps_minus = (gamma / 2.0) * (delta / 3.0) / (48.0 * log_term)
-    scaled = minus_oracle.scaled(1.0 / (3.0 * m_tilde), clamp_unit=True)
-    poly = _boosted_pac(scaled, eps_minus, eta, seed * 37 + k)
-    minus_leaf = PmacPolyLeaf(
-        _lift_poly(poly, minus_oracle), m_tilde, gamma / (96.0 * log_term)
-    )
-    plus_branch = _pmac_recurse(
-        oracle.restrict(pivot, +1), k + 1, gamma, delta, eta, depth_cap, seed
-    )
-    return PmacNode(oracle.free_vars[pivot], minus_leaf, plus_branch)
+        # pivot search: a coordinate whose -1 half has uniformly large labels
+        m_piv = math.ceil((3.0 / delta) * math.log(oracle.n / eta))
+        masks, labels = oracle.draw(m_piv, rng)
+        label_floor = m_tilde / (16.0 * log_term)
+        pivot = None
+        for j in range(oracle.n):
+            sel = ((masks >> np.uint64(j)) & np.uint64(1)) == 1
+            if not sel.any() or labels[sel].min() >= label_floor:
+                pivot = j
+                break
+        if pivot is None:
+            break
+        eps_minus = (gamma / 2.0) * (delta / 3.0) / (48.0 * log_term)
+        shift = gamma / (96.0 * log_term)
+        minus = oracle.restrict(pivot, -1)
+        leaf = _pmac_leaf(minus, m_tilde, eps_minus, shift, eta, seed, k, 2)
+        splits.append((oracle.free_vars[pivot], leaf))
+        oracle = oracle.restrict(pivot, +1)
 
-
-def _estimate_small_fraction(
-    oracle: UniformTableOracle, threshold: float, m: int, rng: np.random.Generator
-) -> float:
-    """Empirical estimate of Pr[label <= threshold] over m fresh examples."""
-    counts = oracle.draw_counts(m, rng)
-    return float(counts[oracle.values <= threshold].sum()) / m
+    root = tail
+    for var, leaf in reversed(splits):
+        root = PmacNode(var, leaf, root)
+    return PmacHypothesis(oracle.n_total, root)
 
 
 # --------------------------------------------------------------------------
@@ -512,15 +503,8 @@ def proper_pac_core(
     theta = eps * eps / PROPER_THETA_DIV
     max_level = math.ceil(math.log2(6.0 / eps))
     keep_thr = eps * eps / (54.0 * s_eps)
-    est_tol = eps * eps / (108.0 * s_eps)
-
-    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
-    pool = math.ceil(2.0 / est_tol * max(len(itilde), 1)) + 1
-    kept = lattice_search(
-        phase2_source_for(pool),
-        IndexSet.from_indices(itilde, n),
-        keep_thr,
-        max_level,
+    kept = _screen_and_search(
+        n, theta, keep_thr, max_level, phase1_source, phase2_source_for
     )
     sets = sorted(t for t in kept if t != 0)
 
@@ -563,6 +547,15 @@ def proper_pac_learn(
 # Agnostic learning
 
 
+def _check_columns(n: int, degree: int, blocks: int = 1) -> None:
+    """Rejects a basis of `blocks` copies of the sets of at most `degree`
+    of the n variables (the empty set included) that is over the LP's column
+    cap, before the basis is built or any example drawn."""
+    count = blocks * sum(math.comb(n, i) for i in range(min(degree, n) + 1))
+    if count > MAX_COLUMNS:
+        raise BasisTooLarge(f"basis needs {count} features, over the cap {MAX_COLUMNS}")
+
+
 def agnostic_degree(eps: float) -> int:
     return math.ceil(math.log2(3.0 / eps))
 
@@ -585,21 +578,16 @@ def agnostic_learn(
         raise ValueError("eps must lie in (0,1)")
     n = d.n
     deg = agnostic_degree(eps)
-    parities = sets_up_to(n, deg)
-
     if d.variant in ("uniform", "product"):
         layer_keys: list[int] | None = None
-        features = [(None, t) for t in parities]
+    elif d.variant == "layer":
+        layer_keys = [d.k]
     else:
-        if d.variant == "layer":
-            layer_keys = [d.k]
-        else:
-            layer_keys = [k for k, w in enumerate(d.layer_weights) if w > 0]
-        features = [(k, t) for k in layer_keys for t in parities]
-    if len(features) > FEATURE_CAP:
-        raise BasisTooLarge(
-            f"basis needs {len(features)} features, over the cap {FEATURE_CAP}"
-        )
+        layer_keys = [k for k, w in enumerate(d.layer_weights) if w > 0]
+    blocks = layer_keys or [None]
+    _check_columns(n, deg, len(blocks))
+    parities = sets_up_to(n, deg)
+    features = [(k, t) for k in blocks for t in parities]
 
     m = math.ceil(REGRESSION_SAMPLE_FACTOR * len(features) / eps**2)
     masks, labels = oracle.draw(m, child_rng(seed, 0))
@@ -652,11 +640,8 @@ def proper_agnostic_learn(
 
     half = eps / 2.0
     k_len = truncation_length(kappa, half)
+    _check_columns(d.n, k_len)
     sets = sets_up_to(d.n, k_len, include_empty=False)
-    if len(sets) + 1 > FEATURE_CAP:
-        raise BasisTooLarge(
-            f"basis needs {len(sets) + 1} features, over the cap {FEATURE_CAP}"
-        )
     m = math.ceil(REGRESSION_SAMPLE_FACTOR * (len(sets) + 1) / half**2)
     return _fit_coverage(d.n, sets, *oracle.draw(m, child_rng(seed, 0)))
 

@@ -9,6 +9,7 @@ from covlearn.cube import (
     IndexSet,
     Point,
     child_rng,
+    child_seed,
     eval_disjunction,
     eval_disjunction_batch,
     eval_parity,
@@ -155,11 +156,21 @@ class TestSampling:
             frac = float(((masks >> np.uint64(i)) & np.uint64(1)).mean())
             assert abs(frac - b) < 0.01
 
+    def test_uniform_full_width(self):
+        masks = sample_masks(DistributionSpec.uniform(64), 1000, child_rng(6, 0))
+        assert masks.dtype == np.uint64
+        assert ((masks >> np.uint64(63)) & np.uint64(1)).any()
+
     def test_determinism(self):
         d = DistributionSpec.symmetric([0.2, 0.3, 0.5])
         a = sample_masks(d, 100, child_rng(7, 1, 2))
         b = sample_masks(d, 100, child_rng(7, 1, 2))
         assert (a == b).all()
+
+    def test_child_seed_is_first_draw_of_its_path(self):
+        # the CLI's trial and evaluation seeds rest on this rule
+        assert child_seed(7, 3, 1) == int(child_rng(7, 3, 1).integers(0, 2**31))
+        assert child_seed(7, 3, 1) != child_seed(7, 3, 2)
 
     def test_single_sample(self):
         p = sample(DistributionSpec.uniform(6), child_rng(8, 0))

@@ -12,8 +12,10 @@ from covlearn.coverage import (
 )
 from covlearn.cube import DistributionSpec, child_rng
 from covlearn.estimation import exact_source
+from covlearn import learners
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
+    BasisTooLarge,
     DisjointDnf,
     DnfClassifier,
     OracleExhausted,
@@ -97,7 +99,7 @@ class TestUniformTableOracle:
 
     def test_scaled_clamp(self):
         o = UniformTableOracle(1, (0,), np.array([0.0, 3.0]))
-        assert o.scaled(0.5, clamp_unit=True).values.tolist() == [0.0, 1.0]
+        assert o.scaled(0.5).values.tolist() == [0.0, 1.0]
 
     def test_draw_counts_total(self):
         o = UniformTableOracle.from_coverage(random_coverage(4, 3, 2, 1))
@@ -145,6 +147,13 @@ class TestPacLearning:
         with pytest.raises(ValueError):
             pac_learn_uniform(o, 1.5, 0)
 
+    def test_sampled_oracle_route(self):
+        # a non-table oracle feeds both phases from drawn sample batches
+        c = random_coverage(6, 4, 3, 2)
+        o = SampledOracle(DistributionSpec.uniform(6), lambda m, rng: c.eval_masks(m))
+        h = pac_learn_uniform(o, 0.4, 3)
+        assert l1_exact(h, c) <= 0.4
+
 
 class TestPmacLearning:
     def test_zero_target_gives_zero_leaf(self):
@@ -180,6 +189,32 @@ class TestPmacLearning:
         h = pmac_learn(o, 0.5, delta, 2)
         assert h.depth() <= math.ceil(math.log2(3.0 / delta)) + 1
 
+    def test_deterministic_in_seed(self):
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
+        a = pmac_learn(o, 0.5, 0.2, 4)
+        b = pmac_learn(o, 0.5, 0.2, 4)
+        masks = np.arange(1 << 8, dtype=np.uint64)
+        assert a.eval_masks(masks).tobytes() == b.eval_masks(masks).tobytes()
+
+    def test_trials_draw_disjoint_streams(self, monkeypatch):
+        # every boosted PAC run of one seed is seeded apart from another's
+        seeds = []
+        inner = learners.pac_learn_uniform
+
+        def spy(oracle, eps, seed):
+            seeds.append(seed)
+            return inner(oracle, eps, seed)
+
+        monkeypatch.setattr(learners, "pac_learn_uniform", spy)
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
+        runs = []
+        for trial_seed in (31, 26):
+            seeds.clear()
+            pmac_learn(o, 0.5, 0.2, trial_seed)
+            runs.append(set(seeds))
+        assert runs[0] and runs[1]
+        assert runs[0].isdisjoint(runs[1])
+
     def test_rejects_bad_args(self):
         o = UniformTableOracle.from_coverage(CoverageFunction.zero(3))
         with pytest.raises(ValueError):
@@ -214,10 +249,30 @@ class TestProperPac:
         with pytest.raises(ValueError):
             proper_pac_learn(o, 0.3, 0.5, 0)
 
+    def test_sampled_oracle_route(self):
+        c = CoverageFunction(5, 0.0, {0b00011: 0.5})
+        o = SampledOracle(DistributionSpec.uniform(5), lambda m, rng: c.eval_masks(m))
+        h = proper_pac_learn(o, 0.9, 1, 0)
+        assert isinstance(h, CoverageFunction)
+        assert l1_exact(h, c) <= 0.9
+
+
+def _undrawable_oracle(n: int) -> SampledOracle:
+    def label(masks, rng):
+        raise AssertionError("no example may be drawn")
+
+    return SampledOracle(DistributionSpec.uniform(n), label)
+
 
 class TestAgnostic:
     def test_degree_formula(self):
         assert agnostic_degree(0.25) == math.ceil(math.log2(12))
+
+    def test_basis_over_column_cap(self):
+        # degree 4 at n=30: 1 + 30 + 435 + 4060 + 27405 = 31931 features
+        d = DistributionSpec.uniform(30)
+        with pytest.raises(BasisTooLarge, match="31931"):
+            agnostic_learn(_undrawable_oracle(30), d, 0.2, 0)
 
     def test_single_layer_fits_constant_label(self):
         # all mass on the top layer with a constant label: the fit must
@@ -271,6 +326,12 @@ class TestProperAgnostic:
         o = SampledOracle(d, lambda m, rng: c.eval_masks(m))
         h = proper_agnostic_learn(o, d, 0.4, 0.5, 1)
         assert l1_exact(h, c) <= 0.4
+
+    def test_basis_over_column_cap(self):
+        # disjunctions of up to 16 of 30 variables, counted, never listed
+        d = DistributionSpec.uniform(30)
+        with pytest.raises(BasisTooLarge):
+            proper_agnostic_learn(_undrawable_oracle(30), d, 0.2, 0.5, 0)
 
     def test_rejects_unbounded_distribution(self):
         d = DistributionSpec.product([0.01, 0.5])
