@@ -547,11 +547,17 @@ def proper_pac_learn(
 # Agnostic learning
 
 
+def basis_size(n: int, degree: int) -> int:
+    """Number of sets of at most `degree` of the n variables, the empty set
+    included: len(sets_up_to(n, degree)) without listing them."""
+    return sum(math.comb(n, i) for i in range(min(degree, n) + 1))
+
+
 def _check_columns(n: int, degree: int, blocks: int = 1) -> None:
     """Rejects a basis of `blocks` copies of the sets of at most `degree`
     of the n variables (the empty set included) that is over the LP's column
     cap, before the basis is built or any example drawn."""
-    count = blocks * sum(math.comb(n, i) for i in range(min(degree, n) + 1))
+    count = blocks * basis_size(n, degree)
     if count > MAX_COLUMNS:
         raise BasisTooLarge(f"basis needs {count} features, over the cap {MAX_COLUMNS}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,11 +36,11 @@ from .learners import (
     SparsePolynomial,
     agnostic_degree,
     agnostic_learn,
+    basis_size,
     pac_core,
     pac_pool_bound,
     proper_pac_core,
     proper_size_bound,
-    sets_up_to,
 )
 
 Predicate = Callable[[np.ndarray], np.ndarray]
@@ -106,7 +106,7 @@ class Dataset:
 
     @cached_property
     def size(self) -> int:
-        # each private query reads it up to three times
+        # read by every exact counting query and by the noise scale
         return int(self.mults.sum())
 
     def is_empty(self) -> bool:
@@ -182,8 +182,9 @@ def gate_size(q: int, tau: float, epsilon: float, delta: float) -> float:
 class PrivateOracle:
     """Budgeted Laplace-noised counting-query gate.
 
-    The queries-used counter is the only mutable state in the package;
-    queries must be issued sequentially.
+    The queries-used counter is the only mutable state in the package.
+    Answers come in index order, each with its own Laplace draw, and the
+    budget is charged once per answer.
     """
 
     dataset: Dataset
@@ -226,14 +227,23 @@ class PrivateOracle:
             self._audit_rng = self.rng.spawn(1)[0]
         return self._laplace(self._audit_rng, count)
 
-    def query(self, predicate: Predicate) -> float:
-        if self.used >= self.q:
-            raise BudgetExhausted(f"query budget of {self.q} exhausted")
-        self.used += 1
-        value = counting_query(self.dataset, predicate) + float(
-            self._laplace(self.rng, 1)[0]
-        )
-        return min(1.0, max(0.0, value))
+    def query(
+        self, predicates: Sequence[Predicate], index: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Noised answers: entry j answers predicates[index[j]] as its own
+        query (index defaults to each predicate once).  Each predicate's
+        exact count is taken once; a batch over the remaining budget raises
+        before any budget is charged or noise drawn."""
+        m = len(predicates) if index is None else len(index)
+        if self.used + m > self.q:
+            raise BudgetExhausted(
+                f"{m} queries exceed the remaining budget of {self.q - self.used}"
+            )
+        exact = np.array([counting_query(self.dataset, p) for p in predicates])
+        if index is not None:
+            exact = exact[index]
+        self.used += m
+        return np.clip(exact + self._laplace(self.rng, m), 0.0, 1.0)
 
 
 def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
@@ -261,7 +271,7 @@ def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
 
     def source(mask: int) -> float:
         check_mask(mask, d.n)
-        return 2.0 * oracle.query(_fourier_predicate(d, mask)) - 1.0
+        return 2.0 * float(oracle.query([_fourier_predicate(d, mask)])[0]) - 1.0
 
     return source
 
@@ -281,8 +291,9 @@ class _PrivateLabelOracle:
     def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         # looked up on the module: perfbench traces the cube.sample_masks site
         masks = cube.sample_masks(self.dist, m, rng)
-        labels = [1.0 - self.oracle.query(and_query(int(x))) for x in masks]
-        return masks, np.array(labels, dtype=np.float64)
+        sets, index = np.unique(masks, return_inverse=True)
+        answers = self.oracle.query([and_query(int(s)) for s in sets], index)
+        return masks, 1.0 - answers
 
 
 @dataclass(frozen=True)
@@ -359,7 +370,7 @@ def release_all_marginals(
 def k_way_query_budget(n: int, k: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the k-way release: one query per regression example."""
     deg = agnostic_degree(alpha_bar / 2.0)
-    features = len(sets_up_to(n, deg))
+    features = basis_size(n, deg)
     q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha_bar / 2.0) ** 2)
     return q, alpha_bar / 4.0
 

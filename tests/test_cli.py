@@ -15,7 +15,12 @@ from covlearn.cli import (
     EXIT_USAGE,
     main,
 )
-from covlearn.privacy import gate_size, marginals_query_budget
+from covlearn.privacy import (
+    gate_size,
+    k_way_query_budget,
+    marginals_query_budget,
+    synthetic_query_budget,
+)
 from covlearn.regression import L1Problem, LPNotOptimal, solve_l1
 from covlearn.serialize import coverage_from_json, dataset_from_text, load_json
 
@@ -430,6 +435,32 @@ class TestRelease:
         cfg2 = dict(cfg, dataset={"path": syn_path}, seed=3)
         code2, _ = run(tmp_path, "release", cfg2, out="out2")
         assert code2 == EXIT_PASS
+
+    @pytest.mark.parametrize("variant", ["k-way", "synthetic"])
+    def test_a_priori_budget_covers_every_query(self, tmp_path, capsys, variant):
+        # at the gate with finite epsilon; BudgetExhausted is not caught, so
+        # an exhausted budget would end the command with a traceback
+        cfg = {
+            "release": variant,
+            "k": 2,
+            "size_bound": 5,
+            "alpha_bar": 0.9,
+            "epsilon": 1.0,
+            "delta": 0.1,
+            "seed": 4,
+            "trials": 3,
+            "eval_queries": 500,
+            "dataset": {"n": 4, "gate_factor": 1},
+        }
+        code, out_dir = run(tmp_path, "release", cfg)
+        assert code == EXIT_PASS
+        rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        if variant == "k-way":
+            q, _ = k_way_query_budget(4, 2, 0.9)
+            assert [r["privacy_budget"] for r in rows] == [q] * 3
+        else:
+            q, _ = synthetic_query_budget(4, 0.9, 5)
+            assert all(0 < r["privacy_budget"] <= q for r in rows)
 
     def test_unknown_variant(self, tmp_path, capsys):
         cfg = {

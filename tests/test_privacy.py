@@ -1,10 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covlearn import privacy
 from covlearn.coverage import CoverageFunction, eval_coverage
-from covlearn.cube import Point, child_rng
+from covlearn.cube import DistributionSpec, Point, child_rng, sample_masks
+from covlearn.learners import (
+    REGRESSION_SAMPLE_FACTOR,
+    agnostic_degree,
+    basis_size,
+    sets_up_to,
+)
 from covlearn.privacy import (
     BudgetExhausted,
     Dataset,
@@ -134,19 +144,19 @@ class TestPrivateOracle:
     def test_budget_exhaustion_on_extra_query(self):
         o = self._oracle(q=5)
         for _ in range(5):
-            o.query(and_query(0))
+            o.query([and_query(0)])
         with pytest.raises(BudgetExhausted):
-            o.query(and_query(0))
+            o.query([and_query(0)])
 
     def test_noiseless_limit(self):
         o = self._oracle(epsilon=math.inf)
         assert o.scale == 0.0
-        assert o.query(and_query(0b01)) == 0.5
+        assert o.query([and_query(0b01)])[0] == 0.5
 
     def test_answers_clamped(self):
         d = Dataset.from_multiplicities([(0, 10**6)], 2)
         o = PrivateOracle(d, 1, 0.25, 10.0, 0.1, child_rng(2, 0))
-        assert 0.0 <= o.query(and_query(0)) <= 1.0
+        assert 0.0 <= o.query([and_query(0)])[0] <= 1.0
 
     def test_noise_scale_distribution(self):
         d = Dataset.from_multiplicities([(0, 10**9)], 2)
@@ -161,9 +171,9 @@ class TestPrivateOracle:
         audited = PrivateOracle(d, 10, 0.25, 1.0, 0.1, child_rng(4, 0))
         answers, audited_answers = [], []
         for mask in (0b01, 0b10, 0b11):
-            answers.append(plain.query(and_query(mask)))
+            answers.append(plain.query([and_query(mask)])[0])
             audited.noise(3)
-            audited_answers.append(audited.query(and_query(mask)))
+            audited_answers.append(audited.query([and_query(mask)])[0])
         assert audited_answers == answers
 
     def test_query_is_clamped_count_plus_laplace(self):
@@ -176,7 +186,149 @@ class TestPrivateOracle:
             expected = counting_query(d, predicate) + float(
                 twin.laplace(0.0, scale, size=1)[0]
             )
-            assert o.query(predicate) == min(1.0, max(0.0, expected))
+            assert o.query([predicate])[0] == min(1.0, max(0.0, expected))
+
+
+def sequential_answers(d, masks, scale, rng):
+    """The per-query loop a batch replaces: one exact count and one Laplace
+    draw of size 1 per mask, clamped with min and max."""
+    out = []
+    for x in masks:
+        noise = float(rng.laplace(0.0, scale, size=1)[0]) if scale else 0.0
+        out.append(min(1.0, max(0.0, counting_query(d, and_query(int(x))) + noise)))
+    return np.array(out, dtype=np.float64)
+
+
+def batch_answers(oracle, masks):
+    """One batched query over masks, each distinct AND query built once."""
+    sets, index = np.unique(np.asarray(masks, dtype=np.uint64), return_inverse=True)
+    return oracle.query([and_query(int(s)) for s in sets], index)
+
+
+def gated_dataset(rows: dict[int, int], n: int, q: int, epsilon: float) -> Dataset:
+    """rows scaled by one factor so that the dataset passes the gate for q
+    queries at tau 0.25 and delta 0.1."""
+    factor = max(1, math.ceil(gate_size(q, 0.25, epsilon, 0.1)))
+    return Dataset.from_multiplicities([(r, c * factor) for r, c in rows.items()], n)
+
+
+class TestBatchedQuery:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        data=st.data(),
+        epsilon=st.sampled_from([math.inf, 1.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sequential_loop(self, n, data, epsilon, seed):
+        full = (1 << n) - 1
+        # no row is all -1, so AND over every coordinate counts exactly 0
+        # and noise below it clamps at 0; the empty AND counts exactly 1
+        rows = data.draw(
+            st.dictionaries(
+                st.integers(0, max(full - 1, 0)), st.integers(1, 5), min_size=1
+            )
+        )
+        masks = [0, full] * 3 + data.draw(st.lists(st.integers(0, full), max_size=60))
+        d = gated_dataset(rows, n, len(masks) + 2, epsilon)
+        o = PrivateOracle(d, len(masks) + 2, 0.25, epsilon, 0.1, child_rng(seed, 0))
+        twin = child_rng(seed, 0)
+        answers = batch_answers(o, masks)
+        expected = sequential_answers(d, masks, o.scale, twin)
+        assert answers.dtype == np.float64
+        assert answers.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert o.used == len(masks)
+        assert o.rng.random() == twin.random()
+
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_clamps_at_both_ends(self, epsilon):
+        d = gated_dataset({0b01: 3, 0b10: 1}, 2, 400, epsilon)
+        o = PrivateOracle(d, 400, 0.25, epsilon, 0.1, child_rng(6, 0))
+        masks = [0, 0b11] * 200
+        answers = batch_answers(o, masks)
+        assert answers.tolist() == sequential_answers(
+            d, masks, o.scale, child_rng(6, 0)
+        ).tolist()
+        if math.isinf(epsilon):
+            assert answers.tolist() == [1.0, 0.0] * 200
+        else:
+            # exact counts 1 and 0: about half the draws push each past its end
+            assert 50 < (answers[0::2] == 1.0).sum() < 200
+            assert 50 < (answers[1::2] == 0.0).sum() < 200
+            assert 0.0 <= answers.min() and answers.max() <= 1.0
+
+    def test_label_draw_is_one_minus_sequential_answers(self):
+        d = gated_dataset({0b0011: 2, 0b0101: 1, 0b1110: 4}, 4, 500, 2.0)
+        o = PrivateOracle(d, 500, 0.25, 2.0, 0.1, child_rng(7, 0))
+        dist = DistributionSpec.layer(4, 2)
+        masks, labels = privacy._PrivateLabelOracle(o, dist).draw(500, child_rng(7, 1))
+        assert masks.tolist() == sample_masks(dist, 500, child_rng(7, 1)).tolist()
+        answers = sequential_answers(d, masks, o.scale, child_rng(7, 0))
+        assert labels.tolist() == (1.0 - answers).tolist()
+        assert o.used == 500
+
+    def test_over_budget_batch_charges_nothing(self):
+        d = gated_dataset({0b01: 1, 0b10: 1}, 2, 10, 1.0)
+        o = PrivateOracle(d, 10, 0.25, 1.0, 0.1, child_rng(8, 0))
+        batch_answers(o, [0b01, 0b10, 0b01])
+        state = o.rng.bit_generator.state
+        with pytest.raises(BudgetExhausted):
+            batch_answers(o, [0b01] * 8)
+        assert o.used == 3
+        assert o.rng.bit_generator.state == state
+        # the batch that exactly spends the remaining budget is answered
+        assert len(batch_answers(o, [0b01] * 7)) == 7
+        assert o.used == o.q
+
+
+class TestQueryBudgets:
+    def test_basis_size_counts_the_listed_basis(self):
+        for n in range(1, 11):
+            for degree in range(n + 2):
+                assert basis_size(n, degree) == len(sets_up_to(n, degree))
+
+    def test_k_way_budget_unchanged(self):
+        alphas = [0.9, 0.6, 0.3, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01, 0.005]
+        degrees = set()
+        for n in range(1, 11):
+            for alpha in alphas:
+                deg = agnostic_degree(alpha / 2.0)
+                degrees.add(deg)
+                features = len(sets_up_to(n, deg))
+                q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha / 2.0) ** 2)
+                assert k_way_query_budget(n, 1, alpha) == (q, alpha / 4.0)
+        assert degrees >= set(range(3, 11))
+
+    def test_k_way_budget_at_n64_lists_nothing(self):
+        start = time.perf_counter()
+        q, _ = k_way_query_budget(64, 2, 0.2)
+        assert time.perf_counter() - start < 0.5
+        features = sum(math.comb(64, i) for i in range(agnostic_degree(0.1) + 1))
+        assert q == math.ceil(REGRESSION_SAMPLE_FACTOR * features / 0.1**2)
+
+
+class TestBudgetOutOfReach:
+    """The a-priori q covers every query a release asks, so BudgetExhausted,
+    which the CLI does not catch, cannot end a release."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_k_way_spends_exactly_q(self, seed):
+        n, k, alpha = 4, 2, 0.9
+        q, tau = k_way_query_budget(n, k, alpha)
+        size = math.ceil(gate_size(q, tau, 1.0, 0.1))
+        d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
+        summary = release_k_way(d, k, alpha, 1.0, 0.1, seed)
+        # agnostic_learn draws m = q examples on the layer distribution
+        assert summary.queries_used == q
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synthetic_stays_within_q(self, seed):
+        n, alpha = 4, 0.9
+        q, tau = synthetic_query_budget(n, alpha, n + 1)
+        size = math.ceil(gate_size(q, tau, 1.0, 0.1))
+        d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
+        summary = release_synthetic(d, alpha, 1.0, 0.1, seed, size_bound=n + 1)
+        assert 0 < summary.queries_used <= q
 
 
 class TestReleases:
