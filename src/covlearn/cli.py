@@ -409,7 +409,7 @@ def _release_gate(variant: str, n: int, cfg: dict, alpha_bar: float) -> float:
     if variant == "all-marginals":
         q, tau = marginals_query_budget(n, alpha_bar)
     elif variant == "k-way":
-        q, tau = k_way_query_budget(n, _get(cfg, "k", int, required=True), alpha_bar)
+        q, tau = k_way_query_budget(n, alpha_bar)
     else:
         q, tau = synthetic_query_budget(
             n, alpha_bar, _get(cfg, "size_bound", float, math.inf)

@@ -75,9 +75,9 @@ class Dataset:
             raise ValueError("dimension must be >= 1")
         if len(self.masks) != len(self.mults):
             raise ValueError("masks and multiplicities must have equal length")
-        if len(self.masks) and len(np.unique(self.masks)) != len(self.masks):
+        if len(np.unique(self.masks)) != len(self.masks):
             raise ValueError("masks must be distinct")
-        if (self.mults < 1).any() if len(self.mults) else False:
+        if (self.mults < 1).any():
             raise ValueError("multiplicities must be >= 1")
 
     @classmethod
@@ -97,9 +97,11 @@ class Dataset:
 
     @classmethod
     def iid_uniform(cls, n: int, size: int, rng: np.random.Generator) -> "Dataset":
-        """Exact i.i.d. uniform dataset of any size via per-cell counts."""
+        """Exact i.i.d. uniform dataset of any size below 2^63 via cell counts."""
         if n > 24:
             raise ValueError("aggregated uniform sampling supports n <= 24")
+        if not 0 <= size < 1 << 63:
+            raise ValueError(f"dataset size {size} is outside [0, 2^63)")
         counts = rng.multinomial(size, np.full(1 << n, 2.0**-n))
         nz = counts.nonzero()[0]
         return cls(n, nz.astype(np.uint64), counts[nz].astype(np.int64))
@@ -138,10 +140,8 @@ def coverage_of_dataset(d: Dataset) -> CoverageFunction:
 
     A point with all coordinates -1 contributes the empty disjunction,
     identically 0, so it adds nothing; then c_D(x) = 1 - CQ_D(AND over S_x)
-    pointwise.
+    pointwise.  An empty dataset gives the zero function.
     """
-    if d.is_empty():
-        raise ValueError("empty dataset has no coverage function")
     full = (1 << d.n) - 1
     size = d.size
     terms: dict[int, float] = {}
@@ -301,9 +301,10 @@ class ReleaseSummary:
     """Published summary answering monotone conjunction counting queries.
 
     variant "fourier" or "polynomial": answers are clamp(1 - h(x)) for the
-    stored polynomial h.  variant "synthetic": answers are genuine counting
-    queries on the stored synthetic dataset (an empty synthetic dataset
-    answers every query with 1, the limit of a near-zero c_D).
+    stored polynomial h, and no synthetic dataset rides along.  variant
+    "synthetic": answers are 1 - c_S(x) for the stored synthetic dataset S
+    and no polynomial; an empty S has the zero coverage function, so it
+    answers every query with 1.
     """
 
     variant: str
@@ -319,16 +320,31 @@ class ReleaseSummary:
     def __post_init__(self) -> None:
         if self.variant not in ("fourier", "polynomial", "synthetic"):
             raise ValueError(f"unknown summary variant {self.variant!r}")
+        syn = self.variant == "synthetic"
+        if isinstance(self.synthetic, Dataset) != syn or (self.poly is None) != syn:
+            need = "a synthetic dataset" if syn else "a poly"
+            raise ValueError(f"a {self.variant} summary needs {need} and nothing else")
+
+    @classmethod
+    def from_oracle(
+        cls,
+        variant: str,
+        oracle: PrivateOracle,
+        alpha_bar: float,
+        *,
+        poly: SparsePolynomial | None = None,
+        synthetic: Dataset | None = None,
+    ) -> "ReleaseSummary":
+        """Stamps a release with the ledger of the oracle that answered it."""
+        d = oracle.dataset
+        ledger = (oracle.epsilon, oracle.delta, oracle.used, d.size)
+        return cls(variant, d.n, alpha_bar, *ledger, poly=poly, synthetic=synthetic)
 
     def answer_masks(self, x_masks: np.ndarray) -> np.ndarray:
         """Answers to the conjunction queries AND over S_x, one per mask."""
         x_masks = np.asarray(x_masks, dtype=np.uint64)
         if self.variant == "synthetic":
-            if self.synthetic is None or self.synthetic.is_empty():
-                return np.ones(len(x_masks), dtype=np.float64)
-            h = coverage_of_dataset(self.synthetic)
-            return 1.0 - h.eval_masks(x_masks)
-        assert self.poly is not None
+            return 1.0 - coverage_of_dataset(self.synthetic).eval_masks(x_masks)
         return np.clip(1.0 - self.poly.eval_masks(x_masks), 0.0, 1.0)
 
     def answer(self, set_mask: int) -> float:
@@ -355,20 +371,12 @@ def release_all_marginals(
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     source = _private_coeff_source(oracle)
     poly = pac_core(d.n, alpha_bar, source, lambda pool: source)
-    return ReleaseSummary(
-        "fourier",
-        d.n,
-        alpha_bar,
-        epsilon,
-        delta,
-        oracle.used,
-        d.size,
-        poly=poly,
-    )
+    return ReleaseSummary.from_oracle("fourier", oracle, alpha_bar, poly=poly)
 
 
-def k_way_query_budget(n: int, k: int, alpha_bar: float) -> tuple[int, float]:
-    """(q, tau) for the k-way release: one query per regression example."""
+def k_way_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
+    """(q, tau) for the k-way release: one query per regression example on
+    the parities of degree agnostic_degree(alpha_bar/2) over all n, any k."""
     deg = agnostic_degree(alpha_bar / 2.0)
     features = basis_size(n, deg)
     q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha_bar / 2.0) ** 2)
@@ -384,22 +392,13 @@ def release_k_way(
         raise ValueError("alpha_bar must lie in (0,1)")
     if not 0 <= k <= d.n:
         raise ValueError("k must lie in 0..n")
-    q, tau = k_way_query_budget(d.n, k, alpha_bar)
+    q, tau = k_way_query_budget(d.n, alpha_bar)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     dist = DistributionSpec.layer(d.n, k)
     poly = agnostic_learn(
         _PrivateLabelOracle(oracle, dist), dist, alpha_bar / 2.0, seed
     )
-    return ReleaseSummary(
-        "polynomial",
-        d.n,
-        alpha_bar,
-        epsilon,
-        delta,
-        oracle.used,
-        d.size,
-        poly=poly,
-    )
+    return ReleaseSummary.from_oracle("polynomial", oracle, alpha_bar, poly=poly)
 
 
 def synthetic_query_budget(
@@ -455,15 +454,8 @@ def release_synthetic(
         lambda m3: labeled.draw(m3, child_rng(seed, 1)),
     )
     synthetic = synthesize_dataset(hypothesis, alpha_bar)
-    return ReleaseSummary(
-        "synthetic",
-        d.n,
-        alpha_bar,
-        epsilon,
-        delta,
-        oracle.used,
-        d.size,
-        synthetic=synthetic,
+    return ReleaseSummary.from_oracle(
+        "synthetic", oracle, alpha_bar, synthetic=synthetic
     )
 
 
@@ -476,7 +468,9 @@ def synthesize_dataset(h: CoverageFunction, alpha_bar: float) -> Dataset:
     affine weight rides on the all-(+1) point as OR over all coordinates,
     off by at most 2^-n in l1.  Padding with all-(-1) points (which
     contribute the identically-zero empty disjunction) fixes the denominator
-    so the identity is exact rather than proportional.
+    so the identity is exact rather than proportional.  When no weight
+    reaches a grid step the result is the empty dataset, whose coverage
+    function is zero.
     """
     full = (1 << h.n) - 1
     terms = [(s, w) for s, w in h.terms.items() if w > 0.0]
@@ -484,24 +478,10 @@ def synthesize_dataset(h: CoverageFunction, alpha_bar: float) -> Dataset:
         merged = dict(terms)
         merged[full] = merged.get(full, 0.0) + h.affine
         terms = list(merged.items())
-    t = len(terms)
-    if t == 0:
-        return Dataset(h.n, np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
-    denom = math.ceil(4 * t / alpha_bar)
-    pairs = []
-    total = 0
-    for s, w in terms:
-        copies = math.floor(w * denom)
-        if copies:
-            pairs.append((full & ~s, copies))
-            total += copies
-    if total == 0:
-        return Dataset(h.n, np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
-    if total < denom:
-        # all-(-1) padding: contributes 0 to the coverage function
-        existing = {m for m, _ in pairs}
-        if full in existing:
-            pairs = [(m, c + (denom - total) if m == full else c) for m, c in pairs]
-        else:
-            pairs.append((full, denom - total))
+    denom = math.ceil(4 * len(terms) / alpha_bar)
+    pairs = [(full & ~s, math.floor(w * denom)) for s, w in terms]
+    total = sum(c for _, c in pairs)
+    if 0 < total < denom:
+        # all-(-1) padding adds 0 to the coverage; no term row is all-(-1)
+        pairs.append((full, denom - total))
     return Dataset.from_multiplicities(pairs, h.n)

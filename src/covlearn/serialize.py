@@ -269,16 +269,11 @@ def summary_from_json(obj: dict) -> ReleaseSummary:
     meta = obj["metadata"]
     poly = polynomial_from_json(obj["poly"]) if "poly" in obj else None
     synthetic = None
-    if "synthetic" in obj:
-        lines = obj["synthetic"]
-        if lines:
-            synthetic = dataset_from_lines(lines)
-        else:
-            synthetic = Dataset(
-                int(obj["n"]),
-                np.array([], dtype=np.uint64),
-                np.array([], dtype=np.int64),
-            )
+    if obj.get("synthetic"):
+        synthetic = dataset_from_lines(obj["synthetic"])
+    elif "synthetic" in obj:
+        # an empty synthetic dataset has no line to give its width
+        synthetic = Dataset.from_points([], int(obj["n"]))
     return ReleaseSummary(
         obj["variant"],
         int(obj["n"]),

@@ -405,6 +405,52 @@ class TestRelease:
         required = math.ceil(gate_size(q, tau, 1.0, 0.1))
         assert str(required) in err
 
+    @pytest.mark.parametrize(
+        "variant,dataset",
+        [
+            # no size_bound: the admission gate asks for about 1.2e29 rows
+            ("synthetic", {"n": 5, "gate_factor": 1}),
+            ("k-way", {"n": 5, "size": 10**19}),
+        ],
+    )
+    def test_undrawable_dataset_size_is_a_usage_error(
+        self, tmp_path, capsys, variant, dataset
+    ):
+        cfg = {
+            "release": variant,
+            "k": 2,
+            "alpha_bar": 0.5,
+            "epsilon": 2.0,
+            "delta": 0.1,
+            "dataset": dataset,
+        }
+        code, _ = run(tmp_path, "release", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset size") and len(err.splitlines()) == 1
+
+    def test_empty_synthetic_release(self, tmp_path, capsys):
+        # every row all -1: c_D is zero, the learned hypothesis rounds to
+        # nothing, and the synthetic dataset is empty
+        data_path = tmp_path / "ones.txt"
+        data_path.write_text("11111\n" * 60)
+        cfg = {
+            "release": "synthetic",
+            "alpha_bar": 0.9,
+            "epsilon": math.inf,
+            "delta": 0.1,
+            "size_bound": 1,
+            "seed": 101,
+            "dataset": {"path": str(data_path)},
+        }
+        code, out_dir = run(tmp_path, "release", cfg)
+        assert code == EXIT_PASS
+        summary = load_json(os.path.join(out_dir, "summary_000.json"))
+        assert summary["synthetic"] == []
+        assert not os.path.exists(os.path.join(out_dir, "synthetic_000.txt"))
+        rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert rows[0]["avg_error"] == 0.0
+
     def test_synthetic_release_and_reingestion(self, tmp_path, capsys):
         # build a structured base dataset, release privately at huge epsilon,
         # then feed the emitted synthetic file back in as a release input
@@ -456,7 +502,7 @@ class TestRelease:
         assert code == EXIT_PASS
         rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
         if variant == "k-way":
-            q, _ = k_way_query_budget(4, 2, 0.9)
+            q, _ = k_way_query_budget(4, 0.9)
             assert [r["privacy_budget"] for r in rows] == [q] * 3
         else:
             q, _ = synthetic_query_budget(4, 0.9, 5)

@@ -11,6 +11,7 @@ from covlearn.coverage import CoverageFunction, eval_coverage
 from covlearn.cube import DistributionSpec, Point, child_rng, sample_masks
 from covlearn.learners import (
     REGRESSION_SAMPLE_FACTOR,
+    SparsePolynomial,
     agnostic_degree,
     basis_size,
     sets_up_to,
@@ -68,6 +69,17 @@ class TestDataset:
         d = Dataset.iid_uniform(6, 12345, child_rng(0, 0))
         assert d.size == 12345
 
+    @pytest.mark.parametrize("size", [-1, 1 << 63, 10**19])
+    def test_iid_uniform_refuses_undrawable_size(self, size):
+        # the multinomial counts are int64; a size past them is a ValueError,
+        # not an OverflowError from inside the draw
+        with pytest.raises(ValueError, match="outside"):
+            Dataset.iid_uniform(5, size, child_rng(0, 0))
+
+    def test_iid_uniform_empty(self):
+        d = Dataset.iid_uniform(3, 0, child_rng(0, 0))
+        assert d.is_empty() and d.size == 0
+
     def test_huge_multiplicities(self):
         d = Dataset.from_multiplicities([(0, 10**15), (1, 10**15)], 2)
         assert d.size == 2 * 10**15
@@ -99,6 +111,11 @@ class TestDatasetCoverageIdentity:
             lhs = eval_coverage(c, Point(x, n)) if x or True else None
             rhs = 1.0 - counting_query(d, and_query(x))
             assert abs(lhs - rhs) < 1e-12
+
+    def test_empty_dataset_has_zero_coverage(self):
+        c = coverage_of_dataset(Dataset.from_points([], 4))
+        assert c == CoverageFunction.zero(4)
+        assert (c.eval_masks(np.arange(16, dtype=np.uint64)) == 0.0).all()
 
     def test_coverage_is_valid(self):
         c = coverage_of_dataset(random_dataset(8, 100, 3))
@@ -296,12 +313,12 @@ class TestQueryBudgets:
                 degrees.add(deg)
                 features = len(sets_up_to(n, deg))
                 q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha / 2.0) ** 2)
-                assert k_way_query_budget(n, 1, alpha) == (q, alpha / 4.0)
+                assert k_way_query_budget(n, alpha) == (q, alpha / 4.0)
         assert degrees >= set(range(3, 11))
 
     def test_k_way_budget_at_n64_lists_nothing(self):
         start = time.perf_counter()
-        q, _ = k_way_query_budget(64, 2, 0.2)
+        q, _ = k_way_query_budget(64, 0.2)
         assert time.perf_counter() - start < 0.5
         features = sum(math.comb(64, i) for i in range(agnostic_degree(0.1) + 1))
         assert q == math.ceil(REGRESSION_SAMPLE_FACTOR * features / 0.1**2)
@@ -314,7 +331,7 @@ class TestBudgetOutOfReach:
     @pytest.mark.parametrize("seed", range(3))
     def test_k_way_spends_exactly_q(self, seed):
         n, k, alpha = 4, 2, 0.9
-        q, tau = k_way_query_budget(n, k, alpha)
+        q, tau = k_way_query_budget(n, alpha)
         size = math.ceil(gate_size(q, tau, 1.0, 0.1))
         d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
         summary = release_k_way(d, k, alpha, 1.0, 0.1, seed)
@@ -373,7 +390,7 @@ class TestReleases:
         )
         err = np.abs(summary.answer_masks(layer) - truth[layer]).mean()
         assert err <= 0.5
-        q, _ = k_way_query_budget(n, k, 0.5)
+        q, _ = k_way_query_budget(n, 0.5)
         assert summary.queries_used <= q
 
     def test_synthetic_noiseless(self):
@@ -393,6 +410,39 @@ class TestReleases:
     def test_summary_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             ReleaseSummary("table", 3, 0.1, 1.0, 0.1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "variant,payload",
+        [
+            ("synthetic", {}),
+            ("synthetic", {"poly": "poly"}),
+            ("synthetic", {"poly": "poly", "synthetic": "data"}),
+            ("fourier", {}),
+            ("fourier", {"synthetic": "data"}),
+            ("fourier", {"poly": "poly", "synthetic": "data"}),
+            ("polynomial", {}),
+            ("polynomial", {"synthetic": "data"}),
+        ],
+    )
+    def test_summary_rejects_payload_of_another_variant(self, variant, payload):
+        objects = {
+            "poly": SparsePolynomial(3, "parity", {0: 0.5}),
+            "data": Dataset.from_points([0b011], 3),
+        }
+        payload = {k: objects[v] for k, v in payload.items()}
+        with pytest.raises(ValueError, match=variant):
+            ReleaseSummary(variant, 3, 0.1, 1.0, 0.1, 0, 1, **payload)
+
+    def test_from_oracle_stamps_the_oracle_ledger(self):
+        d = Dataset.from_multiplicities([(0b011, 700), (0b101, 300)], 3)
+        oracle = PrivateOracle(d, 5, 0.5, 2.0, 0.25, child_rng(0, 0))
+        oracle.query([and_query(0b001), and_query(0b010)])
+        poly = SparsePolynomial(3, "parity", {0: 0.5})
+        s = ReleaseSummary.from_oracle("fourier", oracle, 0.3, poly=poly)
+        assert (s.variant, s.n, s.alpha_bar) == ("fourier", 3, 0.3)
+        assert (s.epsilon, s.delta) == (2.0, 0.25)
+        assert (s.queries_used, s.dataset_size) == (2, 1000)
+        assert s.poly is poly and s.synthetic is None
 
     def test_rejects_bad_alpha(self):
         d = random_dataset(3, 10, 0)
