@@ -1,17 +1,19 @@
 """Sample-based Fourier coefficient estimation and the monotone lattice search.
 
-A "coefficient source" is any callable mask -> float, the estimated Fourier
-coefficient at that set; it raises ValueError for a mask outside [0, 2^n).
-Three implementations live here: empirical estimation over a sample batch,
-exact lookup in a Fourier table, and lookup in a precomputed spectrum built
-from aggregated per-point counts (the route used when nominal sample counts
-are astronomically large but n is small).
+A "coefficient source" is a callable from an integer array of set masks to
+the float64 array of estimated Fourier coefficients at those sets, in the
+same order; it raises ValueError for a mask outside [0, 2^n).  Three
+implementations live here: empirical estimation over a sample batch, exact
+lookup in a Fourier table, and one fancy index into a precomputed spectrum,
+such as the spectrum of aggregated per-point counts (the route used when
+nominal sample counts are astronomically large but n is small).  The
+singleton coefficients of such counts also come without the full
+transform.  The lattice search asks its source once per level.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +22,7 @@ import numpy as np
 from .coverage import FourierTable, walsh_hadamard
 from .cube import IndexSet, eval_parity_batch
 
-CoeffSource = Callable[[int], float]
+CoeffSource = Callable[[np.ndarray], np.ndarray]
 
 LABEL_TOL = 1e-9
 
@@ -54,44 +56,43 @@ def hoeffding_samples(tolerance: float, failure: float) -> int:
     return math.ceil(2.0 / tolerance**2 * math.log(2.0 / failure))
 
 
-def check_mask(mask: int, n: int) -> None:
-    """Rejects a set mask outside [0, 2^n); numpy would wrap a negative one."""
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"set mask {mask} outside [0, 2^{n})")
+def check_masks(masks, n: int) -> np.ndarray:
+    """The set masks as a uint64 array; rejects any outside [0, 2^n), which
+    numpy would wrap into range."""
+    masks = np.asarray(masks)
+    if masks.size:
+        lo, hi = masks.min(), masks.max()
+        if lo < 0 or hi >= 1 << n:
+            raise ValueError(f"set mask {lo if lo < 0 else hi} outside [0, 2^{n})")
+    return masks.astype(np.uint64, copy=False)
 
 
 def estimate_coefficient(batch: SampleBatch, mask: int) -> float:
     """Empirical mean of label * parity over the batch; unbiased for the
     coefficient when the batch is uniform."""
-    check_mask(mask, batch.n)
+    check_masks(mask, batch.n)
     signs = eval_parity_batch(mask, batch.masks)
     return float(signs @ batch.labels) / len(batch)
 
 
 def batch_source(batch: SampleBatch) -> CoeffSource:
-    return lambda mask: estimate_coefficient(batch, mask)
+    # one estimate per mask, each checked by estimate_coefficient
+    return lambda masks: np.array([estimate_coefficient(batch, int(t)) for t in masks])
 
 
 def exact_source(table: FourierTable) -> CoeffSource:
-    def source(mask: int) -> float:
-        check_mask(mask, table.n)
-        return table[mask]
+    def source(masks: np.ndarray) -> np.ndarray:
+        masks = check_masks(masks, table.n)
+        return np.array([table[int(t)] for t in masks], dtype=np.float64)
 
     return source
 
 
 def spectrum_source(n: int, spectrum: np.ndarray) -> CoeffSource:
     """Lookup into a length-2^n array of coefficients indexed by set mask."""
-    size = 1 << n
-    if len(spectrum) != size:
+    if len(spectrum) != 1 << n:
         raise ValueError("spectrum length must be 2^n")
-
-    def source(mask: int) -> float:
-        if not 0 <= mask < size:  # check_mask, inlined: it runs per lookup
-            raise ValueError(f"set mask {mask} outside [0, 2^{n})")
-        return float(spectrum[mask])
-
-    return source
+    return lambda masks: spectrum[check_masks(masks, n)]
 
 
 def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -110,6 +111,29 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return spectrum
 
 
+def singleton_coefficients(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Entry i is spectrum_from_counts(weights, labels)[1 << i], bit for bit,
+    without the full transform.
+
+    The transform reaches output 1 << i by summing over each bit below i,
+    lowest first, taking one difference at bit i, then summing over each
+    bit above i; this does the same adds on the same operands, sharing the
+    sums below i across every i: about 3 * 2^n adds against n * 2^n.
+    """
+    total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("weights must have positive total")
+    below = np.asarray(weights, dtype=np.float64) * labels
+    out = np.empty(len(below).bit_length() - 1)
+    for i in range(len(out)):
+        acc = below[0::2] - below[1::2]
+        while len(acc) > 1:
+            acc = acc[0::2] + acc[1::2]
+        out[i] = acc[0]
+        below = below[0::2] + below[1::2]
+    return out / total
+
+
 def lattice_search(
     coeff_source: CoeffSource,
     candidate_vars: IndexSet,
@@ -118,8 +142,9 @@ def lattice_search(
 ) -> dict[int, float]:
     """Breadth-first search of the subset lattice of candidate_vars.
 
-    Level t extends each surviving (t-1)-set; a set is kept iff the estimated
-    coefficient satisfies |estimate| >= theta.  Runs at most max_level levels,
+    Level t extends each surviving (t-1)-set, with one coeff_source call
+    for the whole level; a set is kept iff the estimated coefficient
+    satisfies |estimate| >= theta.  Runs at most max_level levels,
     stopping after the first level that keeps no set, and returns the
     estimate of every kept set plus the empty set, keyed by mask, in the
     order the sets were visited.  Each set is visited once: a set is
@@ -127,26 +152,27 @@ def lattice_search(
     every subset exactly once, and coefficient-magnitude monotonicity over
     supersets means the surviving sets coincide with the all-orders search.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    candidates = candidate_vars.indices()  # ascending
-    bits = [1 << i for i in candidates]
-    kept = {0: coeff_source(0)}
-    frontier = [0]
+    bits = np.array([1 << i for i in candidate_vars.indices()], dtype=np.uint64)
+    cols = np.arange(len(bits))
+    kept = {0: float(coeff_source(np.zeros(1, dtype=np.uint64))[0])}
+    # the frontier's sets, each with the position in bits just above its
+    # maximum element
+    frontier = np.zeros(1, dtype=np.uint64)
+    starts = np.zeros(1, dtype=np.intp)
     for _ in range(max_level):
-        next_frontier = []
-        for t_mask in frontier:
-            # extend by i > max(T) only
-            for bit in bits[bisect_left(candidates, t_mask.bit_length()):]:
-                ext = t_mask | bit
-                est = coeff_source(ext)
-                if abs(est) >= theta:
-                    kept[ext] = est
-                    next_frontier.append(ext)
-        if not next_frontier:
+        above = cols >= starts[:, None]
+        if not above.any():
             break
-        frontier = next_frontier
+        # row-major: frontier order, then ascending bit
+        ext = (frontier[:, None] | bits)[above]
+        est = coeff_source(ext)
+        hit = np.abs(est) >= theta
+        if not hit.any():
+            break
+        frontier, starts = ext[hit], np.nonzero(above)[1][hit] + 1
+        kept.update(zip(frontier.tolist(), est[hit].tolist()))
     return kept
-

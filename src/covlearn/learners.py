@@ -15,9 +15,10 @@ Implemented learners, all from uniform or specified-distribution examples:
 Nominal sample counts can be astronomically large at small accuracy
 parameters.  When the example oracle is backed by a dense value table over
 the (sub)cube (n up to ~24), drawing N uniform examples is simulated exactly
-by a multinomial draw of per-cell counts, and all Fourier estimates come
-from one Walsh-Hadamard transform of the weighted counts.  This is
-distribution-identical to drawing the N examples one by one.
+by a multinomial draw of per-cell counts, and the Fourier estimates come
+from the Walsh-Hadamard transform of the weighted counts (the singleton
+screen from the n singleton outputs alone).  This is distribution-identical
+to drawing the N examples one by one.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from .estimation import (
     CoeffSource,
     SampleBatch,
     batch_source,
+    check_masks,
     hoeffding_samples,
     lattice_search,
+    singleton_coefficients,
     spectrum_from_counts,
     spectrum_source,
 )
@@ -296,12 +299,29 @@ class SampledOracle:
 
 
 def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSource:
-    """Empirical coefficient source from one sample of size m."""
-    if isinstance(oracle, UniformTableOracle):
-        counts = oracle.draw_counts(m, rng)
-        return spectrum_source(oracle.n, spectrum_from_counts(counts, oracle.values))
-    masks, labels = oracle.draw(m, rng)
-    return batch_source(SampleBatch(oracle.n, masks, labels))
+    """Empirical coefficient source from one sample of size m.  On a dense
+    table a batch of singletons only, the screen's, is answered without the
+    full transform; the first other batch runs it, and it answers every
+    later batch."""
+    if not isinstance(oracle, UniformTableOracle):
+        masks, labels = oracle.draw(m, rng)
+        return batch_source(SampleBatch(oracle.n, masks, labels))
+    counts = oracle.draw_counts(m, rng)
+    full = None
+
+    def source(masks: np.ndarray) -> np.ndarray:
+        nonlocal full
+        if full is None:
+            masks = check_masks(masks, oracle.n)
+            below = masks - np.uint64(1)
+            if masks.all() and not (masks & below).any():
+                bits = np.bitwise_count(below)
+                return singleton_coefficients(counts, oracle.values)[bits]
+            spectrum = spectrum_from_counts(counts, oracle.values)
+            full = spectrum_source(oracle.n, spectrum)
+        return full(masks)
+
+    return source
 
 
 # --------------------------------------------------------------------------
@@ -323,10 +343,12 @@ def _screen_and_search(
     phase1_source: CoeffSource,
     phase2_source_for: Callable[[int], CoeffSource],
 ) -> dict[int, float]:
-    """Singletons whose phase-1 estimate reaches theta, then a lattice search
-    over them at keep_thr.  phase2_source_for receives the union-bound pool
-    size so the caller can budget its per-estimate confidence."""
-    itilde = [i for i in range(n) if abs(phase1_source(1 << i)) >= theta]
+    """Singletons whose phase-1 estimate reaches theta, all asked in one
+    call, then a lattice search over them at keep_thr.  phase2_source_for
+    receives the union-bound pool size so the caller can budget its
+    per-estimate confidence."""
+    singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    itilde = np.flatnonzero(np.abs(phase1_source(singletons)) >= theta).tolist()
     return lattice_search(
         phase2_source_for(pac_pool_bound(keep_thr, len(itilde))),
         IndexSet.from_indices(itilde, n),

@@ -27,7 +27,7 @@ import numpy as np
 from . import cube
 from .coverage import CoverageFunction
 from .cube import DistributionSpec, child_rng, popcount
-from .estimation import CoeffSource, check_mask, hoeffding_samples
+from .estimation import CoeffSource, check_masks, hoeffding_samples
 from .learners import (
     PAC_THETA_DIV,
     PROPER_PHASE_FAILURE,
@@ -266,12 +266,12 @@ def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
 
 def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
     """Fourier coefficients of c_D through private counting queries:
-    coefficient = 2 * query(F_T) - 1."""
+    coefficient = 2 * query(F_T) - 1, one query batch per call."""
     d = oracle.dataset
 
-    def source(mask: int) -> float:
-        check_mask(mask, d.n)
-        return 2.0 * float(oracle.query([_fourier_predicate(d, mask)])[0]) - 1.0
+    def source(masks: np.ndarray) -> np.ndarray:
+        predicates = [_fourier_predicate(d, int(t)) for t in check_masks(masks, d.n)]
+        return 2.0 * oracle.query(predicates) - 1.0
 
     return source
 

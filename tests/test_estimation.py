@@ -14,6 +14,7 @@ from covlearn.estimation import (
     exact_source,
     hoeffding_samples,
     lattice_search,
+    singleton_coefficients,
     spectrum_from_counts,
     spectrum_source,
 )
@@ -103,14 +104,30 @@ class TestSpectrumFromCounts:
     def test_rejects_zero_total(self):
         with pytest.raises(ValueError):
             spectrum_from_counts(np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            singleton_coefficients(np.zeros(4), np.zeros(4))
+
+
+class TestSingletonScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_singletons_bit_equal_to_the_transform(self, n, seed):
+        rng = np.random.default_rng(seed)
+        total = int(rng.integers(1, 10**6))
+        counts = rng.multinomial(total, np.full(1 << n, 1.0 / (1 << n)))
+        labels = rng.random(1 << n)
+        spectrum = spectrum_from_counts(counts.astype(np.float64), labels)
+        got = singleton_coefficients(counts.astype(np.float64), labels)
+        want = spectrum[1 << np.arange(n)]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSources:
     def test_exact_source(self):
         c = CoverageFunction(2, 0.0, {1: 1.0})
         src = exact_source(exact_fourier(c))
-        assert src(0) == pytest.approx(0.5)
-        assert src(1) == pytest.approx(-0.5)
+        assert src(np.array([0]))[0] == pytest.approx(0.5)
+        assert src(np.array([1]))[0] == pytest.approx(-0.5)
 
     def test_spectrum_source_length_check(self):
         with pytest.raises(ValueError):
@@ -127,13 +144,15 @@ class TestSources:
         ]
         for src in sources:
             with pytest.raises(ValueError):
-                src(mask)
+                src(np.array([mask]))
+            with pytest.raises(ValueError):
+                src(np.array([1, mask, 2]))
 
     def test_batch_source(self):
         batch = SampleBatch(2, np.arange(4, dtype=np.uint64), np.ones(4))
         src = batch_source(batch)
-        assert src(0) == 1.0
-        assert src(3) == 0.0
+        assert src(np.array([0]))[0] == 1.0
+        assert src(np.array([3]))[0] == 0.0
 
 
 def reference_lattice_search(coeff_source, candidate_vars, theta, max_level):
@@ -159,10 +178,20 @@ def reference_lattice_search(coeff_source, candidate_vars, theta, max_level):
     return kept
 
 
-def spy(source, seen):
+def scalar_spy(source, seen):
+    """The reference's view of an array source: one mask in, one float out."""
+
     def wrapped(mask):
         seen.append(mask)
-        return source(mask)
+        return float(source(np.array([mask], dtype=np.uint64))[0])
+
+    return wrapped
+
+
+def batch_spy(source, batches):
+    def wrapped(masks):
+        batches.append(np.asarray(masks).tolist())
+        return source(masks)
 
     return wrapped
 
@@ -184,13 +213,18 @@ class TestLatticeSearch:
         spectrum = rng.uniform(-1, 1, 1 << n) * rng.random(1 << n) ** 4
         source = spectrum_source(n, spectrum)
         candidates = IndexSet(candidate_mask & ((1 << n) - 1), n)
-        seen, seen_ref = [], []
-        kept = lattice_search(spy(source, seen), candidates, theta, max_level)
+        batches, seen_ref = [], []
+        kept = lattice_search(batch_spy(source, batches), candidates, theta, max_level)
         ref = reference_lattice_search(
-            spy(source, seen_ref), candidates, theta, max_level
+            scalar_spy(source, seen_ref), candidates, theta, max_level
         )
         assert list(kept.items()) == list(ref.items())
-        assert seen == seen_ref
+        assert [m for batch in batches for m in batch] == seen_ref
+        # one non-empty call per level: the empty set, then the level-k sets
+        assert len(batches) <= max_level + 1
+        for level, batch in enumerate(batches):
+            assert batch and {int(m).bit_count() for m in batch} == {level}
+        assert all(type(t) is int and type(v) is float for t, v in kept.items())
 
     def test_pair_disjunction_example(self):
         c = CoverageFunction(2, 0.0, {0b11: 0.25})
@@ -243,3 +277,10 @@ class TestLatticeSearch:
             lattice_search(src, IndexSet(0, 2), 0.0, 2)
         with pytest.raises(ValueError):
             lattice_search(src, IndexSet(0, 2), 0.1, 0)
+
+    @pytest.mark.parametrize("theta", [math.nan, -math.inf, -0.1])
+    def test_rejects_theta_that_is_not_positive(self, theta):
+        # a NaN theta keeps no set, so the search would return only {0}
+        src = exact_source(exact_fourier(CoverageFunction(2, 0.0, {1: 1.0})))
+        with pytest.raises(ValueError):
+            lattice_search(src, IndexSet(0b11, 2), theta, 2)

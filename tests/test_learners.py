@@ -112,6 +112,49 @@ class TestUniformTableOracle:
             o.draw(1 << 27, child_rng(0, 0))
 
 
+class TestTableCoeffSource:
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        transforms = []
+        real = learners.spectrum_from_counts
+        monkeypatch.setattr(
+            learners,
+            "spectrum_from_counts",
+            lambda *a: transforms.append(1) or real(*a),
+        )
+        return transforms
+
+    @staticmethod
+    def _oracle():
+        return UniformTableOracle.from_coverage(random_coverage(6, 5, 3, 4))
+
+    def test_screen_runs_no_transform(self, monkeypatch):
+        o = self._oracle()
+        counts = o.draw_counts(5000, child_rng(3, 0))
+        spectrum = learners.spectrum_from_counts(counts, o.values)
+        transforms = self._count_transforms(monkeypatch)
+        src = learners._oracle_coeff_source(o, 5000, child_rng(3, 0))
+        singles = np.array([4, 1, 32, 8], dtype=np.uint64)
+        assert src(singles).tobytes() == spectrum[singles].tobytes()
+        assert transforms == []
+        masks = np.array([0, 3, 1, 63], dtype=np.uint64)
+        assert src(masks).tobytes() == spectrum[masks].tobytes()
+        assert src(singles).tobytes() == spectrum[singles].tobytes()
+        assert transforms == [1]
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 6, 1 << 7])
+    def test_rejects_masks_outside_the_cube(self, mask):
+        src = learners._oracle_coeff_source(self._oracle(), 5000, child_rng(3, 0))
+        with pytest.raises(ValueError):
+            src(np.array([1, mask]))
+
+    def test_one_transform_per_pac_run(self, monkeypatch):
+        transforms = self._count_transforms(monkeypatch)
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 11))
+        pac_learn_uniform(o, 0.3, 5)
+        assert transforms == [1]
+
+
 class TestPacLearning:
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_source_error_bound(self, seed):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covlearn import privacy
+from covlearn import learners, privacy
 from covlearn.coverage import CoverageFunction, eval_coverage
 from covlearn.cube import DistributionSpec, Point, child_rng, sample_masks
 from covlearn.learners import (
@@ -346,6 +346,69 @@ class TestBudgetOutOfReach:
         d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
         summary = release_synthetic(d, alpha, 1.0, 0.1, seed, size_bound=n + 1)
         assert 0 < summary.queries_used <= q
+
+
+class TestLevelBatchedFourierQueries:
+    """A private coefficient source asked one lattice level per call gives
+    the release, the ledger and the noise stream of one query per mask."""
+
+    def _run(self, monkeypatch, release, per_mask):
+        real = privacy._private_coeff_source
+        oracles, calls, kept = [], [], []
+
+        def patched(oracle):
+            oracles.append(oracle)
+            source = real(oracle)
+            if per_mask:
+                return lambda masks: np.concatenate(
+                    [source(np.array([t], dtype=np.uint64)) for t in masks]
+                )
+            return lambda masks: calls.append(len(masks)) or source(masks)
+
+        search = learners.lattice_search
+        monkeypatch.setattr(privacy, "_private_coeff_source", patched)
+        monkeypatch.setattr(
+            learners, "lattice_search", lambda *a: kept.append(search(*a)) or kept[-1]
+        )
+        summary = release()
+        monkeypatch.undo()
+        (oracle,) = oracles
+        return summary, oracle, list(kept[0].items()), calls
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_all_marginals(self, monkeypatch, seed):
+        d = Dataset.from_multiplicities(
+            [(0b00011, 10**7), (0b10110, 2 * 10**7), (0b11111, 10**7)], 5
+        )
+
+        def release():
+            return release_all_marginals(d, 0.4, 50.0, 0.1, seed)
+
+        a, oracle_a, kept_a, calls = self._run(monkeypatch, release, False)
+        b, oracle_b, kept_b, _ = self._run(monkeypatch, release, True)
+        assert max(calls) > 1
+        assert len(kept_a) > 1 and kept_a == kept_b
+        assert list(a.poly.coeffs.items()) == list(b.poly.coeffs.items())
+        assert oracle_a.used == oracle_b.used == a.queries_used == sum(calls)
+        assert oracle_a.rng.bit_generator.state == oracle_b.rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_synthetic(self, monkeypatch, seed):
+        d = Dataset.from_multiplicities(
+            [(0b00011, 10**12), (0b10110, 2 * 10**12), (0b11111, 10**12)], 5
+        )
+
+        def release():
+            return release_synthetic(d, 0.9, 1.0, 0.1, seed, size_bound=6)
+
+        a, oracle_a, kept_a, calls = self._run(monkeypatch, release, False)
+        b, oracle_b, kept_b, _ = self._run(monkeypatch, release, True)
+        assert max(calls) > 1
+        assert len(kept_a) > 1 and kept_a == kept_b
+        assert a.synthetic.masks.tolist() == b.synthetic.masks.tolist()
+        assert a.synthetic.mults.tolist() == b.synthetic.mults.tolist()
+        assert oracle_a.used == oracle_b.used == a.queries_used
+        assert oracle_a.rng.bit_generator.state == oracle_b.rng.bit_generator.state
 
 
 class TestReleases:
