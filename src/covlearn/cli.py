@@ -310,6 +310,8 @@ def _run_learn_trial(
         if learner in ("agnostic", "proper-agnostic"):
             eps = _get(params, "epsilon", float, required=True)
             noise_scale = _get(params, "noise_scale", float, 0.0)
+            if not 0 <= noise_scale < math.inf:
+                raise SchemaError("field 'noise_scale': must be finite and >= 0")
             if "distribution" in cfg:
                 dist = _dist_from_json(cfg["distribution"])
                 if dist.n != n:

@@ -43,16 +43,16 @@ class CoverageFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.affine < -WEIGHT_TOL:
-            raise ValueError("affine weight must be non-negative")
+        if not self.affine >= -WEIGHT_TOL:  # NaN fails too
+            raise ValueError("affine weight must be a non-negative number")
         total = self.affine
         for mask, w in self.terms.items():
             if mask == 0:
                 raise ValueError("empty set not allowed as a term; use affine")
             if mask < 0 or mask >> self.n:
                 raise ValueError("term set outside the first n coordinates")
-            if w < -WEIGHT_TOL:
-                raise ValueError("term weights must be non-negative")
+            if not w >= -WEIGHT_TOL:
+                raise ValueError("term weights must be non-negative numbers")
             total += w
         if total > 1 + WEIGHT_TOL:
             raise ValueError(f"total weight {total} exceeds 1")

@@ -30,6 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import cube
 from .coverage import CoverageFunction, walsh_hadamard
 from .cube import (
     DistributionSpec,
@@ -39,7 +40,6 @@ from .cube import (
     eval_disjunction_batch,
     eval_parity_batch,
     popcount,
-    sample_masks,
 )
 from .estimation import (
     CoeffSource,
@@ -294,7 +294,8 @@ class SampledOracle:
     def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         if m > DIRECT_DRAW_CAP:
             raise OracleExhausted(f"direct draw of {m} examples is over the cap")
-        masks = sample_masks(self.dist, m, rng)
+        # looked up on the module: perfbench traces the cube.sample_masks site
+        masks = cube.sample_masks(self.dist, m, rng)
         return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
 
 
@@ -517,11 +518,13 @@ def proper_pac_core(
     s_eps: float,
     phase1_source: CoeffSource,
     phase2_source_for: Callable[[int], CoeffSource],
-    draw_labeled: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    examples,
+    rng: np.random.Generator,
 ) -> CoverageFunction:
     """Three stages shared by the sampled and the private-query paths:
     singleton screen, lattice search at the size-aware threshold, then
-    simplex-constrained l1 regression over the selected disjunctions."""
+    simplex-constrained l1 regression over the selected disjunctions, on
+    examples drawn from the `examples` oracle with rng."""
     theta = eps * eps / PROPER_THETA_DIV
     max_level = math.ceil(math.log2(6.0 / eps))
     keep_thr = eps * eps / (54.0 * s_eps)
@@ -532,9 +535,9 @@ def proper_pac_core(
 
     m3 = max(
         hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE),
-        math.ceil(REGRESSION_SAMPLE_FACTOR * (len(sets) + 1) / eps**2),
+        regression_samples(eps, len(sets) + 1),
     )
-    return _fit_coverage(n, sets, *draw_labeled(m3))
+    return _fit_coverage(n, sets, *examples.draw(m3, rng))
 
 
 def proper_pac_learn(
@@ -559,14 +562,18 @@ def proper_pac_learn(
         m2 = hoeffding_samples(est_tol, failure)
         return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
 
-    def draw_labeled(m3: int) -> tuple[np.ndarray, np.ndarray]:
-        return oracle.draw(m3, child_rng(seed, 3))
-
-    return proper_pac_core(n, eps, s_eps, phase1, phase2_for, draw_labeled)
+    return proper_pac_core(
+        n, eps, s_eps, phase1, phase2_for, oracle, child_rng(seed, 3)
+    )
 
 
 # --------------------------------------------------------------------------
 # Agnostic learning
+
+
+def regression_samples(eps: float, columns: int) -> int:
+    """Examples for an l1 fit over `columns` features to accuracy eps."""
+    return math.ceil(REGRESSION_SAMPLE_FACTOR * columns / eps**2)
 
 
 def basis_size(n: int, degree: int) -> int:
@@ -606,40 +613,33 @@ def agnostic_learn(
         raise ValueError("eps must lie in (0,1)")
     n = d.n
     deg = agnostic_degree(eps)
+    # one block of parities per Hamming layer in the support; None is the
+    # single block of a product distribution, whose columns are not masked
     if d.variant in ("uniform", "product"):
-        layer_keys: list[int] | None = None
+        blocks: list[int | None] = [None]
     elif d.variant == "layer":
-        layer_keys = [d.k]
+        blocks = [d.k]
     else:
-        layer_keys = [k for k, w in enumerate(d.layer_weights) if w > 0]
-    blocks = layer_keys or [None]
+        blocks = [k for k, w in enumerate(d.layer_weights) if w > 0]
     _check_columns(n, deg, len(blocks))
     parities = sets_up_to(n, deg)
     features = [(k, t) for k in blocks for t in parities]
 
-    m = math.ceil(REGRESSION_SAMPLE_FACTOR * len(features) / eps**2)
+    m = regression_samples(eps, len(features))
     masks, labels = oracle.draw(m, child_rng(seed, 0))
+    weights = popcount(masks)
     design = np.empty((m, len(features)), dtype=np.float64)
-    if layer_keys is None:
-        for j, (_, t) in enumerate(features):
-            design[:, j] = eval_parity_batch(t, masks)
-    else:
-        weights = popcount(masks)
-        for j, (k, t) in enumerate(features):
-            design[:, j] = eval_parity_batch(t, masks) * (weights == k)
+    for j, (k, t) in enumerate(features):
+        column = eval_parity_batch(t, masks)
+        design[:, j] = column if k is None else column * (weights == k)
     sol = solve_l1(L1Problem(design, labels, UNCONSTRAINED))
 
-    if layer_keys is None:
-        coeffs = {
-            t: float(v)
-            for (_, t), v in zip(features, sol.coefficients)
-            if v != 0.0
-        }
-        return SparsePolynomial(n, "parity", coeffs, clamp=True)
-    layers: dict[int, dict[int, float]] = {k: {} for k in layer_keys}
+    layers: dict = {k: {} for k in blocks}
     for (k, t), v in zip(features, sol.coefficients):
         if v != 0.0:
             layers[k][t] = float(v)
+    if blocks == [None]:
+        return SparsePolynomial(n, "parity", layers[None], clamp=True)
     return SparsePolynomial(n, "layered_parity", layers=layers, clamp=True)
 
 
@@ -670,7 +670,7 @@ def proper_agnostic_learn(
     k_len = truncation_length(kappa, half)
     _check_columns(d.n, k_len)
     sets = sets_up_to(d.n, k_len, include_empty=False)
-    m = math.ceil(REGRESSION_SAMPLE_FACTOR * (len(sets) + 1) / half**2)
+    m = regression_samples(half, len(sets) + 1)
     return _fit_coverage(d.n, sets, *oracle.draw(m, child_rng(seed, 0)))
 
 

@@ -7,6 +7,11 @@ oracle and publish a summary: a sparse Fourier polynomial (all marginals),
 a layered polynomial (k-way marginals), or a synthetic dataset whose own
 counting queries reproduce the learned hypothesis exactly.
 
+Each release runs one of the learners' own statistical-query stages against
+that oracle: Fourier coefficients come from coefficient sources that ask one
+query batch per call, and a regression stage draws its examples from a
+learners.SampledOracle whose labels are 1 - private AND-query answers.
+
 Privacy model: each counting query has sensitivity 1/|D|; adding Laplace
 noise of scale b = q/(epsilon * |D|) to each of at most q queries makes the
 whole transcript epsilon-differentially private by basic composition.
@@ -24,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import cube
 from .coverage import CoverageFunction
 from .cube import DistributionSpec, child_rng, popcount
 from .estimation import CoeffSource, check_masks, hoeffding_samples
@@ -32,7 +36,7 @@ from .learners import (
     PAC_THETA_DIV,
     PROPER_PHASE_FAILURE,
     PROPER_THETA_DIV,
-    REGRESSION_SAMPLE_FACTOR,
+    SampledOracle,
     SparsePolynomial,
     agnostic_degree,
     agnostic_learn,
@@ -41,6 +45,7 @@ from .learners import (
     pac_pool_bound,
     proper_pac_core,
     proper_size_bound,
+    regression_samples,
 )
 
 Predicate = Callable[[np.ndarray], np.ndarray]
@@ -203,7 +208,7 @@ class PrivateOracle:
     def __post_init__(self) -> None:
         if self.q < 1 or self.tau <= 0 or not 0 < self.delta < 1:
             raise ValueError("need q >= 1, tau > 0, delta in (0,1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN fails too; inf is the noiseless limit
             raise ValueError("privacy epsilon must be positive")
         required = gate_size(self.q, self.tau, self.epsilon, self.delta)
         if self.dataset.size < required:
@@ -276,24 +281,16 @@ def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
     return source
 
 
-@dataclass(frozen=True)
-class _PrivateLabelOracle:
+def _private_examples(oracle: PrivateOracle, dist: DistributionSpec) -> SampledOracle:
     """Example oracle for the regression stage of a release: points drawn
-    from dist, each labelled for c_D as 1 - private answer to AND over S_x."""
+    from dist, each labelled for c_D as 1 - private answer to AND over S_x,
+    one query batch per draw."""
 
-    oracle: PrivateOracle
-    dist: DistributionSpec
-
-    @property
-    def n(self) -> int:
-        return self.dist.n
-
-    def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        # looked up on the module: perfbench traces the cube.sample_masks site
-        masks = cube.sample_masks(self.dist, m, rng)
+    def labels(masks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         sets, index = np.unique(masks, return_inverse=True)
-        answers = self.oracle.query([and_query(int(s)) for s in sets], index)
-        return masks, 1.0 - answers
+        return 1.0 - oracle.query([and_query(int(s)) for s in sets], index)
+
+    return SampledOracle(dist, labels)
 
 
 @dataclass(frozen=True)
@@ -347,9 +344,6 @@ class ReleaseSummary:
             return 1.0 - coverage_of_dataset(self.synthetic).eval_masks(x_masks)
         return np.clip(1.0 - self.poly.eval_masks(x_masks), 0.0, 1.0)
 
-    def answer(self, set_mask: int) -> float:
-        return float(self.answer_masks(np.array([set_mask], dtype=np.uint64))[0])
-
 
 def marginals_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the all-marginals release: one query per estimated
@@ -378,9 +372,7 @@ def k_way_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the k-way release: one query per regression example on
     the parities of degree agnostic_degree(alpha_bar/2) over all n, any k."""
     deg = agnostic_degree(alpha_bar / 2.0)
-    features = basis_size(n, deg)
-    q = math.ceil(REGRESSION_SAMPLE_FACTOR * features / (alpha_bar / 2.0) ** 2)
-    return q, alpha_bar / 4.0
+    return regression_samples(alpha_bar / 2.0, basis_size(n, deg)), alpha_bar / 4.0
 
 
 def release_k_way(
@@ -395,9 +387,7 @@ def release_k_way(
     q, tau = k_way_query_budget(d.n, alpha_bar)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     dist = DistributionSpec.layer(d.n, k)
-    poly = agnostic_learn(
-        _PrivateLabelOracle(oracle, dist), dist, alpha_bar / 2.0, seed
-    )
+    poly = agnostic_learn(_private_examples(oracle, dist), dist, alpha_bar / 2.0, seed)
     return ReleaseSummary.from_oracle("polynomial", oracle, alpha_bar, poly=poly)
 
 
@@ -415,7 +405,7 @@ def synthetic_query_budget(
     pool_bound = kept_bound * itilde_bound + 2
     m3_bound = max(
         hoeffding_samples(eps_l / 2, PROPER_PHASE_FAILURE),
-        math.ceil(REGRESSION_SAMPLE_FACTOR * (kept_bound + 1) / eps_l**2),
+        regression_samples(eps_l, kept_bound + 1),
     )
     q = n + pool_bound + m3_bound
     tau = min(est_tol / 2.0, alpha_bar / 8.0)
@@ -444,14 +434,9 @@ def release_synthetic(
     q, tau = synthetic_query_budget(d.n, alpha_bar, size_bound)
     oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     source = _private_coeff_source(oracle)
-    labeled = _PrivateLabelOracle(oracle, DistributionSpec.uniform(d.n))
+    examples = _private_examples(oracle, DistributionSpec.uniform(d.n))
     hypothesis = proper_pac_core(
-        d.n,
-        eps_l,
-        s_eps,
-        source,
-        lambda pool: source,
-        lambda m3: labeled.draw(m3, child_rng(seed, 1)),
+        d.n, eps_l, s_eps, source, lambda pool: source, examples, child_rng(seed, 1)
     )
     synthetic = synthesize_dataset(hypothesis, alpha_bar)
     return ReleaseSummary.from_oracle(

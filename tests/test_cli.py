@@ -370,6 +370,54 @@ class TestOutOfRange:
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+class TestNonFiniteValues:
+    """NaN, infinite or negative values are usage errors, never published."""
+
+    def test_nan_privacy_epsilon_publishes_nothing(self, tmp_path, capsys):
+        cfg = {
+            "release": "all-marginals",
+            "alpha_bar": 0.5,
+            "epsilon": math.nan,
+            "delta": 0.1,
+            "dataset": {"n": 4, "size": 100_000},
+        }
+        code, out_dir = run(tmp_path, "release", cfg)
+        assert code == EXIT_USAGE
+        assert "epsilon" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "summary_000.json"))
+
+    @pytest.mark.parametrize("noise_scale", [-0.3, math.nan, math.inf])
+    def test_noise_scale_must_be_finite_and_non_negative(
+        self, tmp_path, capsys, noise_scale
+    ):
+        cfg = {
+            "learner": "agnostic",
+            "n": 5,
+            "eval_samples": 1000,
+            "target": {"max_terms": 3, "max_arity": 2},
+            "params": {"epsilon": 0.5, "noise_scale": noise_scale},
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert "noise_scale" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+    def test_nan_target_weight_is_a_usage_error(self, tmp_path, capsys):
+        target = {"n": 4, "affine": 0.0, "terms": [{"set": [1], "weight": math.nan}]}
+        target_path = write_config(tmp_path, "target.json", target)
+        cfg = {
+            "learner": "pac",
+            "n": 4,
+            "eval_samples": 1000,
+            "target": {"path": target_path},
+            "params": {"epsilon": 0.4},
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+
 class TestRelease:
     def test_all_marginals_noiseless(self, tmp_path, capsys):
         cfg = {

@@ -30,6 +30,13 @@ class TestCoverageFunction:
         with pytest.raises(ValueError):
             CoverageFunction(3, -0.1, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError):
+            CoverageFunction(3, bad, {})
+        with pytest.raises(ValueError):
+            CoverageFunction(3, 0.0, {1: 0.5, 0b10: bad})
+
     def test_rejects_total_above_one(self):
         with pytest.raises(ValueError):
             CoverageFunction(3, 0.5, {1: 0.6})

@@ -422,3 +422,23 @@ class TestDnfReduction:
         assert isinstance(h, DnfClassifier)
         masks = np.arange(1 << n, dtype=np.uint64)
         assert np.array_equal(h.eval_masks(masks), d.eval_masks(masks))
+
+    def test_inner_learner_draws_mapped_examples(self):
+        n, s = 4, 2
+        d = random_disjoint_dnf(n, s, 1)
+        dist = DistributionSpec.uniform(n)
+        base = SampledOracle(dist, lambda m, rng: d.eval_masks(m))
+        seen = {}
+
+        def inner(oracle, eps):
+            seen["n"] = oracle.n
+            seen["draw"] = oracle.draw(300, child_rng(5, 0))
+            return dnf_to_coverage(d)
+
+        dnf_reduction_learn(base, s, 0.1, inner)
+        masks, labels = seen["draw"]
+        base_masks, ys = base.draw(300, child_rng(5, 0))
+        assert ys.any() and not ys.all()
+        assert seen["n"] == 2 * n
+        assert masks.tolist() == dnf_input_map(base_masks, n).tolist()
+        assert labels.tolist() == (1.0 - ys / s).tolist()

@@ -165,6 +165,11 @@ class TestPrivateOracle:
         with pytest.raises(BudgetExhausted):
             o.query([and_query(0)])
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_rejects_epsilon_that_is_not_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            self._oracle(epsilon=epsilon)
+
     def test_noiseless_limit(self):
         o = self._oracle(epsilon=math.inf)
         assert o.scale == 0.0
@@ -278,11 +283,20 @@ class TestBatchedQuery:
         d = gated_dataset({0b0011: 2, 0b0101: 1, 0b1110: 4}, 4, 500, 2.0)
         o = PrivateOracle(d, 500, 0.25, 2.0, 0.1, child_rng(7, 0))
         dist = DistributionSpec.layer(4, 2)
-        masks, labels = privacy._PrivateLabelOracle(o, dist).draw(500, child_rng(7, 1))
+        masks, labels = privacy._private_examples(o, dist).draw(500, child_rng(7, 1))
         assert masks.tolist() == sample_masks(dist, 500, child_rng(7, 1)).tolist()
         answers = sequential_answers(d, masks, o.scale, child_rng(7, 0))
         assert labels.tolist() == (1.0 - answers).tolist()
         assert o.used == 500
+
+    def test_label_draw_over_the_direct_draw_cap_is_refused(self):
+        # k-way at n=13 and alpha_bar 0.1 asks for q examples in one draw;
+        # the sampled oracle refuses before any point is drawn or queried
+        q, _ = k_way_query_budget(13, 0.1)
+        assert q == 104_857_600 > learners.DIRECT_DRAW_CAP
+        d = Dataset.from_points([0b1, 0b10], 13)
+        with pytest.raises(learners.OracleExhausted):
+            release_k_way(d, 2, 0.1, math.inf, 0.1, 0)
 
     def test_over_budget_batch_charges_nothing(self):
         d = gated_dataset({0b01: 1, 0b10: 1}, 2, 10, 1.0)
