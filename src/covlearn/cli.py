@@ -116,6 +116,13 @@ def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
     return value
 
 
+def _size_bound(cfg: dict) -> float:
+    size_bound = _get(cfg, "size_bound", float, math.inf)
+    if not size_bound >= 1:  # NaN fails too
+        raise SchemaError("field 'size_bound': must be >= 1")
+    return size_bound
+
+
 def _dist_from_json(obj) -> DistributionSpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise SchemaError("distribution must be an object with a 'variant' field")
@@ -346,8 +353,7 @@ def _run_learn_trial(
                 if learner == "pac":
                     h = pac_learn_uniform(oracle, bound, tseed)
                 else:
-                    size_bound = _get(params, "size_bound", float, math.inf)
-                    h = proper_pac_learn(oracle, bound, size_bound, tseed)
+                    h = proper_pac_learn(oracle, bound, _size_bound(params), tseed)
         hypothesis = h
 
     if learner == "pmac":
@@ -413,9 +419,7 @@ def _release_gate(variant: str, n: int, cfg: dict, alpha_bar: float) -> float:
     elif variant == "k-way":
         q, tau = k_way_query_budget(n, alpha_bar)
     else:
-        q, tau = synthetic_query_budget(
-            n, alpha_bar, _get(cfg, "size_bound", float, math.inf)
-        )
+        q, tau = synthetic_query_budget(n, alpha_bar, _size_bound(cfg))
     return gate_size(q, tau, epsilon, delta)
 
 
@@ -446,10 +450,13 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
         )
     alpha_bar = _get(cfg, "alpha_bar", float, required=True)
     epsilon = _get(cfg, "epsilon", float, required=True)
+    if not epsilon > 0:  # NaN fails too; inf is the noiseless limit
+        raise SchemaError("field 'epsilon': must be > 0")
     delta = _get(cfg, "delta", float, required=True)
     trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", int, 0)
     eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
+    size_bound = _size_bound(cfg) if variant == "synthetic" else math.inf
     d = _release_dataset(cfg, alpha_bar, variant)
     truth_table = all_conjunction_answers(d)
 
@@ -464,7 +471,6 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
             summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
             qdist = DistributionSpec.layer(d.n, k)
         else:
-            size_bound = _get(cfg, "size_bound", float, math.inf)
             summary = release_synthetic(
                 d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
             )

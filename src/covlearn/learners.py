@@ -23,8 +23,11 @@ to drawing the N examples one by one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -65,6 +68,7 @@ BOOST_REPS_FACTOR = 8  # r = ceil(8 ln(2/eta)) repetitions
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
+BLOCK_CELLS = 1 << 12  # cells per count block; fixes which counts a seed gives
 
 
 class OracleExhausted(RuntimeError):
@@ -243,17 +247,34 @@ class UniformTableOracle:
     def draw_counts(self, total: int, rng: np.random.Generator) -> np.ndarray:
         """Exact per-cell counts of `total` i.i.d. uniform draws.
 
-        Totals beyond the int64 range are drawn in exact chunks; the count
+        A table of fewer than 2 * BLOCK_CELLS cells is one multinomial draw
+        on rng.  A larger one is cut into cells // BLOCK_CELLS equal
+        contiguous blocks: the block totals are one multinomial draw on rng,
+        and block b's cells are a uniform multinomial of its total on
+        rng.spawn(blocks)[b].  Splitting a multinomial this way is exact.
+        The blocks are drawn on a thread pool, but each has its own stream,
+        so the counts do not depend on the worker count.  Totals beyond the
+        int64 range are drawn in exact chunks, each split afresh; the count
         array is float64, adequate for every tolerance used here.
         """
         cells = len(self.values)
-        p = np.full(cells, 1.0 / cells)
+        blocks = max(1, cells // BLOCK_CELLS)
+        size = cells // blocks
+        p = np.full(size, 1.0 / size)
         counts = np.zeros(cells, dtype=np.float64)
         remaining = int(total)
         chunk_cap = 4 * 10**18
         while remaining > 0:
             chunk = min(remaining, chunk_cap)
-            counts += rng.multinomial(chunk, p)
+            if blocks == 1:
+                counts += rng.multinomial(chunk, p)
+            else:
+                totals = rng.multinomial(chunk, np.full(blocks, 1.0 / blocks))
+                drawn = _count_pool().map(
+                    lambda g, t: g.multinomial(t, p), rng.spawn(blocks), totals
+                )
+                for row, part in zip(counts.reshape(blocks, size), drawn):
+                    row += part
             remaining -= chunk
         return counts
 
@@ -277,6 +298,21 @@ class UniformTableOracle:
             if compact_set_mask >> i & 1:
                 mask |= 1 << v
         return mask
+
+
+@functools.cache
+def _count_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that draws `draw_counts` blocks, one worker per
+    CPU this process may use.  Its tasks run `Generator.multinomial` only."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="draw_counts")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
+    os.register_at_fork(after_in_child=_count_pool.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -548,7 +584,7 @@ def proper_pac_learn(
     on the number of terms of the target, or math.inf."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    if size_bound < 1:
+    if not size_bound >= 1:  # NaN fails too
         raise ValueError("size_bound must be >= 1")
     n = oracle.n
     s_eps = proper_size_bound(eps, size_bound)

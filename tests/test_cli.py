@@ -1,12 +1,13 @@
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from covlearn import regression
+from covlearn import learners, regression
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.cli import (
     EXIT_CONTRACT,
@@ -230,6 +231,33 @@ class TestLearn:
         assert code == EXIT_PASS
 
 
+    def test_pmac_output_ignores_the_worker_count(self, tmp_path, monkeypatch):
+        # at n=13 the first level's table is drawn as two blocks
+        cfg = {
+            "learner": "pmac",
+            "n": 13,
+            "seed": 4,
+            "trials": 1,
+            "eval_samples": 2000,
+            "target": {"max_terms": 3, "max_arity": 2},
+            "params": {"gamma": 0.5, "delta": 0.2},
+        }
+        _, pooled = run(tmp_path, "learn", cfg, out="pooled")
+        used = []
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(learners, "_count_pool", lambda: used.append(1) or pool)
+            _, single = run(tmp_path, "learn", cfg, out="single")
+        assert used
+        samples, hyps = [], []
+        for d in (pooled, single):
+            (row,) = load_json(os.path.join(d, "report.json"))["rows"]
+            samples.append(row["samples"])
+            with open(os.path.join(d, "hypothesis_000.json"), "rb") as fh:
+                hyps.append(fh.read())
+        assert samples[0] == samples[1]
+        assert hyps[0] == hyps[1]
+
+
 class TestSampleCount:
     """A learn row's samples is every example the trial's oracles drew,
     counted exactly, PMAC's restricted and scaled oracles included."""
@@ -401,6 +429,53 @@ class TestNonFiniteValues:
         assert code == EXIT_USAGE
         assert "noise_scale" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+    @pytest.mark.parametrize(
+        "verb,cfg,field",
+        [
+            (
+                "learn",
+                {
+                    "learner": "proper",
+                    "n": 5,
+                    "eval_samples": 1000,
+                    "target": {"max_terms": 3, "max_arity": 2},
+                    "params": {"epsilon": 0.4, "size_bound": math.nan},
+                },
+                "size_bound",
+            ),
+            (
+                "release",
+                {
+                    "release": "synthetic",
+                    "alpha_bar": 0.5,
+                    "epsilon": 1.0,
+                    "delta": 0.1,
+                    "size_bound": math.nan,
+                    "dataset": {"n": 4, "size": 1000},
+                },
+                "size_bound",
+            ),
+            (
+                "release",
+                {
+                    "release": "all-marginals",
+                    "alpha_bar": 0.5,
+                    "epsilon": math.nan,
+                    "delta": 0.1,
+                    "dataset": {"n": 4, "gate_factor": 1},
+                },
+                "epsilon",
+            ),
+        ],
+        ids=["learn-proper-size_bound", "synthetic-size_bound", "gate-epsilon"],
+    )
+    def test_nan_field_is_named(self, tmp_path, capsys, verb, cfg, field):
+        code, out_dir = run(tmp_path, verb, cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}'")
+        assert not os.path.exists(out_dir) or os.listdir(out_dir) == []
 
     def test_nan_target_weight_is_a_usage_error(self, tmp_path, capsys):
         target = {"n": 4, "affine": 0.0, "terms": [{"set": [1], "weight": math.nan}]}

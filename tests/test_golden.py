@@ -66,6 +66,8 @@ def matrix(work: Path) -> dict[str, tuple[str, dict]]:
     ones.write_text("11111\n" * 60)
     return {
         "learn-pac": _learn("pac", 6, {"epsilon": 0.4}, trials=2),
+        # 2^13 cells: draw_counts draws the table as two blocks
+        "learn-pac-n13": _learn("pac", 13, {"epsilon": 0.4}),
         "learn-pmac": _learn("pmac", 6, {"gamma": 0.5, "delta": 0.2}),
         "learn-proper": _learn("proper", 5, {"epsilon": 0.4, "size_bound": 2}),
         "learn-agnostic-uniform": _learn("agnostic", 4, {"epsilon": 0.5}),

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,6 +114,99 @@ class TestUniformTableOracle:
         o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
         with pytest.raises(OracleExhausted):
             o.draw(1 << 27, child_rng(0, 0))
+
+
+def _reference_counts(cells: int, total: int, rng) -> np.ndarray:
+    """draw_counts' block rule as a sequential loop: block totals on rng,
+    block b's cells on rng.spawn(blocks)[b], chunks of at most 4e18."""
+    blocks = cells // learners.BLOCK_CELLS
+    size = cells // blocks
+    counts = np.zeros(cells)
+    remaining = total
+    while remaining > 0:
+        chunk = min(remaining, 4 * 10**18)
+        totals = rng.multinomial(chunk, np.full(blocks, 1.0 / blocks))
+        for b, stream in enumerate(rng.spawn(blocks)):
+            counts[b * size : (b + 1) * size] += stream.multinomial(
+                totals[b], np.full(size, 1.0 / size)
+            )
+        remaining -= chunk
+    return counts
+
+
+class TestBlockSampler:
+    """draw_counts against the single multinomial draw it replaced."""
+
+    SIGMAS = 4  # every moment check allows this many standard errors
+
+    @staticmethod
+    def _table(n: int) -> UniformTableOracle:
+        return UniformTableOracle(n, tuple(range(n)), np.zeros(1 << n))
+
+    @pytest.mark.parametrize("n", [5, 12])  # 2^12 cells is exactly one block
+    def test_one_block_is_the_plain_draw(self, n):
+        cells = 1 << n
+        want = child_rng(4, n).multinomial(123_456, np.full(cells, 1.0 / cells))
+        got = self._table(n).draw_counts(123_456, child_rng(4, n))
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("total", [0, 1, 10**6, 9 * 10**18])
+    def test_counts_sum_to_the_total(self, total):
+        # 9e18 is three chunks; every cell count stays below 2^53
+        counts = self._table(13).draw_counts(total, child_rng(5, 0))
+        assert sum(int(c) for c in counts) == total
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_never_reaches_the_counts(self, monkeypatch, workers):
+        table = self._table(15)  # 8 blocks
+        pooled = table.draw_counts(10**9, child_rng(7, 0))
+        reference = _reference_counts(1 << 15, 10**9, child_rng(7, 0))
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(learners, "_count_pool", lambda: pool)
+            patched = table.draw_counts(10**9, child_rng(7, 0))
+        assert pooled.tobytes() == patched.tobytes() == reference.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+    def test_a_forked_child_draws_blocks(self):
+        table = self._table(13)
+        want = table.draw_counts(10**6, child_rng(8, 0))  # the pool is running
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, whatever happens
+            code = 1
+            try:
+                got = table.draw_counts(10**6, child_rng(8, 0))
+                code = 0 if got.tobytes() == want.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:  # the child hangs on a dead pool
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                break
+            time.sleep(0.01)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_moments_match_the_multinomial(self):
+        cells, total, draws = 1 << 13, 10**6, 400
+        table = self._table(13)
+        counts = np.array(
+            [table.draw_counts(total, child_rng(6, i)) for i in range(draws)]
+        )
+        p = 1.0 / cells
+        cell_var = total * p * (1 - p)
+        # block totals: Binomial(total, 1/2)
+        block = counts[:, : learners.BLOCK_CELLS].sum(axis=1)
+        mean_se = math.sqrt(total / 4 / draws)
+        assert abs(block.mean() - total / 2) < self.SIGMAS * mean_se
+        var_se = (total / 4) * math.sqrt(2 / (draws - 1))
+        assert abs(block.var(ddof=1) - total / 4) < self.SIGMAS * var_se
+        # each cell: Binomial(total, 1/cells); 5 sigmas over 8,192 cells
+        z = (counts.mean(axis=0) - total * p) / math.sqrt(cell_var / draws)
+        assert np.abs(z).max() < 5
+        pooled_var = counts.var(axis=0, ddof=1).mean()
+        pooled_se = cell_var * math.sqrt(2 / (draws - 1)) / math.sqrt(cells)
+        assert abs(pooled_var - cell_var) < self.SIGMAS * pooled_se
 
 
 class TestTableCoeffSource:
