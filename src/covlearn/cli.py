@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .coverage import (
     CoverageFunction,
     dense_table,
     exact_fourier,
+    hoeffding_half_width,
     junta_variables,
     l1_distance_mc,
     average_project,
@@ -296,12 +298,7 @@ def _run_learn_trial(
         dnf = random_disjoint_dnf(n, s, tseed)
         target_cov = dnf_to_coverage(dnf)
         truth, dist = dnf.eval_masks, DistributionSpec.uniform(n)
-
-        def labels(masks, rng):
-            drawn[0] += len(masks)
-            return dnf.eval_masks(masks)
-
-        oracle = SampledOracle(dist, labels)
+        oracle = SampledOracle(dist, lambda masks, rng: dnf.eval_masks(masks))
         if inner_kind == "exact":
             inner_learner = lambda orc, e: target_cov
         elif inner_kind == "perturbed":
@@ -364,7 +361,7 @@ def _run_learn_trial(
         mult_fraction = float(
             ((hv <= cv + tol) & (cv <= (1 + gamma) * hv + tol)).mean()
         )
-        hw = float(np.sqrt(np.log(2 / 0.05) / (2 * eval_samples)))
+        hw = hoeffding_half_width(eval_samples, 1)
         err = float(np.abs(hv - cv).mean())
         success = mult_fraction >= 1 - delta
     else:
@@ -411,20 +408,23 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
 # release
 
 
-def _release_gate(variant: str, n: int, cfg: dict, alpha_bar: float) -> float:
-    epsilon = _get(cfg, "epsilon", float, required=True)
-    delta = _get(cfg, "delta", float, required=True)
+def _release_gate(
+    variant: str, n: int, alpha_bar: float, epsilon: float, delta: float,
+    size_bound: float,
+) -> float:
     if variant == "all-marginals":
         q, tau = marginals_query_budget(n, alpha_bar)
     elif variant == "k-way":
         q, tau = k_way_query_budget(n, alpha_bar)
     else:
-        q, tau = synthetic_query_budget(n, alpha_bar, _size_bound(cfg))
+        q, tau = synthetic_query_budget(n, alpha_bar, size_bound)
     return gate_size(q, tau, epsilon, delta)
 
 
-def _release_dataset(cfg: dict, alpha_bar: float, variant: str) -> Dataset:
-    block = cfg.get("dataset")
+def _release_dataset(block, seed: int, gate: Callable[[int], float]) -> Dataset:
+    """The dataset at the block's path, or one drawn i.i.d. uniform on
+    child_rng(seed, 10**6 + 1) with the block's size, or with gate_factor
+    times gate(n), the admission gate of a dataset on n coordinates."""
     if not isinstance(block, dict):
         raise SchemaError("release config needs a 'dataset' object")
     if "path" in block:
@@ -437,8 +437,7 @@ def _release_dataset(cfg: dict, alpha_bar: float, variant: str) -> Dataset:
         factor = _get(block, "gate_factor", float, required=True)
         if not factor > 0:
             raise SchemaError("field 'gate_factor': must be > 0")
-        size = math.ceil(factor * max(_release_gate(variant, n, cfg, alpha_bar), 1.0))
-    seed = _get(cfg, "seed", int, 0)
+        size = math.ceil(factor * max(gate(n), 1.0))
     return Dataset.iid_uniform(n, size, child_rng(seed, 10**6 + 1))
 
 
@@ -457,7 +456,12 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     seed = _get(cfg, "seed", int, 0)
     eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
     size_bound = _size_bound(cfg) if variant == "synthetic" else math.inf
-    d = _release_dataset(cfg, alpha_bar, variant)
+    k = _get(cfg, "k", int, required=True) if variant == "k-way" else None
+    d = _release_dataset(
+        cfg.get("dataset"),
+        seed,
+        lambda n: _release_gate(variant, n, alpha_bar, epsilon, delta, size_bound),
+    )
     truth_table = all_conjunction_answers(d)
 
     def run_trial(trial: int) -> dict:
@@ -467,7 +471,6 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
             summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
             qdist = DistributionSpec.uniform(d.n)
         elif variant == "k-way":
-            k = _get(cfg, "k", int, required=True)
             summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
             qdist = DistributionSpec.layer(d.n, k)
         else:
@@ -478,7 +481,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
         x_masks = sample_masks(qdist, eval_queries, child_rng(seed, trial, 2))
         answers = summary.answer_masks(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
-        hw = float(np.sqrt(np.log(2 / 0.05) / (2 * eval_queries)))
+        hw = hoeffding_half_width(eval_queries, 1)
         row = {
             "trial": trial,
             "seed": tseed,
@@ -510,7 +513,6 @@ def _selftest_checks():
         for i in range(100):
             c = random_coverage(8, 10, 6, 1000 + i)
             assert exact_fourier(c).spectral_l1() <= 2 + 1e-9
-        return True
 
     def coefficient_monotonicity():
         for i in range(30):
@@ -527,13 +529,11 @@ def _selftest_checks():
                     if sub == 0:
                         break
                     sub = (sub - 1) & v
-        return True
 
     def expectation_bound():
         for i in range(50):
             c = random_coverage(8, 10, 6, 3000 + i)
             assert exact_fourier(c)[0] >= dense_table(c).max() / 2 - 1e-12
-        return True
 
     def junta_projection():
         for i in range(30):
@@ -545,7 +545,6 @@ def _selftest_checks():
                 proj = average_project(c, i_set)
                 l1 = float(np.abs(dense_table(c) - dense_table(proj)).mean())
                 assert l1 <= eps + 1e-12
-        return True
 
     def parseval():
         for i in range(50):
@@ -553,7 +552,6 @@ def _selftest_checks():
             table = dense_table(c)
             total = sum(v * v for v in exact_fourier(c).coeffs.values())
             assert abs(total - float((table**2).mean())) <= 1e-9
-        return True
 
     def fourier_path_agreement():
         for i in range(50):
@@ -562,7 +560,6 @@ def _selftest_checks():
             b = exact_fourier(c, "wht")
             keys = set(a.coeffs) | set(b.coeffs)
             assert all(abs(a[k] - b[k]) <= 1e-9 for k in keys)
-        return True
 
     def counting_identity():
         for i in range(20):
@@ -573,7 +570,6 @@ def _selftest_checks():
             table = all_conjunction_answers(d)
             masks = np.arange(1 << n, dtype=np.uint64)
             assert np.abs(cd.eval_masks(masks) - (1.0 - table[masks])).max() <= 1e-12
-        return True
 
     def lp_duality():
         for i in range(20):
@@ -582,7 +578,6 @@ def _selftest_checks():
             targets = rng.random(40)
             sol = solve_l1(L1Problem(design, targets))
             assert sol.duality_gap <= 1e-7
-        return True
 
     def lattice_exactness():
         for i in range(20):
@@ -594,7 +589,6 @@ def _selftest_checks():
             )
             brute = {m for m in range(1, 1 << c.n) if abs(t[m]) >= theta}
             assert {m for m in kept if m != 0} == brute
-        return True
 
     return [
         ("spectral-norm-bound", spectral_norm),
@@ -672,9 +666,5 @@ def main(argv=None) -> int:
         return EXIT_GATE
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

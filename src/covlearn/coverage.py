@@ -231,9 +231,9 @@ def l1_distance_mc(
     """Monte-Carlo estimate of E_d |f - g| with a Hoeffding half-width.
 
     f and g map arrays of point masks to value arrays.  Returns (estimate,
-    half-width) where the half-width is sqrt(2*ln(2/0.05)/samples): the 95%
-    two-sided Hoeffding half-width for a mean of gaps in a range of width 2,
-    such as [-1,1].  For gaps in [0,1] it is twice as wide as needed.
+    hoeffding_half_width(samples, 2)): the half-width assumes gaps in a
+    range of width 2, such as [-1,1].  For gaps in [0,1] it is twice as wide
+    as needed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -245,5 +245,10 @@ def l1_distance_mc(
         masks = sample_masks(d, chunk, rng)
         total += float(np.abs(f(masks) - g(masks)).sum())
         remaining -= chunk
-    half_width = float(np.sqrt(np.log(2 / 0.05) * 2 / samples))
-    return total / samples, half_width
+    return total / samples, hoeffding_half_width(samples, 2)
+
+
+def hoeffding_half_width(samples: int, width: float) -> float:
+    """The 95% two-sided Hoeffding half-width of a mean of `samples` values
+    in a range of the given width: sqrt(width^2 ln(2/0.05) / (2 samples))."""
+    return float(np.sqrt(width**2 * np.log(2 / 0.05) / (2 * samples)))

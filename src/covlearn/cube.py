@@ -21,10 +21,6 @@ class DimensionMismatch(ValueError):
     """Operands live on cubes of different dimension."""
 
 
-def popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
-
-
 def parity_sign(masks: np.ndarray) -> np.ndarray:
     """(-1)**popcount(mask) as an int8 array of +-1."""
     return (1 - 2 * (np.bitwise_count(masks).astype(np.int8) & 1)).astype(np.int8)

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import cube
-from .coverage import CoverageFunction, walsh_hadamard
+from .coverage import MAX_DENSE_N, CoverageFunction, walsh_hadamard
 from .cube import (
     DistributionSpec,
     IndexSet,
@@ -42,7 +42,6 @@ from .cube import (
     child_seed,
     eval_disjunction_batch,
     eval_parity_batch,
-    popcount,
 )
 from .estimation import (
     CoeffSource,
@@ -112,7 +111,7 @@ class SparsePolynomial:
             out = _eval_parity_poly(self.n, self.coeffs, masks)
         else:
             out = np.zeros(len(masks), dtype=np.float64)
-            weights = popcount(masks)
+            weights = np.bitwise_count(masks)
             for k, coeffs in self.layers.items():
                 sel = weights == k
                 if sel.any():
@@ -128,9 +127,7 @@ class SparsePolynomial:
 def _eval_parity_poly(
     n: int, coeffs: Mapping[int, float], masks: np.ndarray
 ) -> np.ndarray:
-    if not coeffs:
-        return np.zeros(len(masks), dtype=np.float64)
-    if len(coeffs) > DENSE_EVAL_SUPPORT and n <= 24:
+    if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
         size = len(coeffs)
         dense[np.fromiter(coeffs.keys(), np.int64, size)] = np.fromiter(
@@ -199,9 +196,6 @@ class PmacHypothesis:
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
         return self.root.eval_masks(np.asarray(masks, dtype=np.uint64))
-
-    def __call__(self, mask: int) -> float:
-        return float(self.eval_masks(np.array([mask], dtype=np.uint64))[0])
 
     def depth(self) -> int:
         return self.root.depth()
@@ -410,22 +404,32 @@ def pac_core(
     return SparsePolynomial(n, "parity", kept)
 
 
+def _sampled_phases(
+    oracle, seed: int, tol1: float, tol2: float, failure: float
+) -> tuple[CoeffSource, Callable[[int], CoeffSource]]:
+    """The two sampled phases of a screen and search, each failing with
+    probability at most `failure` by a union bound: phase 1 draws enough
+    examples on child_rng(seed, 1) for all n singleton estimates to lie
+    within tol1, phase 2 enough on child_rng(seed, 2) for a pool of
+    estimates to lie within tol2."""
+    m1 = hoeffding_samples(tol1, failure / oracle.n)
+    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
+
+    def phase2_for(pool: int) -> CoeffSource:
+        m2 = hoeffding_samples(tol2, failure / pool)
+        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
+
+    return phase1, phase2_for
+
+
 def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
     """PAC learner from uniform examples with l1 error eps (confidence 2/3
     when the target is a coverage function)."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    n = oracle.n
     theta = eps * eps / PAC_THETA_DIV
-    m1 = hoeffding_samples(theta / 2, PAC_PHASE_FAILURE / n)
-    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
-
-    def phase2_for(pool: int) -> CoeffSource:
-        failure = PAC_PHASE_FAILURE / pool
-        m2 = hoeffding_samples(theta / 2, failure)
-        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
-
-    return pac_core(n, eps, phase1, phase2_for)
+    phases = _sampled_phases(oracle, seed, theta / 2, theta / 2, PAC_PHASE_FAILURE)
+    return pac_core(oracle.n, eps, *phases)
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +567,7 @@ def proper_pac_core(
     examples drawn from the `examples` oracle with rng."""
     theta = eps * eps / PROPER_THETA_DIV
     max_level = math.ceil(math.log2(6.0 / eps))
-    keep_thr = eps * eps / (54.0 * s_eps)
+    keep_thr = eps * eps / (PROPER_THETA_DIV / 2 * s_eps)
     kept = _screen_and_search(
         n, theta, keep_thr, max_level, phase1_source, phase2_source_for
     )
@@ -586,21 +590,11 @@ def proper_pac_learn(
         raise ValueError("eps must lie in (0,1)")
     if not size_bound >= 1:  # NaN fails too
         raise ValueError("size_bound must be >= 1")
-    n = oracle.n
     s_eps = proper_size_bound(eps, size_bound)
     theta = eps * eps / PROPER_THETA_DIV
-    est_tol = eps * eps / (108.0 * s_eps)
-    m1 = hoeffding_samples(theta / 2, PROPER_PHASE_FAILURE / n)
-    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
-
-    def phase2_for(pool: int) -> CoeffSource:
-        failure = PROPER_PHASE_FAILURE / pool
-        m2 = hoeffding_samples(est_tol, failure)
-        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
-
-    return proper_pac_core(
-        n, eps, s_eps, phase1, phase2_for, oracle, child_rng(seed, 3)
-    )
+    est_tol = eps * eps / (PROPER_THETA_DIV * s_eps)
+    phases = _sampled_phases(oracle, seed, theta / 2, est_tol, PROPER_PHASE_FAILURE)
+    return proper_pac_core(oracle.n, eps, s_eps, *phases, oracle, child_rng(seed, 3))
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +657,7 @@ def agnostic_learn(
 
     m = regression_samples(eps, len(features))
     masks, labels = oracle.draw(m, child_rng(seed, 0))
-    weights = popcount(masks)
+    weights = np.bitwise_count(masks)
     design = np.empty((m, len(features)), dtype=np.float64)
     for j, (k, t) in enumerate(features):
         column = eval_parity_batch(t, masks)

@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coverage import CoverageFunction
-from .cube import DistributionSpec, child_rng, popcount
+from .coverage import MAX_DENSE_N, CoverageFunction
+from .cube import MAX_COMPACT_N, DistributionSpec, child_rng
 from .estimation import CoeffSource, check_masks, hoeffding_samples
 from .learners import (
     PAC_THETA_DIV,
@@ -80,6 +80,7 @@ class Dataset:
             raise ValueError("dimension must be >= 1")
         if len(self.masks) != len(self.mults):
             raise ValueError("masks and multiplicities must have equal length")
+        check_masks(self.masks, self.n)
         if len(np.unique(self.masks)) != len(self.masks):
             raise ValueError("masks must be distinct")
         if (self.mults < 1).any():
@@ -87,6 +88,8 @@ class Dataset:
 
     @classmethod
     def from_points(cls, masks: Iterable[int], n: int) -> "Dataset":
+        if n > MAX_COMPACT_N:
+            raise ValueError(f"point width {n} is over the cap of {MAX_COMPACT_N}")
         arr = np.asarray(list(masks), dtype=np.uint64)
         uniq, counts = np.unique(arr, return_counts=True)
         return cls(n, uniq, counts.astype(np.int64))
@@ -103,8 +106,10 @@ class Dataset:
     @classmethod
     def iid_uniform(cls, n: int, size: int, rng: np.random.Generator) -> "Dataset":
         """Exact i.i.d. uniform dataset of any size below 2^63 via cell counts."""
-        if n > 24:
-            raise ValueError("aggregated uniform sampling supports n <= 24")
+        if n > MAX_DENSE_N:
+            raise ValueError(
+                f"aggregated uniform sampling supports n <= {MAX_DENSE_N}"
+            )
         if not 0 <= size < 1 << 63:
             raise ValueError(f"dataset size {size} is outside [0, 2^63)")
         counts = rng.multinomial(size, np.full(1 << n, 2.0**-n))
@@ -162,10 +167,10 @@ def all_conjunction_answers(d: Dataset) -> np.ndarray:
 
     Returns a length-2^n array indexed by set mask: entry S is the fraction
     of dataset rows z with S contained in the -1-coordinates of z, computed
-    by a superset-sum transform (n <= 24).
+    by a superset-sum transform (n <= MAX_DENSE_N).
     """
-    if d.n > 24:
-        raise ValueError("dense conjunction table needs n <= 24")
+    if d.n > MAX_DENSE_N:
+        raise ValueError(f"dense conjunction table needs n <= {MAX_DENSE_N}")
     if d.is_empty():
         raise ValueError("counting query on an empty dataset")
     table = np.zeros(1 << d.n, dtype=np.float64)
@@ -258,7 +263,7 @@ def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
 
     def predicate(masks: np.ndarray) -> np.ndarray:
         s_neg = ~masks & np.uint64(full)
-        scale = 2.0 ** -popcount(s_neg).astype(np.float64)
+        scale = 2.0 ** -np.bitwise_count(s_neg).astype(np.float64)
         if t_mask == 0:
             or_hat = 1.0 - scale
         else:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from covlearn import learners, regression
+from covlearn import cli, learners, regression
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.cli import (
     EXIT_CONTRACT,
@@ -398,6 +398,84 @@ class TestOutOfRange:
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+class TestSchemaBranches:
+    """Each way a config can fail the schema is one error line, exit 2."""
+
+    LEARN = TestCountFields.LEARN
+    RELEASE = TestCountFields.RELEASE
+    AGNOSTIC = dict(LEARN, learner="agnostic", params={"epsilon": 0.5})
+    DNF = dict(LEARN, learner="dnf-reduction")
+
+    @pytest.mark.parametrize(
+        "verb,cfg,message",
+        [
+            (
+                "release",
+                {k: v for k, v in RELEASE.items() if k != "alpha_bar"},
+                "missing required field 'alpha_bar'",
+            ),
+            ("release", dict(RELEASE, release="k-way", k="two"), "field 'k': "),
+            ("learn", dict(AGNOSTIC, distribution=5), "distribution must be"),
+            (
+                "learn",
+                dict(AGNOSTIC, distribution={"variant": "layer", "n": 4}),
+                "distribution field 'k' is missing",
+            ),
+            (
+                "learn",
+                dict(AGNOSTIC, distribution={"variant": "gaussian", "n": 4}),
+                "unknown distribution variant 'gaussian'",
+            ),
+            (
+                "generate",
+                {"coverage": {"n": 3, "max_terms": 2, "max_arity": 5}},
+                "coverage block: ",
+            ),
+            (
+                "generate",
+                {
+                    "dataset": {
+                        "distribution": {"variant": "uniform", "n": 3},
+                        "size": 1_000_001,
+                    }
+                },
+                "exceeds the text expansion cap",
+            ),
+            (
+                "learn",
+                {k: v for k, v in LEARN.items() if k != "target"},
+                "needs a 'target' object",
+            ),
+            ("learn", dict(LEARN, params=[0.4]), "'params' must be an object"),
+            (
+                "learn",
+                dict(DNF, params={"s": 2, "epsilon": 0.3, "inner": "oracle"}),
+                "field 'inner'",
+            ),
+            (
+                "release",
+                {k: v for k, v in RELEASE.items() if k != "dataset"},
+                "needs a 'dataset' object",
+            ),
+            ("learn", [LEARN], "config root must be a JSON object"),
+        ],
+        ids=[
+            "missing-field", "unconvertible-field", "distribution-not-object",
+            "distribution-missing-field", "distribution-unknown-variant",
+            "coverage-block", "dataset-over-expansion-cap", "no-target",
+            "params-not-object", "unknown-inner", "no-dataset", "root-not-object",
+        ],
+    )
+    def test_exits_with_one_error_line(self, tmp_path, capsys, verb, cfg, message):
+        code, out_dir = run(tmp_path, verb, cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+        assert not os.path.exists(out_dir) or os.listdir(out_dir) == []
+
+
 class TestNonFiniteValues:
     """NaN, infinite or negative values are usage errors, never published."""
 
@@ -551,6 +629,16 @@ class TestRelease:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: dataset size") and len(err.splitlines()) == 1
+
+    def test_dataset_wider_than_64_is_a_usage_error(self, tmp_path, capsys):
+        data_path = tmp_path / "wide.txt"
+        data_path.write_text(("10" * 35 + "\n") * 20)
+        cfg = dict(TestCountFields.RELEASE, dataset={"path": str(data_path)})
+        code, out_dir = run(tmp_path, "release", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: point width 70") and len(err.splitlines()) == 1
+        assert os.listdir(out_dir) == []
 
     def test_empty_synthetic_release(self, tmp_path, capsys):
         # every row all -1: c_D is zero, the learned hypothesis rounds to
@@ -707,3 +795,17 @@ class TestSelftest:
         ):
             assert f"ok   {name}" in out
         assert "selftest: pass" in out
+
+    def test_failing_check_prints_fail_and_exits_1(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError
+
+        checks = [
+            (name, broken if name == "parseval" else check)
+            for name, check in cli._selftest_checks()
+        ]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks)
+        assert main(["selftest"]) == EXIT_CONTRACT
+        out = capsys.readouterr().out
+        assert "FAIL parseval" in out and "ok   lp-duality" in out
+        assert "selftest: 1 failures" in out

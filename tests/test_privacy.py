@@ -65,6 +65,27 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(2, np.array([1], dtype=np.uint64), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "n,masks",
+        [(3, [8, 1]), (1, [2]), (63, [1 << 63]), (5, [-1, 2])],
+        ids=["n3", "n1", "n63", "negative"],
+    )
+    def test_rejects_points_outside_the_cube(self, n, masks):
+        # a mask of bit n or above would count as a point of the cube it is
+        # not in, and index past the conjunction table
+        with pytest.raises(ValueError, match="outside"):
+            Dataset(n, np.array(masks), np.ones(len(masks), dtype=np.int64))
+
+    def test_accepts_every_point_at_n64(self):
+        masks = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        d = Dataset(64, masks, np.array([1, 2, 3]))
+        assert d.size == 6
+        assert Dataset.from_points([(1 << 64) - 1, 0], 64).size == 2
+
+    def test_from_points_refuses_a_width_over_64(self):
+        with pytest.raises(ValueError, match="width 65"):
+            Dataset.from_points([1 << 64], 65)
+
     def test_iid_uniform_exact_size(self):
         d = Dataset.iid_uniform(6, 12345, child_rng(0, 0))
         assert d.size == 12345

@@ -14,7 +14,6 @@ from covlearn.regression import (
     SIMPLEX_LIKE,
     UNCONSTRAINED,
     L1Problem,
-    L1Solution,
     solve_l1,
 )
 
@@ -215,10 +214,6 @@ class TestValidation:
     def test_rejects_unknown_constraint(self):
         with pytest.raises(ValueError):
             L1Problem(np.ones((1, 1)), np.zeros(1), "convex")
-
-    def test_solution_rejects_unknown_status(self):
-        with pytest.raises(ValueError):
-            L1Solution(np.zeros(1), 0.0, 0.0, "maybe")
 
 
 class TestMedianExample:
