@@ -20,6 +20,7 @@ from .estimation import (
 )
 from .learners import (
     BasisTooLarge,
+    DesignTooLarge,
     DisjointDnf,
     DnfClassifier,
     OracleExhausted,

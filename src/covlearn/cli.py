@@ -99,6 +99,14 @@ class SchemaError(ValueError):
     """Config does not match the expected schema."""
 
 
+def _integer(value) -> int:
+    """int(value) for an integral value; a boolean or a non-integral number
+    is refused rather than truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
     if key not in cfg:
         if required:
@@ -112,7 +120,7 @@ def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
 
 
 def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
-    value = _get(cfg, key, int, default, required)
+    value = _get(cfg, key, _integer, default, required)
     if value < 1:
         raise SchemaError(f"field {key!r}: must be >= 1")
     return value
@@ -125,17 +133,24 @@ def _size_bound(cfg: dict) -> float:
     return size_bound
 
 
+def _dist_integer(obj: dict, key: str) -> int:
+    if key not in obj:
+        raise KeyError(key)  # reported as a missing distribution field
+    return _get(obj, key, _integer)
+
+
 def _dist_from_json(obj) -> DistributionSpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise SchemaError("distribution must be an object with a 'variant' field")
     variant = obj["variant"]
     try:
         if variant == "uniform":
-            return DistributionSpec.uniform(int(obj["n"]))
+            return DistributionSpec.uniform(_dist_integer(obj, "n"))
         if variant == "product":
             return DistributionSpec.product([float(b) for b in obj["biases"]])
         if variant == "layer":
-            return DistributionSpec.layer(int(obj["n"]), int(obj["k"]))
+            n, k = _dist_integer(obj, "n"), _dist_integer(obj, "k")
+            return DistributionSpec.layer(n, k)
         if variant == "symmetric":
             return DistributionSpec.symmetric([float(w) for w in obj["weights"]])
     except KeyError as exc:
@@ -150,13 +165,13 @@ def _dist_from_json(obj) -> DistributionSpec:
 
 
 def cmd_generate(cfg: dict, out_dir: str) -> int:
-    seed = _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", _integer, 0)
     did_anything = False
     if "coverage" in cfg:
         block = cfg["coverage"]
-        n = _get(block, "n", int, required=True)
-        max_terms = _get(block, "max_terms", int, required=True)
-        max_arity = _get(block, "max_arity", int, required=True)
+        n = _get(block, "n", _integer, required=True)
+        max_terms = _get(block, "max_terms", _integer, required=True)
+        max_arity = _get(block, "max_arity", _integer, required=True)
         count = _count(block, "count", 1)
         pattern = _get(block, "out", str, "target_{i}.json")
         for i in range(count):
@@ -257,8 +272,8 @@ def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
         if target.n != n:
             raise SchemaError(f"target has n={target.n} but the config has n={n}")
         return target
-    max_terms = _get(block, "max_terms", int, required=True)
-    max_arity = _get(block, "max_arity", int, required=True)
+    max_terms = _get(block, "max_terms", _integer, required=True)
+    max_arity = _get(block, "max_arity", _integer, required=True)
     return random_coverage(n, max_terms, max_arity, trial_seed)
 
 
@@ -292,7 +307,7 @@ def _run_learn_trial(
     drawn = [0]  # examples drawn by the trial's oracles
     start = time.monotonic()
     if learner == "dnf-reduction":
-        s = _get(params, "s", int, required=True)
+        s = _get(params, "s", _integer, required=True)
         eps = _get(params, "epsilon", float, required=True)
         inner_kind = _get(params, "inner", str, "exact")
         dnf = random_disjoint_dnf(n, s, tseed)
@@ -393,7 +408,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             f"unknown learner {learner!r}; valid names: {', '.join(LEARNER_NAMES)}"
         )
     trials = _count(cfg, "trials", 1)
-    seed = _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", _integer, 0)
     eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
 
     def run_trial(trial: int) -> dict:
@@ -453,10 +468,10 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
         raise SchemaError("field 'epsilon': must be > 0")
     delta = _get(cfg, "delta", float, required=True)
     trials = _count(cfg, "trials", 1)
-    seed = _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", _integer, 0)
     eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
     size_bound = _size_bound(cfg) if variant == "synthetic" else math.inf
-    k = _get(cfg, "k", int, required=True) if variant == "k-way" else None
+    k = _get(cfg, "k", _integer, required=True) if variant == "k-way" else None
     d = _release_dataset(
         cfg.get("dataset"),
         seed,

@@ -66,6 +66,7 @@ PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 BOOST_REPS_FACTOR = 8  # r = ceil(8 ln(2/eta)) repetitions
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
+DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
 BLOCK_CELLS = 1 << 12  # cells per count block; fixes which counts a seed gives
 
@@ -76,6 +77,10 @@ class OracleExhausted(RuntimeError):
 
 class BasisTooLarge(ValueError):
     """Feature basis exceeds the documented column cap."""
+
+
+class DesignTooLarge(ValueError):
+    """Regression design exceeds the documented byte cap."""
 
 
 # --------------------------------------------------------------------------
@@ -541,12 +546,14 @@ def _fit_coverage(
     n: int, sets: Sequence[int], masks: np.ndarray, labels: np.ndarray
 ) -> CoverageFunction:
     """Simplex-constrained l1 fit of the labels over an affine column plus
-    one OR_S column per set; the weights form a coverage function."""
-    design = np.empty((len(masks), len(sets) + 1), dtype=np.float64)
+    one OR_S column per set; the weights form a coverage function.  The
+    design has one row per distinct drawn point."""
+    points, rows = np.unique(masks, return_inverse=True)
+    design = np.empty((len(points), len(sets) + 1), dtype=np.float64)
     design[:, 0] = 1.0
     for j, s in enumerate(sets):
-        design[:, j + 1] = eval_disjunction_batch(s, masks)
-    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE))
+        design[:, j + 1] = eval_disjunction_batch(s, points)
+    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE, rows))
     affine = float(sol.coefficients[0])
     terms = {s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0}
     return CoverageFunction(n, affine, terms)
@@ -577,6 +584,7 @@ def proper_pac_core(
         hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE),
         regression_samples(eps, len(sets) + 1),
     )
+    _check_design(m3, 1 << n, len(sets) + 1)
     return _fit_coverage(n, sets, *examples.draw(m3, rng))
 
 
@@ -621,6 +629,27 @@ def _check_columns(n: int, degree: int, blocks: int = 1) -> None:
         raise BasisTooLarge(f"basis needs {count} features, over the cap {MAX_COLUMNS}")
 
 
+def _support_size(d: DistributionSpec) -> int:
+    """Number of points of the cube to which d gives positive mass."""
+    if d.variant == "layer":
+        return math.comb(d.n, d.k)
+    if d.variant == "symmetric":
+        return sum(math.comb(d.n, k) for k, w in enumerate(d.layer_weights) if w > 0)
+    return 1 << d.n  # product biases lie in (0, 1)
+
+
+def _check_design(examples: int, support: int, columns: int) -> None:
+    """Rejects a regression design over DESIGN_BYTES_CAP before any of its
+    examples is drawn: it has one float64 row per distinct drawn point, so
+    at most min(examples, support) rows of `columns` features."""
+    size = min(examples, support) * columns * 8
+    if size > DESIGN_BYTES_CAP:
+        raise DesignTooLarge(
+            f"regression design needs up to {size} bytes, "
+            f"over the cap {DESIGN_BYTES_CAP}"
+        )
+
+
 def agnostic_degree(eps: float) -> int:
     return math.ceil(math.log2(3.0 / eps))
 
@@ -656,13 +685,15 @@ def agnostic_learn(
     features = [(k, t) for k in blocks for t in parities]
 
     m = regression_samples(eps, len(features))
+    _check_design(m, _support_size(d), len(features))
     masks, labels = oracle.draw(m, child_rng(seed, 0))
-    weights = np.bitwise_count(masks)
-    design = np.empty((m, len(features)), dtype=np.float64)
+    points, rows = np.unique(masks, return_inverse=True)
+    weights = np.bitwise_count(points)
+    design = np.empty((len(points), len(features)), dtype=np.float64)
     for j, (k, t) in enumerate(features):
-        column = eval_parity_batch(t, masks)
+        column = eval_parity_batch(t, points)
         design[:, j] = column if k is None else column * (weights == k)
-    sol = solve_l1(L1Problem(design, labels, UNCONSTRAINED))
+    sol = solve_l1(L1Problem(design, labels, UNCONSTRAINED, rows))
 
     layers: dict = {k: {} for k in blocks}
     for (k, t), v in zip(features, sol.coefficients):
@@ -701,6 +732,7 @@ def proper_agnostic_learn(
     _check_columns(d.n, k_len)
     sets = sets_up_to(d.n, k_len, include_empty=False)
     m = regression_samples(half, len(sets) + 1)
+    _check_design(m, _support_size(d), len(sets) + 1)
     return _fit_coverage(d.n, sets, *oracle.draw(m, child_rng(seed, 0)))
 
 

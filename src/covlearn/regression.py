@@ -7,14 +7,18 @@ sum(beta) <= 1 ("simplex-like", which makes the fit a legal coverage
 weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
 with equality rows Phi beta + r+ - r- = y and objective sum(r+ + r-).
 
-The loss is separable by design row, so the LP has one equality row per
-distinct design row (Barrodale and Roberts 1973).  One sort groups the
-examples by design row.  Equal targets of a row become one target weighted
-by its count.  A row with several distinct targets, as noisy private labels
-give, keeps them as sorted breakpoints of its convex piecewise-linear loss,
-one bounded segment column per gap between consecutive targets.  The
-optimum is that of one row per example, and the primal-dual gap is in units
-of the sum of |r_i| over the original rows.
+Callers draw m examples from a support that is often far smaller, so a
+problem holds the design once per distinct drawn point, plus each
+example's point index and target.  The loss is separable by design row, so
+the LP has one equality row per distinct design row (Barrodale and Roberts
+1973).  A sort of the points groups those that share a design row, and one
+two-key sort orders the examples by (group, target).  Equal targets of a
+row become one target weighted by its count.  A row with several distinct
+targets, as noisy private labels give, keeps them as sorted breakpoints of
+its convex piecewise-linear loss, one bounded segment column per gap
+between consecutive targets.  The optimum is that of one row per example,
+and the primal-dual gap is in units of the sum of |r_i| over the original
+rows.
 """
 
 from __future__ import annotations
@@ -43,25 +47,39 @@ class LPNotOptimal(RuntimeError):
 
 @dataclass(frozen=True)
 class L1Problem:
-    """design: rows = samples, columns = features; targets in [0,1]."""
+    """points: one design row per distinct point, columns = features;
+    targets in [0,1], one per example; rows: each example's point index.
+    With no index, example i is point i."""
 
-    design: np.ndarray
+    points: np.ndarray
     targets: np.ndarray
     constraint: str = UNCONSTRAINED
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.design.ndim != 2 or self.design.shape[0] < 1:
+        if self.points.ndim != 2 or min(self.points.shape[0], len(self.targets)) < 1:
             raise ValueError("design matrix needs at least one row")
-        if self.design.shape[0] != len(self.targets):
-            raise ValueError("row count must match target count")
-        if self.design.shape[1] > MAX_COLUMNS:
+        if not 1 <= self.points.shape[1] <= MAX_COLUMNS:
             raise ValueError(
-                f"{self.design.shape[1]} feature columns exceed the cap {MAX_COLUMNS}"
+                f"{self.points.shape[1]} feature columns, not 1 to {MAX_COLUMNS}"
             )
-        if not np.isfinite(self.design).all() or not np.isfinite(self.targets).all():
+        if self.rows is None and self.points.shape[0] != len(self.targets):
+            raise ValueError("row count must match target count")
+        rows = np.arange(len(self.targets)) if self.rows is None else self.rows
+        if rows.dtype.kind not in "iu" or rows.shape != (len(self.targets),):
+            raise ValueError("rows must hold one integer point index per target")
+        if not 0 <= rows.min() <= rows.max() < self.points.shape[0]:
+            raise ValueError("point index out of range")
+        object.__setattr__(self, "rows", rows)
+        if not np.isfinite(self.points).all() or not np.isfinite(self.targets).all():
             raise ValueError("design and targets must be finite")
         if self.constraint not in (UNCONSTRAINED, SIMPLEX_LIKE):
             raise ValueError(f"unknown constraint flag {self.constraint!r}")
+
+    @property
+    def design(self) -> np.ndarray:
+        """The dense design, one row per example."""
+        return self.points[self.rows]
 
 
 @dataclass(frozen=True)
@@ -73,28 +91,35 @@ class L1Solution:
 
 
 def _group_by_design_row(
-    design: np.ndarray, targets: np.ndarray
+    points: np.ndarray, rows: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Group the examples by design row.
 
-    Groups come in first-occurrence order.  Within a group, equal targets
-    become one target weighted by its count, and targets ascend.  Returns
-    the groups' design rows, smallest targets and sizes, and for each gap
-    between consecutive targets of a group: its group, its width, and its
-    slope, the group's count at or below the gap minus its count above it.
+    Points that share a design row form one group.  Groups come in order of
+    their earliest example, and each takes its LP row from that example's
+    point.  Within a group, equal targets become one target weighted by
+    their count, and targets ascend.  Returns the groups' design rows,
+    smallest targets and sizes, and for each gap between consecutive targets
+    of a group: its group, its width, and its slope, the group's count at or
+    below the gap minus its count above it.
     """
     m = len(targets)
-    by = np.lexsort((targets, *design.T))
-    ordered = design[by]
-    runs = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    first = np.repeat(np.minimum.reduceat(by, runs), np.diff(np.r_[runs, m]))
-    # stable, so targets still ascend within each group
-    order = np.argsort(first, kind="stable")
-    first, y = first[order], targets[by[order]]
-    new = np.r_[True, first[1:] != first[:-1]]
+    by = np.lexsort(points.T)
+    ordered = points[by]
+    label = np.empty(len(points), dtype=np.intp)
+    label[by] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]) - 1
+    label = label[rows]
+    earliest = np.full(label.max() + 1, m)
+    np.minimum.at(earliest, label, np.arange(m))
+    rank = np.argsort(np.argsort(earliest))  # unused labels rank last
+    group = rank[label]
+    # stable, so among equal targets the earliest example comes first
+    by = np.lexsort((targets, group))
+    group, y = group[by], targets[by]
+    new = np.r_[True, group[1:] != group[:-1]]
     distinct = np.flatnonzero(new | np.r_[True, y[1:] != y[:-1]])
     w = np.diff(np.r_[distinct, m]).astype(np.float64)
-    first, y, new = first[distinct], y[distinct], new[distinct]
+    y, new = y[distinct], new[distinct]
     starts = np.flatnonzero(new)
     group = np.cumsum(new) - 1
     weight = np.add.reduceat(w, starts)
@@ -102,7 +127,7 @@ def _group_by_design_row(
     at_or_below -= (at_or_below - w)[starts][group]
     gap = np.flatnonzero(~new[1:])
     return (
-        design[first[starts]],
+        points[rows[np.sort(earliest)[: len(starts)]]],
         y[starts],
         weight,
         group[gap],
@@ -127,7 +152,7 @@ def solve_l1(p: L1Problem) -> L1Solution:
     optimum.
     """
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
-        p.design, p.targets
+        p.points, p.rows, p.targets
     )
     m, k = rows.shape
     s = len(seg_row)
@@ -172,7 +197,8 @@ def solve_l1(p: L1Problem) -> L1Solution:
             if total > 1.0 + CONSTRAINT_TOL:
                 raise RuntimeError("LP violated the simplex constraint")
             beta = beta / total
-    objective = float(np.abs(p.design @ beta - p.targets).sum()) / len(p.targets)
+    fitted = (p.points @ beta)[p.rows]
+    objective = float(np.abs(fitted - p.targets).sum()) / len(p.targets)
 
     dual = float(low @ res.eqlin.marginals)
     if p.constraint == SIMPLEX_LIKE:

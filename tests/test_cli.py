@@ -341,6 +341,59 @@ class TestCountFields:
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
+class TestIntegerFields:
+    """An integer field refuses a boolean or a non-integral number instead
+    of truncating it, wherever the field sits in the config."""
+
+    LEARN = TestCountFields.LEARN
+    RELEASE = TestCountFields.RELEASE
+    LAYER = {"variant": "layer", "n": 4, "k": True}
+
+    @pytest.mark.parametrize(
+        "verb,cfg,field",
+        [
+            ("learn", dict(LEARN, trials=2.5), "trials"),
+            ("learn", dict(LEARN, seed=1.5), "seed"),
+            (
+                "learn",
+                dict(LEARN, target={"max_terms": True, "max_arity": 2}),
+                "max_terms",
+            ),
+            (
+                "learn",
+                dict(LEARN, learner="dnf-reduction", params={"s": 2.5, "epsilon": 0.3}),
+                "s",
+            ),
+            (
+                "learn",
+                dict(
+                    LEARN, learner="agnostic", params={"epsilon": 0.5}, distribution=LAYER
+                ),
+                "k",
+            ),
+            ("release", dict(RELEASE, release="k-way", k=2.7), "k"),
+            ("release", dict(RELEASE, dataset={"n": 3.5, "size": 50}), "n"),
+            ("generate", {"coverage": {"n": 3.5, "max_terms": 2, "max_arity": 2}}, "n"),
+        ],
+        ids=[
+            "count", "seed", "target-block", "params", "distribution", "top-level",
+            "dataset-block", "generate-block",
+        ],
+    )
+    def test_is_a_schema_error(self, tmp_path, capsys, verb, cfg, field):
+        code, out_dir = run(tmp_path, verb, cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"field {field!r}: expected an integer" in err
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+    def test_integral_float_is_accepted(self, tmp_path, capsys):
+        cfg = dict(self.RELEASE, release="k-way", k=2.0, dataset={"n": 3.0, "size": 50})
+        code, _ = run(tmp_path, "release", cfg)
+        assert code == EXIT_PASS
+
+
 class TestOutOfRange:
     """Config values the library rejects are usage errors, not crashes."""
 
@@ -730,6 +783,26 @@ class TestRelease:
         code, _ = run(tmp_path, "release", cfg)
         assert code == EXIT_USAGE
         assert "all-marginals" in capsys.readouterr().err
+
+
+class TestDesignTooLarge:
+    def test_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # agnostic at n=20, eps=0.2: up to 2^20 design rows of 6196 features
+        draws = []
+        monkeypatch.setattr(SampledOracle, "draw", lambda *args: draws.append(args))
+        cfg = {
+            "learner": "agnostic",
+            "n": 20,
+            "target": {"max_terms": 2, "max_arity": 2},
+            "params": {"epsilon": 0.2},
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: regression design needs up to 51975815168 bytes")
+        assert len(err.splitlines()) == 1
+        assert draws == []
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
 
 class TestLpNotOptimal:

@@ -3,10 +3,13 @@ configs at CLI seeds 101 and 202, checked against tests/golden/manifest.json.
 
 Each run records its exit code, stdout, stderr, the SHA-256 of every file it
 writes apart from the reports, and the SHA-256 of its report rows (without
-runtime_sec) and aggregate.  The hashes are compared only on the numpy and
-scipy versions the manifest was made with; on other versions two in-process
-runs must still agree byte for byte, and the test says that it skipped the
-hashes.
+runtime_sec) and aggregate.  It also records how many LPs it hands to
+`linprog` and one SHA-256 over every call's inputs (cost, both constraint
+matrices' CSC arrays, right-hand sides, bounds, method and options), so a
+change that alters an LP without altering an output still shows.  The
+hashes are compared only on the numpy and scipy versions the manifest was
+made with; on other versions two in-process runs must still agree byte for
+byte, and the test says that it skipped the hashes.
 
 After an intended change of outputs, regenerate the manifest with
 
@@ -25,9 +28,13 @@ import math
 import tempfile
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import scipy
+import scipy.sparse as sp
 
+from covlearn import regression
 from covlearn.cli import main
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
@@ -115,16 +122,50 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _feed(h, value) -> None:
+    """Adds one linprog argument to the hash h: a sparse matrix by its CSC
+    arrays and shape, an array by its dtype, shape and bytes, anything else
+    (None, the method, the options) by its repr."""
+    if sp.issparse(value):
+        csc = value.tocsc()
+        for part in (csc.data, csc.indices, csc.indptr, np.array(csc.shape)):
+            _feed(h, part)
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def _lp_spy():
+    """A stand-in for regression.linprog that hashes every call's inputs, in
+    call order, then solves the LP; returns it and its record."""
+    record = {"calls": 0, "hash": hashlib.sha256()}
+    solve = regression.linprog
+
+    def spy(c, **kwargs):
+        record["calls"] += 1
+        _feed(record["hash"], c)
+        for key in ("A_eq", "b_eq", "A_ub", "b_ub", "bounds", "method", "options"):
+            _feed(record["hash"], kwargs.get(key))
+        return solve(c, **kwargs)
+
+    return spy, record
+
+
 def _run_one(work: Path, name: str, verb: str, cfg: dict, seed: int) -> dict:
     cfg_path = work / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     out = work / f"{name}-{seed}"
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    spy, lps = _lp_spy()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.object(regression, "linprog", spy):
         code = main(
             [verb, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]
         )
     entry = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    entry["lp"] = {"calls": lps["calls"], "sha256": lps["hash"].hexdigest()}
     entry["files"] = {
         p.name: _sha256(p.read_bytes())
         for p in sorted(out.iterdir())

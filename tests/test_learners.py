@@ -20,6 +20,7 @@ from covlearn import learners
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
+    DesignTooLarge,
     DisjointDnf,
     DnfClassifier,
     OracleExhausted,
@@ -287,6 +288,15 @@ class TestPacLearning:
         with pytest.raises(ValueError):
             pac_learn_uniform(o, 1.5, 0)
 
+    def test_design_over_byte_cap(self, monkeypatch):
+        # the regression's examples are refused before any is drawn
+        monkeypatch.setattr(learners, "DESIGN_BYTES_CAP", 8)
+        src = exact_source(exact_fourier(CoverageFunction(3, 0.0, {0b011: 0.5})))
+        with pytest.raises(DesignTooLarge):
+            learners.proper_pac_core(
+                3, 0.5, 1, src, lambda pool: src, _undrawable_oracle(3), child_rng(0, 0)
+            )
+
     def test_sampled_oracle_route(self):
         # a non-table oracle feeds both phases from drawn sample batches
         c = random_coverage(6, 4, 3, 2)
@@ -414,6 +424,31 @@ class TestAgnostic:
         with pytest.raises(BasisTooLarge, match="31931"):
             agnostic_learn(_undrawable_oracle(30), d, 0.2, 0)
 
+    def test_design_over_byte_cap(self):
+        # 6196 features at n=20; min(9,913,600 examples, 2^20 points) rows
+        # of them would take about 52 GB
+        d = DistributionSpec.uniform(20)
+        with pytest.raises(DesignTooLarge, match="51975815168"):
+            agnostic_learn(_undrawable_oracle(20), d, 0.2, 0)
+
+    def test_design_has_one_row_per_distinct_point(self, monkeypatch):
+        # 617,600 examples of 386 features on 2^10 points: a dense design
+        # would take about 1.9 GB
+        solved, solve = [], learners.solve_l1
+
+        def spy(problem):
+            solved.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(learners, "solve_l1", spy)
+        c = random_coverage(10, 3, 2, 5)
+        d = DistributionSpec.uniform(10)
+        h = agnostic_learn(UniformTableOracle.from_coverage(c), d, 0.2, 0)
+        (problem,) = solved
+        assert problem.points.shape == (1024, 386)
+        assert len(problem.targets) == 617_600
+        assert l1_exact(h, c) <= 0.2
+
     def test_single_layer_fits_constant_label(self):
         # all mass on the top layer with a constant label: the fit must
         # return that label at the all-minus-one point
@@ -472,6 +507,12 @@ class TestProperAgnostic:
         d = DistributionSpec.uniform(30)
         with pytest.raises(BasisTooLarge):
             proper_agnostic_learn(_undrawable_oracle(30), d, 0.2, 0.5, 0)
+
+    def test_design_over_byte_cap(self, monkeypatch):
+        monkeypatch.setattr(learners, "DESIGN_BYTES_CAP", 8)
+        d = DistributionSpec.uniform(3)
+        with pytest.raises(DesignTooLarge):
+            proper_agnostic_learn(_undrawable_oracle(3), d, 0.5, 0.5, 0)
 
     def test_rejects_unbounded_distribution(self):
         d = DistributionSpec.product([0.01, 0.5])

@@ -122,35 +122,84 @@ def dict_grouping(design, targets):
 
 @st.composite
 def pooled_examples(draw):
-    """Examples whose design rows and targets come from small pools, so
-    pairs repeat and a design row carries several labels."""
+    """Points whose design rows come from a small pool, so distinct points
+    share a design row, some as 0.0 against -0.0; examples that pick points
+    and targets from small pools, so points repeat, carry several labels or
+    go unused.  Returns (points, rows, targets)."""
     k = draw(st.integers(1, 3))
+    entries = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
     pool = draw(
-        st.lists(
-            st.lists(st.integers(-1, 1), min_size=k, max_size=k), min_size=1, max_size=5
-        )
+        st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=4)
     )
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
     picks = draw(
         st.lists(
-            st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 4)),
+            st.tuples(st.integers(0, len(points) - 1), st.integers(0, 4)),
             min_size=1,
             max_size=40,
         )
     )
-    design = np.array([pool[i] for i, _ in picks], dtype=np.float64)
-    return design, np.array([t / 4 for _, t in picks])
+    rows = np.array([i for i, _ in picks])
+    return np.array(points), rows, np.array([t / 4 for _, t in picks])
 
 
 class TestGrouping:
     @settings(max_examples=100, deadline=None)
     @given(problem=pooled_examples())
     def test_matches_dict_grouping(self, problem):
-        design, targets = problem
-        got = regression._group_by_design_row(design, targets)
-        want = dict_grouping(design, targets)
+        points, rows, targets = problem
+        got = regression._group_by_design_row(points, rows, targets)
+        want = dict_grouping(points[rows], targets)
         assert got[0].tolist() == [list(row) for row in want[0]]
+        # each group's row is its earliest example's, zero signs included
+        assert np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
         for g, w in zip(got[1:], want[1:]):
             assert g.tolist() == w
+
+
+def lp_arguments(problem):
+    """The arguments solve_l1 hands linprog, as comparable values: arrays
+    by dtype, shape and bytes, sparse matrices by their CSC arrays."""
+    with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        solve_l1(problem)
+    (cost,), kwargs = spy.call_args
+    out = [cost.dtype.str, cost.tobytes()]
+    for key, value in sorted(kwargs.items()):
+        if sp.issparse(value):
+            parts = (value.data, value.indices, value.indptr)
+            out += [key, value.shape, *(a.dtype.str + a.tobytes().hex() for a in parts)]
+        elif isinstance(value, np.ndarray):
+            out += [key, value.dtype.str, value.shape, value.tobytes()]
+        else:
+            out += [key, repr(value)]
+    return out
+
+
+class TestDistinctPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=pooled_examples(),
+        constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
+    )
+    def test_indexed_problem_hands_linprog_the_dense_lp(self, problem, constraint):
+        points, rows, targets = problem
+        indexed = L1Problem(points, targets, constraint, rows)
+        dense = L1Problem(points[rows], targets, constraint)
+        assert lp_arguments(indexed) == lp_arguments(dense)
+
+    def test_design_is_one_row_per_example(self):
+        points = np.array([[1.0, 0.0], [0.0, 1.0]])
+        p = L1Problem(points, np.zeros(3), rows=np.array([1, 0, 1]))
+        assert p.design.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0, 2], [-1, 0], [0.0, 1.0], [0, 1, 1]],
+        ids=["past-the-end", "negative", "float", "too-long"],
+    )
+    def test_rejects_a_bad_index(self, rows):
+        with pytest.raises(ValueError):
+            L1Problem(np.ones((2, 1)), np.zeros(2), rows=np.array(rows))
 
 
 @st.composite
