@@ -14,10 +14,17 @@ learners.SampledOracle whose labels are 1 - private AND-query answers.
 
 Privacy model: each counting query has sensitivity 1/|D|; adding Laplace
 noise of scale b = q/(epsilon * |D|) to each of at most q queries makes the
-whole transcript epsilon-differentially private by basic composition.
-Admission requires |D| >= q (ln q + ln(1/delta)) / (epsilon * tau) so that,
-with probability 1 - delta, every noisy answer is within the tolerance tau
-that the simulated learner needs.
+whole transcript epsilon-differentially private by basic composition.  An
+answer may stand for w queries: it gets noise of scale b/w, and by the
+Laplace mechanism it costs w * epsilon / q, the same as w answers of scale
+b (Dwork, McSherry, Nissim and Smith 2006; basic composition, Dwork and
+Roth 2014, Thm 3.16), so it is charged w units of the budget.  The weights
+a release uses are the multiplicities of points it drew from a fixed
+distribution, independent of the dataset.  Admission requires
+|D| >= q (ln q + ln(1/delta)) / (epsilon * tau) so that, with probability
+1 - delta, every noisy answer is within the tolerance tau that the
+simulated learner needs; a weighted answer's noise is no wider than b, so
+this covers it too.
 """
 
 from __future__ import annotations
@@ -193,8 +200,10 @@ class PrivateOracle:
     """Budgeted Laplace-noised counting-query gate.
 
     The queries-used counter is the only mutable state in the package.
-    Answers come in index order, each with its own Laplace draw, and the
-    budget is charged once per answer.
+    Each answer has its own Laplace draw.  An answer of weight w stands for
+    w queries: its noise has scale b/w and it is charged w units, which
+    spends exactly the privacy of w answers of scale b.  The weights must
+    not depend on the dataset; a release's come from its own point draws.
     """
 
     dataset: Dataset
@@ -225,35 +234,48 @@ class PrivateOracle:
             return 0.0
         return self.q / (self.epsilon * self.dataset.size)
 
-    def _laplace(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.scale == 0.0:
-            return np.zeros(count)
-        return rng.laplace(0.0, self.scale, size=count)
-
     def noise(self, count: int = 1) -> np.ndarray:
         """Draws from the query noise distribution, for auditing; they come
         from their own stream and do not shift later query noise."""
         if self._audit_rng is None:
             self._audit_rng = self.rng.spawn(1)[0]
-        return self._laplace(self._audit_rng, count)
+        if self.scale == 0.0:
+            return np.zeros(count)
+        return self._audit_rng.laplace(0.0, self.scale, size=count)
 
     def query(
-        self, predicates: Sequence[Predicate], index: np.ndarray | None = None
+        self, predicates: Sequence[Predicate], weights: np.ndarray | None = None
     ) -> np.ndarray:
-        """Noised answers: entry j answers predicates[index[j]] as its own
-        query (index defaults to each predicate once).  Each predicate's
-        exact count is taken once; a batch over the remaining budget raises
-        before any budget is charged or noise drawn."""
-        m = len(predicates) if index is None else len(index)
+        """Noised answers, one per predicate: answer j stands for weights[j]
+        queries (default 1 each), so its Laplace noise has scale b/weights[j]
+        and it is charged weights[j] units.  Bad weights, or a batch over the
+        remaining budget, raise before any budget is charged or noise
+        drawn."""
+        count = len(predicates)
+        w = np.ones(count) if weights is None else _check_weights(weights, count)
+        m = int(w.sum())
         if self.used + m > self.q:
             raise BudgetExhausted(
                 f"{m} queries exceed the remaining budget of {self.q - self.used}"
             )
         exact = np.array([counting_query(self.dataset, p) for p in predicates])
-        if index is not None:
-            exact = exact[index]
         self.used += m
-        return np.clip(exact + self._laplace(self.rng, m), 0.0, 1.0)
+        noise = self.rng.laplace(0.0, self.scale / w) if self.scale else 0.0
+        return np.clip(exact + noise, 0.0, 1.0)
+
+
+def _check_weights(weights: np.ndarray, count: int) -> np.ndarray:
+    """weights as float64 after checking they are one positive integer per
+    predicate."""
+    arr = np.asarray(weights)
+    if arr.shape != (count,):
+        raise ValueError(f"weights of shape {arr.shape} for {count} predicates")
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"weights of dtype {arr.dtype} are not numbers")
+    w = arr.astype(np.float64)
+    if not (np.isfinite(w) & (w >= 1) & (w == np.floor(w))).all():
+        raise ValueError("weights must be positive integers")
+    return w
 
 
 def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
@@ -288,12 +310,16 @@ def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
 
 def _private_examples(oracle: PrivateOracle, dist: DistributionSpec) -> SampledOracle:
     """Example oracle for the regression stage of a release: points drawn
-    from dist, each labelled for c_D as 1 - private answer to AND over S_x,
-    one query batch per draw."""
+    from dist, labelled for c_D as 1 - private answer to AND over S_x, one
+    query batch per draw.  A point drawn w times gets one answer of weight
+    w, shared by its w examples."""
 
     def labels(masks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        sets, index = np.unique(masks, return_inverse=True)
-        return 1.0 - oracle.query([and_query(int(s)) for s in sets], index)
+        sets, inverse, counts = np.unique(
+            masks, return_inverse=True, return_counts=True
+        )
+        answers = oracle.query([and_query(int(s)) for s in sets], counts)
+        return 1.0 - answers[inverse]
 
     return SampledOracle(dist, labels)
 

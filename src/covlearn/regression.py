@@ -14,11 +14,11 @@ the LP has one equality row per distinct design row (Barrodale and Roberts
 1973).  A sort of the points groups those that share a design row, and one
 two-key sort orders the examples by (group, target).  Equal targets of a
 row become one target weighted by its count.  A row with several distinct
-targets, as noisy private labels give, keeps them as sorted breakpoints of
-its convex piecewise-linear loss, one bounded segment column per gap
-between consecutive targets.  The optimum is that of one row per example,
-and the primal-dual gap is in units of the sum of |r_i| over the original
-rows.
+targets, as the CLI's noise_scale labels give, keeps them as sorted
+breakpoints of its convex piecewise-linear loss, one bounded segment column
+per gap between consecutive targets.  The optimum is that of one row per
+example, and the primal-dual gap is in units of the sum of |r_i| over the
+original rows.
 """
 
 from __future__ import annotations

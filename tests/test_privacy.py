@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from covlearn import learners, privacy
 from covlearn.coverage import CoverageFunction, eval_coverage
@@ -233,19 +234,28 @@ class TestPrivateOracle:
 
 
 def sequential_answers(d, masks, scale, rng):
-    """The per-query loop a batch replaces: one exact count and one Laplace
-    draw of size 1 per mask, clamped with min and max."""
+    """The per-point loop a weighted batch replaces: for each distinct mask
+    in sorted order, one exact count and one Laplace draw of size 1 at
+    scale b/w for a mask that occurs w times, clamped with min and max;
+    then each mask gets its point's answer."""
+    sets, inverse, counts = np.unique(
+        np.asarray(masks, dtype=np.uint64), return_inverse=True, return_counts=True
+    )
     out = []
-    for x in masks:
-        noise = float(rng.laplace(0.0, scale, size=1)[0]) if scale else 0.0
-        out.append(min(1.0, max(0.0, counting_query(d, and_query(int(x))) + noise)))
-    return np.array(out, dtype=np.float64)
+    for s, w in zip(sets, counts):
+        noise = float(rng.laplace(0.0, scale / w, size=1)[0]) if scale else 0.0
+        out.append(min(1.0, max(0.0, counting_query(d, and_query(int(s))) + noise)))
+    return np.array(out, dtype=np.float64)[inverse]
 
 
 def batch_answers(oracle, masks):
-    """One batched query over masks, each distinct AND query built once."""
-    sets, index = np.unique(np.asarray(masks, dtype=np.uint64), return_inverse=True)
-    return oracle.query([and_query(int(s)) for s in sets], index)
+    """One weighted batch over masks: each distinct AND query is asked once
+    with its multiplicity as weight, and each mask gets its point's
+    answer."""
+    sets, inverse, counts = np.unique(
+        np.asarray(masks, dtype=np.uint64), return_inverse=True, return_counts=True
+    )
+    return oracle.query([and_query(int(s)) for s in sets], counts)[inverse]
 
 
 def gated_dataset(rows: dict[int, int], n: int, q: int, epsilon: float) -> Dataset:
@@ -280,18 +290,25 @@ class TestBatchedQuery:
         expected = sequential_answers(d, masks, o.scale, twin)
         assert answers.dtype == np.float64
         assert answers.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        # each example of a point carries its point's one answer
+        for x in set(masks):
+            assert len(set(answers[np.asarray(masks) == x].tolist())) == 1
         assert o.used == len(masks)
         assert o.rng.random() == twin.random()
 
     @pytest.mark.parametrize("epsilon", [1.0, math.inf])
     def test_clamps_at_both_ends(self, epsilon):
-        d = gated_dataset({0b01: 3, 0b10: 1}, 2, 400, epsilon)
-        o = PrivateOracle(d, 400, 0.25, epsilon, 0.1, child_rng(6, 0))
+        d = gated_dataset({0b01: 3, 0b10: 1}, 2, 800, epsilon)
+        o = PrivateOracle(d, 800, 0.25, epsilon, 0.1, child_rng(6, 0))
         masks = [0, 0b11] * 200
         answers = batch_answers(o, masks)
         assert answers.tolist() == sequential_answers(
             d, masks, o.scale, child_rng(6, 0)
         ).tolist()
+        assert 0.0 <= answers.min() and answers.max() <= 1.0
+        # 400 answers of weight 1 on the same two queries
+        answers = o.query([and_query(0), and_query(0b11)] * 200)
+        assert o.used == 800
         if math.isinf(epsilon):
             assert answers.tolist() == [1.0, 0.0] * 200
         else:
@@ -306,9 +323,14 @@ class TestBatchedQuery:
         dist = DistributionSpec.layer(4, 2)
         masks, labels = privacy._private_examples(o, dist).draw(500, child_rng(7, 1))
         assert masks.tolist() == sample_masks(dist, 500, child_rng(7, 1)).tolist()
-        answers = sequential_answers(d, masks, o.scale, child_rng(7, 0))
+        twin = child_rng(7, 0)
+        answers = sequential_answers(d, masks, o.scale, twin)
+        assert labels.dtype == np.float64
         assert labels.tolist() == (1.0 - answers).tolist()
+        # six points on the layer, one weighted answer each, 500 units charged
+        assert len(set(labels.tolist())) == len(np.unique(masks)) == 6
         assert o.used == 500
+        assert o.rng.bit_generator.state == twin.bit_generator.state
 
     def test_label_draw_over_the_direct_draw_cap_is_refused(self):
         # k-way at n=13 and alpha_bar 0.1 asks for q examples in one draw;
@@ -331,6 +353,111 @@ class TestBatchedQuery:
         # the batch that exactly spends the remaining budget is answered
         assert len(batch_answers(o, [0b01] * 7)) == 7
         assert o.used == o.q
+
+
+class TestWeightedQuery:
+    """An answer of weight w is one Laplace draw of scale b/w charged w
+    units, so a batch spends the budget of sum(w) answers of scale b."""
+
+    MASKS = (0b001, 0b010, 0b011, 0b101)
+
+    def _oracle(self, q=40, epsilon=2.0, seed=9):
+        d = gated_dataset({0b011: 5, 0b101: 2, 0b110: 3}, 3, q, epsilon)
+        return PrivateOracle(d, q, 0.25, epsilon, 0.1, child_rng(seed, 0))
+
+    def _predicates(self):
+        return [and_query(s) for s in self.MASKS]
+
+    def test_equals_one_twin_draw_at_scale_over_weight(self):
+        o = self._oracle()
+        twin = child_rng(9, 0)
+        w = np.array([1, 7, 3, 12])
+        answers = o.query(self._predicates(), w)
+        exact = np.array([counting_query(o.dataset, p) for p in self._predicates()])
+        expected = np.clip(exact + twin.laplace(0.0, o.scale / w), 0.0, 1.0)
+        assert answers.dtype == np.float64
+        assert answers.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert o.used == 23
+        assert o.rng.bit_generator.state == twin.bit_generator.state
+
+    def test_unit_weights_are_the_default(self):
+        a, b = self._oracle(), self._oracle()
+        plain = a.query(self._predicates())
+        weighted = b.query(self._predicates(), np.ones(4, dtype=np.int64))
+        assert plain.view(np.uint64).tolist() == weighted.view(np.uint64).tolist()
+        assert a.used == b.used == 4
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1, 2, 3],  # one short
+            [1, 2, 3, 4, 5],  # one over
+            [[1, 2, 3, 4]],  # not 1-D
+            [1, 0, 3, 4],
+            [1, -2, 3, 4],
+            [1, 2.5, 3, 4],
+            [1, math.nan, 3, 4],
+            [1, math.inf, 3, 4],
+            [True, True, True, True],
+        ],
+    )
+    def test_bad_weights_charge_nothing_and_draw_nothing(self, weights):
+        o = self._oracle()
+        o.query(self._predicates(), [2, 2, 2, 2])
+        state = o.rng.bit_generator.state
+        with pytest.raises(ValueError, match="weights"):
+            o.query(self._predicates(), np.array(weights))
+        assert o.used == 8
+        assert o.rng.bit_generator.state == state
+
+    def test_over_budget_batch_charges_nothing(self):
+        o = self._oracle(q=20)
+        o.query(self._predicates(), [1, 1, 1, 1])
+        state = o.rng.bit_generator.state
+        with pytest.raises(BudgetExhausted):
+            o.query(self._predicates(), [5, 5, 5, 2])
+        assert o.used == 4
+        assert o.rng.bit_generator.state == state
+        # the batch that exactly spends the remaining budget is answered
+        assert len(o.query(self._predicates(), [5, 5, 5, 1])) == 4
+        assert o.used == o.q == 20
+
+    def test_noiseless_limit_draws_nothing(self):
+        o = self._oracle(epsilon=math.inf)
+        state = o.rng.bit_generator.state
+        answers = o.query(self._predicates(), [3, 1, 4, 1])
+        exact = [counting_query(o.dataset, p) for p in self._predicates()]
+        assert answers.tolist() == exact
+        assert o.used == 9
+        assert o.rng.bit_generator.state == state
+
+    def test_noise_is_laplace_at_scale_over_weight(self):
+        # every exact count is near 1/2 and b/w is tiny, so no answer clamps
+        d = Dataset.from_multiplicities([(0b01, 10**12), (0b10, 10**12)], 2)
+        count = 20_000
+        w = np.arange(count) % 9 + 1
+        o = PrivateOracle(d, int(w.sum()), 0.25, 1.0, 0.1, child_rng(10, 0))
+        answers = o.query([and_query(0b01)] * count, w)
+        unclamped = (answers > 0.0) & (answers < 1.0)
+        assert unclamped.all()
+        z = (answers - 0.5) * w / o.scale
+        assert stats.kstest(z[unclamped], "laplace").pvalue > 0.01
+        # one answer of weight w, not the median of w: |z| has mean 1
+        assert abs(np.abs(z).mean() - 1.0) < 0.03
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_release_ledgers_match_one_answer_per_example(self, seed):
+        # literals from the release that drew one answer per drawn example
+        def gated(q, tau):
+            size = math.ceil(gate_size(q, tau, 1.0, 0.1))
+            return Dataset.iid_uniform(4, size, child_rng(seed, 5))
+
+        d = gated(*k_way_query_budget(4, 0.9))
+        assert release_k_way(d, 2, 0.9, 1.0, 0.1, seed).queries_used == 4741
+        d = gated(*synthetic_query_budget(4, 0.9, 5))
+        summary = release_synthetic(d, 0.9, 1.0, 0.1, seed, size_bound=5)
+        assert summary.queries_used == 5077
 
 
 class TestQueryBudgets:
