@@ -7,8 +7,7 @@ implementations live here: empirical estimation over a sample batch, exact
 lookup in a Fourier table, and one fancy index into a precomputed spectrum,
 such as the spectrum of aggregated per-point counts (the route used when
 nominal sample counts are astronomically large but n is small).  The
-singleton coefficients of such counts also come without the full
-transform.  The lattice search asks its source once per level.
+lattice search asks its source once per level.
 """
 
 from __future__ import annotations
@@ -109,29 +108,6 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     spectrum = walsh_hadamard(np.asarray(weights, dtype=np.float64) * labels)
     spectrum /= total
     return spectrum
-
-
-def singleton_coefficients(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Entry i is spectrum_from_counts(weights, labels)[1 << i], bit for bit,
-    without the full transform.
-
-    The transform reaches output 1 << i by summing over each bit below i,
-    lowest first, taking one difference at bit i, then summing over each
-    bit above i; this does the same adds on the same operands, sharing the
-    sums below i across every i: about 3 * 2^n adds against n * 2^n.
-    """
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    below = np.asarray(weights, dtype=np.float64) * labels
-    out = np.empty(len(below).bit_length() - 1)
-    for i in range(len(out)):
-        acc = below[0::2] - below[1::2]
-        while len(acc) > 1:
-            acc = acc[0::2] + acc[1::2]
-        out[i] = acc[0]
-        below = below[0::2] + below[1::2]
-    return out / total
 
 
 def lattice_search(

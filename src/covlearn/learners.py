@@ -16,9 +16,9 @@ Nominal sample counts can be astronomically large at small accuracy
 parameters.  When the example oracle is backed by a dense value table over
 the (sub)cube (n up to ~24), drawing N uniform examples is simulated exactly
 by a multinomial draw of per-cell counts, and the Fourier estimates come
-from the Walsh-Hadamard transform of the weighted counts (the singleton
-screen from the n singleton outputs alone).  This is distribution-identical
-to drawing the N examples one by one.
+from the Walsh-Hadamard transform of the weighted counts.  This is
+distribution-identical to drawing the N examples one by one.  One such
+sample serves both the singleton screen and the lattice search.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ from .estimation import (
     CoeffSource,
     SampleBatch,
     batch_source,
-    check_masks,
     hoeffding_samples,
     lattice_search,
-    singleton_coefficients,
     spectrum_from_counts,
     spectrum_source,
 )
@@ -59,9 +57,9 @@ from .regression import MAX_COLUMNS, SIMPLEX_LIKE, UNCONSTRAINED, L1Problem, sol
 # Centralized algorithm constants.  Accuracy/confidence parameters flow in
 # from callers; these are the fixed numeric choices of the implementation.
 PAC_THETA_DIV = 6  # theta = eps^2 / 6
-PAC_PHASE_FAILURE = 1 / 6  # two phases at 1/6 each, overall confidence 2/3
+PAC_SEARCH_FAILURE = 1 / 3  # one sample for screen and search, confidence 2/3
 PROPER_THETA_DIV = 108  # theta = eps^2 / 108
-PROPER_PHASE_FAILURE = 1 / 9  # three phases at 1/9 each
+PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 1/9
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 BOOST_REPS_FACTOR = 8  # r = ceil(8 ln(2/eta)) repetitions
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
@@ -139,9 +137,10 @@ def _eval_parity_poly(
             coeffs.values(), np.float64, size
         )
         return walsh_hadamard(dense)[masks]
+    # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
-    for t, v in coeffs.items():
-        out += v * eval_parity_batch(t, masks)
+    for t in sorted(coeffs):
+        out += coeffs[t] * eval_parity_batch(t, masks)
     return out
 
 
@@ -335,29 +334,13 @@ class SampledOracle:
 
 
 def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSource:
-    """Empirical coefficient source from one sample of size m.  On a dense
-    table a batch of singletons only, the screen's, is answered without the
-    full transform; the first other batch runs it, and it answers every
-    later batch."""
-    if not isinstance(oracle, UniformTableOracle):
-        masks, labels = oracle.draw(m, rng)
-        return batch_source(SampleBatch(oracle.n, masks, labels))
-    counts = oracle.draw_counts(m, rng)
-    full = None
-
-    def source(masks: np.ndarray) -> np.ndarray:
-        nonlocal full
-        if full is None:
-            masks = check_masks(masks, oracle.n)
-            below = masks - np.uint64(1)
-            if masks.all() and not (masks & below).any():
-                bits = np.bitwise_count(below)
-                return singleton_coefficients(counts, oracle.values)[bits]
-            spectrum = spectrum_from_counts(counts, oracle.values)
-            full = spectrum_source(oracle.n, spectrum)
-        return full(masks)
-
-    return source
+    """Empirical coefficient source from one sample of size m; on a dense
+    table, a lookup into the spectrum of the drawn counts."""
+    if isinstance(oracle, UniformTableOracle):
+        counts = oracle.draw_counts(m, rng)
+        return spectrum_source(oracle.n, spectrum_from_counts(counts, oracle.values))
+    masks, labels = oracle.draw(m, rng)
+    return batch_source(SampleBatch(oracle.n, masks, labels))
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +363,8 @@ def _screen_and_search(
     phase2_source_for: Callable[[int], CoeffSource],
 ) -> dict[int, float]:
     """Singletons whose phase-1 estimate reaches theta, all asked in one
-    call, then a lattice search over them at keep_thr.  phase2_source_for
-    receives the union-bound pool size so the caller can budget its
-    per-estimate confidence."""
+    call, then a lattice search over them at keep_thr, on the source that
+    phase2_source_for gives for the search's union-bound pool size."""
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     itilde = np.flatnonzero(np.abs(phase1_source(singletons)) >= theta).tolist()
     return lattice_search(
@@ -409,22 +391,21 @@ def pac_core(
     return SparsePolynomial(n, "parity", kept)
 
 
-def _sampled_phases(
-    oracle, seed: int, tol1: float, tol2: float, failure: float
-) -> tuple[CoeffSource, Callable[[int], CoeffSource]]:
-    """The two sampled phases of a screen and search, each failing with
-    probability at most `failure` by a union bound: phase 1 draws enough
-    examples on child_rng(seed, 1) for all n singleton estimates to lie
-    within tol1, phase 2 enough on child_rng(seed, 2) for a pool of
-    estimates to lie within tol2."""
-    m1 = hoeffding_samples(tol1, failure / oracle.n)
-    phase1 = _oracle_coeff_source(oracle, m1, child_rng(seed, 1))
+def _search_source(
+    oracle, seed: int, theta: float, keep_thr: float, failure: float
+) -> CoeffSource:
+    """One sample on child_rng(seed, 1) for the screen at theta and the
+    search at keep_thr: each estimate they ask is within
+    tau = min(theta, keep_thr) / 2 with probability at least 1 - failure.
 
-    def phase2_for(pool: int) -> CoeffSource:
-        m2 = hoeffding_samples(tol2, failure / pool)
-        return _oracle_coeff_source(oracle, m2, child_rng(seed, 2))
-
-    return phase1, phase2_for
+    The search adapts to the sample, yet by induction on the level every set
+    it asks lies in a family fixed by the target: the empty set, the n
+    singletons, and the one-variable extensions of the at most 4/keep_thr
+    sets with |c^(S)| >= keep_thr - tau >= keep_thr/2 (spectral norm 2).  A
+    union bound over n + pac_pool_bound(keep_thr, n) estimates sizes it."""
+    family = oracle.n + pac_pool_bound(keep_thr, oracle.n)
+    m = hoeffding_samples(min(theta, keep_thr) / 2, failure / family)
+    return _oracle_coeff_source(oracle, m, child_rng(seed, 1))
 
 
 def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
@@ -433,8 +414,8 @@ def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     theta = eps * eps / PAC_THETA_DIV
-    phases = _sampled_phases(oracle, seed, theta / 2, theta / 2, PAC_PHASE_FAILURE)
-    return pac_core(oracle.n, eps, *phases)
+    source = _search_source(oracle, seed, theta, theta, PAC_SEARCH_FAILURE)
+    return pac_core(oracle.n, eps, source, lambda pool: source)
 
 
 # --------------------------------------------------------------------------
@@ -600,9 +581,11 @@ def proper_pac_learn(
         raise ValueError("size_bound must be >= 1")
     s_eps = proper_size_bound(eps, size_bound)
     theta = eps * eps / PROPER_THETA_DIV
-    est_tol = eps * eps / (PROPER_THETA_DIV * s_eps)
-    phases = _sampled_phases(oracle, seed, theta / 2, est_tol, PROPER_PHASE_FAILURE)
-    return proper_pac_core(oracle.n, eps, s_eps, *phases, oracle, child_rng(seed, 3))
+    keep_thr = eps * eps / (PROPER_THETA_DIV / 2 * s_eps)
+    source = _search_source(oracle, seed, theta, keep_thr, 2 * PROPER_PHASE_FAILURE)
+    return proper_pac_core(
+        oracle.n, eps, s_eps, source, lambda pool: source, oracle, child_rng(seed, 3)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.optimize import OptimizeResult
 
 from covlearn import cli, learners, regression
 from covlearn.learners import SampledOracle, UniformTableOracle
+from covlearn.estimation import hoeffding_samples
 from covlearn.cli import (
     EXIT_CONTRACT,
     EXIT_GATE,
@@ -303,6 +304,25 @@ class TestSampleCount:
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
         assert drawn and type(row["samples"]) is int
         assert row["samples"] == sum(drawn)
+
+    def test_pac_samples_are_one_search_sample(self, tmp_path, capsys):
+        # the screen and the search share one sample, sized by a union bound
+        # over the n singletons and the pool fixed by the target
+        cfg = {
+            "learner": "pac",
+            "n": 6,
+            "seed": 4,
+            "trials": 1,
+            "eval_samples": 2000,
+            "target": {"max_terms": 3, "max_arity": 2},
+            "params": {"epsilon": 0.4},
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code in (EXIT_PASS, EXIT_CONTRACT)
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        theta = 0.4**2 / 6
+        family = 6 + learners.pac_pool_bound(theta, 6)
+        assert row["samples"] == hoeffding_samples(theta / 2, (1 / 3) / family)
 
 
 class TestCountFields:

@@ -14,7 +14,6 @@ from covlearn.estimation import (
     exact_source,
     hoeffding_samples,
     lattice_search,
-    singleton_coefficients,
     spectrum_from_counts,
     spectrum_source,
 )
@@ -104,22 +103,6 @@ class TestSpectrumFromCounts:
     def test_rejects_zero_total(self):
         with pytest.raises(ValueError):
             spectrum_from_counts(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            singleton_coefficients(np.zeros(4), np.zeros(4))
-
-
-class TestSingletonScreen:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-    def test_singletons_bit_equal_to_the_transform(self, n, seed):
-        rng = np.random.default_rng(seed)
-        total = int(rng.integers(1, 10**6))
-        counts = rng.multinomial(total, np.full(1 << n, 1.0 / (1 << n)))
-        labels = rng.random(1 << n)
-        spectrum = spectrum_from_counts(counts.astype(np.float64), labels)
-        got = singleton_coefficients(counts.astype(np.float64), labels)
-        want = spectrum[1 << np.arange(n)]
-        assert got.tobytes() == want.tobytes()
 
 
 class TestSources:

@@ -15,7 +15,7 @@ from covlearn.coverage import (
     walsh_hadamard,
 )
 from covlearn.cube import DistributionSpec, child_rng
-from covlearn.estimation import exact_source
+from covlearn.estimation import exact_source, hoeffding_samples
 from covlearn import learners
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
@@ -37,6 +37,7 @@ from covlearn.learners import (
     dnf_to_coverage,
     pac_core,
     pac_learn_uniform,
+    pac_pool_bound,
     pmac_learn,
     proper_agnostic_learn,
     proper_pac_learn,
@@ -226,20 +227,6 @@ class TestTableCoeffSource:
     def _oracle():
         return UniformTableOracle.from_coverage(random_coverage(6, 5, 3, 4))
 
-    def test_screen_runs_no_transform(self, monkeypatch):
-        o = self._oracle()
-        counts = o.draw_counts(5000, child_rng(3, 0))
-        spectrum = learners.spectrum_from_counts(counts, o.values)
-        transforms = self._count_transforms(monkeypatch)
-        src = learners._oracle_coeff_source(o, 5000, child_rng(3, 0))
-        singles = np.array([4, 1, 32, 8], dtype=np.uint64)
-        assert src(singles).tobytes() == spectrum[singles].tobytes()
-        assert transforms == []
-        masks = np.array([0, 3, 1, 63], dtype=np.uint64)
-        assert src(masks).tobytes() == spectrum[masks].tobytes()
-        assert src(singles).tobytes() == spectrum[singles].tobytes()
-        assert transforms == [1]
-
     @pytest.mark.parametrize("mask", [-1, 1 << 6, 1 << 7])
     def test_rejects_masks_outside_the_cube(self, mask):
         src = learners._oracle_coeff_source(self._oracle(), 5000, child_rng(3, 0))
@@ -251,6 +238,57 @@ class TestTableCoeffSource:
         o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 11))
         pac_learn_uniform(o, 0.3, 5)
         assert transforms == [1]
+
+
+def _spy_draws(monkeypatch, cls, name):
+    """Records (size, state of the generator before the draw) per call."""
+    calls = []
+    real = getattr(cls, name)
+
+    def spy(self, size, rng):
+        calls.append((int(size), rng.bit_generator.state))
+        return real(self, size, rng)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+class TestOneSearchSample:
+    """The singleton screen and the lattice search read one sample, drawn
+    on child_rng(seed, 1) and sized by a union bound over the n singletons
+    and the target-fixed pool: failure 1/3 for PAC, 2/9 for proper."""
+
+    @staticmethod
+    def _pac_samples(n, eps):
+        theta = eps * eps / 6
+        return hoeffding_samples(theta / 2, (1 / 3) / (n + pac_pool_bound(theta, n)))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_pac_draws_once(self, monkeypatch, seed):
+        calls = _spy_draws(monkeypatch, UniformTableOracle, "draw_counts")
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 11))
+        pac_learn_uniform(o, 0.3, seed)
+        want = (self._pac_samples(8, 0.3), child_rng(seed, 1).bit_generator.state)
+        assert calls == [want]
+
+    def test_proper_screen_and_search_draw_once(self, monkeypatch):
+        calls = _spy_draws(monkeypatch, UniformTableOracle, "draw_counts")
+        o = UniformTableOracle.from_coverage(random_coverage(5, 3, 2, 1))
+        eps, s_eps, seed = 0.5, 3, 2
+        proper_pac_learn(o, eps, s_eps, seed)
+        theta = eps * eps / 108
+        keep_thr = eps * eps / (54 * s_eps)
+        family = 5 + pac_pool_bound(keep_thr, 5)
+        m = hoeffding_samples(min(theta, keep_thr) / 2, (2 / 9) / family)
+        assert calls == [(m, child_rng(seed, 1).bit_generator.state)]
+
+    def test_sampled_oracle_draws_once(self, monkeypatch):
+        calls = _spy_draws(monkeypatch, SampledOracle, "draw")
+        c = random_coverage(6, 4, 3, 2)
+        o = SampledOracle(DistributionSpec.uniform(6), lambda m, rng: c.eval_masks(m))
+        pac_learn_uniform(o, 0.4, 3)
+        want = (self._pac_samples(6, 0.4), child_rng(3, 1).bit_generator.state)
+        assert calls == [want]
 
 
 class TestPacLearning:

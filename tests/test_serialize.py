@@ -13,6 +13,7 @@ from covlearn.learners import (
     PmacZeroLeaf,
     SparsePolynomial,
     UniformTableOracle,
+    pac_learn_uniform,
     pmac_learn,
 )
 from covlearn.privacy import Dataset, ReleaseSummary, release_all_marginals
@@ -106,6 +107,27 @@ class TestPmacJson:
     def test_vars_one_based(self):
         h = PmacHypothesis(2, PmacNode(0, PmacZeroLeaf(), PmacZeroLeaf()))
         assert pmac_to_json(h)["root"]["var"] == 1
+
+
+class TestLearnedRoundTrip:
+    """A hypothesis read back from its JSON file evaluates bit for bit like
+    the learned one, although the file lists its terms in another order."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "learn",
+        [
+            lambda o, s: pac_learn_uniform(o, 0.3, s),
+            lambda o, s: pmac_learn(o, 0.5, 0.2, s),
+        ],
+        ids=["pac", "pmac"],
+    )
+    def test_same_values(self, learn, seed):
+        o = UniformTableOracle.from_coverage(random_coverage(6, 4, 3, seed))
+        h = learn(o, seed)
+        back = hypothesis_from_json(json.loads(json.dumps(hypothesis_to_json(h))))
+        masks = np.arange(64, dtype=np.uint64)
+        assert back.eval_masks(masks).tobytes() == h.eval_masks(masks).tobytes()
 
 
 class TestHypothesisDispatch:
