@@ -203,17 +203,32 @@ def child_seed(seed: int, *path: int) -> int:
     return int(child_rng(seed, *path).integers(0, 2**31))
 
 
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """One mask per row of an (m, n) boolean array: bit i is column i."""
+    n = bits.shape[1]
+    return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
+
+
 def _sample_layer(n: int, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of prescribed Hamming weights, one mask per entry of ks."""
+    """Uniform points of prescribed Hamming weights, one mask per entry of ks.
+
+    Each row of n i.i.d. uniforms marks its k smallest entries with a -1:
+    those at or below the row's k-th smallest value.  A row whose threshold
+    value repeats keeps its k leftmost entries at or below it, so every mask
+    has exactly k bits.
+    """
     m = len(ks)
-    # rank the i.i.d. uniforms per row; the k smallest ranks get a -1
-    order = np.argsort(rng.random((m, n)), axis=1)
-    ranks = np.empty_like(order)
-    rows = np.arange(m)[:, None]
-    ranks[rows, order] = np.arange(n)[None, :]
-    chosen = ranks < ks[:, None]
-    weights = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-    return np.where(chosen, weights, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+    u = rng.random((m, n))
+    kth = np.sort(u, axis=1)[np.arange(m), np.maximum(ks - 1, 0)]
+    threshold = np.where(ks > 0, kth, -1.0)[:, None]
+    masks = _pack_bits(u <= threshold)
+    tied = np.flatnonzero(np.bitwise_count(masks) != ks)
+    if len(tied):
+        below = u[tied] < threshold[tied]
+        at = u[tied] == threshold[tied]
+        room = (ks[tied] - below.sum(axis=1))[:, None]
+        masks[tied] = _pack_bits(below | (at & (np.cumsum(at, axis=1) <= room)))
+    return masks
 
 
 def sample_masks(d: DistributionSpec, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,9 +239,7 @@ def sample_masks(d: DistributionSpec, m: int, rng: np.random.Generator) -> np.nd
     if d.variant == "uniform":
         return rng.integers(0, 1 << n, size=m, dtype=np.uint64)
     if d.variant == "product":
-        bits = rng.random((m, n)) < np.asarray(d.biases)[None, :]
-        weights = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-        return np.where(bits, weights, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+        return _pack_bits(rng.random((m, n)) < np.asarray(d.biases)[None, :])
     if d.variant == "layer":
         return _sample_layer(n, np.full(m, d.k, dtype=np.int64), rng)
     if d.variant == "symmetric":

@@ -1,24 +1,25 @@
 """Least-absolute-error linear regression, solved as a linear program.
 
-minimize (1/m) sum_i |sum_j beta_j phi_j(x_i) - y_i|
+minimize (1/W) sum_i w_i |sum_j beta_j phi_j(x_i) - y_i|,  W = sum_i w_i
 
 over coefficients beta, optionally constrained to beta >= 0 and
 sum(beta) <= 1 ("simplex-like", which makes the fit a legal coverage
 weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
-with equality rows Phi beta + r+ - r- = y and objective sum(r+ + r-).
+with equality rows Phi beta + r+ - r- = y and objective sum w (r+ + r-).
 
 Callers draw m examples from a support that is often far smaller, so a
-problem holds the design once per distinct drawn point, plus each
-example's point index and target.  The loss is separable by design row, so
-the LP has one equality row per distinct design row (Barrodale and Roberts
-1973).  A sort of the points groups those that share a design row, and one
-two-key sort orders the examples by (group, target).  Equal targets of a
-row become one target weighted by its count.  A row with several distinct
+problem holds the design once per distinct drawn point, plus entries: each
+entry is a point index, a target and a weight, the count of the drawn
+examples it stands for.  The objective is the weighted mean, which is the
+mean over the examples.  The loss is separable by design row, so the LP has
+one equality row per distinct design row (Barrodale and Roberts 1973).  A
+sort of the points groups those that share a design row, and one two-key
+sort orders the entries by (group, target).  Equal targets of a row become
+one target weighted by their total weight.  A row with several distinct
 targets, as the CLI's noise_scale labels give, keeps them as sorted
 breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
-example, and the primal-dual gap is in units of the sum of |r_i| over the
-original rows.
+example, and the primal-dual gap is in units of the weighted sum of |r_i|.
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ class LPNotOptimal(RuntimeError):
 
 @dataclass(frozen=True)
 class L1Problem:
-    """points: one design row per distinct point, columns = features;
-    targets in [0,1], one per example; rows: each example's point index.
-    With no index, example i is point i."""
+    """points: one design row per distinct point, columns = features.
+    Entries: targets in [0,1]; rows, each entry's point index; weights, each
+    entry's positive count of examples.  With no index, entry i is point i;
+    with no weights, each entry is one example."""
 
     points: np.ndarray
     targets: np.ndarray
     constraint: str = UNCONSTRAINED
     rows: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or min(self.points.shape[0], len(self.targets)) < 1:
@@ -73,12 +76,17 @@ class L1Problem:
         object.__setattr__(self, "rows", rows)
         if not np.isfinite(self.points).all() or not np.isfinite(self.targets).all():
             raise ValueError("design and targets must be finite")
+        w = np.ones(len(self.targets)) if self.weights is None else self.weights
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (len(self.targets),) or not (np.isfinite(w) & (w > 0)).all():
+            raise ValueError("weights must hold one positive finite count per target")
+        object.__setattr__(self, "weights", w)
         if self.constraint not in (UNCONSTRAINED, SIMPLEX_LIKE):
             raise ValueError(f"unknown constraint flag {self.constraint!r}")
 
     @property
     def design(self) -> np.ndarray:
-        """The dense design, one row per example."""
+        """The dense design, one row per entry."""
         return self.points[self.rows]
 
 
@@ -91,17 +99,17 @@ class L1Solution:
 
 
 def _group_by_design_row(
-    points: np.ndarray, rows: np.ndarray, targets: np.ndarray
+    points: np.ndarray, rows: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Group the examples by design row.
+    """Group the entries by design row.
 
     Points that share a design row form one group.  Groups come in order of
-    their earliest example, and each takes its LP row from that example's
+    their earliest entry, and each takes its LP row from that entry's
     point.  Within a group, equal targets become one target weighted by
-    their count, and targets ascend.  Returns the groups' design rows,
-    smallest targets and sizes, and for each gap between consecutive targets
-    of a group: its group, its width, and its slope, the group's count at or
-    below the gap minus its count above it.
+    their total weight, and targets ascend.  Returns the groups' design
+    rows, smallest targets and weights, and for each gap between consecutive
+    targets of a group: its group, its width, and its slope, the group's
+    weight at or below the gap minus its weight above it.
     """
     m = len(targets)
     by = np.lexsort(points.T)
@@ -113,12 +121,12 @@ def _group_by_design_row(
     np.minimum.at(earliest, label, np.arange(m))
     rank = np.argsort(np.argsort(earliest))  # unused labels rank last
     group = rank[label]
-    # stable, so among equal targets the earliest example comes first
+    # stable, so among equal targets the earliest entry comes first
     by = np.lexsort((targets, group))
     group, y = group[by], targets[by]
     new = np.r_[True, group[1:] != group[:-1]]
     distinct = np.flatnonzero(new | np.r_[True, y[1:] != y[:-1]])
-    w = np.diff(np.r_[distinct, m]).astype(np.float64)
+    w = np.add.reduceat(weights[by], distinct)
     y, new = y[distinct], new[distinct]
     starts = np.flatnonzero(new)
     group = np.cumsum(new) - 1
@@ -145,14 +153,14 @@ def solve_l1(p: L1Problem) -> L1Solution:
     weight W has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
     cost W each and the segment column z_j in [0, y_{j+1} - y_j] costs
     2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
-    the sum of |residual| over the original rows.  The gap (counting the
+    the weighted sum of |residual| over the entries.  The gap (counting the
     segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
     counts equality rows.  A design row with one distinct target has no
     segment columns.  Raises LPNotOptimal when the solver stops short of an
     optimum.
     """
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
-        p.points, p.rows, p.targets
+        p.points, p.rows, p.targets, p.weights
     )
     m, k = rows.shape
     s = len(seg_row)
@@ -198,7 +206,8 @@ def solve_l1(p: L1Problem) -> L1Solution:
                 raise RuntimeError("LP violated the simplex constraint")
             beta = beta / total
     fitted = (p.points @ beta)[p.rows]
-    objective = float(np.abs(fitted - p.targets).sum()) / len(p.targets)
+    residuals = p.weights * np.abs(fitted - p.targets)
+    objective = float(residuals.sum() / p.weights.sum())
 
     dual = float(low @ res.eqlin.marginals)
     if p.constraint == SIMPLEX_LIKE:

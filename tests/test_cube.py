@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlearn import cube
 from covlearn.cube import (
     DimensionMismatch,
     DistributionSpec,
@@ -170,6 +171,67 @@ class TestSampling:
     def test_single_sample(self):
         p = sample(DistributionSpec.uniform(6), child_rng(8, 0))
         assert p.n == 6
+
+
+def rank_masks(n, ks, u):
+    """The rank formula the layer sampler replaced, as its reference: rank
+    each row of uniforms u, give the k smallest ranks a -1 and sum their
+    bits.  The argsort is stable, so tied uniforms rank left-first."""
+    order = np.argsort(u, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[np.arange(len(ks))[:, None], order] = np.arange(n)[None, :]
+    bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
+    chosen = ranks < ks[:, None]
+    return np.where(chosen, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+
+
+class TiedUniforms:
+    """A generator stub whose rows of uniforms repeat values, so a row's
+    k-th smallest value is often shared by several of its entries."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.integers(0, 3, size=shape) / 4.0
+
+
+class TestLayerSamplerReference:
+    @pytest.mark.parametrize("n", [1, 5, 16, 64])
+    def test_constant_k_matches_rank_formula(self, n):
+        for k in sorted({0, 1, n // 2, n}):
+            d = DistributionSpec.layer(n, k)
+            got = sample_masks(d, 2000, child_rng(n, k))
+            u = child_rng(n, k).random((2000, n))
+            assert got.tobytes() == rank_masks(n, np.full(2000, k), u).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 64])
+    def test_mixed_ks_match_rank_formula(self, n):
+        weights = np.arange(1.0, n + 2)
+        d = DistributionSpec.symmetric((weights / weights.sum()).tolist())
+        got = sample_masks(d, 2000, child_rng(n, 99))
+        rng = child_rng(n, 99)
+        ks = rng.choice(n + 1, size=2000, p=np.asarray(d.layer_weights))
+        want = rank_masks(n, ks, rng.random((2000, n)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 64])
+    def test_ties_keep_exactly_k_leftmost_bits(self, n):
+        ks = np.random.default_rng(n).integers(0, n + 1, size=500)
+        got = cube._sample_layer(n, ks, TiedUniforms(n))
+        assert (np.bitwise_count(got) == ks).all()
+        want = rank_masks(n, ks, TiedUniforms(n).random((500, n)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_product_matches_bit_sum(self, n):
+        biases = np.linspace(0.1, 0.9, n)
+        d = DistributionSpec.product(biases.tolist())
+        got = sample_masks(d, 3000, child_rng(n, 1))
+        chosen = child_rng(n, 1).random((3000, n)) < biases[None, :]
+        bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
+        want = np.where(chosen, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTextFormat:

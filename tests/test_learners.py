@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlearn.coverage import (
     CoverageFunction,
@@ -452,6 +454,37 @@ def _undrawable_oracle(n: int) -> SampledOracle:
     return SampledOracle(DistributionSpec.uniform(n), label)
 
 
+@st.composite
+def drawn_examples(draw):
+    """Masks and labels drawn from small pools, so points repeat with one
+    label or several, labels repeat across points, and 0.0 meets -0.0."""
+    masks = st.sampled_from([0, 3, 5, 2**63 + 1])
+    labels = st.sampled_from([0.0, -0.0, 0.25, 1.0])
+    pairs = draw(st.lists(st.tuples(masks, labels), min_size=1, max_size=40))
+    return (
+        np.array([m for m, _ in pairs], dtype=np.uint64),
+        np.array([y for _, y in pairs]),
+    )
+
+
+class TestDistinctEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(examples=drawn_examples())
+    def test_matches_dict_of_pairs(self, examples):
+        masks, labels = examples
+        pairs = {}  # insertion-ordered; 0.0 and -0.0 are one key
+        for pair in zip(masks.tolist(), labels.tolist()):
+            pairs.setdefault(pair, [pair[1], 0])[1] += 1
+        points, index, targets, counts = learners._distinct_entries(masks, labels)
+        assert points.tolist() == sorted(set(masks.tolist()))
+        assert points[index].tolist() == [m for m, _ in pairs]
+        # each pair keeps its earliest example's label, zero sign included
+        want = [y for y, _ in pairs.values()]
+        assert np.signbit(targets).tolist() == np.signbit(want).tolist()
+        assert targets.tolist() == want
+        assert counts.tolist() == [c for _, c in pairs.values()]
+
+
 class TestAgnostic:
     def test_degree_formula(self):
         assert agnostic_degree(0.25) == math.ceil(math.log2(12))
@@ -484,7 +517,10 @@ class TestAgnostic:
         h = agnostic_learn(UniformTableOracle.from_coverage(c), d, 0.2, 0)
         (problem,) = solved
         assert problem.points.shape == (1024, 386)
-        assert len(problem.targets) == 617_600
+        # the table labels each point once: one entry per point, whose
+        # weights count the 617,600 examples
+        assert len(problem.targets) == 1024
+        assert problem.weights.sum() == 617_600
         assert l1_exact(h, c) <= 0.2
 
     def test_single_layer_fits_constant_label(self):

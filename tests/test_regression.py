@@ -97,13 +97,14 @@ class TestRowCollapse:
         assert args.args[0].tolist() == [0.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
 
 
-def dict_grouping(design, targets):
+def dict_grouping(design, targets, weights):
     """_group_by_design_row in plain Python: the same six outputs, built
-    from an insertion-ordered dict of per-row target counts."""
+    from an insertion-ordered dict of per-row target weights."""
     groups = {}
-    for row, target in zip(map(tuple, design.tolist()), targets.tolist()):
+    rows = zip(map(tuple, design.tolist()), targets.tolist(), weights.tolist())
+    for row, target, weight in rows:
         counts = groups.setdefault(row, {})
-        counts[target] = counts.get(target, 0) + 1
+        counts[target] = counts.get(target, 0) + weight
     rows, low, weight, seg_row, width, slope = [], [], [], [], [], []
     for g, (row, counts) in enumerate(groups.items()):
         ys = sorted(counts)
@@ -145,11 +146,14 @@ def pooled_examples(draw):
 
 class TestGrouping:
     @settings(max_examples=100, deadline=None)
-    @given(problem=pooled_examples())
-    def test_matches_dict_grouping(self, problem):
+    @given(problem=pooled_examples(), data=st.data())
+    def test_matches_dict_grouping(self, problem, data):
         points, rows, targets = problem
-        got = regression._group_by_design_row(points, rows, targets)
-        want = dict_grouping(points[rows], targets)
+        size = len(targets)
+        counts = data.draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+        weights = np.array(counts)
+        got = regression._group_by_design_row(points, rows, targets, weights)
+        want = dict_grouping(points[rows], targets, weights)
         assert got[0].tolist() == [list(row) for row in want[0]]
         # each group's row is its earliest example's, zero signs included
         assert np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
@@ -200,6 +204,49 @@ class TestDistinctPoints:
     def test_rejects_a_bad_index(self, rows):
         with pytest.raises(ValueError):
             L1Problem(np.ones((2, 1)), np.zeros(2), rows=np.array(rows))
+
+
+class TestWeightedEntries:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=pooled_examples(),
+        constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
+        data=st.data(),
+    )
+    def test_weight_is_a_repeat_count(self, problem, constraint, data):
+        points, rows, targets = problem
+        size = len(targets)
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+        weights = np.array(counts)
+        weighted = L1Problem(points, targets, constraint, rows, weights)
+        repeated = L1Problem(
+            points, np.repeat(targets, weights), constraint, np.repeat(rows, weights)
+        )
+        assert lp_arguments(weighted) == lp_arguments(repeated)
+        got, want = solve_l1(weighted), solve_l1(repeated)
+        assert got.coefficients.tolist() == want.coefficients.tolist()
+        assert got.objective == pytest.approx(want.objective, abs=1e-12)
+        assert got.duality_gap <= 1e-7
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0], [[1.0, 1.0]], [1.0, 0.0], [2.0, -1.0], [1.0, np.nan], [np.inf, 1.0]],
+        ids=["short", "two-dimensional", "zero", "negative", "nan", "infinite"],
+    )
+    def test_rejects_bad_weights_before_solving(self, weights):
+        with mock.patch.object(regression, "linprog") as spy:
+            with pytest.raises(ValueError, match="weights"):
+                p = L1Problem(np.ones((2, 1)), np.zeros(2), weights=np.array(weights))
+                solve_l1(p)
+        assert not spy.called
+
+    def test_objective_is_the_weighted_mean(self):
+        # a constant feature fitted to targets 0 (weight 3) and 1 (weight 1):
+        # the weighted median 0, with mean absolute residual 1/4
+        p = L1Problem(np.ones((2, 1)), np.array([0.0, 1.0]), weights=np.array([3, 1]))
+        s = solve_l1(p)
+        assert s.coefficients[0] == pytest.approx(0.0, abs=1e-9)
+        assert s.objective == pytest.approx(0.25, abs=1e-9)
 
 
 @st.composite
