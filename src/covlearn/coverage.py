@@ -8,6 +8,8 @@ term, keeping evaluation exact.
 
 from __future__ import annotations
 
+import mmap
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -103,13 +105,15 @@ def eval_coverage(c: CoverageFunction, x: Point) -> float:
     return v
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+def walsh_hadamard(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """In-order Walsh-Hadamard transform of a length-2^n array.
 
     Index bit i of a table position corresponds to coordinate i being -1,
     matching the mask encoding.  Output[t] = sum_x values[x]*chi_t(x); divide
-    by 2^n for Fourier coefficients.  The result is a new array; values is
-    left unchanged.
+    by 2^n for Fourier coefficients.  out=None returns a new array and
+    leaves values unchanged; out=values, which must then be a flat float64
+    array, transforms values in place and returns it.  Any other out is
+    refused.
 
     Constant-geometry (Pease) form: every level reads the even and odd
     entries of one buffer and writes their sums to the first half and their
@@ -118,19 +122,39 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     original indices differ in bit k, and after n levels the rotation is
     the identity.  Each butterfly computes x0 + x1 and x0 - x1 on the same
     operands as the in-order, level-by-level form, so the output is
-    bit-for-bit the same as that form's.
+    bit-for-bit the same as that form's.  The other buffer is a prefix of
+    this thread's scratch, which grows to the largest transform the thread
+    has run and is kept; after an odd number of levels one copy lands the
+    result in out.
     """
-    a = np.array(values, dtype=np.float64)
-    size = len(a)
+    size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
+    if out is None:
+        out = np.array(values, dtype=np.float64)
+    elif out is not values:
+        raise ValueError("out must be None or values itself")
+    elif out.dtype != np.float64 or out.ndim != 1:
+        raise ValueError("an in-place transform needs a flat float64 array")
+    if len(getattr(_scratch, "buf", ())) < size:
+        buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+        _scratch.buf = np.frombuffer(buf, dtype=np.float64)
     half = size // 2
-    b = np.empty_like(a)
+    a, b = out, _scratch.buf[:size]
     for _ in range(size.bit_length() - 1):
         np.add(a[0::2], a[1::2], out=b[:half])
         np.subtract(a[0::2], a[1::2], out=b[half:])
         a, b = b, a
-    return a
+    if a is not out:
+        out[...] = a
+    return out
+
+
+# buf: each thread's grow-only WHT buffer, in its own private anonymous
+# mapping.  In the malloc heap it would pin the heap's top, so memory freed
+# below it could not be returned (learn-pmac's peak RSS rose 0.5 MB); being
+# private, a forked child that inherits it writes to copy-on-write pages.
+_scratch = threading.local()
 
 
 def dense_table(c: CoverageFunction) -> np.ndarray:
@@ -161,7 +185,9 @@ def exact_fourier(c: CoverageFunction, method: str = "analytic") -> FourierTable
                     coeffs[sub] = coeffs.get(sub, 0.0) - scaled
         return FourierTable(c.n, coeffs)
     if method == "wht":
-        spectrum = walsh_hadamard(dense_table(c)) / (1 << c.n)
+        spectrum = dense_table(c)
+        walsh_hadamard(spectrum, out=spectrum)
+        spectrum /= 1 << c.n
         coeffs = {int(t): float(v) for t, v in enumerate(spectrum) if v != 0.0}
         return FourierTable(c.n, coeffs)
     raise ValueError(f"unknown method {method!r}")

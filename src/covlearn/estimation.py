@@ -100,12 +100,14 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     weights[x] is how many sample points landed on point mask x (any
     non-negative reals); labels[x] is the label shared by that cell.  The
     result equals estimate_coefficient for every t simultaneously, via one
-    Walsh-Hadamard transform.
+    Walsh-Hadamard transform run in place on the product weights * labels,
+    so the returned array is the only table the call allocates.
     """
     total = float(weights.sum())
     if total <= 0:
         raise ValueError("weights must have positive total")
-    spectrum = walsh_hadamard(np.asarray(weights, dtype=np.float64) * labels)
+    spectrum = np.multiply(weights, labels, dtype=np.float64)
+    walsh_hadamard(spectrum, out=spectrum)
     spectrum /= total
     return spectrum
 

@@ -136,7 +136,7 @@ def _eval_parity_poly(
         dense[np.fromiter(coeffs.keys(), np.int64, size)] = np.fromiter(
             coeffs.values(), np.float64, size
         )
-        return walsh_hadamard(dense)[masks]
+        return walsh_hadamard(dense, out=dense)[masks]
     # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
     for t in sorted(coeffs):
@@ -443,11 +443,13 @@ def _pmac_leaf(
     m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
     counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
     cells = np.arange(len(scaled.values), dtype=np.uint64)
-    errors = [
-        float(counts @ np.abs(h.eval_masks(cells) - scaled.values)) / m_hold
-        for h in hyps
-    ]
-    best = hyps[int(np.argmin(errors))]
+
+    def holdout_error(h: SparsePolynomial) -> float:
+        gaps = h.eval_masks(cells)  # fresh, so |h - labels| is taken in place
+        np.abs(np.subtract(gaps, scaled.values, out=gaps), out=gaps)
+        return float(counts @ gaps) / m_hold
+
+    best = hyps[int(np.argmin([holdout_error(h) for h in hyps]))]
     coeffs = {oracle.lift_set(t): v for t, v in best.coeffs.items()}
     poly = SparsePolynomial(oracle.n_total, "parity", coeffs)
     return PmacPolyLeaf(poly, m_tilde, shift)

@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from covlearn.coverage import (
     walsh_hadamard,
 )
 from covlearn.cube import DimensionMismatch, DistributionSpec, IndexSet, Point
+from covlearn.estimation import spectrum_from_counts
 
 
 class TestCoverageFunction:
@@ -134,6 +141,165 @@ class TestWalshHadamard:
         spec = walsh_hadamard(signs) / 8
         assert abs(spec[0b101] - 1.0) < 1e-12
         assert np.abs(np.delete(spec, 0b101)).max() < 1e-12
+
+
+class TestWalshHadamardOut:
+    @pytest.mark.parametrize("n", range(18))
+    def test_out_bits_equal_new_array(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(-1e3, 1e3, 1 << n)
+        before = values.tobytes()
+        expected = walsh_hadamard(values)
+        assert expected.tobytes() == reference_wht(values).tobytes()
+        assert values.tobytes() == before  # out=None leaves values alone
+        assert walsh_hadamard(values, out=values) is values
+        assert values.tobytes() == expected.tobytes()
+
+    def test_interleaved_sizes_reuse_the_scratch(self):
+        rng = np.random.default_rng(3)
+        for n in (16, 3, 16, 0, 17, 5, 16):
+            values = rng.random(1 << n) * 10.0 ** rng.integers(-3, 16, 1 << n)
+            expected = reference_wht(values).tobytes()
+            assert walsh_hadamard(values, out=values).tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda buf, values: np.zeros(8),  # a separate array
+            lambda buf, values: values.copy(),
+            lambda buf, values: buf[:8],  # values' memory, another object
+            lambda buf, values: np.zeros(4),  # wrong length
+            lambda buf, values: np.zeros(8, dtype=np.float32),  # wrong dtype
+            lambda buf, values: buf[4:12],  # partly overlaps values
+            lambda buf, values: buf[7::-1],  # values reversed
+        ],
+    )
+    def test_any_out_but_values_is_refused(self, make_out):
+        buf = np.arange(16.0)
+        values = buf[:8]
+        out = make_out(buf, values)
+        before, out_before = buf.tobytes(), out.tobytes()
+        with pytest.raises(ValueError):
+            walsh_hadamard(values, out=out)
+        assert buf.tobytes() == before
+        assert out.tobytes() == out_before
+
+    @pytest.mark.parametrize(
+        "values", [np.arange(8), np.zeros(8, dtype=np.float32), np.zeros((4, 2))]
+    )
+    def test_in_place_needs_a_flat_float64_array(self, values):
+        before = values.tobytes()
+        with pytest.raises(ValueError):
+            walsh_hadamard(values, out=values)
+        assert values.tobytes() == before
+
+    def test_concurrent_threads_match_sequential(self):
+        rng = np.random.default_rng(7)
+        jobs = [
+            [rng.random(1 << n) for n in sizes]
+            for sizes in ((15, 4, 13, 15, 9) * 6, (12, 16, 6, 14, 11) * 6)
+        ]
+        expected = [[walsh_hadamard(v).tobytes() for v in job] for job in jobs]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            for v in jobs[i]:
+                w = v.copy()
+                got[i].append(walsh_hadamard(w, out=w).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+    def test_forked_child_and_parent_transform_at_once(self):
+        rng = np.random.default_rng(11)
+        inputs = [rng.uniform(-1e3, 1e3, 1 << 16) for _ in range(2)]
+        expected = [reference_wht(v).tobytes() for v in inputs]
+        walsh_hadamard(inputs[0])  # warm up: this thread now holds a scratch
+
+        def transforms_match(values, want):
+            # long enough that parent and child overlap for many transforms
+            ok, deadline = True, time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                w = values.copy()
+                ok &= walsh_hadamard(w, out=w).tobytes() == want
+            return ok
+
+        ready_r, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, whatever happens
+            code = 1
+            try:
+                os.write(ready_w, b"x")
+                code = 0 if transforms_match(inputs[1], expected[1]) else 2
+            finally:
+                os._exit(code)
+        try:
+            os.read(ready_r, 1)
+            parent_ok = transforms_match(inputs[0], expected[0])
+        finally:
+            os.close(ready_r)
+            os.close(ready_w)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                break
+            time.sleep(0.01)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert parent_ok
+
+
+def peak_traced_bytes(call):
+    """Peak bytes tracemalloc sees allocated during call(), after one
+    warm-up call; numpy reports its data buffers to tracemalloc."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransformAllocations:
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_in_place_transform_allocates_less_than_a_table(self, n):
+        values = np.random.default_rng(n).random(1 << n)
+        peak = peak_traced_bytes(lambda: walsh_hadamard(values, out=values))
+        assert peak < values.nbytes
+
+    def test_repeated_transforms_fault_in_no_new_table(self):
+        # the scratch is an anonymous mapping, which tracemalloc does not
+        # see; a fresh one per call would fault in 128 new pages each time
+        resource = pytest.importorskip("resource")
+        values = np.random.default_rng(1).random(1 << 16)
+        walsh_hadamard(values, out=values)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            walsh_hadamard(values, out=values)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < values.nbytes // 4096
+
+    def test_spectrum_allocates_at_most_its_result(self):
+        rng = np.random.default_rng(16)
+        counts = rng.multinomial(10**6, np.full(1 << 16, 2.0**-16)).astype(float)
+        labels = rng.random(1 << 16)
+        peak = peak_traced_bytes(lambda: spectrum_from_counts(counts, labels))
+        assert peak <= counts.nbytes + 4096
 
 
 class TestExactFourier:
