@@ -174,12 +174,14 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
         max_arity = _get(block, "max_arity", _integer, required=True)
         count = _count(block, "count", 1)
         pattern = _get(block, "out", str, "target_{i}.json")
+        if count > 1 and "{i}" not in pattern:
+            raise SchemaError("field 'out': with count > 1 it must contain {i}")
         for i in range(count):
-            try:
+            try:  # a bad pattern fails at i = 0, before any file is written
                 c = random_coverage(n, max_terms, max_arity, child_seed(seed, i, 0))
-            except ValueError as exc:
-                raise SchemaError(f"coverage block: {exc}") from exc
-            name = pattern.format(i=i) if count > 1 or "{i}" in pattern else pattern
+                name = pattern.format(i=i) if "{i}" in pattern else pattern
+            except (LookupError, AttributeError, TypeError, ValueError) as exc:
+                raise SchemaError(f"coverage block: {exc!r}") from exc
             dump_json(coverage_to_json(c), os.path.join(out_dir, name))
         did_anything = True
     if "dataset" in cfg:
@@ -449,11 +451,10 @@ def _release_dataset(block, seed: int, gate: Callable[[int], float]) -> Dataset:
     if "size" in block:
         size = _count(block, "size")
     else:
-        factor = _get(block, "gate_factor", float, required=True)
-        if not factor > 0:
-            raise SchemaError("field 'gate_factor': must be > 0")
-        size = math.ceil(factor * max(gate(n), 1.0))
-    return Dataset.iid_uniform(n, size, child_rng(seed, 10**6 + 1))
+        size = _get(block, "gate_factor", float, required=True) * max(gate(n), 1.0)
+        if not 0 < size < math.inf:  # NaN fails too
+            raise SchemaError("field 'gate_factor': must be > 0 and give a finite size")
+    return Dataset.iid_uniform(n, math.ceil(size), child_rng(seed, 10**6 + 1))
 
 
 def cmd_release(cfg: dict, out_dir: str) -> int:

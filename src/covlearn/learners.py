@@ -525,46 +525,18 @@ def proper_size_bound(eps: float, size_bound: float) -> float:
     return min(size_bound, (12.0 / eps) ** math.ceil(math.log2(6.0 / eps)))
 
 
-def _distinct_entries(
-    masks: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse drawn examples into their distinct (point, label) pairs, in
-    order of first occurrence, each weighted by its count of examples.
-    Returns the distinct points, ascending, and per pair its point's index,
-    its label and its count: the entries of an L1Problem."""
-    m = len(masks)
-    points, rows, counts = np.unique(masks, return_inverse=True, return_counts=True)
-    first = np.full(len(points), m)
-    np.minimum.at(first, rows, np.arange(m))
-    # an example that carries its point's first label joins that point's
-    # pair; only the others, none when labels are a function of the point,
-    # are sorted, stably, so each run starts at its earliest example
-    rest = np.flatnonzero(labels != labels[first][rows])
-    rest = rest[np.lexsort((labels[rest], rows[rest]))]
-    point, label = rows[rest], labels[rest]
-    new = np.ones(len(rest), dtype=bool)
-    new[1:] = (point[1:] != point[:-1]) | (label[1:] != label[:-1])
-    starts = np.flatnonzero(new)
-    kept = counts - np.bincount(point, minlength=len(points))
-    earliest = np.r_[first, rest[starts]]
-    order = np.argsort(earliest)
-    index = np.r_[np.arange(len(points)), point[starts]][order]
-    count = np.r_[kept, np.diff(np.r_[starts, len(rest)])][order]
-    return points, index, labels[earliest[order]], count
-
-
 def _fit_coverage(
     n: int, sets: Sequence[int], masks: np.ndarray, labels: np.ndarray
 ) -> CoverageFunction:
     """Simplex-constrained l1 fit of the labels over an affine column plus
     one OR_S column per set; the weights form a coverage function.  The
     design has one row per distinct drawn point."""
-    points, rows, targets, counts = _distinct_entries(masks, labels)
+    points, rows = np.unique(masks, return_inverse=True)
     design = np.empty((len(points), len(sets) + 1), dtype=np.float64)
     design[:, 0] = 1.0
     for j, s in enumerate(sets):
         design[:, j + 1] = eval_disjunction_batch(s, points)
-    sol = solve_l1(L1Problem(design, targets, SIMPLEX_LIKE, rows, counts))
+    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE, rows))
     affine = float(sol.coefficients[0])
     terms = {s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0}
     return CoverageFunction(n, affine, terms)
@@ -700,13 +672,13 @@ def agnostic_learn(
     m = regression_samples(eps, len(features))
     _check_design(m, _support_size(d), len(features))
     masks, labels = oracle.draw(m, child_rng(seed, 0))
-    points, rows, targets, counts = _distinct_entries(masks, labels)
+    points, rows = np.unique(masks, return_inverse=True)
     weights = np.bitwise_count(points)
     design = np.empty((len(points), len(features)), dtype=np.float64)
     for j, (k, t) in enumerate(features):
         column = eval_parity_batch(t, points)
         design[:, j] = column if k is None else column * (weights == k)
-    sol = solve_l1(L1Problem(design, targets, UNCONSTRAINED, rows, counts))
+    sol = solve_l1(L1Problem(design, labels, UNCONSTRAINED, rows))
 
     layers: dict = {k: {} for k in blocks}
     for (k, t), v in zip(features, sol.coefficients):

@@ -1,25 +1,25 @@
 """Least-absolute-error linear regression, solved as a linear program.
 
-minimize (1/W) sum_i w_i |sum_j beta_j phi_j(x_i) - y_i|,  W = sum_i w_i
+minimize (1/m) sum_i |sum_j beta_j phi_j(x_i) - y_i|
 
 over coefficients beta, optionally constrained to beta >= 0 and
 sum(beta) <= 1 ("simplex-like", which makes the fit a legal coverage
 weighting).  Standard split-variable formulation: residuals r+ , r- >= 0
-with equality rows Phi beta + r+ - r- = y and objective sum w (r+ + r-).
+with equality rows Phi beta + r+ - r- = y and objective sum (r+ + r-).
 
 Callers draw m examples from a support that is often far smaller, so a
-problem holds the design once per distinct drawn point, plus entries: each
-entry is a point index, a target and a weight, the count of the drawn
-examples it stands for.  The objective is the weighted mean, which is the
-mean over the examples.  The loss is separable by design row, so the LP has
-one equality row per distinct design row (Barrodale and Roberts 1973).  A
-sort of the points groups those that share a design row, and one two-key
-sort orders the entries by (group, target).  Equal targets of a row become
-one target weighted by their total weight.  A row with several distinct
+problem holds the design once per distinct drawn point, plus one target and
+one point index per example; this module alone turns examples into LP rows.
+The loss is separable by design row, so the LP has one equality row per
+distinct design row (Barrodale and Roberts 1973).  A sort of the points
+groups those that share a design row.  Only the examples whose target
+differs from the first target of their group are sorted, so a draw whose
+labels are a function of the design row sorts none.  Equal targets of a row
+become one target weighted by their count.  A row with several distinct
 targets, as the CLI's noise_scale labels give, keeps them as sorted
 breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
-example, and the primal-dual gap is in units of the weighted sum of |r_i|.
+example, and the primal-dual gap is in units of the sum of |r_i|.
 """
 
 from __future__ import annotations
@@ -49,15 +49,13 @@ class LPNotOptimal(RuntimeError):
 @dataclass(frozen=True)
 class L1Problem:
     """points: one design row per distinct point, columns = features.
-    Entries: targets in [0,1]; rows, each entry's point index; weights, each
-    entry's positive count of examples.  With no index, entry i is point i;
-    with no weights, each entry is one example."""
+    Examples: targets in [0,1]; rows, each example's point index.  With no
+    index, example i is point i."""
 
     points: np.ndarray
     targets: np.ndarray
     constraint: str = UNCONSTRAINED
     rows: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or min(self.points.shape[0], len(self.targets)) < 1:
@@ -76,17 +74,12 @@ class L1Problem:
         object.__setattr__(self, "rows", rows)
         if not np.isfinite(self.points).all() or not np.isfinite(self.targets).all():
             raise ValueError("design and targets must be finite")
-        w = np.ones(len(self.targets)) if self.weights is None else self.weights
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (len(self.targets),) or not (np.isfinite(w) & (w > 0)).all():
-            raise ValueError("weights must hold one positive finite count per target")
-        object.__setattr__(self, "weights", w)
         if self.constraint not in (UNCONSTRAINED, SIMPLEX_LIKE):
             raise ValueError(f"unknown constraint flag {self.constraint!r}")
 
     @property
     def design(self) -> np.ndarray:
-        """The dense design, one row per entry."""
+        """The dense design, one row per example."""
         return self.points[self.rows]
 
 
@@ -99,17 +92,17 @@ class L1Solution:
 
 
 def _group_by_design_row(
-    points: np.ndarray, rows: np.ndarray, targets: np.ndarray, weights: np.ndarray
+    points: np.ndarray, rows: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Group the entries by design row.
+    """Group the examples by design row.
 
     Points that share a design row form one group.  Groups come in order of
-    their earliest entry, and each takes its LP row from that entry's
-    point.  Within a group, equal targets become one target weighted by
-    their total weight, and targets ascend.  Returns the groups' design
-    rows, smallest targets and weights, and for each gap between consecutive
-    targets of a group: its group, its width, and its slope, the group's
-    weight at or below the gap minus its weight above it.
+    their earliest example, and each takes its LP row and its first target
+    from that example.  Within a group, equal targets become one target
+    weighted by its count of examples, and targets ascend.  Returns the
+    groups' design rows, smallest targets and counts, and for each gap
+    between consecutive targets of a group: its group, its width, and its
+    slope, the group's count at or below the gap minus its count above it.
     """
     m = len(targets)
     by = np.lexsort(points.T)
@@ -121,26 +114,35 @@ def _group_by_design_row(
     np.minimum.at(earliest, label, np.arange(m))
     rank = np.argsort(np.argsort(earliest))  # unused labels rank last
     group = rank[label]
-    # stable, so among equal targets the earliest entry comes first
-    by = np.lexsort((targets, group))
-    group, y = group[by], targets[by]
-    new = np.r_[True, group[1:] != group[:-1]]
-    distinct = np.flatnonzero(new | np.r_[True, y[1:] != y[:-1]])
-    w = np.add.reduceat(weights[by], distinct)
-    y, new = y[distinct], new[distinct]
+    first = np.sort(earliest)[: np.count_nonzero(earliest < m)]
+    # an example with its group's first target joins that target; only the
+    # others, none when targets are a function of the design row, are
+    # sorted, stably, so each run of equal targets starts at its earliest
+    rest = np.flatnonzero(targets != targets[first][group])
+    rest = rest[np.lexsort((targets[rest], group[rest]))]
+    g, y = group[rest], targets[rest]
+    new = np.ones(len(rest), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (y[1:] != y[:-1])
+    runs = np.flatnonzero(new)
+    kept = np.bincount(group) - np.bincount(g, minlength=len(first))
+    g = np.r_[np.arange(len(first)), g[runs]]
+    y = np.r_[targets[first], y[runs]]
+    w = np.r_[kept, np.diff(np.r_[runs, len(rest)])].astype(np.float64)
+    by = np.lexsort((y, g))
+    g, y, w = g[by], y[by], w[by]
+    new = np.r_[True, g[1:] != g[:-1]]
     starts = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
     weight = np.add.reduceat(w, starts)
     at_or_below = np.cumsum(w)
-    at_or_below -= (at_or_below - w)[starts][group]
+    at_or_below -= (at_or_below - w)[starts][g]
     gap = np.flatnonzero(~new[1:])
     return (
-        points[rows[np.sort(earliest)[: len(starts)]]],
+        points[rows[first]],
         y[starts],
         weight,
-        group[gap],
+        g[gap],
         y[gap + 1] - y[gap],
-        2.0 * at_or_below[gap] - weight[group[gap]],
+        2.0 * at_or_below[gap] - weight[g[gap]],
     )
 
 
@@ -149,18 +151,18 @@ def solve_l1(p: L1Problem) -> L1Solution:
     certified by the primal-dual gap.
 
     The LP has one equality row per distinct design row.  A design row with
-    sorted distinct targets y_1 < ... < y_M of multiplicities w_j and total
-    weight W has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
+    sorted distinct targets y_1 < ... < y_M, each the target of w_j examples,
+    W in all, has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
     cost W each and the segment column z_j in [0, y_{j+1} - y_j] costs
     2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
-    the weighted sum of |residual| over the entries.  The gap (counting the
+    the sum of |residual| over the examples.  The gap (counting the
     segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
     counts equality rows.  A design row with one distinct target has no
     segment columns.  Raises LPNotOptimal when the solver stops short of an
     optimum.
     """
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
-        p.points, p.rows, p.targets, p.weights
+        p.points, p.rows, p.targets
     )
     m, k = rows.shape
     s = len(seg_row)
@@ -205,9 +207,7 @@ def solve_l1(p: L1Problem) -> L1Solution:
             if total > 1.0 + CONSTRAINT_TOL:
                 raise RuntimeError("LP violated the simplex constraint")
             beta = beta / total
-    fitted = (p.points @ beta)[p.rows]
-    residuals = p.weights * np.abs(fitted - p.targets)
-    objective = float(residuals.sum() / p.weights.sum())
+    objective = float(np.abs((p.points @ beta)[p.rows] - p.targets).mean())
 
     dual = float(low @ res.eqlin.marginals)
     if p.constraint == SIMPLEX_LIKE:

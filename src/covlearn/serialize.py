@@ -63,13 +63,12 @@ def coverage_from_json(obj: dict) -> CoverageFunction:
     try:
         n = int(obj["n"])
         affine = float(obj["affine"])
-        raw = obj["terms"]
+        terms: dict[int, float] = {}
+        for entry in obj["terms"]:
+            mask = _indices_to_mask(entry["set"], n)
+            terms[mask] = terms.get(mask, 0.0) + float(entry["weight"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad coverage-function JSON: {exc}") from exc
-    terms: dict[int, float] = {}
-    for entry in raw:
-        mask = _indices_to_mask(entry["set"], n)
-        terms[mask] = terms.get(mask, 0.0) + float(entry["weight"])
     return CoverageFunction(n, affine, terms)
 
 

@@ -4,8 +4,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Regenerate only after an intended change of outputs, and list the entries
-that changed (git diff of the manifest) in CHANGES.md.
+Regenerate only after an intended change of outputs.  The script prints the
+entries it changed, added and removed against the manifest it overwrites;
+list them in CHANGES.md.
 """
 
 import json
@@ -17,10 +18,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from test_golden import MANIFEST, run_matrix, versions  # noqa: E402
 
 
+def differences(old: dict, new: dict) -> dict[str, list[str]]:
+    """Names of the manifest entries that changed, were added or removed."""
+    return {
+        "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k]),
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+
+
 def main() -> None:
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest = {"versions": versions(), "runs": run_matrix()}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(manifest['runs'])} runs to {MANIFEST}")
+    if old.get("versions", manifest["versions"]) != manifest["versions"]:
+        print(f"versions: {old['versions']} -> {manifest['versions']}")
+    for kind, names in differences(old.get("runs", {}), manifest["runs"]).items():
+        print(f"{len(names)} {kind}" + "".join(f"\n  {name}" for name in names))
 
 
 if __name__ == "__main__":

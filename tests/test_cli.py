@@ -129,6 +129,31 @@ class TestGenerate:
         code, _ = run(tmp_path, "generate", {"seed": 1})
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "pattern",
+        ["t.json", "t_{j}.json", "t_{0}.json", "t_{i}_{j}.json", "t_{i}_{0}.json"],
+        ids=["no-index", "unknown-field", "positional-field", "index-and-unknown",
+             "index-and-positional"],
+    )
+    def test_bad_name_pattern_writes_nothing(self, tmp_path, capsys, pattern):
+        # three targets must get three names, from a pattern that formats
+        cfg = {
+            "coverage": {
+                "n": 4, "max_terms": 2, "max_arity": 2, "count": 3, "out": pattern
+            }
+        }
+        code, out_dir = run(tmp_path, "generate", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert os.listdir(out_dir) == []
+
+    def test_lone_target_keeps_a_literal_name(self, tmp_path):
+        block = {"n": 4, "max_terms": 2, "max_arity": 2, "out": "t_{0}.json"}
+        code, out_dir = run(tmp_path, "generate", {"coverage": block})
+        assert code == EXIT_PASS
+        assert os.listdir(out_dir) == ["t_{0}.json"]
+
 
 class TestLearn:
     def test_pac_report(self, tmp_path, capsys):
@@ -551,6 +576,28 @@ class TestSchemaBranches:
 
 class TestNonFiniteValues:
     """NaN, infinite or negative values are usage errors, never published."""
+
+    def test_infinite_gate_factor(self, tmp_path, capsys):
+        cfg = dict(TestCountFields.RELEASE, dataset={"n": 3, "gate_factor": "F"})
+        path = tmp_path / "release_cfg.json"
+        path.write_text(json.dumps(cfg).replace('"F"', "1e999"))
+        out_dir = str(tmp_path / "out")
+        assert main(["release", "--config", str(path), "--out", out_dir]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gate_factor" in err
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "term", [{"weight": 0.5}, [1, 2]], ids=["no-set", "not-an-object"]
+    )
+    def test_bad_target_term_is_a_usage_error(self, tmp_path, capsys, term):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"n": 4, "affine": 0.0, "terms": [term]}))
+        cfg = dict(TestCountFields.LEARN, target={"path": str(target)})
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert "bad coverage-function JSON" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
 
     def test_nan_privacy_epsilon_publishes_nothing(self, tmp_path, capsys):
         cfg = {

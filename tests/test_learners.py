@@ -3,11 +3,13 @@ import os
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from covlearn.coverage import (
     CoverageFunction,
@@ -16,9 +18,9 @@ from covlearn.coverage import (
     random_coverage,
     walsh_hadamard,
 )
-from covlearn.cube import DistributionSpec, child_rng
+from covlearn.cube import DistributionSpec, child_rng, eval_disjunction_batch
 from covlearn.estimation import exact_source, hoeffding_samples
-from covlearn import learners
+from covlearn import learners, regression
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
@@ -467,22 +469,21 @@ def drawn_examples(draw):
     )
 
 
-class TestDistinctEntries:
+class TestFitPassesExamples:
     @settings(max_examples=200, deadline=None)
     @given(examples=drawn_examples())
-    def test_matches_dict_of_pairs(self, examples):
+    def test_one_target_per_example(self, examples):
+        # the fit hands the LP each example's label, zero sign included, on
+        # a design with one row per distinct point
         masks, labels = examples
-        pairs = {}  # insertion-ordered; 0.0 and -0.0 are one key
-        for pair in zip(masks.tolist(), labels.tolist()):
-            pairs.setdefault(pair, [pair[1], 0])[1] += 1
-        points, index, targets, counts = learners._distinct_entries(masks, labels)
-        assert points.tolist() == sorted(set(masks.tolist()))
-        assert points[index].tolist() == [m for m, _ in pairs]
-        # each pair keeps its earliest example's label, zero sign included
-        want = [y for y, _ in pairs.values()]
-        assert np.signbit(targets).tolist() == np.signbit(want).tolist()
-        assert targets.tolist() == want
-        assert counts.tolist() == [c for _, c in pairs.values()]
+        sets = [1, 1 << 63]
+        with mock.patch.object(learners, "solve_l1", wraps=learners.solve_l1) as spy:
+            learners._fit_coverage(64, sets, masks, labels)
+        (problem,), _ = spy.call_args
+        assert len(problem.points) == len(set(masks.tolist()))
+        assert problem.targets.tobytes() == labels.tobytes()
+        want = [np.ones(len(masks))] + [eval_disjunction_batch(s, masks) for s in sets]
+        assert problem.design.tolist() == np.column_stack(want).tolist()
 
 
 class TestAgnostic:
@@ -514,13 +515,14 @@ class TestAgnostic:
         monkeypatch.setattr(learners, "solve_l1", spy)
         c = random_coverage(10, 3, 2, 5)
         d = DistributionSpec.uniform(10)
-        h = agnostic_learn(UniformTableOracle.from_coverage(c), d, 0.2, 0)
+        with mock.patch.object(regression, "linprog", wraps=linprog) as lp:
+            h = agnostic_learn(UniformTableOracle.from_coverage(c), d, 0.2, 0)
         (problem,) = solved
         assert problem.points.shape == (1024, 386)
-        # the table labels each point once: one entry per point, whose
-        # weights count the 617,600 examples
-        assert len(problem.targets) == 1024
-        assert problem.weights.sum() == 617_600
+        # one target per example; the table labels each point once, so the
+        # LP has one equality row per distinct point at most
+        assert len(problem.targets) == 617_600
+        assert lp.call_args.kwargs["A_eq"].shape[0] <= 1024
         assert l1_exact(h, c) <= 0.2
 
     def test_single_layer_fits_constant_label(self):

@@ -97,14 +97,15 @@ class TestRowCollapse:
         assert args.args[0].tolist() == [0.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
 
 
-def dict_grouping(design, targets, weights):
+def dict_grouping(design, targets):
     """_group_by_design_row in plain Python: the same six outputs, built
-    from an insertion-ordered dict of per-row target weights."""
+    from an insertion-ordered dict of per-row target counts, one example at
+    a time.  A dict keeps the first key of equal ones, so each target keeps
+    its earliest example's zero sign."""
     groups = {}
-    rows = zip(map(tuple, design.tolist()), targets.tolist(), weights.tolist())
-    for row, target, weight in rows:
+    for row, target in zip(map(tuple, design.tolist()), targets.tolist()):
         counts = groups.setdefault(row, {})
-        counts[target] = counts.get(target, 0) + weight
+        counts[target] = counts.get(target, 0) + 1
     rows, low, weight, seg_row, width, slope = [], [], [], [], [], []
     for g, (row, counts) in enumerate(groups.items()):
         ys = sorted(counts)
@@ -121,44 +122,83 @@ def dict_grouping(design, targets, weights):
     return rows, low, weight, seg_row, width, slope
 
 
+TARGETS = [-0.0, 0.0, 0.25, 0.5, 1.0]
+
+
 @st.composite
 def pooled_examples(draw):
     """Points whose design rows come from a small pool, so distinct points
     share a design row, some as 0.0 against -0.0; examples that pick points
-    and targets from small pools, so points repeat, carry several labels or
-    go unused.  Returns (points, rows, targets)."""
+    from a small pool, so points repeat or go unused.  Labels are a function
+    of the point, noisy, or a mix of both, and -0.0 meets 0.0 among them.
+    Returns (points, rows, targets)."""
     k = draw(st.integers(1, 3))
     entries = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
     pool = draw(
         st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=4)
     )
     points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    label_of = draw(
+        st.lists(st.sampled_from(TARGETS), min_size=len(points), max_size=len(points))
+    )
+    noise = draw(st.sampled_from([0.0, 0.5, 1.0]))  # share of noisy labels
     picks = draw(
         st.lists(
-            st.tuples(st.integers(0, len(points) - 1), st.integers(0, 4)),
+            st.tuples(
+                st.integers(0, len(points) - 1),
+                st.sampled_from(TARGETS),
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
             min_size=1,
             max_size=40,
         )
     )
-    rows = np.array([i for i, _ in picks])
-    return np.array(points), rows, np.array([t / 4 for _, t in picks])
+    rows = np.array([i for i, _, _ in picks])
+    targets = [y if u < noise else label_of[i] for i, y, u in picks]
+    return np.array(points), rows, np.array(targets)
 
 
 class TestGrouping:
-    @settings(max_examples=100, deadline=None)
-    @given(problem=pooled_examples(), data=st.data())
-    def test_matches_dict_grouping(self, problem, data):
+    @settings(max_examples=200, deadline=None)
+    @given(problem=pooled_examples())
+    def test_matches_dict_grouping(self, problem):
         points, rows, targets = problem
-        size = len(targets)
-        counts = data.draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
-        weights = np.array(counts)
-        got = regression._group_by_design_row(points, rows, targets, weights)
-        want = dict_grouping(points[rows], targets, weights)
+        got = regression._group_by_design_row(points, rows, targets)
+        want = dict_grouping(points[rows], targets)
         assert got[0].tolist() == [list(row) for row in want[0]]
-        # each group's row is its earliest example's, zero signs included
+        # each group's row and smallest target are its earliest example's,
+        # zero signs included
         assert np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
+        assert np.signbit(got[1]).tolist() == np.signbit(want[1]).tolist()
         for g, w in zip(got[1:], want[1:]):
             assert g.tolist() == w
+
+    def test_first_target_negative_zero(self):
+        # two points share a design row; its earliest example has target
+        # -0.0, which the later 0.0 examples join
+        points = np.array([[1.0], [1.0], [2.0]])
+        rows = np.array([1, 0, 2, 1, 0])
+        targets = np.array([-0.0, 0.0, 0.5, 0.5, 0.0])
+        design, low, weight, seg_row, width, slope = regression._group_by_design_row(
+            points, rows, targets
+        )
+        assert design.tolist() == [[1.0], [2.0]]
+        assert low.tolist() == [0.0, 0.5] and np.signbit(low).tolist() == [True, False]
+        assert weight.tolist() == [4.0, 1.0]
+        assert seg_row.tolist() == [0] and width.tolist() == [0.5]
+        assert slope.tolist() == [2.0]  # 3 at or below the gap, 1 above
+
+    def test_point_labels_sort_no_example(self):
+        # labels that are a function of the point leave nothing to sort
+        points = np.array([[0.0], [1.0], [2.0]])
+        rows = np.array([2, 0, 1, 0, 2, 2])
+        targets = np.array([0.5, 1.0, 0.25, 1.0, 0.5, 0.5])
+        with mock.patch.object(regression.np, "lexsort", wraps=np.lexsort) as spy:
+            got = regression._group_by_design_row(points, rows, targets)
+        sizes = [len(call.args[0][0]) for call in spy.call_args_list]
+        assert sizes == [3, 0, 3]  # the points, no example, the groups
+        assert got[0].tolist() == [[2.0], [0.0], [1.0]]
+        assert got[2].tolist() == [3.0, 2.0, 1.0]
 
 
 def lp_arguments(problem):
@@ -204,49 +244,6 @@ class TestDistinctPoints:
     def test_rejects_a_bad_index(self, rows):
         with pytest.raises(ValueError):
             L1Problem(np.ones((2, 1)), np.zeros(2), rows=np.array(rows))
-
-
-class TestWeightedEntries:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        problem=pooled_examples(),
-        constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
-        data=st.data(),
-    )
-    def test_weight_is_a_repeat_count(self, problem, constraint, data):
-        points, rows, targets = problem
-        size = len(targets)
-        counts = data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
-        weights = np.array(counts)
-        weighted = L1Problem(points, targets, constraint, rows, weights)
-        repeated = L1Problem(
-            points, np.repeat(targets, weights), constraint, np.repeat(rows, weights)
-        )
-        assert lp_arguments(weighted) == lp_arguments(repeated)
-        got, want = solve_l1(weighted), solve_l1(repeated)
-        assert got.coefficients.tolist() == want.coefficients.tolist()
-        assert got.objective == pytest.approx(want.objective, abs=1e-12)
-        assert got.duality_gap <= 1e-7
-
-    @pytest.mark.parametrize(
-        "weights",
-        [[1.0], [[1.0, 1.0]], [1.0, 0.0], [2.0, -1.0], [1.0, np.nan], [np.inf, 1.0]],
-        ids=["short", "two-dimensional", "zero", "negative", "nan", "infinite"],
-    )
-    def test_rejects_bad_weights_before_solving(self, weights):
-        with mock.patch.object(regression, "linprog") as spy:
-            with pytest.raises(ValueError, match="weights"):
-                p = L1Problem(np.ones((2, 1)), np.zeros(2), weights=np.array(weights))
-                solve_l1(p)
-        assert not spy.called
-
-    def test_objective_is_the_weighted_mean(self):
-        # a constant feature fitted to targets 0 (weight 3) and 1 (weight 1):
-        # the weighted median 0, with mean absolute residual 1/4
-        p = L1Problem(np.ones((2, 1)), np.array([0.0, 1.0]), weights=np.array([3, 1]))
-        s = solve_l1(p)
-        assert s.coefficients[0] == pytest.approx(0.0, abs=1e-9)
-        assert s.objective == pytest.approx(0.25, abs=1e-9)
 
 
 @st.composite
@@ -313,6 +310,15 @@ class TestValidation:
 
 
 class TestMedianExample:
+    def test_objective_is_the_mean_over_examples(self):
+        # a constant feature fitted to targets 0, 0, 0 and 1 on one point:
+        # the median 0, with mean absolute residual 1/4
+        p = L1Problem(np.ones((1, 1)), np.array([0.0, 1.0, 0.0, 0.0]),
+                      rows=np.zeros(4, dtype=np.intp))
+        s = solve_l1(p)
+        assert s.coefficients[0] == pytest.approx(0.0, abs=1e-9)
+        assert s.objective == pytest.approx(0.25, abs=1e-9)
+
     def test_constant_feature_fits_median(self):
         # one constant feature, targets {0, 1, 1}: the l1-optimal constant
         # is the median 1, with mean absolute residual 1/3

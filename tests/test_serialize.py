@@ -61,6 +61,15 @@ class TestCoverageJson:
         with pytest.raises(ValueError):
             coverage_from_json({"n": 3, "terms": []})
 
+    @pytest.mark.parametrize(
+        "terms",
+        [[{"weight": 0.5}], [[1, 2]], [0.5], 3, [{"set": [1], "weight": "x"}]],
+        ids=["no-set", "term-a-list", "term-a-number", "terms-a-number", "bad-weight"],
+    )
+    def test_bad_term_is_one_value_error(self, terms):
+        with pytest.raises(ValueError, match="bad coverage-function JSON"):
+            coverage_from_json({"n": 3, "affine": 0.0, "terms": terms})
+
 
 class TestFourierCsv:
     def test_roundtrip_exact(self):
