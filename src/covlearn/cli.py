@@ -11,7 +11,9 @@ seeds, and report rows are ordered by trial index.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -107,6 +109,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+@contextlib.contextmanager
+def _reading():
+    """An OSError raised while reading a config or input path, or creating
+    the output directory, is a usage error; its message names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
     if key not in cfg:
         if required:
@@ -133,10 +145,14 @@ def _size_bound(cfg: dict) -> float:
     return size_bound
 
 
-def _dist_integer(obj: dict, key: str) -> int:
+def _dist_field(obj: dict, key: str, kind=_integer):
     if key not in obj:
         raise KeyError(key)  # reported as a missing distribution field
-    return _get(obj, key, _integer)
+    return _get(obj, key, kind)
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
 
 
 def _dist_from_json(obj) -> DistributionSpec:
@@ -145,14 +161,14 @@ def _dist_from_json(obj) -> DistributionSpec:
     variant = obj["variant"]
     try:
         if variant == "uniform":
-            return DistributionSpec.uniform(_dist_integer(obj, "n"))
+            return DistributionSpec.uniform(_dist_field(obj, "n"))
         if variant == "product":
-            return DistributionSpec.product([float(b) for b in obj["biases"]])
+            return DistributionSpec.product(_dist_field(obj, "biases", _floats))
         if variant == "layer":
-            n, k = _dist_integer(obj, "n"), _dist_integer(obj, "k")
+            n, k = _dist_field(obj, "n"), _dist_field(obj, "k")
             return DistributionSpec.layer(n, k)
         if variant == "symmetric":
-            return DistributionSpec.symmetric([float(w) for w in obj["weights"]])
+            return DistributionSpec.symmetric(_dist_field(obj, "weights", _floats))
     except KeyError as exc:
         raise SchemaError(f"distribution field {exc} is missing") from exc
     except ValueError as exc:
@@ -207,22 +223,31 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
 # trials and reports
 
 
+def _trial_file(out_dir: str, kind: str, trial: int, ext: str) -> str:
+    return os.path.join(out_dir, f"{kind}_{trial:03d}.{ext}")
+
+
 def _run_trials(
-    cfg: dict, out_dir: str, trials: int, seed: int, run_trial, head: str, tail: str
+    cfg: dict, trials: int, seed: int, run_trial, write, head: str, tail: str,
+    out_dir: str,
 ) -> int:
-    """Runs run_trial(trial) for each trial, which writes the trial's files
-    and returns its report row; a trial whose oracle or LP gives out becomes
-    a failed row.  Then writes report.json and report.csv, prints
-    "head: successes/trials tail" and returns the exit code."""
+    """Times run_trial(trial, child_seed(seed, trial, 0)), which fits and
+    evaluates and returns the row's fields and an output that write(trial,
+    output) then writes, outside runtime_sec.  A trial whose oracle or LP
+    gives out is a failed row, with no runtime and no file.  Then writes
+    report.json and report.csv, prints "head: successes/trials tail" and
+    returns the exit code."""
     rows = []
     for trial in range(trials):
+        row = {"trial": trial, "seed": child_seed(seed, trial, 0)}
+        start = time.monotonic()
         try:
-            rows.append(run_trial(trial))
+            fields, output = run_trial(trial, row["seed"])
         except (OracleExhausted, LPNotOptimal) as exc:
-            rows.append(
-                {"trial": trial, "seed": child_seed(seed, trial, 0),
-                 "error": str(exc), "success": False}
-            )
+            rows.append({**row, "error": str(exc), "success": False})
+            continue
+        rows.append({**row, **fields, "runtime_sec": time.monotonic() - start})
+        write(trial, output)
     successes = sum(1 for r in rows if r["success"])
     aggregate = {
         "trials": trials,
@@ -270,7 +295,8 @@ def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
     if not isinstance(block, dict):
         raise SchemaError("learn config needs a 'target' object")
     if "path" in block:
-        target = coverage_from_json(load_json(block["path"]))
+        with _reading():
+            target = coverage_from_json(load_json(_get(block, "path", os.fspath)))
         if target.n != n:
             raise SchemaError(f"target has n={target.n} but the config has n={n}")
         return target
@@ -294,20 +320,19 @@ class _PerturbedEval:
 
 
 def _run_learn_trial(
-    cfg: dict, learner: str, trial: int, seed: int, eval_samples: int, out_dir: str
-) -> dict:
+    cfg: dict, learner: str, eval_samples: int, seed: int, trial: int, tseed: int
+) -> tuple[dict, CoverageFunction | None]:
     """One learn trial: each learner branch builds its oracle, hypothesis,
     truth function, evaluation distribution and error bound; one block
-    then evaluates the hypothesis and finishes the row.  samples is every
+    then evaluates the hypothesis.  Returns the row's fields and the
+    hypothesis to write, None for a perturbed DNF inner.  samples is every
     example any oracle of the trial drew."""
     n = _count(cfg, "n", required=True)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
-    tseed = child_seed(seed, trial, 0)
     eval_seed = child_seed(seed, trial, 1)
     drawn = [0]  # examples drawn by the trial's oracles
-    start = time.monotonic()
     if learner == "dnf-reduction":
         s = _get(params, "s", _integer, required=True)
         eps = _get(params, "epsilon", float, required=True)
@@ -385,22 +410,10 @@ def _run_learn_trial(
         err, hw = l1_distance_mc(h.eval_masks, truth, dist, eval_samples, eval_seed)
         mult_fraction = None
         success = err <= bound
-    row = {
-        "trial": trial,
-        "seed": tseed,
-        "l1_error": err,
-        "l1_half_width": hw,
-        "mult_fraction": mult_fraction,
-        "samples": drawn[0],
-        "success": success,
-        "runtime_sec": time.monotonic() - start,
-    }
-    if hypothesis is not None:
-        dump_json(
-            hypothesis_to_json(hypothesis),
-            os.path.join(out_dir, f"hypothesis_{trial:03d}.json"),
-        )
-    return row
+    return {
+        "l1_error": err, "l1_half_width": hw, "mult_fraction": mult_fraction,
+        "samples": drawn[0], "success": success,
+    }, hypothesis
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> int:
@@ -413,12 +426,16 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     seed = _get(cfg, "seed", _integer, 0)
     eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
 
-    def run_trial(trial: int) -> dict:
-        return _run_learn_trial(cfg, learner, trial, seed, eval_samples, out_dir)
+    run_trial = functools.partial(_run_learn_trial, cfg, learner, eval_samples, seed)
+
+    def write(trial: int, hypothesis) -> None:
+        if hypothesis is not None:
+            path = _trial_file(out_dir, "hypothesis", trial, "json")
+            dump_json(hypothesis_to_json(hypothesis), path)
 
     head = f"learn {learner}"
     tail = f"successful trials (threshold {SUCCESS_THRESHOLD:.3f})"
-    return _run_trials(cfg, out_dir, trials, seed, run_trial, head, tail)
+    return _run_trials(cfg, trials, seed, run_trial, write, head, tail, out_dir)
 
 
 # --------------------------------------------------------------------------
@@ -445,7 +462,7 @@ def _release_dataset(block, seed: int, gate: Callable[[int], float]) -> Dataset:
     if not isinstance(block, dict):
         raise SchemaError("release config needs a 'dataset' object")
     if "path" in block:
-        with open(block["path"]) as fh:
+        with _reading(), open(_get(block, "path", os.fspath)) as fh:
             return dataset_from_text(fh.read())
     n = _count(block, "n", required=True)
     if "size" in block:
@@ -480,9 +497,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     )
     truth_table = all_conjunction_answers(d)
 
-    def run_trial(trial: int) -> dict:
-        tseed = child_seed(seed, trial, 0)
-        start = time.monotonic()
+    def run_trial(trial: int, tseed: int):
         if variant == "all-marginals":
             summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
             qdist = DistributionSpec.uniform(d.n)
@@ -498,26 +513,21 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
         answers = summary.answer_masks(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
         hw = hoeffding_half_width(eval_queries, 1)
-        row = {
-            "trial": trial,
-            "seed": tseed,
-            "avg_error": avg_error,
-            "l1_half_width": hw,
-            "privacy_budget": summary.queries_used,
-            "runtime_sec": time.monotonic() - start,
-            "success": avg_error <= alpha_bar,
-        }
-        dump_json(
-            summary_to_json(summary), os.path.join(out_dir, f"summary_{trial:03d}.json")
-        )
+        return {
+            "avg_error": avg_error, "l1_half_width": hw,
+            "privacy_budget": summary.queries_used, "success": avg_error <= alpha_bar,
+        }, summary
+
+    def write(trial: int, summary) -> None:
+        path = _trial_file(out_dir, "summary", trial, "json")
+        dump_json(summary_to_json(summary), path)
         if summary.synthetic is not None and not summary.synthetic.is_empty():
-            with open(os.path.join(out_dir, f"synthetic_{trial:03d}.txt"), "w") as fh:
+            with open(_trial_file(out_dir, "synthetic", trial, "txt"), "w") as fh:
                 fh.write(dataset_to_text(summary.synthetic))
-        return row
 
     head = f"release {variant}"
     tail = f"trials within average error {alpha_bar}"
-    return _run_trials(cfg, out_dir, trials, seed, run_trial, head, tail)
+    return _run_trials(cfg, trials, seed, run_trial, write, head, tail, out_dir)
 
 
 # --------------------------------------------------------------------------
@@ -659,12 +669,13 @@ def main(argv=None) -> int:
         return cmd_selftest()
 
     try:
-        cfg = load_json(args.config)
-        if not isinstance(cfg, dict):
-            raise SchemaError("config root must be a JSON object")
+        with _reading():
+            cfg = load_json(args.config)
+            if not isinstance(cfg, dict):
+                raise SchemaError("config root must be a JSON object")
+            os.makedirs(args.out, exist_ok=True)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        os.makedirs(args.out, exist_ok=True)
         if args.verb == "generate":
             return cmd_generate(cfg, args.out)
         if args.verb == "learn":

@@ -525,21 +525,18 @@ def proper_size_bound(eps: float, size_bound: float) -> float:
     return min(size_bound, (12.0 / eps) ** math.ceil(math.log2(6.0 / eps)))
 
 
-def _fit_coverage(
-    n: int, sets: Sequence[int], masks: np.ndarray, labels: np.ndarray
-) -> CoverageFunction:
-    """Simplex-constrained l1 fit of the labels over an affine column plus
-    one OR_S column per set; the weights form a coverage function.  The
-    design has one row per distinct drawn point."""
-    points, rows = np.unique(masks, return_inverse=True)
-    design = np.empty((len(points), len(sets) + 1), dtype=np.float64)
-    design[:, 0] = 1.0
-    for j, s in enumerate(sets):
-        design[:, j + 1] = eval_disjunction_batch(s, points)
-    sol = solve_l1(L1Problem(design, labels, SIMPLEX_LIKE, rows))
-    affine = float(sol.coefficients[0])
-    terms = {s: float(w) for s, w in zip(sets, sol.coefficients[1:]) if w > 0.0}
-    return CoverageFunction(n, affine, terms)
+def _fit_coverage(n: int, sets: Sequence[int], examples, m: int, rng, support: int):
+    """Simplex-constrained l1 fit of m drawn examples over an affine column
+    plus one OR_S column per set; the weights form a coverage function."""
+
+    def columns(points):
+        yield 1.0  # the affine column
+        for s in sets:
+            yield eval_disjunction_batch(s, points)
+
+    coef = _l1_fit(examples, m, rng, support, len(sets) + 1, columns, SIMPLEX_LIKE)
+    terms = {s: float(w) for s, w in zip(sets, coef[1:]) if w > 0.0}
+    return CoverageFunction(n, float(coef[0]), terms)
 
 
 def proper_pac_core(
@@ -567,8 +564,7 @@ def proper_pac_core(
         hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE),
         regression_samples(eps, len(sets) + 1),
     )
-    _check_design(m3, 1 << n, len(sets) + 1)
-    return _fit_coverage(n, sets, *examples.draw(m3, rng))
+    return _fit_coverage(n, sets, examples, m3, rng, 1 << n)
 
 
 def proper_pac_learn(
@@ -623,16 +619,25 @@ def _support_size(d: DistributionSpec) -> int:
     return 1 << d.n  # product biases lie in (0, 1)
 
 
-def _check_design(examples: int, support: int, columns: int) -> None:
-    """Rejects a regression design over DESIGN_BYTES_CAP before any of its
-    examples is drawn: it has one float64 row per distinct drawn point, so
-    at most min(examples, support) rows of `columns` features."""
-    size = min(examples, support) * columns * 8
+def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint):
+    """The regression stage of the proper and agnostic learners: an l1 fit
+    of m drawn labels over the `width` columns that columns(points) yields
+    for the distinct drawn points; returns one coefficient per column.  The
+    design has one float64 row per distinct point, so at most
+    min(m, support) rows; one over DESIGN_BYTES_CAP is refused before any
+    example is drawn."""
+    size = min(m, support) * width * 8
     if size > DESIGN_BYTES_CAP:
         raise DesignTooLarge(
             f"regression design needs up to {size} bytes, "
             f"over the cap {DESIGN_BYTES_CAP}"
         )
+    masks, labels = examples.draw(m, rng)
+    points, rows = np.unique(masks, return_inverse=True)
+    design = np.empty((len(points), width), dtype=np.float64)
+    for j, column in enumerate(columns(points)):
+        design[:, j] = column
+    return solve_l1(L1Problem(design, labels, constraint, rows)).coefficients
 
 
 def agnostic_degree(eps: float) -> int:
@@ -669,19 +674,16 @@ def agnostic_learn(
     parities = sets_up_to(n, deg)
     features = [(k, t) for k in blocks for t in parities]
 
-    m = regression_samples(eps, len(features))
-    _check_design(m, _support_size(d), len(features))
-    masks, labels = oracle.draw(m, child_rng(seed, 0))
-    points, rows = np.unique(masks, return_inverse=True)
-    weights = np.bitwise_count(points)
-    design = np.empty((len(points), len(features)), dtype=np.float64)
-    for j, (k, t) in enumerate(features):
-        column = eval_parity_batch(t, points)
-        design[:, j] = column if k is None else column * (weights == k)
-    sol = solve_l1(L1Problem(design, labels, UNCONSTRAINED, rows))
+    def columns(points):
+        weights = np.bitwise_count(points)
+        for k, t in features:
+            column = eval_parity_batch(t, points)
+            yield column if k is None else column * (weights == k)
 
+    coef = _l1_fit(oracle, regression_samples(eps, len(features)), child_rng(seed, 0),
+                   _support_size(d), len(features), columns, UNCONSTRAINED)
     layers: dict = {k: {} for k in blocks}
-    for (k, t), v in zip(features, sol.coefficients):
+    for (k, t), v in zip(features, coef):
         if v != 0.0:
             layers[k][t] = float(v)
     if blocks == [None]:
@@ -717,8 +719,7 @@ def proper_agnostic_learn(
     _check_columns(d.n, k_len)
     sets = sets_up_to(d.n, k_len, include_empty=False)
     m = regression_samples(half, len(sets) + 1)
-    _check_design(m, _support_size(d), len(sets) + 1)
-    return _fit_coverage(d.n, sets, *oracle.draw(m, child_rng(seed, 0)))
+    return _fit_coverage(d.n, sets, oracle, m, child_rng(seed, 0), _support_size(d))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import builtins
 import json
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from covlearn import cli, learners, regression
+from covlearn.cube import child_seed
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.estimation import hoeffding_samples
 from covlearn.cli import (
@@ -556,15 +559,46 @@ class TestSchemaBranches:
                 "needs a 'dataset' object",
             ),
             ("learn", [LEARN], "config root must be a JSON object"),
+            (
+                "learn",
+                dict(AGNOSTIC, distribution={"variant": "product", "biases": 5}),
+                "field 'biases': ",
+            ),
+            (
+                "learn",
+                dict(
+                    AGNOSTIC,
+                    distribution={
+                        "variant": "symmetric", "weights": [0, 0.5, None, 0.5, 0]
+                    },
+                ),
+                "field 'weights': ",
+            ),
+            ("learn", dict(LEARN, target={"path": 0}), "field 'path': "),
+            ("learn", dict(LEARN, target={"path": ["x"]}), "field 'path': "),
+            ("release", dict(RELEASE, dataset={"path": 0}), "field 'path': "),
+            ("release", dict(RELEASE, dataset={"path": ["x"]}), "field 'path': "),
         ],
         ids=[
             "missing-field", "unconvertible-field", "distribution-not-object",
             "distribution-missing-field", "distribution-unknown-variant",
             "coverage-block", "dataset-over-expansion-cap", "no-target",
             "params-not-object", "unknown-inner", "no-dataset", "root-not-object",
+            "biases-not-a-list", "null-weight", "target-path-number",
+            "target-path-list", "dataset-path-number", "dataset-path-list",
         ],
     )
-    def test_exits_with_one_error_line(self, tmp_path, capsys, verb, cfg, message):
+    def test_exits_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch, verb, cfg, message
+    ):
+        # open(0) would read stdin, and on a terminal wait for it
+        real_open = builtins.open
+
+        def no_descriptors(file, *args, **kwargs):
+            assert not isinstance(file, int), "a config path opened a descriptor"
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_descriptors)
         code, out_dir = run(tmp_path, verb, cfg)
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -572,6 +606,83 @@ class TestSchemaBranches:
         assert message in err
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
         assert not os.path.exists(out_dir) or os.listdir(out_dir) == []
+
+
+class TestUnreadablePaths:
+    """A config or input path that cannot be read, or an --out that names a
+    file, is one error line naming the path and exit 2, before any file is
+    written."""
+
+    LEARN = TestCountFields.LEARN
+    RELEASE = TestCountFields.RELEASE
+
+    @pytest.mark.parametrize(
+        "verb,cfg,config,out,named",
+        [
+            ("learn", LEARN, "a_directory", "out", "a_directory"),
+            ("learn", LEARN, "cfg.json", "a_file", "a_file"),
+            ("learn", dict(LEARN, target={"path": "."}), "cfg.json", "out", "."),
+            ("release", dict(RELEASE, dataset={"path": "."}), "cfg.json", "out", "."),
+        ],
+        ids=[
+            "config-is-a-directory", "out-is-a-file", "target-path-is-a-directory",
+            "dataset-path-is-a-directory",
+        ],
+    )
+    def test_unreadable_path(
+        self, tmp_path, capsys, monkeypatch, verb, cfg, config, out, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("a_directory")
+        (tmp_path / "a_file").write_text("")
+        write_config(tmp_path, "cfg.json", cfg)
+        code = main([verb, "--config", config, "--out", out])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(named) in err
+        assert (tmp_path / "a_file").read_text() == ""
+        assert not os.path.isdir(out) or os.listdir(out) == []
+
+
+class TestTrialClock:
+    """runtime_sec covers a trial's fit and evaluation, not the writes of
+    its output files."""
+
+    @pytest.mark.parametrize(
+        "verb,cfg,to_json,output",
+        [
+            (
+                "learn",
+                dict(TestCountFields.LEARN, eval_samples=1000),
+                "hypothesis_to_json",
+                "hypothesis_{:03d}.json",
+            ),
+            (
+                "release",
+                dict(TestCountFields.RELEASE, eval_queries=1000),
+                "summary_to_json",
+                "summary_{:03d}.json",
+            ),
+        ],
+        ids=["learn", "release"],
+    )
+    def test_output_writes_are_not_timed(
+        self, tmp_path, capsys, monkeypatch, verb, cfg, to_json, output
+    ):
+        to_json_fast = getattr(cli, to_json)
+
+        def slow(obj):
+            time.sleep(0.3)
+            return to_json_fast(obj)
+
+        monkeypatch.setattr(cli, to_json, slow)
+        _, out_dir = run(tmp_path, verb, dict(cfg, seed=3, trials=2))
+        rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert [r["trial"] for r in rows] == [0, 1]
+        assert all(r["runtime_sec"] < 0.3 for r in rows)
+        for trial in range(2):
+            assert os.path.exists(os.path.join(out_dir, output.format(trial)))
 
 
 class TestNonFiniteValues:
@@ -915,6 +1026,8 @@ class TestLpNotOptimal:
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
         assert row["success"] is False
         assert "Iteration limit reached" in row["error"]
+        assert row["seed"] == child_seed(1, 0, 0)
+        assert "runtime_sec" not in row
         assert not os.path.exists(os.path.join(out_dir, output))
 
 

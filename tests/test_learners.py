@@ -477,8 +477,10 @@ class TestFitPassesExamples:
         # a design with one row per distinct point
         masks, labels = examples
         sets = [1, 1 << 63]
+        drawn = mock.Mock(draw=mock.Mock(return_value=examples))
         with mock.patch.object(learners, "solve_l1", wraps=learners.solve_l1) as spy:
-            learners._fit_coverage(64, sets, masks, labels)
+            learners._fit_coverage(64, sets, drawn, len(masks), None, 1 << 64)
+        drawn.draw.assert_called_once_with(len(masks), None)
         (problem,), _ = spy.call_args
         assert len(problem.points) == len(set(masks.tolist()))
         assert problem.targets.tobytes() == labels.tobytes()
