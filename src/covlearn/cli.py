@@ -289,6 +289,10 @@ class _CountingTableOracle(UniformTableOracle):
         self.counter[0] += int(total)
         return super().draw_counts(total, rng)
 
+    def draw_hits(self, total, hit, rng):
+        self.counter[0] += int(total)
+        return super().draw_hits(total, hit, rng)
+
 
 def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
     block = cfg.get("target")

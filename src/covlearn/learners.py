@@ -61,7 +61,6 @@ PAC_SEARCH_FAILURE = 1 / 3  # one sample for screen and search, confidence 2/3
 PROPER_THETA_DIV = 108  # theta = eps^2 / 108
 PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 1/9
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
-BOOST_REPS_FACTOR = 8  # r = ceil(8 ln(2/eta)) repetitions
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
 DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
@@ -276,6 +275,12 @@ class UniformTableOracle:
             remaining -= chunk
         return counts
 
+    def draw_hits(self, total: int, hit: np.ndarray, rng: np.random.Generator) -> int:
+        """How many of `total` i.i.d. uniform draws land in the cells where
+        hit is true: one Binomial(total, |hit| / cells) draw, whose dyadic
+        probability is exact in float64."""
+        return int(rng.binomial(total, np.count_nonzero(hit) / len(self.values)))
+
     def restrict(self, compact_var: int, sign: int) -> "UniformTableOracle":
         """Fix free coordinate compact_var to sign (-1 or +1)."""
         if not 0 <= compact_var < self.n:
@@ -422,6 +427,16 @@ def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
 # PMAC learning
 
 
+def _boost_runs(eta: float) -> int:
+    """The least r with PAC_SEARCH_FAILURE ** r <= eta / 2, for eta in (0, 1):
+    ceil(ln(2/eta) / ln 3), counted up so that no rounded logarithm can make
+    it one short."""
+    r = 1
+    while PAC_SEARCH_FAILURE**r > eta / 2:
+        r += 1
+    return r
+
+
 def _pmac_leaf(
     oracle: UniformTableOracle,
     m_tilde: float,
@@ -432,14 +447,23 @@ def _pmac_leaf(
     *path: int,
 ) -> PmacPolyLeaf:
     """PAC fit of the labels scaled by 1/(3 m~), with confidence boosted from
-    2/3 to 1-eta: r independent runs scored on a held-out sample, the best
-    one lifted to the full cube.  Run i is seeded from path + (i,), the
-    hold-out sample draws from path."""
+    2/3 to 1-eta: r = _boost_runs(eta) independent runs scored on a held-out
+    sample, the best one lifted to the full cube.  The hold-out sample draws
+    from path, run i is seeded from path + (i,).  The runs are fitted and
+    scored one at a time; only the best so far is kept, the first on a tie.
+
+    Failure budget.  Each run has l1 error at most eps with probability at
+    least 2/3, independently, so all r fail with probability at most
+    PAC_SEARCH_FAILURE ** r <= eta/2.  Given the runs, the m_hold hold-out
+    draws are independent of them, and each of the r hold-out errors is
+    within eps/4 of the run's true error with probability at least
+    1 - eta/(2r) (`hoeffding_samples`' bound for gaps of width at most 2),
+    so all r are with probability at least 1 - eta/2.  On both events, which
+    together fail with probability at most eta, some run has error at most
+    eps and the chosen run's estimate is at most that run's, so the chosen
+    run's error is at most eps + eps/4 + eps/4 = 1.5 eps."""
     scaled = oracle.scaled(1.0 / (3.0 * m_tilde))
-    r = math.ceil(BOOST_REPS_FACTOR * math.log(2.0 / eta))
-    hyps = [
-        pac_learn_uniform(scaled, eps, child_seed(seed, *path, i)) for i in range(r)
-    ]
+    r = _boost_runs(eta)
     m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
     counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
     cells = np.arange(len(scaled.values), dtype=np.uint64)
@@ -449,7 +473,10 @@ def _pmac_leaf(
         np.abs(np.subtract(gaps, scaled.values, out=gaps), out=gaps)
         return float(counts @ gaps) / m_hold
 
-    best = hyps[int(np.argmin([holdout_error(h) for h in hyps]))]
+    runs = (
+        pac_learn_uniform(scaled, eps, child_seed(seed, *path, i)) for i in range(r)
+    )
+    best = min(runs, key=holdout_error)  # min keeps the first of equal keys
     coeffs = {oracle.lift_set(t): v for t, v in best.coeffs.items()}
     poly = SparsePolynomial(oracle.n_total, "parity", coeffs)
     return PmacPolyLeaf(poly, m_tilde, shift)
@@ -485,7 +512,7 @@ def pmac_learn(
         if m_tilde == 0.0:
             break
         small = oracle.values <= m_tilde / 4.0
-        p_tilde = float(oracle.draw_counts(m_p, rng)[small].sum()) / m_p
+        p_tilde = oracle.draw_hits(m_p, small, rng) / m_p
         if p_tilde < 2 * delta / 9:
             eps1 = (1.0 / 12.0) * (gamma / 2.0) * (delta / 3.0)
             tail = _pmac_leaf(oracle, m_tilde, eps1, gamma / 24.0, eta, seed, k, 1)

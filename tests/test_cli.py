@@ -261,10 +261,11 @@ class TestLearn:
 
 
     def test_pmac_output_ignores_the_worker_count(self, tmp_path, monkeypatch):
-        # at n=13 the first level's table is drawn as two blocks
+        # at n=14 even a first-level minus leaf's table, 2^13 cells, is drawn
+        # as two blocks
         cfg = {
             "learner": "pmac",
-            "n": 13,
+            "n": 14,
             "seed": 4,
             "trials": 1,
             "eval_samples": 2000,
@@ -309,14 +310,15 @@ class TestSampleCount:
         def spy(cls, name):
             orig = getattr(cls, name)
 
-            def counted(self, size, rng):
+            def counted(self, size, *args):
                 drawn.append(int(size))
-                return orig(self, size, rng)
+                return orig(self, size, *args)
 
             monkeypatch.setattr(cls, name, counted)
 
         spy(UniformTableOracle, "draw")
         spy(UniformTableOracle, "draw_counts")
+        spy(UniformTableOracle, "draw_hits")
         spy(SampledOracle, "draw")
         cfg = {
             "learner": learner,

@@ -18,7 +18,12 @@ from covlearn.coverage import (
     random_coverage,
     walsh_hadamard,
 )
-from covlearn.cube import DistributionSpec, child_rng, eval_disjunction_batch
+from covlearn.cube import (
+    DistributionSpec,
+    child_rng,
+    child_seed,
+    eval_disjunction_batch,
+)
 from covlearn.estimation import exact_source, hoeffding_samples
 from covlearn import learners, regression
 from covlearn.learners import (
@@ -413,6 +418,67 @@ class TestPmacLearning:
             pmac_learn(o, 0.0, 0.2, 0)
         with pytest.raises(ValueError):
             pmac_learn(o, 0.5, 1.2, 0)
+
+
+class TestPmacBoosting:
+    """A PMAC leaf makes the runs its failure budget needs, fits and scores
+    them one at a time, and keeps the first run of least hold-out error."""
+
+    @given(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    def test_run_count_is_least_within_budget(self, eta):
+        r = learners._boost_runs(eta)
+        assert r >= 1
+        assert (1 / 3) ** r <= eta / 2 < (1 / 3) ** (r - 1)
+
+    def test_five_runs_at_delta_one_fifth(self):
+        eta = learners.PMAC_ETA_NUM / math.log2(3 / 0.2)
+        assert learners._boost_runs(eta) == 5
+
+    def test_leaf_makes_exactly_r_runs(self, monkeypatch):
+        seeds = []
+        inner = learners.pac_learn_uniform
+
+        def spy(oracle, eps, seed):
+            seeds.append(seed)
+            return inner(oracle, eps, seed)
+
+        monkeypatch.setattr(learners, "pac_learn_uniform", spy)
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
+        eta = 0.001
+        learners._pmac_leaf(o, float(o.values.max()), 0.3, 0.01, eta, 7, 3, 1)
+        r = learners._boost_runs(eta)
+        assert r == 7
+        assert seeds == [child_seed(7, 3, 1, i) for i in range(r)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.35]), min_size=4, max_size=4))
+    def test_keeps_first_run_of_least_holdout_error(self, levels):
+        # run i is the constant levels[i] plus a zero coefficient on {i}: the
+        # marker changes neither the run's values nor, bit for bit, its
+        # hold-out error, and it names the run the leaf kept
+        n, eps, eta, seed, path = 6, 0.3, 0.05, 11, (2, 1)
+        r = learners._boost_runs(eta)
+        assert r == len(levels)
+        o = UniformTableOracle.from_coverage(random_coverage(n, 4, 3, 8))
+        m_tilde = float(o.values.max())
+        runs = iter(range(r))
+
+        def constant_run(oracle, eps, seed):
+            i = next(runs)
+            return SparsePolynomial(n, "parity", {0: levels[i], 1 << i: 0.0})
+
+        with mock.patch.object(learners, "pac_learn_uniform", constant_run):
+            leaf = learners._pmac_leaf(o, m_tilde, eps, 0.0, eta, seed, *path)
+        (kept,) = set(leaf.poly.coeffs) - {0}
+
+        scaled = o.scaled(1.0 / (3.0 * m_tilde))
+        m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
+        counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
+        errors = [
+            float(counts @ np.abs(np.full(1 << n, c) - scaled.values)) / m_hold
+            for c in levels
+        ]
+        assert kept == 1 << int(np.argmin(errors))
 
 
 class TestProperPac:
