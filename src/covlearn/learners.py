@@ -285,22 +285,21 @@ class UniformTableOracle:
         """Fix free coordinate compact_var to sign (-1 or +1)."""
         if not 0 <= compact_var < self.n:
             raise ValueError("variable index out of range")
-        idx = np.arange(len(self.values))
-        want = 1 if sign == -1 else 0
-        sel = (idx >> compact_var) & 1 == want
-        new_vars = tuple(v for i, v in enumerate(self.free_vars) if i != compact_var)
-        return replace(self, free_vars=new_vars, values=self.values[sel])
+        # axis 1 is bit compact_var of the cell mask; -1 is bit value 1
+        half = self.values.reshape(-1, 2, 1 << compact_var)[:, 1 if sign == -1 else 0]
+        free_vars = self.free_vars[:compact_var] + self.free_vars[compact_var + 1 :]
+        return replace(self, free_vars=free_vars, values=half.flatten())
 
     def scaled(self, factor: float) -> "UniformTableOracle":
         """Labels multiplied by factor and clamped to [0, 1]."""
         return replace(self, values=np.clip(self.values * factor, 0.0, 1.0))
 
-    def lift_set(self, compact_set_mask: int) -> int:
-        mask = 0
-        for i, v in enumerate(self.free_vars):
-            if compact_set_mask >> i & 1:
-                mask |= 1 << v
-        return mask
+    def lift_sets(self, compact_masks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Compact set masks on the original coordinates: bit i of each
+        moves to bit free_vars[i]."""
+        masks = np.asarray(compact_masks, dtype=np.uint64)
+        bits = (masks[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
+        return bits @ (np.uint64(1) << np.array(self.free_vars, dtype=np.uint64))
 
 
 @functools.cache
@@ -369,12 +368,13 @@ def _screen_and_search(
 ) -> dict[int, float]:
     """Singletons whose phase-1 estimate reaches theta, all asked in one
     call, then a lattice search over them at keep_thr, on the source that
-    phase2_source_for gives for the search's union-bound pool size."""
+    phase2_source_for gives for the search's union-bound pool size.  A
+    single point (n = 0) has no candidates; an IndexSet needs n >= 1."""
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     itilde = np.flatnonzero(np.abs(phase1_source(singletons)) >= theta).tolist()
     return lattice_search(
         phase2_source_for(pac_pool_bound(keep_thr, len(itilde))),
-        IndexSet.from_indices(itilde, n),
+        IndexSet.from_indices(itilde, max(n, 1)),
         keep_thr,
         max_level,
     )
@@ -477,8 +477,8 @@ def _pmac_leaf(
         pac_learn_uniform(scaled, eps, child_seed(seed, *path, i)) for i in range(r)
     )
     best = min(runs, key=holdout_error)  # min keeps the first of equal keys
-    coeffs = {oracle.lift_set(t): v for t, v in best.coeffs.items()}
-    poly = SparsePolynomial(oracle.n_total, "parity", coeffs)
+    coeffs = zip(oracle.lift_sets(list(best.coeffs)).tolist(), best.coeffs.values())
+    poly = SparsePolynomial(oracle.n_total, "parity", dict(coeffs))
     return PmacPolyLeaf(poly, m_tilde, shift)
 
 
@@ -518,17 +518,14 @@ def pmac_learn(
             tail = _pmac_leaf(oracle, m_tilde, eps1, gamma / 24.0, eta, seed, k, 1)
             break
 
-        # pivot search: a coordinate whose -1 half has uniformly large labels
+        # pivot search: the first coordinate set in no draw labelled below the
+        # floor, so its -1 half has no small drawn label
         m_piv = math.ceil((3.0 / delta) * math.log(oracle.n / eta))
         masks, labels = oracle.draw(m_piv, rng)
         label_floor = m_tilde / (16.0 * log_term)
-        pivot = None
-        for j in range(oracle.n):
-            sel = ((masks >> np.uint64(j)) & np.uint64(1)) == 1
-            if not sel.any() or labels[sel].min() >= label_floor:
-                pivot = j
-                break
-        if pivot is None:
+        below = int(np.bitwise_or.reduce(masks[labels < label_floor]))
+        pivot = (~below & (below + 1)).bit_length() - 1  # lowest bit not in below
+        if pivot >= oracle.n:
             break
         eps_minus = (gamma / 2.0) * (delta / 3.0) / (48.0 * log_term)
         shift = gamma / (96.0 * log_term)

@@ -200,6 +200,20 @@ class TestLearn:
         assert row["mult_fraction"] is not None
         assert code in (EXIT_PASS, EXIT_CONTRACT)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_pmac_at_small_n(self, tmp_path, capsys, n):
+        # PMAC's subcubes go down to a single point at these n
+        for seed in range(1, 9):
+            cfg = {
+                "learner": "pmac",
+                "n": n,
+                "seed": seed,
+                "target": {"max_terms": 4, "max_arity": n},
+                "params": {"gamma": 0.5, "delta": 0.2},
+            }
+            code, _ = run(tmp_path, "learn", cfg, out=f"out{seed}")
+            assert code == EXIT_PASS, (n, seed, capsys.readouterr().err)
+
     def test_dnf_exact_inner(self, tmp_path, capsys):
         cfg = {
             "learner": "dnf-reduction",

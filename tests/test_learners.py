@@ -25,7 +25,7 @@ from covlearn.cube import (
     eval_disjunction_batch,
 )
 from covlearn.estimation import exact_source, hoeffding_samples
-from covlearn import learners, regression
+from covlearn import cli, learners, regression
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
@@ -108,9 +108,48 @@ class TestUniformTableOracle:
         assert np.array_equal(r.values, expected)
         assert r.free_vars == (0, 1, 3, 4)
 
-    def test_lift_set(self):
+    def test_lift_sets(self):
         o = UniformTableOracle(5, (1, 3, 4), np.zeros(8))
-        assert o.lift_set(0b101) == (1 << 1) | (1 << 4)
+        lifted = o.lift_sets([0b101, 0, 0b010])
+        assert lifted.dtype == np.uint64
+        assert lifted.tolist() == [(1 << 1) | (1 << 4), 0, 1 << 3]
+        point = UniformTableOracle(5, (), np.zeros(1))  # a 0-variable table
+        assert point.lift_sets([0]).tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lift_sets_matches_the_bit_loop(self, data):
+        coords = st.lists(st.integers(0, 63), max_size=8, unique=True)
+        free_vars = tuple(data.draw(coords))
+        o = UniformTableOracle(64, free_vars, np.zeros(1 << len(free_vars)))
+        cells = st.integers(0, (1 << len(free_vars)) - 1)
+        masks = [0] + data.draw(st.lists(cells, max_size=20))
+        assert o.lift_sets(masks).tolist() == [_lift_by_bits(o, t) for t in masks]
+        assert o.lift_sets(np.zeros(0, dtype=np.uint64)).tolist() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_restrict_matches_the_index_mask(self, k, data):
+        # the counting oracle of the CLI must keep its class and its tally
+        coords = st.sets(st.integers(0, 15), min_size=k, max_size=k)
+        free_vars = tuple(sorted(data.draw(coords)))
+        cells = st.lists(st.floats(0, 1), min_size=1 << k, max_size=1 << k)
+        values = np.asarray(data.draw(cells))
+        counter = [0]
+        for o in (
+            UniformTableOracle(16, free_vars, values),
+            cli._CountingTableOracle(16, free_vars, values, counter),
+        ):
+            for var in range(k):
+                for sign in (-1, +1):
+                    r = o.restrict(var, sign)
+                    want_vars, want_values = _restrict_by_index_mask(o, var, sign)
+                    assert type(r) is type(o)
+                    assert r.free_vars == want_vars
+                    assert r.values.tobytes() == want_values.tobytes()
+                    assert not np.shares_memory(r.values, o.values)
+                    if isinstance(o, cli._CountingTableOracle):
+                        assert r.counter is counter
 
     def test_scaled_clamp(self):
         o = UniformTableOracle(1, (0,), np.array([0.0, 3.0]))
@@ -125,6 +164,23 @@ class TestUniformTableOracle:
         o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
         with pytest.raises(OracleExhausted):
             o.draw(1 << 27, child_rng(0, 0))
+
+
+def _lift_by_bits(o: UniformTableOracle, compact_mask: int) -> int:
+    """Reference lift: one bit of the compact mask at a time."""
+    mask = 0
+    for i, v in enumerate(o.free_vars):
+        if compact_mask >> i & 1:
+            mask |= 1 << v
+    return mask
+
+
+def _restrict_by_index_mask(o: UniformTableOracle, var: int, sign: int):
+    """Reference restriction: the free variables and values of the cells
+    whose bit var is 1 for sign -1 and 0 for sign +1."""
+    idx = np.arange(len(o.values))
+    sel = (idx >> var) & 1 == (1 if sign == -1 else 0)
+    return tuple(v for i, v in enumerate(o.free_vars) if i != var), o.values[sel]
 
 
 def _reference_counts(cells: int, total: int, rng) -> np.ndarray:
@@ -378,6 +434,17 @@ class TestPmacLearning:
         assert (hv >= 0).all()
         good = (hv <= cv + 1e-12) & (cv <= (1 + gamma) * hv + 1e-12)
         assert good.mean() >= 1 - delta
+
+    def test_single_point_subcube_gets_a_leaf(self):
+        # the split on x_0 leaves two 0-variable subcubes: c = 1 on the minus
+        # point, 0 on the plus point
+        c = CoverageFunction(1, 0.0, {1: 1.0})
+        h = pmac_learn(UniformTableOracle.from_coverage(c), 0.5, 0.2, 3)
+        assert h.depth() == 1
+        assert isinstance(h.root.minus, PmacPolyLeaf)
+        hv = h.eval_masks(np.array([0, 1], dtype=np.uint64))
+        assert hv[0] == 0.0
+        assert hv[1] <= 1.0 <= 1.5 * hv[1]
 
     def test_depth_capped(self):
         c = random_coverage(10, 8, 6, 3)
