@@ -387,6 +387,7 @@ def _run_learn_trial(
             oracle = _CountingTableOracle(
                 target.n, tuple(range(target.n)), dense_table(target), drawn
             )
+            truth = oracle.values.__getitem__  # eval_masks is elementwise
             if learner == "pmac":
                 gamma = _get(params, "gamma", float, required=True)
                 delta = _get(params, "delta", float, required=True)

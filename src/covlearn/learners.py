@@ -57,7 +57,7 @@ from .regression import MAX_COLUMNS, SIMPLEX_LIKE, UNCONSTRAINED, L1Problem, sol
 # Centralized algorithm constants.  Accuracy/confidence parameters flow in
 # from callers; these are the fixed numeric choices of the implementation.
 PAC_THETA_DIV = 6  # theta = eps^2 / 6
-PAC_SEARCH_FAILURE = 1 / 3  # one sample for screen and search, confidence 2/3
+PAC_SEARCH_FAILURE = 1 / 3  # default failure of a PAC run's one search sample
 PROPER_THETA_DIV = 108  # theta = eps^2 / 108
 PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 1/9
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
@@ -413,28 +413,22 @@ def _search_source(
     return _oracle_coeff_source(oracle, m, child_rng(seed, 1))
 
 
-def pac_learn_uniform(oracle, eps: float, seed: int) -> SparsePolynomial:
-    """PAC learner from uniform examples with l1 error eps (confidence 2/3
-    when the target is a coverage function)."""
+def pac_learn_uniform(
+    oracle, eps: float, seed: int, failure: float = PAC_SEARCH_FAILURE
+) -> SparsePolynomial:
+    """PAC learner from uniform examples with l1 error eps and confidence
+    1 - failure, 2/3 by default, when the target is a coverage function."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
+    if not 0 < failure < 1:
+        raise ValueError("failure must lie in (0,1)")
     theta = eps * eps / PAC_THETA_DIV
-    source = _search_source(oracle, seed, theta, theta, PAC_SEARCH_FAILURE)
+    source = _search_source(oracle, seed, theta, theta, failure)
     return pac_core(oracle.n, eps, source, lambda pool: source)
 
 
 # --------------------------------------------------------------------------
 # PMAC learning
-
-
-def _boost_runs(eta: float) -> int:
-    """The least r with PAC_SEARCH_FAILURE ** r <= eta / 2, for eta in (0, 1):
-    ceil(ln(2/eta) / ln 3), counted up so that no rounded logarithm can make
-    it one short."""
-    r = 1
-    while PAC_SEARCH_FAILURE**r > eta / 2:
-        r += 1
-    return r
 
 
 def _pmac_leaf(
@@ -446,38 +440,16 @@ def _pmac_leaf(
     seed: int,
     *path: int,
 ) -> PmacPolyLeaf:
-    """PAC fit of the labels scaled by 1/(3 m~), with confidence boosted from
-    2/3 to 1-eta: r = _boost_runs(eta) independent runs scored on a held-out
-    sample, the best one lifted to the full cube.  The hold-out sample draws
-    from path, run i is seeded from path + (i,).  The runs are fitted and
-    scored one at a time; only the best so far is kept, the first on a tie.
+    """PAC fit of the labels scaled by 1/(3 m~) at failure eta, seeded from
+    path and lifted to the full cube.
 
-    Failure budget.  Each run has l1 error at most eps with probability at
-    least 2/3, independently, so all r fail with probability at most
-    PAC_SEARCH_FAILURE ** r <= eta/2.  Given the runs, the m_hold hold-out
-    draws are independent of them, and each of the r hold-out errors is
-    within eps/4 of the run's true error with probability at least
-    1 - eta/(2r) (`hoeffding_samples`' bound for gaps of width at most 2),
-    so all r are with probability at least 1 - eta/2.  On both events, which
-    together fail with probability at most eta, some run has error at most
-    eps and the chosen run's estimate is at most that run's, so the chosen
-    run's error is at most eps + eps/4 + eps/4 = 1.5 eps."""
+    Failure budget.  The fit is one run whose estimates are, by the union
+    bound `_search_source` sizes its sample with, all within tau with
+    probability at least 1 - eta; on that event its l1 error is at most
+    eps."""
     scaled = oracle.scaled(1.0 / (3.0 * m_tilde))
-    r = _boost_runs(eta)
-    m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
-    counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
-    cells = np.arange(len(scaled.values), dtype=np.uint64)
-
-    def holdout_error(h: SparsePolynomial) -> float:
-        gaps = h.eval_masks(cells)  # fresh, so |h - labels| is taken in place
-        np.abs(np.subtract(gaps, scaled.values, out=gaps), out=gaps)
-        return float(counts @ gaps) / m_hold
-
-    runs = (
-        pac_learn_uniform(scaled, eps, child_seed(seed, *path, i)) for i in range(r)
-    )
-    best = min(runs, key=holdout_error)  # min keeps the first of equal keys
-    coeffs = zip(oracle.lift_sets(list(best.coeffs)).tolist(), best.coeffs.values())
+    h = pac_learn_uniform(scaled, eps, child_seed(seed, *path), failure=eta)
+    coeffs = zip(oracle.lift_sets(list(h.coeffs)).tolist(), h.coeffs.values())
     poly = SparsePolynomial(oracle.n_total, "parity", dict(coeffs))
     return PmacPolyLeaf(poly, m_tilde, shift)
 

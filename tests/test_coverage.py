@@ -52,6 +52,15 @@ class TestCoverageFunction:
         with pytest.raises(ValueError):
             CoverageFunction(2, 0.0, {0b100: 0.5})
 
+    @pytest.mark.parametrize("affine", [-0.0, 0.0, 0.125])
+    @pytest.mark.parametrize("terms", [{}, {0b11: 0.25, 0b101100: 0.5, 0b10: 0.0}])
+    def test_table_lookup_has_eval_masks_bytes(self, affine, terms):
+        # eval_masks is elementwise, so the learn CLI may read its truth from
+        # the dense table: the lookup keeps every bit, a -0.0 included
+        c = CoverageFunction(6, affine, terms)
+        masks = np.random.default_rng(1).integers(0, 64, 500).astype(np.uint64)
+        assert dense_table(c)[masks].tobytes() == c.eval_masks(masks).tobytes()
+
     def test_size_and_total(self):
         c = CoverageFunction(3, 0.1, {1: 0.2, 0b110: 0.0})
         assert c.size() == 1

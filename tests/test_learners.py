@@ -324,9 +324,9 @@ class TestOneSearchSample:
     and the target-fixed pool: failure 1/3 for PAC, 2/9 for proper."""
 
     @staticmethod
-    def _pac_samples(n, eps):
+    def _pac_samples(n, eps, failure=1 / 3):
         theta = eps * eps / 6
-        return hoeffding_samples(theta / 2, (1 / 3) / (n + pac_pool_bound(theta, n)))
+        return hoeffding_samples(theta / 2, failure / (n + pac_pool_bound(theta, n)))
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_pac_draws_once(self, monkeypatch, seed):
@@ -335,6 +335,13 @@ class TestOneSearchSample:
         pac_learn_uniform(o, 0.3, seed)
         want = (self._pac_samples(8, 0.3), child_rng(seed, 1).bit_generator.state)
         assert calls == [want]
+
+    @pytest.mark.parametrize("failure", [0.01, 1e-6])
+    def test_pac_failure_sizes_the_sample(self, monkeypatch, failure):
+        calls = _spy_draws(monkeypatch, UniformTableOracle, "draw_counts")
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 11))
+        pac_learn_uniform(o, 0.3, 5, failure=failure)
+        assert [size for size, _ in calls] == [self._pac_samples(8, 0.3, failure)]
 
     def test_proper_screen_and_search_draw_once(self, monkeypatch):
         calls = _spy_draws(monkeypatch, UniformTableOracle, "draw_counts")
@@ -390,6 +397,12 @@ class TestPacLearning:
         o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
         with pytest.raises(ValueError):
             pac_learn_uniform(o, 1.5, 0)
+
+    @pytest.mark.parametrize("failure", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_failure_outside_unit_interval(self, failure):
+        o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
+        with pytest.raises(ValueError):
+            pac_learn_uniform(o, 0.5, 0, failure=failure)
 
     def test_design_over_byte_cap(self, monkeypatch):
         # the regression's examples are refused before any is drawn
@@ -461,13 +474,13 @@ class TestPmacLearning:
         assert a.eval_masks(masks).tobytes() == b.eval_masks(masks).tobytes()
 
     def test_trials_draw_disjoint_streams(self, monkeypatch):
-        # every boosted PAC run of one seed is seeded apart from another's
+        # every leaf's PAC run of one seed is seeded apart from another's
         seeds = []
         inner = learners.pac_learn_uniform
 
-        def spy(oracle, eps, seed):
+        def spy(oracle, eps, seed, *args, **kwargs):
             seeds.append(seed)
-            return inner(oracle, eps, seed)
+            return inner(oracle, eps, seed, *args, **kwargs)
 
         monkeypatch.setattr(learners, "pac_learn_uniform", spy)
         o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
@@ -487,65 +500,32 @@ class TestPmacLearning:
             pmac_learn(o, 0.5, 1.2, 0)
 
 
-class TestPmacBoosting:
-    """A PMAC leaf makes the runs its failure budget needs, fits and scores
-    them one at a time, and keeps the first run of least hold-out error."""
+class TestPmacLeaf:
+    """A PMAC leaf is one PAC run at failure eta, seeded from its path."""
 
-    @given(st.floats(0, 1, exclude_min=True, exclude_max=True))
-    def test_run_count_is_least_within_budget(self, eta):
-        r = learners._boost_runs(eta)
-        assert r >= 1
-        assert (1 / 3) ** r <= eta / 2 < (1 / 3) ** (r - 1)
-
-    def test_five_runs_at_delta_one_fifth(self):
-        eta = learners.PMAC_ETA_NUM / math.log2(3 / 0.2)
-        assert learners._boost_runs(eta) == 5
-
-    def test_leaf_makes_exactly_r_runs(self, monkeypatch):
-        seeds = []
+    def test_leaf_makes_one_run_at_eta(self, monkeypatch):
+        calls = []
         inner = learners.pac_learn_uniform
 
-        def spy(oracle, eps, seed):
-            seeds.append(seed)
-            return inner(oracle, eps, seed)
+        def spy(oracle, eps, seed, *args, **kwargs):
+            calls.append((seed, args, kwargs))
+            return inner(oracle, eps, seed, *args, **kwargs)
 
         monkeypatch.setattr(learners, "pac_learn_uniform", spy)
         o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
         eta = 0.001
         learners._pmac_leaf(o, float(o.values.max()), 0.3, 0.01, eta, 7, 3, 1)
-        r = learners._boost_runs(eta)
-        assert r == 7
-        assert seeds == [child_seed(7, 3, 1, i) for i in range(r)]
+        assert calls == [(child_seed(7, 3, 1), (), {"failure": eta})]
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.35]), min_size=4, max_size=4))
-    def test_keeps_first_run_of_least_holdout_error(self, levels):
-        # run i is the constant levels[i] plus a zero coefficient on {i}: the
-        # marker changes neither the run's values nor, bit for bit, its
-        # hold-out error, and it names the run the leaf kept
-        n, eps, eta, seed, path = 6, 0.3, 0.05, 11, (2, 1)
-        r = learners._boost_runs(eta)
-        assert r == len(levels)
-        o = UniformTableOracle.from_coverage(random_coverage(n, 4, 3, 8))
-        m_tilde = float(o.values.max())
-        runs = iter(range(r))
-
-        def constant_run(oracle, eps, seed):
-            i = next(runs)
-            return SparsePolynomial(n, "parity", {0: levels[i], 1 << i: 0.0})
-
-        with mock.patch.object(learners, "pac_learn_uniform", constant_run):
-            leaf = learners._pmac_leaf(o, m_tilde, eps, 0.0, eta, seed, *path)
-        (kept,) = set(leaf.poly.coeffs) - {0}
-
-        scaled = o.scaled(1.0 / (3.0 * m_tilde))
-        m_hold = hoeffding_samples(eps / 4, eta / (2 * r))
-        counts = scaled.draw_counts(m_hold, child_rng(seed, *path))
-        errors = [
-            float(counts @ np.abs(np.full(1 << n, c) - scaled.values)) / m_hold
-            for c in levels
-        ]
-        assert kept == 1 << int(np.argmin(errors))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaled_error_within_eps(self, seed):
+        # the leaf's polynomial against the labels it fitted, the table
+        # scaled by 1/(3 m~), measured exactly on the whole cube
+        o = UniformTableOracle.from_coverage(random_coverage(6, 5, 3, seed + 40))
+        m_tilde, eps, eta = float(o.values.max()), 0.3, 0.05
+        leaf = learners._pmac_leaf(o, m_tilde, eps, 0.0, eta, seed, 0, 1)
+        hv = leaf.poly.eval_masks(np.arange(1 << 6, dtype=np.uint64))
+        assert float(np.abs(hv - o.values / (3.0 * m_tilde)).mean()) <= eps
 
 
 class TestProperPac:
