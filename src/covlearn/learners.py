@@ -242,7 +242,7 @@ class UniformTableOracle:
         return masks, self.values[masks]
 
     def draw_counts(self, total: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact per-cell counts of `total` i.i.d. uniform draws.
+        """Per-cell counts of `total` i.i.d. uniform draws.
 
         A table of fewer than 2 * BLOCK_CELLS cells is one multinomial draw
         on rng.  A larger one is cut into cells // BLOCK_CELLS equal
@@ -251,8 +251,13 @@ class UniformTableOracle:
         rng.spawn(blocks)[b].  Splitting a multinomial this way is exact.
         The blocks are drawn on a thread pool, but each has its own stream,
         so the counts do not depend on the worker count.  Totals beyond the
-        int64 range are drawn in exact chunks, each split afresh; the count
-        array is float64, adequate for every tolerance used here.
+        int64 range are drawn in exact chunks, each split afresh.
+
+        The counts are float64: exact while a cell stays below 2^53, and
+        above it rounded, by a relative 2^-52 or less per chunk.  PMAC's
+        small leaves go above it (a 32-cell leaf at n = 6 draws about 1e20
+        examples), and their estimates only divide counts by the total, so
+        the rounding stays far inside every tolerance used here.
         """
         cells = len(self.values)
         blocks = max(1, cells // BLOCK_CELLS)

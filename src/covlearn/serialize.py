@@ -13,6 +13,10 @@
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +36,12 @@ DATASET_EXPANSION_CAP = 1_000_000
 
 
 def _mask_to_indices(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+    indices = []
+    while mask:
+        low = mask & -mask  # lowest set bit
+        indices.append(low.bit_length())
+        mask ^= low
+    return indices
 
 
 def _indices_to_mask(indices: Iterable[int], n: int) -> int:
@@ -286,9 +295,93 @@ def summary_from_json(obj: dict) -> ReleaseSummary:
     )
 
 
+# --------------------------------------------------------------------------
+# JSON files: the text of json.dump(obj, indent=2, sort_keys=True), streamed.
+# json's indented encoder is pure Python (its C encoder ignores indent), so
+# this writer renders the shapes covlearn writes and hands the rest to json.
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf or x == -math.inf:
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(x) -> str | None:
+    """json's text for a str, number, bool or None; None for anything else."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return _float(x) if isinstance(x, float) else None
+
+
+def _row_chunks(rows: list, ind: str):
+    """A list of coefficient rows {"set": [ints], "value": float} at indent
+    ind, one chunk per row rendered from a template (the first opens the
+    list); None if any item has another shape."""
+    if not (
+        all(
+            type(r) is dict
+            and r.keys() == {"set", "value"}
+            and type(r["set"]) is list
+            and type(r["value"]) is float
+            for r in rows
+        )
+        and set(map(type, chain.from_iterable(map(itemgetter("set"), rows)))) <= {int}
+    ):
+        return None
+    inner = ind + "    "
+    sep = ",\n" + inner
+    head = f"%s\n{ind}{{\n{ind}  "
+    full = head + f'"set": [\n{inner}%s\n{ind}  ],\n{ind}  "value": %s\n{ind}}}'
+    empty = head + f'"set": [],\n{ind}  "value": %s\n{ind}}}'
+    return (
+        full % (lead, sep.join(map(int.__repr__, r["set"])), _float(r["value"]))
+        if r["set"]
+        else empty % (lead, _float(r["value"]))
+        for lead, r in zip(chain("[", repeat(",")), rows)
+    )
+
+
+def _json_chunks(obj, ind: str):
+    """Pieces of json.dumps(obj, indent=2, sort_keys=True) with every line
+    after the first indented by ind."""
+    text = _scalar(obj)
+    inner = ind + "  "
+    if text is not None:
+        yield text
+    elif type(obj) is dict and obj and all(type(k) is str for k in obj):
+        lead = "{"
+        for key, value in sorted(obj.items()):
+            yield f"{lead}\n{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(value, inner)
+            lead = ","
+        yield "\n" + ind + "}"
+    elif type(obj) is list and obj:
+        rows = _row_chunks(obj, inner)
+        if rows is not None:
+            yield from rows
+        else:
+            lead = "["
+            for item in obj:
+                yield f"{lead}\n{inner}"
+                yield from _json_chunks(item, inner)
+                lead = ","
+        yield "\n" + ind + "]"
+    else:
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + ind)
+
+
 def dump_json(obj: dict, path: str) -> None:
+    """Write obj as json.dump(obj, fh, indent=2, sort_keys=True) plus a
+    newline would, byte for byte, in one streamed pass."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(obj, ""))
         fh.write("\n")
 
 

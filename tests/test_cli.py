@@ -701,6 +701,50 @@ class TestTrialClock:
             assert os.path.exists(os.path.join(out_dir, output.format(trial)))
 
 
+class TestJsonFiles:
+    """Every JSON file a run writes is json.dump(obj, indent=2,
+    sort_keys=True) plus a newline, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "verb,cfg",
+        [
+            (
+                "learn",
+                {
+                    "learner": "pmac",
+                    "n": 6,
+                    "eval_samples": 1000,
+                    "target": {"max_terms": 3, "max_arity": 2},
+                    "params": {"gamma": 0.5, "delta": 0.2},
+                },
+            ),
+            (
+                "release",
+                {
+                    "release": "k-way",
+                    "k": 2,
+                    "alpha_bar": 0.9,
+                    "epsilon": 1.0,
+                    "delta": 0.1,
+                    "eval_queries": 500,
+                    "dataset": {"n": 3, "gate_factor": 2},
+                },
+            ),
+        ],
+        ids=["learn-pmac", "release-k-way"],
+    )
+    def test_files_are_json_dump_text(self, tmp_path, capsys, verb, cfg):
+        code, out_dir = run(tmp_path, verb, dict(cfg, seed=5, trials=2))
+        assert code == EXIT_PASS
+        names = sorted(f for f in os.listdir(out_dir) if f.endswith(".json"))
+        assert len(names) == 3  # two trial files and report.json
+        for name in names:
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                raw = fh.read()
+            text = json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
+            assert raw == text.encode(), name
+
+
 class TestNonFiniteValues:
     """NaN, infinite or negative values are usage errors, never published."""
 

@@ -223,6 +223,14 @@ class TestBlockSampler:
         counts = self._table(13).draw_counts(total, child_rng(5, 0))
         assert sum(int(c) for c in counts) == total
 
+    def test_counts_are_exact_below_2_53_and_rounded_above(self):
+        # PMAC's small leaves draw past 2^53 per cell; float64 rounds there
+        table = self._table(1)
+        exact = table.draw_counts(2**52, child_rng(9, 0))
+        assert sum(int(c) for c in exact) == 2**52
+        rounded = table.draw_counts(2**55, child_rng(9, 1))
+        assert abs(sum(int(c) for c in rounded) - 2**55) <= 2**55 * 2.0**-52
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_count_never_reaches_the_counts(self, monkeypatch, workers):
         table = self._table(15)  # 8 blocks

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlearn.coverage import CoverageFunction, exact_fourier, random_coverage
 from covlearn.cube import child_rng
@@ -22,10 +24,12 @@ from covlearn.serialize import (
     coverage_to_json,
     dataset_from_text,
     dataset_to_text,
+    dump_json,
     fourier_from_csv,
     fourier_to_csv,
     hypothesis_from_json,
     hypothesis_to_json,
+    load_json,
     pmac_from_json,
     pmac_to_json,
     polynomial_from_json,
@@ -119,8 +123,9 @@ class TestPmacJson:
 
 
 class TestLearnedRoundTrip:
-    """A hypothesis read back from its JSON file evaluates bit for bit like
-    the learned one, although the file lists its terms in another order."""
+    """A hypothesis file holds json.dump's text, and the hypothesis read
+    back from it evaluates bit for bit like the learned one, although the
+    file lists its terms in another order."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize(
@@ -131,10 +136,15 @@ class TestLearnedRoundTrip:
         ],
         ids=["pac", "pmac"],
     )
-    def test_same_values(self, learn, seed):
+    def test_same_values(self, tmp_path, learn, seed):
         o = UniformTableOracle.from_coverage(random_coverage(6, 4, 3, seed))
         h = learn(o, seed)
-        back = hypothesis_from_json(json.loads(json.dumps(hypothesis_to_json(h))))
+        obj = hypothesis_to_json(h)
+        path = tmp_path / "hypothesis.json"
+        dump_json(obj, str(path))
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == text.encode("ascii")
+        back = hypothesis_from_json(load_json(str(path)))
         masks = np.arange(64, dtype=np.uint64)
         assert back.eval_masks(masks).tobytes() == h.eval_masks(masks).tobytes()
 
@@ -203,3 +213,112 @@ class TestSummaryJson:
         s = ReleaseSummary("synthetic", 3, 0.25, 1.0, 0.1, 0, 10, synthetic=empty)
         back = summary_from_json(summary_to_json(s))
         assert (back.answer_masks(np.arange(8, dtype=np.uint64)) == 1.0).all()
+
+
+# Strings with escapes json must write: quotes, backslashes, controls,
+# non-ASCII, astral characters and lone surrogates.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\x7f\n\r\t\u00e9\u2028\ud800\U0001f600'),
+    ),
+    max_size=6,
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+)
+_INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+_SET = st.lists(st.integers(1, 64), max_size=4)
+_ROW = st.fixed_dictionaries({"set": _SET, "value": _FLOATS})
+# rows that look like coefficient rows but are not, mixed with real ones
+_NEAR_ROW = st.one_of(
+    _ROW,
+    st.fixed_dictionaries({"set": _SET, "value": _FLOATS, "extra": st.none()}),
+    st.fixed_dictionaries({"set": _SET, "weight": _FLOATS}),
+    st.fixed_dictionaries(
+        {
+            "set": st.lists(st.one_of(st.booleans(), _FLOATS, st.integers()), max_size=3),
+            "value": _FLOATS,
+        }
+    ),
+    st.fixed_dictionaries(
+        {"set": _SET, "value": st.one_of(_INTS, _FLOATS.map(np.float64))}
+    ),
+    st.fixed_dictionaries({"set": _SET.map(tuple), "value": _FLOATS}),
+)
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _INTS,
+        _FLOATS,
+        _FLOATS.map(np.float64),
+        _TEXT,
+        st.lists(_ROW, min_size=1, max_size=4),
+        st.lists(_NEAR_ROW, min_size=1, max_size=4),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+        # keys json turns into strings, or fails to sort
+        st.dictionaries(
+            st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS), kids,
+            max_size=3,
+        ),
+    ),
+    max_leaves=24,
+)
+
+
+class TestDumpJson:
+    """dump_json writes json.dumps(obj, indent=2, sort_keys=True) plus a
+    newline, byte for byte, and fails where json fails."""
+
+    @staticmethod
+    def _check(tmp_path, obj):
+        path = tmp_path / "out.json"
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                dump_json(obj, str(path))
+            assert str(got.value) == str(exc)
+            return
+        dump_json(obj, str(path))
+        assert path.read_bytes() == want.encode("ascii")
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_VALUES)
+    def test_same_bytes_as_json(self, tmp_path_factory, obj):
+        self._check(tmp_path_factory.mktemp("dump"), obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_NEAR_ROW, min_size=1, max_size=4))
+    def test_near_miss_rows(self, tmp_path_factory, rows):
+        self._check(tmp_path_factory.mktemp("rows"), {"coeffs": rows})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"a": [1, object()]},
+            {"rows": [{"set": [1], "value": np.float32(0.5)}]},
+            {"set": [np.int64(1)], "value": 0.5},
+            [{"set": [1], "value": 0.5}, {1, 2}],
+            np.bool_(True),
+        ],
+    )
+    def test_unserializable_raises_like_json(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        self._check(tmp_path, obj)
+
+    def test_coefficient_rows_at_depth(self, tmp_path):
+        rows = [
+            {"set": [], "value": 0.25},
+            {"set": [1, 3], "value": -0.0},
+            {"value": math.nan, "set": [2]},
+            {"set": [16], "value": -math.inf},
+        ]
+        self._check(tmp_path, {"root": {"poly": {"coeffs": rows}}, "rows": rows})
