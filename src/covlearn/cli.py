@@ -56,6 +56,7 @@ from .learners import (
     random_disjoint_dnf,
 )
 from .privacy import (
+    BudgetExhausted,
     Dataset,
     GateRefused,
     all_conjunction_answers,
@@ -233,17 +234,17 @@ def _run_trials(
 ) -> int:
     """Times run_trial(trial, child_seed(seed, trial, 0)), which fits and
     evaluates and returns the row's fields and an output that write(trial,
-    output) then writes, outside runtime_sec.  A trial whose oracle or LP
-    gives out is a failed row, with no runtime and no file.  Then writes
-    report.json and report.csv, prints "head: successes/trials tail" and
-    returns the exit code."""
+    output) then writes, outside runtime_sec.  A trial whose oracle, LP or
+    private budget gives out is a failed row, with no runtime and no file.
+    Then writes report.json and report.csv, prints "head: successes/trials
+    tail" and returns the exit code."""
     rows = []
     for trial in range(trials):
         row = {"trial": trial, "seed": child_seed(seed, trial, 0)}
         start = time.monotonic()
         try:
             fields, output = run_trial(trial, row["seed"])
-        except (OracleExhausted, LPNotOptimal) as exc:
+        except (OracleExhausted, LPNotOptimal, BudgetExhausted) as exc:
             rows.append({**row, "error": str(exc), "success": False})
             continue
         rows.append({**row, **fields, "runtime_sec": time.monotonic() - start})

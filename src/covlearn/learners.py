@@ -29,7 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -357,32 +357,56 @@ def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSourc
 
 
 def pac_pool_bound(theta: float, itilde_size: int) -> int:
-    # every kept set satisfies |estimate| >= theta, so |true coeff| >= theta/2
-    # and spectral-norm 2 bounds kept sets by 4/theta; each is extended by at
-    # most |I~| candidates
+    # a kept set has |true coeff| >= theta/2, so spectral norm 2 bounds kept
+    # sets by 4/theta; each is extended by at most |I~| candidates
     return math.ceil(4.0 / theta * max(itilde_size, 1)) + 1
 
 
+class SearchThresholds(NamedTuple):
+    """A singleton screen at theta, then a lattice search over the screened
+    singletons that keeps sets at keep_thr for at most max_level levels."""
+
+    theta: float
+    keep_thr: float
+    max_level: int
+
+    @property
+    def tolerance(self) -> float:  # the accuracy every estimate read needs
+        return min(self.theta, self.keep_thr) / 2
+
+    def family(self, n: int) -> tuple[int, int]:
+        """(sets asked, nonempty sets kept) on n variables: the n screened
+        singletons, then the smaller of the search's pool on estimates within
+        tolerance (pac_pool_bound; at most 4/keep_thr kept) and the lattice
+        of sets of at most max_level variables, a cap on any estimates."""
+        lattice = basis_size(n, self.max_level)
+        asked = n + min(pac_pool_bound(self.keep_thr, n), lattice)
+        return asked, min(math.ceil(4.0 / self.keep_thr), lattice - 1)
+
+
+def search_thresholds(eps: float, s_eps: float | None) -> SearchThresholds:
+    """PAC search thresholds at eps (s_eps None), proper ones at (eps, s_eps)."""
+    if s_eps is None:
+        theta = eps * eps / PAC_THETA_DIV
+        return SearchThresholds(theta, theta, math.ceil(math.log2(2.0 / theta)))
+    theta = eps * eps / PROPER_THETA_DIV
+    keep_thr = eps * eps / (PROPER_THETA_DIV / 2 * s_eps)
+    return SearchThresholds(theta, keep_thr, math.ceil(math.log2(6.0 / eps)))
+
+
 def _screen_and_search(
-    n: int,
-    theta: float,
-    keep_thr: float,
-    max_level: int,
-    phase1_source: CoeffSource,
+    n: int, t: SearchThresholds, phase1_source: CoeffSource,
     phase2_source_for: Callable[[int], CoeffSource],
 ) -> dict[int, float]:
-    """Singletons whose phase-1 estimate reaches theta, all asked in one
-    call, then a lattice search over them at keep_thr, on the source that
+    """Singletons whose phase-1 estimate reaches t.theta, all asked in one
+    call, then a lattice search over them at t.keep_thr, on the source that
     phase2_source_for gives for the search's union-bound pool size.  A
     single point (n = 0) has no candidates; an IndexSet needs n >= 1."""
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    itilde = np.flatnonzero(np.abs(phase1_source(singletons)) >= theta).tolist()
-    return lattice_search(
-        phase2_source_for(pac_pool_bound(keep_thr, len(itilde))),
-        IndexSet.from_indices(itilde, max(n, 1)),
-        keep_thr,
-        max_level,
-    )
+    itilde = np.flatnonzero(np.abs(phase1_source(singletons)) >= t.theta).tolist()
+    pool = pac_pool_bound(t.keep_thr, len(itilde))
+    candidates = IndexSet.from_indices(itilde, max(n, 1))
+    return lattice_search(phase2_source_for(pool), candidates, t.keep_thr, t.max_level)
 
 
 def pac_core(
@@ -393,28 +417,20 @@ def pac_core(
 ) -> SparsePolynomial:
     """Two-phase sparse Fourier selection shared by the sampled and the
     private-query paths: singleton screen, then lattice search."""
-    theta = eps * eps / PAC_THETA_DIV
-    max_level = math.ceil(math.log2(2.0 / theta))
-    kept = _screen_and_search(
-        n, theta, theta, max_level, phase1_source, phase2_source_for
-    )
+    t = search_thresholds(eps, None)
+    kept = _screen_and_search(n, t, phase1_source, phase2_source_for)
     return SparsePolynomial(n, "parity", kept)
 
 
 def _search_source(
-    oracle, seed: int, theta: float, keep_thr: float, failure: float
+    oracle, seed: int, t: SearchThresholds, failure: float
 ) -> CoeffSource:
-    """One sample on child_rng(seed, 1) for the screen at theta and the
-    search at keep_thr: each estimate they ask is within
-    tau = min(theta, keep_thr) / 2 with probability at least 1 - failure.
-
-    The search adapts to the sample, yet by induction on the level every set
-    it asks lies in a family fixed by the target: the empty set, the n
-    singletons, and the one-variable extensions of the at most 4/keep_thr
-    sets with |c^(S)| >= keep_thr - tau >= keep_thr/2 (spectral norm 2).  A
-    union bound over n + pac_pool_bound(keep_thr, n) estimates sizes it."""
-    family = oracle.n + pac_pool_bound(keep_thr, oracle.n)
-    m = hoeffding_samples(min(theta, keep_thr) / 2, failure / family)
+    """One sample on child_rng(seed, 1) for the screen and the search of t,
+    each estimate within t.tolerance with probability 1 - failure.  Both
+    families t.family counts, the lattice and (by induction on the level)
+    the pool, are fixed by the target: a union bound over either sizes it."""
+    asked, _ = t.family(oracle.n)
+    m = hoeffding_samples(t.tolerance, failure / asked)
     return _oracle_coeff_source(oracle, m, child_rng(seed, 1))
 
 
@@ -427,8 +443,7 @@ def pac_learn_uniform(
         raise ValueError("eps must lie in (0,1)")
     if not 0 < failure < 1:
         raise ValueError("failure must lie in (0,1)")
-    theta = eps * eps / PAC_THETA_DIV
-    source = _search_source(oracle, seed, theta, theta, failure)
+    source = _search_source(oracle, seed, search_thresholds(eps, None), failure)
     return pac_core(oracle.n, eps, source, lambda pool: source)
 
 
@@ -526,6 +541,12 @@ def proper_size_bound(eps: float, size_bound: float) -> float:
     return min(size_bound, (12.0 / eps) ** math.ceil(math.log2(6.0 / eps)))
 
 
+def proper_regression_samples(eps: float, sets: int) -> int:
+    """Examples proper_pac_core's regression on `sets` disjunctions draws."""
+    floor = hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE)
+    return max(floor, regression_samples(eps, sets + 1))
+
+
 def _fit_coverage(n: int, sets: Sequence[int], examples, m: int, rng, support: int):
     """Simplex-constrained l1 fit of m drawn examples over an affine column
     plus one OR_S column per set; the weights form a coverage function."""
@@ -553,18 +574,10 @@ def proper_pac_core(
     singleton screen, lattice search at the size-aware threshold, then
     simplex-constrained l1 regression over the selected disjunctions, on
     examples drawn from the `examples` oracle with rng."""
-    theta = eps * eps / PROPER_THETA_DIV
-    max_level = math.ceil(math.log2(6.0 / eps))
-    keep_thr = eps * eps / (PROPER_THETA_DIV / 2 * s_eps)
-    kept = _screen_and_search(
-        n, theta, keep_thr, max_level, phase1_source, phase2_source_for
-    )
-    sets = sorted(t for t in kept if t != 0)
-
-    m3 = max(
-        hoeffding_samples(eps / 2, PROPER_PHASE_FAILURE),
-        regression_samples(eps, len(sets) + 1),
-    )
+    t = search_thresholds(eps, s_eps)
+    kept = _screen_and_search(n, t, phase1_source, phase2_source_for)
+    sets = sorted(s for s in kept if s != 0)
+    m3 = proper_regression_samples(eps, len(sets))
     return _fit_coverage(n, sets, examples, m3, rng, 1 << n)
 
 
@@ -579,9 +592,8 @@ def proper_pac_learn(
     if not size_bound >= 1:  # NaN fails too
         raise ValueError("size_bound must be >= 1")
     s_eps = proper_size_bound(eps, size_bound)
-    theta = eps * eps / PROPER_THETA_DIV
-    keep_thr = eps * eps / (PROPER_THETA_DIV / 2 * s_eps)
-    source = _search_source(oracle, seed, theta, keep_thr, 2 * PROPER_PHASE_FAILURE)
+    t = search_thresholds(eps, s_eps)
+    source = _search_source(oracle, seed, t, 2 * PROPER_PHASE_FAILURE)
     return proper_pac_core(
         oracle.n, eps, s_eps, source, lambda pool: source, oracle, child_rng(seed, 3)
     )
@@ -645,6 +657,11 @@ def agnostic_degree(eps: float) -> int:
     return math.ceil(math.log2(3.0 / eps))
 
 
+def agnostic_samples(n: int, eps: float, blocks: int) -> int:
+    """Examples agnostic_learn draws at eps on `blocks` layers of parities."""
+    return regression_samples(eps, blocks * basis_size(n, agnostic_degree(eps)))
+
+
 def sets_up_to(n: int, degree: int, include_empty: bool = True) -> list[int]:
     out = [0] if include_empty else []
     for size in range(1, min(degree, n) + 1):
@@ -681,7 +698,7 @@ def agnostic_learn(
             column = eval_parity_batch(t, points)
             yield column if k is None else column * (weights == k)
 
-    coef = _l1_fit(oracle, regression_samples(eps, len(features)), child_rng(seed, 0),
+    coef = _l1_fit(oracle, agnostic_samples(n, eps, len(blocks)), child_rng(seed, 0),
                    _support_size(d), len(features), columns, UNCONSTRAINED)
     layers: dict = {k: {} for k in blocks}
     for (k, t), v in zip(features, coef):

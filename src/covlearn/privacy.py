@@ -38,21 +38,17 @@ import numpy as np
 
 from .coverage import MAX_DENSE_N, CoverageFunction
 from .cube import MAX_COMPACT_N, DistributionSpec, child_rng
-from .estimation import CoeffSource, check_masks, hoeffding_samples
+from .estimation import CoeffSource, check_masks
 from .learners import (
-    PAC_THETA_DIV,
-    PROPER_PHASE_FAILURE,
-    PROPER_THETA_DIV,
     SampledOracle,
     SparsePolynomial,
-    agnostic_degree,
     agnostic_learn,
-    basis_size,
+    agnostic_samples,
     pac_core,
-    pac_pool_bound,
     proper_pac_core,
+    proper_regression_samples,
     proper_size_bound,
-    regression_samples,
+    search_thresholds,
 )
 
 Predicate = Callable[[np.ndarray], np.ndarray]
@@ -377,12 +373,9 @@ class ReleaseSummary:
 
 
 def marginals_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
-    """(q, tau) for the all-marginals release: one query per estimated
-    Fourier coefficient, bounded a priori."""
-    theta = alpha_bar**2 / PAC_THETA_DIV
-    itilde_bound = math.ceil(4.0 / theta)
-    q = n + pac_pool_bound(theta, itilde_bound)
-    return q, theta / 4.0
+    """(q, tau) for the all-marginals release: a query per set pac_core asks."""
+    t = search_thresholds(alpha_bar, None)
+    return t.family(n)[0], t.tolerance / 2.0
 
 
 def release_all_marginals(
@@ -400,10 +393,8 @@ def release_all_marginals(
 
 
 def k_way_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
-    """(q, tau) for the k-way release: one query per regression example on
-    the parities of degree agnostic_degree(alpha_bar/2) over all n, any k."""
-    deg = agnostic_degree(alpha_bar / 2.0)
-    return regression_samples(alpha_bar / 2.0, basis_size(n, deg)), alpha_bar / 4.0
+    """(q, tau) for the k-way release: a query per example agnostic_learn draws."""
+    return agnostic_samples(n, alpha_bar / 2.0, 1), alpha_bar / 4.0
 
 
 def release_k_way(
@@ -425,22 +416,13 @@ def release_k_way(
 def synthetic_query_budget(
     n: int, alpha_bar: float, size_bound: float
 ) -> tuple[int, float]:
-    """(q, tau) for the synthetic release: coefficient queries plus one
-    query per regression example, all bounded a priori."""
+    """(q, tau) for the synthetic release: a query per set proper_pac_core's
+    search asks and per example its regression on every set kept draws."""
     eps_l = alpha_bar / 2.0
-    s_eps = proper_size_bound(eps_l, size_bound)
-    theta = eps_l**2 / PROPER_THETA_DIV
-    est_tol = eps_l**2 / (PROPER_THETA_DIV * s_eps)
-    itilde_bound = math.ceil(4.0 / theta)
-    kept_bound = math.ceil(2.0 / est_tol)
-    pool_bound = kept_bound * itilde_bound + 2
-    m3_bound = max(
-        hoeffding_samples(eps_l / 2, PROPER_PHASE_FAILURE),
-        regression_samples(eps_l, kept_bound + 1),
-    )
-    q = n + pool_bound + m3_bound
-    tau = min(est_tol / 2.0, alpha_bar / 8.0)
-    return q, tau
+    t = search_thresholds(eps_l, proper_size_bound(eps_l, size_bound))
+    asked, kept = t.family(n)
+    q = asked + proper_regression_samples(eps_l, kept)
+    return q, min(t.tolerance / 2.0, alpha_bar / 8.0)
 
 
 def release_synthetic(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from covlearn import cli, learners, regression
+from covlearn import cli, learners, privacy, regression
 from covlearn.cube import child_seed
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.estimation import hoeffding_samples
@@ -351,7 +351,7 @@ class TestSampleCount:
 
     def test_pac_samples_are_one_search_sample(self, tmp_path, capsys):
         # the screen and the search share one sample, sized by a union bound
-        # over the n singletons and the pool fixed by the target
+        # over the sets the search can ask
         cfg = {
             "learner": "pac",
             "n": 6,
@@ -364,9 +364,9 @@ class TestSampleCount:
         code, out_dir = run(tmp_path, "learn", cfg)
         assert code in (EXIT_PASS, EXIT_CONTRACT)
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
-        theta = 0.4**2 / 6
-        family = 6 + learners.pac_pool_bound(theta, 6)
-        assert row["samples"] == hoeffding_samples(theta / 2, (1 / 3) / family)
+        t = learners.search_thresholds(0.4, None)
+        asked, _ = t.family(6)
+        assert row["samples"] == hoeffding_samples(t.tolerance, (1 / 3) / asked)
 
 
 class TestCountFields:
@@ -900,8 +900,8 @@ class TestRelease:
     @pytest.mark.parametrize(
         "variant,dataset",
         [
-            # no size_bound: the admission gate asks for about 1.2e29 rows
-            ("synthetic", {"n": 5, "gate_factor": 1}),
+            # no size_bound: the admission gate asks for about 5.6e19 rows
+            ("synthetic", {"n": 16, "gate_factor": 1}),
             ("k-way", {"n": 5, "size": 10**19}),
         ],
     )
@@ -986,8 +986,8 @@ class TestRelease:
 
     @pytest.mark.parametrize("variant", ["k-way", "synthetic"])
     def test_a_priori_budget_covers_every_query(self, tmp_path, capsys, variant):
-        # at the gate with finite epsilon; BudgetExhausted is not caught, so
-        # an exhausted budget would end the command with a traceback
+        # at the gate with finite epsilon; an exhausted budget would fail a
+        # trial (TestBudgetExhausted) and exit 1
         cfg = {
             "release": variant,
             "k": 2,
@@ -1089,6 +1089,29 @@ class TestLpNotOptimal:
         assert row["seed"] == child_seed(1, 0, 0)
         assert "runtime_sec" not in row
         assert not os.path.exists(os.path.join(out_dir, output))
+
+
+class TestBudgetExhausted:
+    def test_becomes_a_failed_trial_row(self, tmp_path, capsys, monkeypatch):
+        # a budget of 3 queries: the screen asks 5 singletons in one batch;
+        # the admission gate still reads the CLI's own budget
+        real = privacy.marginals_query_budget
+        monkeypatch.setattr(
+            privacy, "marginals_query_budget", lambda n, a: (3, real(n, a)[1])
+        )
+        cfg = dict(TestCountFields.RELEASE, dataset={"n": 5, "size": 50})
+        code, out_dir = run(tmp_path, "release", dict(cfg, seed=1, trials=2))
+        assert code == EXIT_CONTRACT
+        rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        for trial, row in enumerate(rows):
+            assert row == {
+                "trial": trial,
+                "seed": child_seed(1, trial, 0),
+                "error": "5 queries exceed the remaining budget of 3",
+                "success": False,
+            }
+        assert not os.path.exists(os.path.join(out_dir, "summary_000.json"))
+        assert capsys.readouterr().out.startswith("release all-marginals: 0/2")
 
 
 class TestSelftest:

@@ -67,3 +67,23 @@ def test_one_import_statement_per_sibling_module(path):
     ]
     repeated = sorted({s for s in sources if sources.count(s) > 1})
     assert repeated == [], f"{path.name} imports more than once from {repeated}"
+
+
+
+SEARCH_CONSTANTS = {"PAC_THETA_DIV", "PROPER_THETA_DIV", "PROPER_PHASE_FAILURE"}
+NOT_LEARNERS = [p for p in PACKAGE_MODULES if p.name != "learners.py"]
+
+
+@pytest.mark.parametrize("path", NOT_LEARNERS, ids=lambda p: p.name)
+def test_search_constants_stay_in_learners(path):
+    # other modules read the search's thresholds and failure split through
+    # learners.search_thresholds and the sample counts built on it
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    assert named & SEARCH_CONSTANTS == set(), f"{path.name} names a search constant"

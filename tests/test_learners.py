@@ -41,6 +41,7 @@ from covlearn.learners import (
     UniformTableOracle,
     agnostic_degree,
     agnostic_learn,
+    basis_size,
     dnf_input_map,
     dnf_reduction_learn,
     dnf_to_coverage,
@@ -49,9 +50,11 @@ from covlearn.learners import (
     pac_pool_bound,
     pmac_learn,
     proper_agnostic_learn,
+    proper_pac_core,
     proper_pac_learn,
     proper_size_bound,
     random_disjoint_dnf,
+    search_thresholds,
     _eval_parity_poly,
     truncation_length,
 )
@@ -328,13 +331,16 @@ def _spy_draws(monkeypatch, cls, name):
 
 class TestOneSearchSample:
     """The singleton screen and the lattice search read one sample, drawn
-    on child_rng(seed, 1) and sized by a union bound over the n singletons
-    and the target-fixed pool: failure 1/3 for PAC, 2/9 for proper."""
+    on child_rng(seed, 1) and sized by a union bound over the sets the
+    search can ask: failure 1/3 for PAC, 2/9 for proper."""
 
     @staticmethod
-    def _pac_samples(n, eps, failure=1 / 3):
-        theta = eps * eps / 6
-        return hoeffding_samples(theta / 2, failure / (n + pac_pool_bound(theta, n)))
+    def _samples(n, t, failure):
+        return hoeffding_samples(t.tolerance, failure / t.family(n)[0])
+
+    @classmethod
+    def _pac_samples(cls, n, eps, failure=1 / 3):
+        return cls._samples(n, search_thresholds(eps, None), failure)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_pac_draws_once(self, monkeypatch, seed):
@@ -356,10 +362,7 @@ class TestOneSearchSample:
         o = UniformTableOracle.from_coverage(random_coverage(5, 3, 2, 1))
         eps, s_eps, seed = 0.5, 3, 2
         proper_pac_learn(o, eps, s_eps, seed)
-        theta = eps * eps / 108
-        keep_thr = eps * eps / (54 * s_eps)
-        family = 5 + pac_pool_bound(keep_thr, 5)
-        m = hoeffding_samples(min(theta, keep_thr) / 2, (2 / 9) / family)
+        m = self._samples(5, search_thresholds(eps, s_eps), 2 / 9)
         assert calls == [(m, child_rng(seed, 1).bit_generator.state)]
 
     def test_sampled_oracle_draws_once(self, monkeypatch):
@@ -369,6 +372,74 @@ class TestOneSearchSample:
         pac_learn_uniform(o, 0.4, 3)
         want = (self._pac_samples(6, 0.4), child_rng(3, 1).bit_generator.state)
         assert calls == [want]
+
+
+class TestSearchThresholds:
+    """search_thresholds owns the screen's and the search's thresholds, and
+    SearchThresholds.family the a-priori count of the sets they ask."""
+
+    @pytest.mark.parametrize("eps", [0.9, 0.5, 0.25, 0.1])
+    def test_pac_thresholds(self, eps):
+        theta = eps * eps / 6
+        t = search_thresholds(eps, None)
+        assert t == (theta, theta, math.ceil(math.log2(2 / theta)))
+        assert t.tolerance == theta / 2
+
+    @pytest.mark.parametrize("eps,s_eps", [(0.5, 3), (0.25, 13), (0.4, 1)])
+    def test_proper_thresholds(self, eps, s_eps):
+        theta, keep_thr = eps * eps / 108, eps * eps / (54 * s_eps)
+        t = search_thresholds(eps, s_eps)
+        assert t == (theta, keep_thr, math.ceil(math.log2(6 / eps)))
+        assert t.tolerance == min(theta, keep_thr) / 2
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12, 16, 40])
+    @pytest.mark.parametrize("eps,s_eps", [(0.5, None), (0.125, None), (0.125, 13)])
+    def test_family_is_the_smaller_bound(self, n, eps, s_eps):
+        t = search_thresholds(eps, s_eps)
+        lattice = basis_size(n, t.max_level)
+        asked, kept = t.family(n)
+        assert asked == n + min(pac_pool_bound(t.keep_thr, n), lattice)
+        assert kept == min(math.ceil(4 / t.keep_thr), lattice - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        eps=st.sampled_from([0.3, 0.6, 0.9]),
+        proper=st.booleans(),
+        constant=st.sampled_from([1.0, -1.0, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adversarial_source_asks_at_most_the_lattice(
+        self, n, eps, proper, constant, seed
+    ):
+        # every answer is `constant`, or uniform in [-1, 1] for None: the
+        # search asks sets of at most max_level of the n variables, each
+        # once, after the n singletons of the screen
+        rng = child_rng(seed, 0)
+        asked = []
+
+        def source(masks):
+            asked.extend(masks.tolist())
+            if constant is None:
+                return rng.uniform(-1.0, 1.0, len(masks))
+            return np.full(len(masks), constant)
+
+        if proper:
+            t = search_thresholds(eps, 2.0)
+            examples = UniformTableOracle.from_coverage(random_coverage(n, 2, 1, 0))
+            proper_pac_core(
+                n, eps, 2.0, source, lambda pool: source, examples, child_rng(1, 0)
+            )
+        else:
+            t = search_thresholds(eps, None)
+            pac_core(n, eps, source, lambda pool: source)
+        cap = n + basis_size(n, t.max_level)
+        assert len(asked) <= cap
+        if constant is not None:  # every set is kept and extended
+            assert len(asked) == cap
+        lattice = asked[n:]
+        assert len(set(lattice)) == len(lattice)
+        assert max(bin(m).count("1") for m in lattice) <= t.max_level
 
 
 class TestPacLearning:

@@ -15,6 +15,8 @@ from covlearn.learners import (
     SparsePolynomial,
     agnostic_degree,
     basis_size,
+    pac_pool_bound,
+    search_thresholds,
     sets_up_to,
 )
 from covlearn.privacy import (
@@ -478,6 +480,20 @@ class TestQueryBudgets:
                 assert k_way_query_budget(n, alpha) == (q, alpha / 4.0)
         assert degrees >= set(range(3, 11))
 
+    def test_search_budgets_count_the_sets_the_search_asks(self):
+        # n singletons, then the smaller of the search's pool bound and the
+        # basis_size(n, max_level) sets of its lattice
+        assert marginals_query_budget(5, 0.5)[0] == 5 + 2**5  # all of it
+        assert marginals_query_budget(16, 0.25)[0] == 16 + pac_pool_bound(
+            0.25**2 / 6, 16
+        )
+        # acceptance test 10: 12 + basis_size(12, 6) sets asked, and the
+        # regression over the 2,509 nonempty sets the search can keep
+        assert basis_size(12, 6) == 2510
+        assert synthetic_query_budget(12, 0.25, 13)[0] == 12 + 2510 + math.ceil(
+            REGRESSION_SAMPLE_FACTOR * 2510 / 0.125**2
+        )
+
     def test_k_way_budget_at_n64_lists_nothing(self):
         start = time.perf_counter()
         q, _ = k_way_query_budget(64, 0.2)
@@ -487,8 +503,21 @@ class TestQueryBudgets:
 
 
 class TestBudgetOutOfReach:
-    """The a-priori q covers every query a release asks, so BudgetExhausted,
-    which the CLI does not catch, cannot end a release."""
+    """At the gate, where every answer is within tau with probability
+    1 - delta, the a-priori q covers every query a release asks.  A budget
+    that runs out anyway raises BudgetExhausted, a failed trial in the CLI."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_marginals_stays_within_q(self, seed):
+        # n = 12: the search's pool bound, not its lattice, sizes q
+        n, alpha = 12, 0.5
+        q, tau = marginals_query_budget(n, alpha)
+        t = search_thresholds(alpha, None)
+        assert q == n + pac_pool_bound(t.keep_thr, n) < n + basis_size(n, t.max_level)
+        size = math.ceil(gate_size(q, tau, 1.0, 0.1))
+        d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
+        summary = release_all_marginals(d, alpha, 1.0, 0.1, seed)
+        assert 0 < summary.queries_used <= q
 
     @pytest.mark.parametrize("seed", range(3))
     def test_k_way_spends_exactly_q(self, seed):
