@@ -212,22 +212,21 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 def _sample_layer(n: int, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform points of prescribed Hamming weights, one mask per entry of ks.
 
-    Each row of n i.i.d. uniforms marks its k smallest entries with a -1:
-    those at or below the row's k-th smallest value.  A row whose threshold
-    value repeats keeps its k leftmost entries at or below it, so every mask
-    has exactly k bits.
+    Floyd's algorithm (Bentley and Floyd 1987), one pass over all entries
+    per step: pass j draws t uniform in 0..j and sets bit t, or bit j if t is
+    set, so passes n - c to n - 1 leave an exactly uniform c-subset.  An
+    entry takes the last c = min(k, n - k) passes and is complemented when
+    k > n / 2.
     """
-    m = len(ks)
-    u = rng.random((m, n))
-    kth = np.sort(u, axis=1)[np.arange(m), np.maximum(ks - 1, 0)]
-    threshold = np.where(ks > 0, kth, -1.0)[:, None]
-    masks = _pack_bits(u <= threshold)
-    tied = np.flatnonzero(np.bitwise_count(masks) != ks)
-    if len(tied):
-        below = u[tied] < threshold[tied]
-        at = u[tied] == threshold[tied]
-        room = (ks[tied] - below.sum(axis=1))[:, None]
-        masks[tied] = _pack_bits(below | (at & (np.cumsum(at, axis=1) <= room)))
+    flip = 2 * ks > n
+    c = np.where(flip, n - ks, ks)
+    masks = np.zeros(len(ks), dtype=np.uint64)
+    for j in range(n - c.max(initial=0), n):
+        bit = np.uint64(1) << rng.integers(0, j + 1, size=len(ks), dtype=np.uint64)
+        bit[(masks & bit) != 0] = 1 << j
+        bit[c < n - j] = 0
+        masks |= bit
+    masks[flip] ^= np.uint64((1 << n) - 1)
     return masks
 
 

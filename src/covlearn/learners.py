@@ -322,13 +322,21 @@ if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
     os.register_at_fork(after_in_child=_count_pool.cache_clear)
 
 
+class Examples(tuple):
+    """A draw's (masks, labels), whose groups attribute holds the draw's one
+    sort of its masks, np.unique(masks, return_inverse=True)."""
+
+
 @dataclass(frozen=True)
 class SampledOracle:
     """Generic example oracle: draws points from a distribution and labels
-    them with a callback (which may inject noise via its rng argument)."""
+    them with label_fn(masks, rng), which may inject noise via rng.  With
+    by_point, label_fn(points, counts, rng) labels the distinct points drawn,
+    ascending, each drawn counts times, and the draw returns Examples."""
 
     dist: DistributionSpec
-    label_fn: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    label_fn: Callable[..., np.ndarray]
+    by_point: bool = False
 
     @property
     def n(self) -> int:
@@ -339,7 +347,13 @@ class SampledOracle:
             raise OracleExhausted(f"direct draw of {m} examples is over the cap")
         # looked up on the module: perfbench traces the cube.sample_masks site
         masks = cube.sample_masks(self.dist, m, rng)
-        return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
+        if not self.by_point:
+            return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
+        points, rows, counts = np.unique(masks, return_inverse=True, return_counts=True)
+        labels = np.asarray(self.label_fn(points, counts, rng), dtype=np.float64)
+        drawn = Examples((masks, labels[rows]))
+        drawn.groups = points, rows
+        return drawn
 
 
 def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSource:
@@ -645,8 +659,8 @@ def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint
             f"regression design needs up to {size} bytes, "
             f"over the cap {DESIGN_BYTES_CAP}"
         )
-    masks, labels = examples.draw(m, rng)
-    points, rows = np.unique(masks, return_inverse=True)
+    masks, labels = drawn = examples.draw(m, rng)
+    points, rows = getattr(drawn, "groups", ()) or np.unique(masks, return_inverse=True)
     design = np.empty((len(points), width), dtype=np.float64)
     for j, column in enumerate(columns(points)):
         design[:, j] = column

@@ -310,14 +310,10 @@ def _private_examples(oracle: PrivateOracle, dist: DistributionSpec) -> SampledO
     query batch per draw.  A point drawn w times gets one answer of weight
     w, shared by its w examples."""
 
-    def labels(masks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        sets, inverse, counts = np.unique(
-            masks, return_inverse=True, return_counts=True
-        )
-        answers = oracle.query([and_query(int(s)) for s in sets], counts)
-        return 1.0 - answers[inverse]
+    def labels(points: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+        return 1.0 - oracle.query([and_query(int(s)) for s in points], counts)
 
-    return SampledOracle(dist, labels)
+    return SampledOracle(dist, labels, by_point=True)
 
 
 @dataclass(frozen=True)

@@ -166,19 +166,20 @@ def solve_l1(p: L1Problem) -> L1Solution:
     )
     m, k = rows.shape
     s = len(seg_row)
-    phi = sp.csc_matrix(rows)
-    eye = sp.identity(m, format="csc")
-    seg = sp.csc_matrix((np.full(s, -1.0), (seg_row, np.arange(s))), shape=(m, s))
-    a_eq = sp.hstack([phi, eye, -eye, seg], format="csc")
+    cols = k + 2 * m + s
+    # A_eq = [Phi | I | -I | seg], built as CSC arrays column by column
+    nz = rows.T != 0
+    data = np.concatenate([rows.T[nz], np.ones(m), np.full(m + s, -1.0)])
+    indices = np.concatenate([np.nonzero(nz)[1], np.arange(m), np.arange(m), seg_row])
+    indptr = np.r_[0, np.cumsum(nz.sum(axis=1)), nz.sum() + np.arange(1, cols - k + 1)]
+    a_eq = sp.csc_matrix((data, indices, indptr), shape=(m, cols))
     cost = np.concatenate([np.zeros(k), weight, weight, slope])
-    bounds = np.zeros((k + 2 * m + s, 2))
+    bounds = np.zeros((cols, 2))
     bounds[:, 1] = np.inf
     bounds[k + 2 * m :, 1] = width
     if p.constraint == SIMPLEX_LIKE:
-        a_ub = sp.hstack(
-            [sp.csr_matrix(np.ones((1, k))), sp.csr_matrix((1, 2 * m + s))],
-            format="csc",
-        )
+        indptr = np.minimum(np.arange(cols + 1), k)
+        a_ub = sp.csc_matrix((np.ones(k), np.zeros(k, np.intp), indptr), (1, cols))
         b_ub = np.array([1.0])
     else:
         bounds[:k, 0] = -np.inf

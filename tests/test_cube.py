@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from covlearn import cube
 from covlearn.cube import (
@@ -173,55 +176,103 @@ class TestSampling:
         assert p.n == 6
 
 
-def rank_masks(n, ks, u):
-    """The rank formula the layer sampler replaced, as its reference: rank
-    each row of uniforms u, give the k smallest ranks a -1 and sum their
-    bits.  The argsort is stable, so tied uniforms rank left-first."""
-    order = np.argsort(u, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[np.arange(len(ks))[:, None], order] = np.arange(n)[None, :]
-    bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-    chosen = ranks < ks[:, None]
-    return np.where(chosen, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+def floyd_masks(n, ks, rng):
+    """Floyd's algorithm one entry at a time, as the layer sampler's
+    reference.  Pass j draws one integer in 0..j per entry, all passes in
+    ascending j as the sampler draws them; each entry then runs its own last
+    c = min(k, n - k) passes on a Python set, and a k above n / 2 takes the
+    complement of the c-subset."""
+    cs = [min(int(k), n - int(k)) for k in ks]
+    passes = range(n - max(cs, default=0), n)
+    draws = {j: rng.integers(0, j + 1, size=len(ks), dtype=np.uint64) for j in passes}
+    masks = []
+    for i, (k, c) in enumerate(zip(ks, cs)):
+        chosen = set()
+        for j in range(n - c, n):
+            t = int(draws[j][i])
+            chosen.add(j if t in chosen else t)
+        if c != k:
+            chosen = set(range(n)) - chosen
+        masks.append(sum(1 << b for b in chosen))
+    return np.array(masks, dtype=np.uint64)
 
 
-class TiedUniforms:
-    """A generator stub whose rows of uniforms repeat values, so a row's
-    k-th smallest value is often shared by several of its entries."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def random(self, shape):
-        return self.rng.integers(0, 3, size=shape) / 4.0
+def chi_square(counts, expected):
+    """Pearson's statistic and its 0.999 quantile under the null."""
+    counts, expected = np.asarray(counts), np.asarray(expected)
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    return statistic, float(stats.chi2.ppf(0.999, len(counts) - 1))
 
 
 class TestLayerSamplerReference:
     @pytest.mark.parametrize("n", [1, 5, 16, 64])
-    def test_constant_k_matches_rank_formula(self, n):
+    def test_constant_k_matches_floyd_reference(self, n):
         for k in sorted({0, 1, n // 2, n}):
             d = DistributionSpec.layer(n, k)
             got = sample_masks(d, 2000, child_rng(n, k))
-            u = child_rng(n, k).random((2000, n))
-            assert got.tobytes() == rank_masks(n, np.full(2000, k), u).tobytes()
+            want = floyd_masks(n, [k] * 2000, child_rng(n, k))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 16, 64])
-    def test_mixed_ks_match_rank_formula(self, n):
+    def test_mixed_ks_match_floyd_reference(self, n):
         weights = np.arange(1.0, n + 2)
         d = DistributionSpec.symmetric((weights / weights.sum()).tolist())
         got = sample_masks(d, 2000, child_rng(n, 99))
         rng = child_rng(n, 99)
         ks = rng.choice(n + 1, size=2000, p=np.asarray(d.layer_weights))
-        want = rank_masks(n, ks, rng.random((2000, n)))
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == floyd_masks(n, ks, rng).tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 16, 64])
-    def test_ties_keep_exactly_k_leftmost_bits(self, n):
+    def test_exactly_k_bits(self, n):
         ks = np.random.default_rng(n).integers(0, n + 1, size=500)
-        got = cube._sample_layer(n, ks, TiedUniforms(n))
+        got = cube._sample_layer(n, ks, child_rng(n, 7))
+        assert got.dtype == np.uint64
         assert (np.bitwise_count(got) == ks).all()
-        want = rank_masks(n, ks, TiedUniforms(n).random((500, n)))
-        assert got.tobytes() == want.tobytes()
+        if n < 64:
+            assert (got >> np.uint64(n) == 0).all()
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 4)])
+    def test_every_layer_point_is_equally_likely(self, n, k):
+        masks = sample_masks(DistributionSpec.layer(n, k), 30_000, child_rng(n, k, 1))
+        counts = np.bincount(masks.astype(np.int64), minlength=1 << n)
+        on_layer = np.bitwise_count(np.arange(1 << n)) == k
+        assert counts[~on_layer].sum() == 0
+        assert on_layer.sum() == math.comb(n, k)
+        statistic, bound = chi_square(
+            counts[on_layer], np.full(math.comb(n, k), 30_000 / math.comb(n, k))
+        )
+        assert statistic < bound
+
+    def test_symmetric_point_frequencies(self):
+        # each point x has probability w(|x|) / C(n, |x|): the layer
+        # frequencies and the uniform law within each layer at once
+        n, m = 6, 60_000
+        weights = np.arange(1.0, n + 2) / np.arange(1.0, n + 2).sum()
+        masks = sample_masks(DistributionSpec.symmetric(weights.tolist()), m,
+                             child_rng(6, 2))
+        sizes = np.bitwise_count(np.arange(1 << n))
+        expected = m * weights[sizes] / np.array([math.comb(n, s) for s in sizes])
+        counts = np.bincount(masks.astype(np.int64), minlength=1 << n)
+        statistic, bound = chi_square(counts, expected)
+        assert statistic < bound
+        layer_counts = np.bincount(np.bitwise_count(masks), minlength=n + 1)
+        statistic, bound = chi_square(layer_counts, m * weights)
+        assert statistic < bound
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DistributionSpec.uniform(5),
+            DistributionSpec.product([0.3, 0.6]),
+            DistributionSpec.layer(5, 2),
+            DistributionSpec.layer(5, 4),
+            DistributionSpec.symmetric([0.25, 0.25, 0.5]),
+        ],
+        ids=lambda d: d.variant + (str(d.k) if d.k is not None else ""),
+    )
+    def test_no_examples_is_an_empty_mask_array(self, d):
+        masks = sample_masks(d, 0, child_rng(0, 0))
+        assert masks.dtype == np.uint64 and masks.shape == (0,)
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_product_matches_bit_sum(self, n):

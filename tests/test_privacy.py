@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -460,6 +461,70 @@ class TestWeightedQuery:
         d = gated(*synthetic_query_budget(4, 0.9, 5))
         summary = release_synthetic(d, 0.9, 1.0, 0.1, seed, size_bound=5)
         assert summary.queries_used == 5077
+
+
+def two_sort_examples(oracle, dist):
+    """The release's example oracle with two sorts of the drawn masks, the
+    reference for the one it shares: the labeller sorts them for its
+    weighted AND queries and _l1_fit sorts them again for the design."""
+
+    def labels(masks, rng):
+        sets, inverse, counts = np.unique(
+            masks, return_inverse=True, return_counts=True
+        )
+        answers = oracle.query([privacy.and_query(int(s)) for s in sets], counts)
+        return 1.0 - answers[inverse]
+
+    return learners.SampledOracle(dist, labels)
+
+
+def traced_k_way_release(d, k, alpha, epsilon, seed, examples):
+    """release_k_way with `examples` as its example oracle: the summary, the
+    AND masks asked in order, each query batch's weights and each LP."""
+    asked, weights, problems = [], [], []
+    query, solve = PrivateOracle.query, learners.solve_l1
+
+    def and_spy(set_mask):
+        asked.append(set_mask)
+        return and_query(set_mask)
+
+    def query_spy(self, predicates, w=None):
+        weights.append(None if w is None else np.asarray(w).tolist())
+        return query(self, predicates, w)
+
+    def solve_spy(p):
+        problems.append((p.points.tobytes(), p.rows.tolist(), p.targets.tobytes()))
+        return solve(p)
+
+    with mock.patch.object(privacy, "_private_examples", examples), \
+            mock.patch.object(privacy, "and_query", and_spy), \
+            mock.patch.object(PrivateOracle, "query", query_spy), \
+            mock.patch.object(learners, "solve_l1", solve_spy):
+        summary = release_k_way(d, k, alpha, epsilon, 0.1, seed)
+    return summary, asked, weights, problems
+
+
+class TestSingleGrouping:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        data=st.data(),
+        alpha=st.sampled_from([0.9, 0.7]),
+        epsilon=st.sampled_from([math.inf, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_release_matches_two_sort_reference(self, n, data, alpha, epsilon, seed):
+        k = data.draw(st.integers(0, n))
+        q, tau = k_way_query_budget(n, alpha)
+        d = Dataset.iid_uniform(n, math.ceil(gate_size(q, tau, 1.0, 0.1)),
+                                child_rng(seed, 5))
+        got = traced_k_way_release(d, k, alpha, epsilon, seed,
+                                   privacy._private_examples)
+        want = traced_k_way_release(d, k, alpha, epsilon, seed, two_sort_examples)
+        assert got[1:] == want[1:]
+        assert got[1] and len(got[2]) == len(got[3]) == 1
+        assert got[0].queries_used == want[0].queries_used == q
+        assert got[0].poly == want[0].poly
 
 
 class TestQueryBudgets:

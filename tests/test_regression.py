@@ -219,6 +219,52 @@ def lp_arguments(problem):
     return out
 
 
+def block_matrices(problem):
+    """A_eq = [Phi | I | -I | seg] and the simplex row, stacked from scipy
+    blocks: the reference for solve_l1's one-pass CSC arrays."""
+    rows, _, _, seg_row, _, _ = regression._group_by_design_row(
+        problem.points, problem.rows, problem.targets
+    )
+    m, k = rows.shape
+    s = len(seg_row)
+    eye = sp.identity(m, format="csc")
+    seg = sp.csc_matrix((np.full(s, -1.0), (seg_row, np.arange(s))), shape=(m, s))
+    a_eq = sp.hstack([sp.csc_matrix(rows), eye, -eye, seg], format="csc")
+    if problem.constraint == UNCONSTRAINED:
+        return a_eq, None
+    zeros = sp.csr_matrix((1, 2 * m + s))
+    return a_eq, sp.hstack([sp.csr_matrix(np.ones((1, k))), zeros], format="csc")
+
+
+class TestLpAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problem=pooled_examples(),
+        constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
+        segments=st.booleans(),
+    )
+    def test_csc_arrays_equal_the_block_build(self, problem, constraint, segments):
+        points, rows, targets = problem
+        if segments:  # example 0's point once more, with a target of its own
+            rows, targets = np.r_[rows, rows[0]], np.r_[targets, targets[0] + 0.125]
+        else:  # targets a function of the design row: no segment column
+            targets = np.abs(points[rows]).sum(axis=1) / 4
+        p = L1Problem(points * 0.75, targets, constraint, rows)
+        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+            solve_l1(p)
+        kwargs = spy.call_args.kwargs
+        m, k = kwargs["A_eq"].shape[0], points.shape[1]
+        assert (kwargs["A_eq"].shape[1] > k + 2 * m) == segments
+        for got, want in zip((kwargs["A_eq"], kwargs["A_ub"]), block_matrices(p)):
+            if want is None:
+                assert got is None
+                continue
+            assert type(got) is type(want) and got.shape == want.shape
+            for a, b in [(got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)]:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestDistinctPoints:
     @settings(max_examples=100, deadline=None)
     @given(
