@@ -209,24 +209,30 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
 
 
-def _sample_layer(n: int, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of prescribed Hamming weights, one mask per entry of ks.
+def _sample_layer(
+    n: int, ks: int | np.ndarray, rng: np.random.Generator, m: int | None = None
+) -> np.ndarray:
+    """Uniform points of prescribed Hamming weights: one mask per entry of
+    the array ks, or m masks of the one weight ks.
 
     Floyd's algorithm (Bentley and Floyd 1987), one pass over all entries
     per step: pass j draws t uniform in 0..j and sets bit t, or bit j if t is
     set, so passes n - c to n - 1 leave an exactly uniform c-subset.  An
     entry takes the last c = min(k, n - k) passes and is complemented when
-    k > n / 2.
+    k > n / 2.  One weight builds no per-entry weight array, and every entry
+    takes every pass.
     """
-    flip = 2 * ks > n
+    m = len(ks) if m is None else m
+    flip = 2 * np.asarray(ks) > n
     c = np.where(flip, n - ks, ks)
-    masks = np.zeros(len(ks), dtype=np.uint64)
+    masks = np.zeros(m, dtype=np.uint64)
     for j in range(n - c.max(initial=0), n):
-        bit = np.uint64(1) << rng.integers(0, j + 1, size=len(ks), dtype=np.uint64)
+        bit = np.uint64(1) << rng.integers(0, j + 1, size=m, dtype=np.uint64)
         bit[(masks & bit) != 0] = 1 << j
-        bit[c < n - j] = 0
+        if c.ndim:
+            bit[c < n - j] = 0
         masks |= bit
-    masks[flip] ^= np.uint64((1 << n) - 1)
+    masks ^= np.where(flip, np.uint64((1 << n) - 1), np.uint64(0))
     return masks
 
 
@@ -240,7 +246,7 @@ def sample_masks(d: DistributionSpec, m: int, rng: np.random.Generator) -> np.nd
     if d.variant == "product":
         return _pack_bits(rng.random((m, n)) < np.asarray(d.biases)[None, :])
     if d.variant == "layer":
-        return _sample_layer(n, np.full(m, d.k, dtype=np.int64), rng)
+        return _sample_layer(n, d.k, rng, m)
     if d.variant == "symmetric":
         ks = rng.choice(n + 1, size=m, p=np.asarray(d.layer_weights))
         return _sample_layer(n, ks.astype(np.int64), rng)

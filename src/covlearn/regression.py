@@ -20,15 +20,21 @@ targets, as the CLI's noise_scale labels give, keeps them as sorted
 breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
 example, and the primal-dual gap is in units of the sum of |r_i|.
+
+The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
+through the binding that scipy's linprog wraps, with linprog's options and
+its feasibility check but none of its Python set-up and read-back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+
+# the HiGHS binding scipy's linprog calls; importing scipy.optimize loads it
+import scipy.optimize._highspy._core as highs
 
 UNCONSTRAINED = "unconstrained"
 SIMPLEX_LIKE = "simplex_like"
@@ -36,6 +42,8 @@ SIMPLEX_LIKE = "simplex_like"
 MAX_COLUMNS = 20000
 CONSTRAINT_TOL = 1e-9
 OPT_TOL = 1e-7
+# bound and row residual linprog accepts from HiGHS: 10 sqrt(1e-9)
+FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 # above this equality-row count the interior-point method (with crossover)
 # is far faster than simplex and still certifies the gap via exact duals
 IPM_ROW_THRESHOLD = 10000
@@ -43,7 +51,8 @@ IPM_ROW_THRESHOLD = 10000
 
 class LPNotOptimal(RuntimeError):
     """HiGHS stopped without a certified optimum (iteration limit, numerical
-    trouble); its coefficients must not become a hypothesis."""
+    trouble, a solution off its bounds or a gap above OPT_TOL); its
+    coefficients must not become a hypothesis."""
 
 
 @dataclass(frozen=True)
@@ -146,9 +155,51 @@ def _group_by_design_row(
     )
 
 
+class _Run(NamedTuple):
+    """What one HiGHS run reports."""
+
+    status: str  # HiGHS's model status, "Optimal" when solved
+    objective: float
+    col_value: np.ndarray
+    row_value: np.ndarray
+    row_dual: np.ndarray
+    upper_dual: np.ndarray  # of the last columns asked for; 0 off their bound
+
+
+def _run_highs(lp: highs.HighsLp, options: dict, bounded: int) -> _Run:
+    """Solve lp once with HiGHS under the given options: the one call into
+    the solver.  upper_dual holds the dual of each of the last `bounded`
+    columns that ends at its upper bound, and 0 for the others."""
+    h = highs._Highs()
+    for key, value in options.items():
+        h.setOptionValue(key, value)
+    h.passModel(lp)
+    h.run()
+    sol = h.getSolution()
+    upper = np.zeros(bounded)
+    if bounded:
+        status = h.getBasis().col_status[-bounded:]
+        at_upper = [s == highs.HighsBasisStatus.kUpper for s in status]
+        upper[at_upper] = np.asarray(sol.col_dual)[-bounded:][at_upper]
+    return _Run(
+        h.modelStatusToString(h.getModelStatus()),
+        h.getInfo().objective_function_value,
+        np.asarray(sol.col_value),
+        np.asarray(sol.row_value),
+        np.asarray(sol.row_dual),
+        upper,
+    )
+
+
+def _within(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> bool:
+    """Every value within FEASIBILITY_TOL of its bounds; False on NaN."""
+    tol = FEASIBILITY_TOL
+    return bool(np.all((low - tol <= values) & (values <= high + tol)))
+
+
 def solve_l1(p: L1Problem) -> L1Solution:
-    """Solve the LP; the reported objective is within 1e-7 of the optimum,
-    certified by the primal-dual gap.
+    """Solve the LP with HiGHS; the reported objective is within 1e-7 of the
+    optimum, certified by the primal-dual gap.
 
     The LP has one equality row per distinct design row.  A design row with
     sorted distinct targets y_1 < ... < y_M, each the target of w_j examples,
@@ -158,8 +209,10 @@ def solve_l1(p: L1Problem) -> L1Solution:
     the sum of |residual| over the examples.  The gap (counting the
     segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
     counts equality rows.  A design row with one distinct target has no
-    segment columns.  Raises LPNotOptimal when the solver stops short of an
-    optimum.
+    segment columns.  Under SIMPLEX_LIKE the row sum(beta) <= 1 comes first.
+    Raises LPNotOptimal when HiGHS stops short of an optimum, when its
+    solution is off its bounds or rows by more than FEASIBILITY_TOL, or when
+    the gap per example exceeds OPT_TOL.
     """
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
         p.points, p.rows, p.targets
@@ -167,40 +220,60 @@ def solve_l1(p: L1Problem) -> L1Solution:
     m, k = rows.shape
     s = len(seg_row)
     cols = k + 2 * m + s
-    # A_eq = [Phi | I | -I | seg], built as CSC arrays column by column
-    nz = rows.T != 0
-    data = np.concatenate([rows.T[nz], np.ones(m), np.full(m + s, -1.0)])
-    indices = np.concatenate([np.nonzero(nz)[1], np.arange(m), np.arange(m), seg_row])
-    indptr = np.r_[0, np.cumsum(nz.sum(axis=1)), nz.sum() + np.arange(1, cols - k + 1)]
-    a_eq = sp.csc_matrix((data, indices, indptr), shape=(m, cols))
-    cost = np.concatenate([np.zeros(k), weight, weight, slope])
-    bounds = np.zeros((cols, 2))
-    bounds[:, 1] = np.inf
-    bounds[k + 2 * m :, 1] = width
-    if p.constraint == SIMPLEX_LIKE:
-        indptr = np.minimum(np.arange(cols + 1), k)
-        a_ub = sp.csc_matrix((np.ones(k), np.zeros(k, np.intp), indptr), (1, cols))
-        b_ub = np.array([1.0])
-    else:
-        bounds[:k, 0] = -np.inf
-        a_ub, b_ub = None, None
-    res = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=low,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=bounds,
-        method="highs" if m <= IPM_ROW_THRESHOLD else "highs-ipm",
+    simplex = p.constraint == SIMPLEX_LIKE
+    lead = int(simplex)  # the sum(beta) <= 1 row
+    # A = [[1 | 0 | 0 | 0], [Phi | I | -I | seg]] as CSC arrays, column by
+    # column, with the first row only under SIMPLEX_LIKE
+    phi = np.vstack([np.ones((lead, k)), rows]).T
+    nz = phi != 0
+    eq = np.arange(lead, m + lead)
+    data = np.concatenate([phi[nz], np.ones(m), np.full(m + s, -1.0)])
+    index = np.concatenate([np.nonzero(nz)[1], eq, eq, seg_row + lead])
+    start = np.r_[0, np.cumsum(nz.sum(axis=1)), nz.sum() + np.arange(1, cols - k + 1)]
+    lower = np.zeros(cols)
+    if not simplex:
+        lower[:k] = -np.inf
+    upper = np.full(cols, np.inf)
+    upper[k + 2 * m :] = width
+    row_lower = np.r_[np.full(lead, -np.inf), low]
+    row_upper = np.r_[np.ones(lead), low]
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + lead
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = np.concatenate([np.zeros(k), weight, weight, slope])
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    options = {
         # a row's segment columns are parallel, and HiGHS presolve takes
         # time quadratic in their count, many times what the solve takes
-        options={"presolve": s == 0},
-    )
-    if res.status != 0:
-        raise LPNotOptimal(f"LP status {res.status}: {res.message}")
+        "presolve": "on" if s == 0 else "off",
+        "simplex_strategy": 1,  # dual simplex
+        "output_flag": False,
+        "log_to_console": False,
+        "highs_debug_level": 0,
+    }
+    if m > IPM_ROW_THRESHOLD:
+        options["solver"] = "ipm"
+    run = _run_highs(lp, options, s)
+    if run.status != "Optimal":
+        raise LPNotOptimal(f"HiGHS model status: {run.status}")
+    if not (
+        _within(run.col_value, lower, upper)
+        and _within(run.row_value, row_lower, row_upper)
+    ):
+        raise LPNotOptimal(
+            f"HiGHS solution off its bounds or rows by more than {FEASIBILITY_TOL:.2e}"
+        )
 
-    beta = np.asarray(res.x[:k], dtype=np.float64)
-    if p.constraint == SIMPLEX_LIKE:
+    beta = run.col_value[:k]
+    if simplex:
         # snap solver-level noise so downstream invariants hold exactly
         beta = np.clip(beta, 0.0, None)
         total = beta.sum()
@@ -210,9 +283,11 @@ def solve_l1(p: L1Problem) -> L1Solution:
             beta = beta / total
     objective = float(np.abs((p.points @ beta)[p.rows] - p.targets).mean())
 
-    dual = float(low @ res.eqlin.marginals)
-    if p.constraint == SIMPLEX_LIKE:
-        dual += float(b_ub @ res.ineqlin.marginals)
-    dual += float(width @ res.upper.marginals[k + 2 * m :])
-    gap = abs(float(res.fun) - dual)
+    dual = float(low @ run.row_dual[lead:])
+    if simplex:
+        dual += float(run.row_dual[0])
+    dual += float(width @ run.upper_dual)
+    gap = abs(float(run.objective) - dual)
+    if not gap / len(p.targets) <= OPT_TOL:
+        raise LPNotOptimal(f"duality gap {gap:.3e} exceeds {OPT_TOL:g} per example")
     return L1Solution(beta, objective, gap)

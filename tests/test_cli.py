@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from covlearn import cli, learners, privacy, regression
 from covlearn.cube import child_seed
@@ -1075,12 +1074,16 @@ class TestLpNotOptimal:
     def test_becomes_a_failed_trial_row(
         self, tmp_path, capsys, monkeypatch, verb, cfg, output
     ):
-        def stopped(*args, **kwargs):
-            return OptimizeResult(status=1, message="Iteration limit reached.")
+        solve = regression._run_highs
 
-        monkeypatch.setattr(regression, "linprog", stopped)
-        with pytest.raises(LPNotOptimal, match="status 1"):
-            solve_l1(L1Problem(np.ones((2, 1)), np.zeros(2)))
+        def stopped(lp, options, bounded):
+            # HiGHS itself stops: no iteration allowed, nothing presolved
+            limits = {"simplex_iteration_limit": 0, "ipm_iteration_limit": 0}
+            return solve(lp, {**options, **limits, "presolve": "off"}, bounded)
+
+        monkeypatch.setattr(regression, "_run_highs", stopped)
+        with pytest.raises(LPNotOptimal, match="Iteration limit reached"):
+            solve_l1(L1Problem(np.ones((2, 1)), np.array([0.25, 0.5])))
         code, out_dir = run(tmp_path, verb, dict(cfg, seed=1, trials=1))
         assert code == EXIT_CONTRACT
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]

@@ -231,6 +231,19 @@ class TestLayerSamplerReference:
         if n < 64:
             assert (got >> np.uint64(n) == 0).all()
 
+    @pytest.mark.parametrize("n", [1, 5, 16, 64])
+    def test_one_weight_matches_the_weight_array(self, n):
+        # a layer draw passes its weight once; the masks are those of the
+        # same weight given once per entry, at 0, n and above n / 2
+        for k in sorted({0, n, n // 2 + 1, n // 2}):
+            for m in (0, 1, 7, 1000):
+                for seed in range(3):
+                    got = cube._sample_layer(n, k, child_rng(n, k, seed), m)
+                    ks = np.full(m, k, dtype=np.int64)
+                    want = cube._sample_layer(n, ks, child_rng(n, k, seed))
+                    assert got.dtype == np.uint64 and got.shape == (m,)
+                    assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 4)])
     def test_every_layer_point_is_equally_likely(self, n, k):
         masks = sample_masks(DistributionSpec.layer(n, k), 30_000, child_rng(n, k, 1))

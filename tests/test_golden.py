@@ -4,12 +4,13 @@ configs at CLI seeds 101 and 202, checked against tests/golden/manifest.json.
 Each run records its exit code, stdout, stderr, the SHA-256 of every file it
 writes apart from the reports, and the SHA-256 of its report rows (without
 runtime_sec) and aggregate.  It also records how many LPs it hands to
-`linprog` and one SHA-256 over every call's inputs (cost, both constraint
-matrices' CSC arrays, right-hand sides, bounds, method and options), so a
-change that alters an LP without altering an output still shows.  The
-hashes are compared only on the numpy and scipy versions the manifest was
-made with; on other versions two in-process runs must still agree byte for
-byte, and the test says that it skipped the hashes.
+HiGHS and one SHA-256 over every run's inputs (the model's costs, column
+and row bounds and CSC arrays, the options and the count of columns whose
+upper-bound duals are read), so a change that alters an LP without altering
+an output still shows.  The hashes are compared only on the numpy and scipy
+versions the manifest was made with; on other versions two in-process runs
+must still agree byte for byte, and the test says that it skipped the
+hashes.
 
 After an intended change of outputs, regenerate the manifest with
 
@@ -32,7 +33,6 @@ from unittest import mock
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from covlearn import regression
 from covlearn.cli import main
@@ -123,32 +123,33 @@ def _sha256(data: bytes) -> str:
 
 
 def _feed(h, value) -> None:
-    """Adds one linprog argument to the hash h: a sparse matrix by its CSC
-    arrays and shape, an array by its dtype, shape and bytes, anything else
-    (None, the method, the options) by its repr."""
-    if sp.issparse(value):
-        csc = value.tocsc()
-        for part in (csc.data, csc.indices, csc.indptr, np.array(csc.shape)):
-            _feed(h, part)
-    elif isinstance(value, np.ndarray):
-        h.update(f"{value.dtype.str}{value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
+    """Adds one value to the hash h: an array or a list of numbers by its
+    dtype, shape and bytes, anything else (a size, the matrix format, the
+    options) by its repr."""
+    if isinstance(value, (list, np.ndarray)):
+        array = np.asarray(value)
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(array.tobytes())
     else:
         h.update(repr(value).encode())
 
 
 def _lp_spy():
-    """A stand-in for regression.linprog that hashes every call's inputs, in
-    call order, then solves the LP; returns it and its record."""
+    """A stand-in for regression._run_highs that hashes every run's inputs,
+    in call order, then runs HiGHS; returns it and its record."""
     record = {"calls": 0, "hash": hashlib.sha256()}
-    solve = regression.linprog
+    solve = regression._run_highs
 
-    def spy(c, **kwargs):
+    def spy(lp, options, bounded):
         record["calls"] += 1
-        _feed(record["hash"], c)
-        for key in ("A_eq", "b_eq", "A_ub", "b_ub", "bounds", "method", "options"):
-            _feed(record["hash"], kwargs.get(key))
-        return solve(c, **kwargs)
+        a = lp.a_matrix_
+        for value in (
+            lp.num_col_, lp.num_row_, a.format_, a.start_, a.index_, a.value_,
+            lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_,
+            lp.row_upper_, options, bounded,
+        ):
+            _feed(record["hash"], value)
+        return solve(lp, options, bounded)
 
     return spy, record
 
@@ -160,7 +161,7 @@ def _run_one(work: Path, name: str, verb: str, cfg: dict, seed: int) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     spy, lps = _lp_spy()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            mock.patch.object(regression, "linprog", spy):
+            mock.patch.object(regression, "_run_highs", spy):
         code = main(
             [verb, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]
         )

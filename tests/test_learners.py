@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from covlearn.coverage import (
     CoverageFunction,
@@ -709,14 +708,17 @@ class TestAgnostic:
         monkeypatch.setattr(learners, "solve_l1", spy)
         c = random_coverage(10, 3, 2, 5)
         d = DistributionSpec.uniform(10)
-        with mock.patch.object(regression, "linprog", wraps=linprog) as lp:
+        with mock.patch.object(
+            regression, "_run_highs", wraps=regression._run_highs
+        ) as run:
             h = agnostic_learn(UniformTableOracle.from_coverage(c), d, 0.2, 0)
         (problem,) = solved
         assert problem.points.shape == (1024, 386)
         # one target per example; the table labels each point once, so the
         # LP has one equality row per distinct point at most
         assert len(problem.targets) == 617_600
-        assert lp.call_args.kwargs["A_eq"].shape[0] <= 1024
+        lp = run.call_args.args[0]
+        assert lp.row_lower_ == lp.row_upper_ and lp.num_row_ <= 1024
         assert l1_exact(h, c) <= 0.2
 
     def test_single_layer_fits_constant_label(self):

@@ -14,8 +14,27 @@ from covlearn.regression import (
     SIMPLEX_LIKE,
     UNCONSTRAINED,
     L1Problem,
+    LPNotOptimal,
     solve_l1,
 )
+
+
+def highs_spy():
+    """Patches regression._run_highs with a spy that runs it: each call's
+    args are (lp, options, bounded)."""
+    return mock.patch.object(regression, "_run_highs", wraps=regression._run_highs)
+
+
+def equality_rows(lp):
+    """The HighsLp's rows whose lower bound equals the upper bound."""
+    return int(np.count_nonzero(np.equal(lp.row_lower_, lp.row_upper_)))
+
+
+def highs_matrix(lp):
+    """The HighsLp's constraint matrix as a scipy CSC matrix."""
+    a = lp.a_matrix_
+    shape = (lp.num_row_, lp.num_col_)
+    return sp.csc_matrix((a.value_, a.index_, a.start_), shape=shape)
 
 
 def reference_l1(design, targets, constraint):
@@ -78,23 +97,23 @@ class TestRowCollapse:
         rng = child_rng(3, 0)
         design = rng.standard_normal((40, 5))
         targets = rng.random(40)
-        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        with highs_spy() as spy:
             s = solve_l1(L1Problem(design, targets, constraint))
-        assert spy.call_args.kwargs["A_eq"].shape[0] == 40
+        assert equality_rows(spy.call_args.args[0]) == 40
         ref_beta, _ = reference_l1(design, targets, constraint)
         assert np.array_equal(s.coefficients, ref_beta)
 
     def test_first_occurrence_order(self):
         design = np.array([[2.0], [1.0], [2.0], [3.0], [1.0], [2.0]])
         targets = np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5])
-        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        with highs_spy() as spy:
             solve_l1(L1Problem(design, targets))
-        args = spy.call_args
-        assert args.kwargs["A_eq"][:, 0].toarray().ravel().tolist() == [2.0, 1.0, 3.0]
-        assert args.kwargs["b_eq"].tolist() == [0.5, 0.0, 1.0]
+        lp = spy.call_args.args[0]
+        assert highs_matrix(lp)[:, 0].toarray().ravel().tolist() == [2.0, 1.0, 3.0]
+        assert lp.row_lower_ == lp.row_upper_ == [0.5, 0.0, 1.0]
         # the columns: beta, then r+ and r- per row, each costing the
         # row's multiplicity
-        assert args.args[0].tolist() == [0.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
+        assert lp.col_cost_.tolist() == [0.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
 
 
 def dict_grouping(design, targets):
@@ -202,21 +221,16 @@ class TestGrouping:
 
 
 def lp_arguments(problem):
-    """The arguments solve_l1 hands linprog, as comparable values: arrays
-    by dtype, shape and bytes, sparse matrices by their CSC arrays."""
-    with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+    """What solve_l1 hands HiGHS, as comparable values: the HighsLp's sizes
+    and the bytes of its arrays, the options and the bounded column count."""
+    with highs_spy() as spy:
         solve_l1(problem)
-    (cost,), kwargs = spy.call_args
-    out = [cost.dtype.str, cost.tobytes()]
-    for key, value in sorted(kwargs.items()):
-        if sp.issparse(value):
-            parts = (value.data, value.indices, value.indptr)
-            out += [key, value.shape, *(a.dtype.str + a.tobytes().hex() for a in parts)]
-        elif isinstance(value, np.ndarray):
-            out += [key, value.dtype.str, value.shape, value.tobytes()]
-        else:
-            out += [key, repr(value)]
-    return out
+    lp, options, bounded = spy.call_args.args
+    a = lp.a_matrix_
+    arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_,
+              lp.row_upper_, a.start_, a.index_, a.value_)
+    return [lp.num_col_, lp.num_row_, a.num_col_, a.num_row_, a.format_, options,
+            bounded, *(np.asarray(x).tobytes() for x in arrays)]
 
 
 def block_matrices(problem):
@@ -250,19 +264,18 @@ class TestLpAssembly:
         else:  # targets a function of the design row: no segment column
             targets = np.abs(points[rows]).sum(axis=1) / 4
         p = L1Problem(points * 0.75, targets, constraint, rows)
-        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        with highs_spy() as spy:
             solve_l1(p)
-        kwargs = spy.call_args.kwargs
-        m, k = kwargs["A_eq"].shape[0], points.shape[1]
-        assert (kwargs["A_eq"].shape[1] > k + 2 * m) == segments
-        for got, want in zip((kwargs["A_eq"], kwargs["A_ub"]), block_matrices(p)):
-            if want is None:
-                assert got is None
-                continue
-            assert type(got) is type(want) and got.shape == want.shape
-            for a, b in [(got.data, want.data), (got.indices, want.indices),
-                         (got.indptr, want.indptr)]:
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        lp = spy.call_args.args[0]
+        m, k = equality_rows(lp), points.shape[1]
+        assert (lp.num_col_ > k + 2 * m) == segments
+        # linprog stacked A_ub over A_eq into one CSC matrix for HiGHS
+        a_eq, a_ub = block_matrices(p)
+        want = a_eq if a_ub is None else sp.vstack([a_ub, a_eq]).tocsc()
+        a = lp.a_matrix_
+        assert (lp.num_row_, lp.num_col_) == want.shape
+        assert np.asarray(a.value_).tobytes() == want.data.tobytes()
+        assert a.index_ == want.indices.tolist() and a.start_ == want.indptr.tolist()
 
 
 class TestDistinctPoints:
@@ -271,7 +284,7 @@ class TestDistinctPoints:
         problem=pooled_examples(),
         constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
     )
-    def test_indexed_problem_hands_linprog_the_dense_lp(self, problem, constraint):
+    def test_indexed_problem_hands_highs_the_dense_lp(self, problem, constraint):
         points, rows, targets = problem
         indexed = L1Problem(points, targets, constraint, rows)
         dense = L1Problem(points[rows], targets, constraint)
@@ -329,9 +342,9 @@ class TestLabelSegments:
     @given(problem=noisy_labels(), constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]))
     def test_one_lp_row_per_design_row(self, problem, constraint):
         design, targets = problem
-        with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+        with highs_spy() as spy:
             s = solve_l1(L1Problem(design, targets, constraint))
-        assert spy.call_args.kwargs["A_eq"].shape[0] == len(np.unique(design, axis=0))
+        assert equality_rows(spy.call_args.args[0]) == len(np.unique(design, axis=0))
         _, ref_objective = reference_l1(design, targets, constraint)
         assert s.objective == pytest.approx(ref_objective, abs=1e-7)
         assert s.duality_gap <= 1e-7
@@ -449,9 +462,161 @@ def test_interior_point_above_row_threshold(constraint):
     rng = child_rng(4, 0)
     design = rng.random((regression.IPM_ROW_THRESHOLD + 1, 3))
     beta = np.array([0.2, 0.3, 0.1])
-    with mock.patch.object(regression, "linprog", wraps=linprog) as spy:
+    with highs_spy() as spy:
         s = solve_l1(L1Problem(design, design @ beta, constraint))
-    assert spy.call_args.kwargs["A_eq"].shape[0] == regression.IPM_ROW_THRESHOLD + 1
-    assert spy.call_args.kwargs["method"] == "highs-ipm"
+    lp, options, _ = spy.call_args.args
+    assert equality_rows(lp) == regression.IPM_ROW_THRESHOLD + 1
+    assert options["solver"] == "ipm"
     assert s.duality_gap <= regression.OPT_TOL
     assert s.coefficients == pytest.approx(beta, abs=1e-7)
+
+
+def linprog_l1(p):
+    """solve_l1 through scipy's linprog: the same grouped LP, method, presolve
+    and snap, with the gap from linprog's marginals.  Returns the
+    coefficients, the mean objective, the LP's objective and the gap."""
+    _, low, weight, seg_row, width, slope = regression._group_by_design_row(
+        p.points, p.rows, p.targets
+    )
+    a_eq, a_ub = block_matrices(p)
+    m, cols = a_eq.shape
+    k = cols - 2 * m - len(seg_row)
+    cost = np.concatenate([np.zeros(k), weight, weight, slope])
+    bounds = np.zeros((cols, 2))
+    bounds[:, 1] = np.inf
+    bounds[k + 2 * m :, 1] = width
+    b_ub = None if a_ub is None else np.array([1.0])
+    if a_ub is None:
+        bounds[:k, 0] = -np.inf
+    res = linprog(cost, A_eq=a_eq, b_eq=low, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs" if m <= regression.IPM_ROW_THRESHOLD else "highs-ipm",
+                  options={"presolve": len(seg_row) == 0})
+    assert res.status == 0
+    beta = np.asarray(res.x[:k], dtype=np.float64)
+    if a_ub is not None:
+        beta = np.clip(beta, 0.0, None)
+        beta = beta / max(beta.sum(), 1.0)
+    objective = float(np.abs((p.points @ beta)[p.rows] - p.targets).mean())
+    dual = float(low @ res.eqlin.marginals)
+    dual += float(width @ res.upper.marginals[k + 2 * m :])
+    if a_ub is not None:
+        dual += float(b_ub @ res.ineqlin.marginals)
+    return beta, objective, res.fun, abs(res.fun - dual)
+
+
+def solve_recording_runs(p):
+    """solve_l1(p) and the _Run of each HiGHS call it made."""
+    runs, run = [], regression._run_highs
+
+    def record(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    with mock.patch.object(regression, "_run_highs", record):
+        return solve_l1(p), runs
+
+
+CONSTRAINTS = st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE])
+
+
+class TestAgainstLinprog:
+    """solve_l1 hands its LP to HiGHS directly; linprog solving the same
+    grouped LP is the reference it must reproduce bit for bit."""
+
+    def check(self, p):
+        s, (run,) = solve_recording_runs(p)
+        beta, objective, fun, gap = linprog_l1(p)
+        assert s.coefficients.dtype == beta.dtype
+        assert s.coefficients.tobytes() == beta.tobytes()
+        assert s.objective == objective and run.objective == fun
+        assert s.duality_gap <= regression.OPT_TOL and gap <= regression.OPT_TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=pooled_examples(), constraint=CONSTRAINTS)
+    def test_pooled_examples(self, problem, constraint):
+        points, rows, targets = problem
+        self.check(L1Problem(points, targets, constraint, rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=noisy_labels(), constraint=CONSTRAINTS)
+    def test_noisy_labels(self, problem, constraint):
+        design, targets = problem
+        self.check(L1Problem(design, targets, constraint))
+
+    def test_interior_point_above_row_threshold(self):
+        rng = child_rng(4, 1)
+        design = rng.random((regression.IPM_ROW_THRESHOLD + 1, 3))
+        self.check(L1Problem(design, rng.random(len(design)), SIMPLEX_LIKE))
+
+    def test_options_are_those_linprog_passed(self):
+        # presolve only without segment columns (linprog's options), dual
+        # simplex, no output; each one a valid HiGHS option
+        expected = {"presolve": "on", "simplex_strategy": 1, "output_flag": False,
+                    "log_to_console": False, "highs_debug_level": 0}
+        with highs_spy() as spy:
+            solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.5])))
+            rows = np.zeros(2, dtype=np.intp)  # one point, two targets
+            solve_l1(L1Problem(np.ones((1, 1)), np.array([0.25, 0.5]), rows=rows))
+        (_, plain, none), (_, segmented, one) = (c.args for c in spy.call_args_list)
+        assert (plain, none) == (expected, 0)
+        assert (segmented, one) == (dict(expected, presolve="off"), 1)
+        h = regression.highs._Highs()
+        for key, value in dict(expected, solver="ipm").items():
+            assert h.setOptionValue(key, value) == regression.highs.HighsStatus.kOk
+            assert h.getOptionValue(key)[1] == value
+
+
+class TestChecks:
+    """solve_l1 refuses a HiGHS run whose solution breaks its bounds or rows,
+    or whose duals leave a gap above OPT_TOL per example."""
+
+    P = L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 1.0]), SIMPLEX_LIKE)
+
+    def solve_with(self, change):
+        run = regression._run_highs
+        with mock.patch.object(
+            regression, "_run_highs", lambda *args: change(run(*args))
+        ):
+            return solve_l1(self.P)
+
+    def test_unchanged_run_passes(self):
+        assert self.solve_with(lambda r: r).duality_gap <= regression.OPT_TOL
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # a residual column below its lower bound 0
+            lambda r: r._replace(col_value=np.r_[r.col_value[:1], -1e-3, r.col_value[2:]]),
+            # an equality row off its target
+            lambda r: r._replace(row_value=r.row_value + 1e-3),
+            # the sum(beta) <= 1 row above 1
+            lambda r: r._replace(row_value=np.r_[1.001, r.row_value[1:]]),
+            lambda r: r._replace(col_value=np.full_like(r.col_value, np.nan)),
+        ],
+        ids=["column-bound", "equality-row", "simplex-row", "nan"],
+    )
+    def test_solution_off_its_bounds(self, change):
+        with pytest.raises(LPNotOptimal, match="bounds or rows"):
+            self.solve_with(change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda r: r._replace(row_dual=r.row_dual + 1e-3),
+            lambda r: r._replace(objective=r.objective + 1e-6),
+            lambda r: r._replace(objective=np.nan),
+        ],
+        ids=["row-duals", "objective", "nan"],
+    )
+    def test_gap_above_tolerance(self, change):
+        with pytest.raises(LPNotOptimal, match="duality gap"):
+            self.solve_with(change)
+
+    def test_gap_is_per_example(self):
+        # a gap of 1.5e-7 over two examples is 7.5e-8 each, within OPT_TOL
+        s = self.solve_with(lambda r: r._replace(objective=r.objective + 1.5e-7))
+        assert s.duality_gap == pytest.approx(1.5e-7, rel=1e-6)
+
+    def test_status_other_than_optimal(self):
+        with pytest.raises(LPNotOptimal, match="Iteration limit reached"):
+            self.solve_with(lambda r: r._replace(status="Iteration limit reached"))
