@@ -491,6 +491,9 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     if not epsilon > 0:  # NaN fails too; inf is the noiseless limit
         raise SchemaError("field 'epsilon': must be > 0")
     delta = _get(cfg, "delta", float, required=True)
+    for name, value in (("alpha_bar", alpha_bar), ("delta", delta)):
+        if not 0 < value < 1:  # NaN fails too
+            raise SchemaError(f"field {name!r}: must lie in (0,1)")
     trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", _integer, 0)
     eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)

@@ -23,11 +23,8 @@ sample serves both the singleton screen and the lattice search.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -65,7 +62,6 @@ REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
 DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
-BLOCK_CELLS = 1 << 12  # cells per count block; fixes which counts a seed gives
 
 
 class OracleExhausted(RuntimeError):
@@ -242,16 +238,9 @@ class UniformTableOracle:
         return masks, self.values[masks]
 
     def draw_counts(self, total: int, rng: np.random.Generator) -> np.ndarray:
-        """Per-cell counts of `total` i.i.d. uniform draws.
-
-        A table of fewer than 2 * BLOCK_CELLS cells is one multinomial draw
-        on rng.  A larger one is cut into cells // BLOCK_CELLS equal
-        contiguous blocks: the block totals are one multinomial draw on rng,
-        and block b's cells are a uniform multinomial of its total on
-        rng.spawn(blocks)[b].  Splitting a multinomial this way is exact.
-        The blocks are drawn on a thread pool, but each has its own stream,
-        so the counts do not depend on the worker count.  Totals beyond the
-        int64 range are drawn in exact chunks, each split afresh.
+        """Per-cell counts of `total` i.i.d. uniform draws: one uniform
+        multinomial draw on rng.  Totals beyond the int64 range are drawn in
+        exact chunks of at most 4e18, one multinomial each.
 
         The counts are float64: exact while a cell stays below 2^53, and
         above it rounded, by a relative 2^-52 or less per chunk.  PMAC's
@@ -260,23 +249,13 @@ class UniformTableOracle:
         the rounding stays far inside every tolerance used here.
         """
         cells = len(self.values)
-        blocks = max(1, cells // BLOCK_CELLS)
-        size = cells // blocks
-        p = np.full(size, 1.0 / size)
+        p = np.full(cells, 1.0 / cells)
         counts = np.zeros(cells, dtype=np.float64)
         remaining = int(total)
         chunk_cap = 4 * 10**18
         while remaining > 0:
             chunk = min(remaining, chunk_cap)
-            if blocks == 1:
-                counts += rng.multinomial(chunk, p)
-            else:
-                totals = rng.multinomial(chunk, np.full(blocks, 1.0 / blocks))
-                drawn = _count_pool().map(
-                    lambda g, t: g.multinomial(t, p), rng.spawn(blocks), totals
-                )
-                for row, part in zip(counts.reshape(blocks, size), drawn):
-                    row += part
+            counts += rng.multinomial(chunk, p)
             remaining -= chunk
         return counts
 
@@ -305,21 +284,6 @@ class UniformTableOracle:
         masks = np.asarray(compact_masks, dtype=np.uint64)
         bits = (masks[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
         return bits @ (np.uint64(1) << np.array(self.free_vars, dtype=np.uint64))
-
-
-@functools.cache
-def _count_pool() -> ThreadPoolExecutor:
-    """The process-wide pool that draws `draw_counts` blocks, one worker per
-    CPU this process may use.  Its tasks run `Generator.multinomial` only."""
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity call on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix="draw_counts")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
-    os.register_at_fork(after_in_child=_count_pool.cache_clear)
 
 
 class Examples(tuple):
@@ -689,7 +653,8 @@ def agnostic_learn(
 ) -> SparsePolynomial:
     """Agnostic learner for product and symmetric distributions: excess l1
     error at most eps over the best coverage-function fit (confidence 2/3).
-    Labels may be arbitrary values in [0,1]."""
+    Labels may be arbitrary values in [0,1].  The examples are drawn from
+    child_rng(seed, 1); path 0 is left to the caller's target or noise."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     n = d.n
@@ -712,7 +677,7 @@ def agnostic_learn(
             column = eval_parity_batch(t, points)
             yield column if k is None else column * (weights == k)
 
-    coef = _l1_fit(oracle, agnostic_samples(n, eps, len(blocks)), child_rng(seed, 0),
+    coef = _l1_fit(oracle, agnostic_samples(n, eps, len(blocks)), child_rng(seed, 1),
                    _support_size(d), len(features), columns, UNCONSTRAINED)
     layers: dict = {k: {} for k in blocks}
     for (k, t), v in zip(features, coef):
@@ -737,7 +702,8 @@ def proper_agnostic_learn(
     """Proper agnostic learner for kappa-bounded product distributions.
 
     The stated excess error eps is split internally: eps/2 for truncating to
-    short disjunctions, eps/2 for the regression."""
+    short disjunctions, eps/2 for the regression.  The examples are drawn
+    from child_rng(seed, 1); path 0 is left to the caller's target."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     if d.variant not in ("uniform", "product"):
@@ -751,7 +717,7 @@ def proper_agnostic_learn(
     _check_columns(d.n, k_len)
     sets = sets_up_to(d.n, k_len, include_empty=False)
     m = regression_samples(half, len(sets) + 1)
-    return _fit_coverage(d.n, sets, oracle, m, child_rng(seed, 0), _support_size(d))
+    return _fit_coverage(d.n, sets, oracle, m, child_rng(seed, 1), _support_size(d))
 
 
 # --------------------------------------------------------------------------

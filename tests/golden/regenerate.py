@@ -5,8 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Regenerate only after an intended change of outputs.  The script prints the
-entries it changed, added and removed against the manifest it overwrites;
-list them in CHANGES.md.
+entries it changed, added and removed against the manifest it overwrites,
+and for each changed entry the fields that moved (exit, files, lp, report,
+stdout, stderr); list them in CHANGES.md.
 """
 
 import json
@@ -27,6 +28,11 @@ def differences(old: dict, new: dict) -> dict[str, list[str]]:
     }
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """The fields of one manifest entry whose values differ."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
 def main() -> None:
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest = {"versions": versions(), "runs": run_matrix()}
@@ -34,8 +40,15 @@ def main() -> None:
     print(f"wrote {len(manifest['runs'])} runs to {MANIFEST}")
     if old.get("versions", manifest["versions"]) != manifest["versions"]:
         print(f"versions: {old['versions']} -> {manifest['versions']}")
-    for kind, names in differences(old.get("runs", {}), manifest["runs"]).items():
-        print(f"{len(names)} {kind}" + "".join(f"\n  {name}" for name in names))
+    runs = old.get("runs", {})
+    for kind, names in differences(runs, manifest["runs"]).items():
+        print(f"{len(names)} {kind}")
+        for name in names:
+            if kind == "changed":
+                fields = moved(runs[name], manifest["runs"][name])
+                print(f"  {name}: {', '.join(fields)}")
+            else:
+                print(f"  {name}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@ import builtins
 import json
 import math
 import os
+import subprocess
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,9 +274,9 @@ class TestLearn:
         assert code == EXIT_PASS
 
 
-    def test_pmac_output_ignores_the_worker_count(self, tmp_path, monkeypatch):
-        # at n=14 even a first-level minus leaf's table, 2^13 cells, is drawn
-        # as two blocks
+    def test_pmac_leaves_no_threads_behind(self, tmp_path):
+        # at n=14 the root table has 2^14 cells; a fresh interpreter shows
+        # every thread the run starts and does not join
         cfg = {
             "learner": "pmac",
             "n": 14,
@@ -285,20 +286,22 @@ class TestLearn:
             "target": {"max_terms": 3, "max_arity": 2},
             "params": {"gamma": 0.5, "delta": 0.2},
         }
-        _, pooled = run(tmp_path, "learn", cfg, out="pooled")
-        used = []
-        with ThreadPoolExecutor(1) as pool:
-            monkeypatch.setattr(learners, "_count_pool", lambda: used.append(1) or pool)
-            _, single = run(tmp_path, "learn", cfg, out="single")
-        assert used
-        samples, hyps = [], []
-        for d in (pooled, single):
-            (row,) = load_json(os.path.join(d, "report.json"))["rows"]
-            samples.append(row["samples"])
-            with open(os.path.join(d, "hypothesis_000.json"), "rb") as fh:
-                hyps.append(fh.read())
-        assert samples[0] == samples[1]
-        assert hyps[0] == hyps[1]
+        cfg_path = write_config(tmp_path, "pmac.json", cfg)
+        script = (
+            "import sys, threading\n"
+            "from covlearn.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, threading.active_count())\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["learn", "--config", cfg_path, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_PASS} 1"
 
 
 class TestSampleCount:
@@ -781,6 +784,28 @@ class TestNonFiniteValues:
         assert code == EXIT_USAGE
         assert "epsilon" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out_dir, "summary_000.json"))
+
+    @pytest.mark.parametrize("variant", ["all-marginals", "k-way", "synthetic"])
+    @pytest.mark.parametrize("value", [0, -0.5, 1, math.nan])
+    @pytest.mark.parametrize("field", ["alpha_bar", "delta"])
+    def test_release_fractions_must_lie_in_the_open_unit_interval(
+        self, tmp_path, capsys, field, value, variant
+    ):
+        # checked before the gate_factor dataset divides by them
+        cfg = {
+            "release": variant,
+            "k": 2,
+            "alpha_bar": 0.5,
+            "epsilon": 1.0,
+            "delta": 0.1,
+            "dataset": {"n": 4, "gate_factor": 1},
+            field: value,
+        }
+        code, out_dir = run(tmp_path, "release", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: field {field!r}: must lie in (0,1)\n"
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("noise_scale", [-0.3, math.nan, math.inf])
     def test_noise_scale_must_be_finite_and_non_negative(

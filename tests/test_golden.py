@@ -12,6 +12,10 @@ versions the manifest was made with; on other versions two in-process runs
 must still agree byte for byte, and the test says that it skipped the
 hashes.
 
+A second test runs every config for one trial with child_rng spied at each
+covlearn module that binds it, and checks that no (seed, path) stream is
+opened twice in one run: no two consumers share a stream.
+
 After an intended change of outputs, regenerate the manifest with
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -26,15 +30,18 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy
 
-from covlearn import regression
+from covlearn import cube, regression
 from covlearn.cli import main
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
@@ -73,7 +80,7 @@ def matrix(work: Path) -> dict[str, tuple[str, dict]]:
     ones.write_text("11111\n" * 60)
     return {
         "learn-pac": _learn("pac", 6, {"epsilon": 0.4}, trials=2),
-        # 2^13 cells: draw_counts draws the table as two blocks
+        # 2^13 cells: the matrix's table of 2^13 cells or more
         "learn-pac-n13": _learn("pac", 13, {"epsilon": 0.4}),
         "learn-pmac": _learn("pmac", 6, {"gamma": 0.5, "delta": 0.2}),
         "learn-proper": _learn("proper", 5, {"epsilon": 0.4, "size_bound": 2}),
@@ -217,3 +224,38 @@ def test_matrix_covers_the_verbs_and_exit_codes():
     assert {e["exit"] for e in manifest.values()} == {0, 3}
     written = {f.split("_")[0] for e in manifest.values() for f in e["files"]}
     assert {"hypothesis", "summary", "synthetic", "target", "dataset.txt"} <= written
+
+
+@contextlib.contextmanager
+def _stream_audit():
+    """Patches child_rng at every covlearn module binding with a spy and
+    yields a Counter of the (seed, *path) streams it opens."""
+    opened = Counter()
+    real = cube.child_rng
+
+    def spy(seed, *path):
+        opened[(seed, *path)] += 1
+        return real(seed, *path)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "child_rng", None)
+            if name.split(".")[0] == "covlearn" and bound is real:
+                stack.enter_context(mock.patch.object(module, "child_rng", spy))
+        yield opened
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_two_consumers_share_a_stream(tmp_path, seed):
+    """Every golden config, one trial each: no (seed, path) is opened twice."""
+    shared = {}
+    for name, (verb, cfg) in matrix(tmp_path).items():
+        if verb != "generate":
+            cfg = dict(cfg, trials=1)
+        with _stream_audit() as opened:
+            _run_one(tmp_path, name, verb, cfg, seed)
+        assert opened, name
+        twice = sorted(key for key, count in opened.items() if count > 1)
+        if twice:
+            shared[f"{name}@{seed}"] = twice
+    assert not shared
