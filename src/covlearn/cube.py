@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 MAX_COMPACT_N = 64
 
@@ -194,7 +195,7 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     Identical (seed, path) pairs always reproduce identical streams, so
     parallel and serial runs agree.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+    return default_rng(SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def child_seed(seed: int, *path: int) -> int:

@@ -84,7 +84,8 @@ class Dataset:
         if len(self.masks) != len(self.mults):
             raise ValueError("masks and multiplicities must have equal length")
         check_masks(self.masks, self.n)
-        if len(np.unique(self.masks)) != len(self.masks):
+        ordered = np.sort(self.masks)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("masks must be distinct")
         if (self.mults < 1).any():
             raise ValueError("multiplicities must be >= 1")

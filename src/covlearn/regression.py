@@ -23,18 +23,45 @@ example, and the primal-dual gap is in units of the sum of |r_i|.
 
 The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
 through the binding that scipy's linprog wraps, with linprog's options and
-its feasibility check but none of its Python set-up and read-back.
+its feasibility check but none of its Python set-up and read-back.  That
+binding is loaded from its file, so scipy.optimize's __init__ (scipy.sparse,
+scipy.linalg and the rest, most of the import time) never runs.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
-# the HiGHS binding scipy's linprog calls; importing scipy.optimize loads it
-import scipy.optimize._highspy._core as highs
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """The HiGHS binding that scipy's linprog calls, the extension module
+    HIGHS_MODULE, loaded from its file without importing its packages.  It
+    is registered in sys.modules under that name, or taken from there, so a
+    process holds one module whichever of covlearn and scipy.optimize it
+    imports first."""
+    if HIGHS_MODULE in sys.modules:
+        return sys.modules[HIGHS_MODULE]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [folder])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension _core in {folder}", name=HIGHS_MODULE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[HIGHS_MODULE] = module
+    return module
+
+
+highs = _load_highs()
 
 UNCONSTRAINED = "unconstrained"
 SIMPLEX_LIKE = "simplex_like"

@@ -1173,3 +1173,25 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL parseval" in out and "ok   lp-duality" in out
         assert "selftest: 1 failures" in out
+
+    def test_checks_hold_under_python_O(self):
+        # python -O strips assert statements; the checks must still fail
+        # when exact_fourier returns every coefficient doubled
+        script = (
+            "import sys\n"
+            "from covlearn import cli, coverage\n"
+            "real = cli.exact_fourier\n"
+            "def doubled(c, *args):\n"
+            "    t = real(c, *args)\n"
+            "    return coverage.FourierTable(t.n, {k: 2 * v for k, v in t.coeffs.items()})\n"
+            "cli.exact_fourier = doubled\n"
+            "sys.exit(cli.main(['selftest']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_CONTRACT, proc.stdout + proc.stderr
+        assert "selftest: 3 failures" in proc.stdout

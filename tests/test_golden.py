@@ -14,7 +14,9 @@ hashes.
 
 A second test runs every config for one trial with child_rng spied at each
 covlearn module that binds it, and checks that no (seed, path) stream is
-opened twice in one run: no two consumers share a stream.
+opened twice in one run: no two consumers share a stream.  A third runs each
+config in a fresh interpreter and checks that the verb imports no module
+that `import covlearn.cli` did not, so no lazily loaded module adds to it.
 
 After an intended change of outputs, regenerate the manifest with
 
@@ -30,6 +32,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -259,3 +263,31 @@ def test_no_two_consumers_share_a_stream(tmp_path, seed):
         if twice:
             shared[f"{name}@{seed}"] = twice
     assert not shared
+
+
+FRESH_RUN = """
+import json, sys
+import covlearn.cli
+before = set(sys.modules)
+covlearn.cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_verb_imports_a_module(tmp_path):
+    src = os.path.dirname(os.path.dirname(cube.__file__))
+    gained = {}
+    for name, (verb, cfg) in matrix(tmp_path).items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [verb, "--config", str(cfg_path), "--seed", str(SEEDS[0]),
+                "--out", str(tmp_path / name)]
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, *argv], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = json.loads(proc.stdout.splitlines()[-1])
+        if modules:
+            gained[name] = modules
+    assert not gained

@@ -1,13 +1,21 @@
 """Import hygiene of the package's modules: every module-level import is
 used (the check a linter's unused-import rule would make), every import is
-at module level, and no module imports a private name from a sibling."""
+at module level, and no module imports a private name from a sibling.  The
+CLI's import loads scipy's HiGHS extension without scipy.optimize, and the
+process then holds one such module whichever of the two comes first."""
 
 import ast
+import importlib.machinery
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import covlearn
+from covlearn import regression
 
 MODULES = sorted(
     p for p in Path(covlearn.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -87,3 +95,52 @@ def test_search_constants_stay_in_learners(path):
         elif isinstance(node, ast.ImportFrom):
             named.update(alias.name for alias in node.names)
     assert named & SEARCH_CONSTANTS == set(), f"{path.name} names a search constant"
+
+
+def _python(script: str, *args: str) -> str:
+    """Runs script in a fresh interpreter that imports covlearn from the
+    tree under test; returns its stdout, stripped."""
+    src = os.path.dirname(os.path.dirname(covlearn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    script = "import sys, covlearn.cli; print('scipy.optimize' in sys.modules)"
+    assert _python(script) == "False"
+
+
+HIGHS_CHECK = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+import scipy.optimize._highspy._core as core
+from covlearn import regression
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+print(core is regression.highs, res.status, res.fun)
+"""
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("covlearn.cli", "scipy.optimize"), ("scipy.optimize", "covlearn.cli")],
+    ids=["covlearn-first", "scipy-first"],
+)
+def test_one_highs_module_in_either_import_order(order):
+    assert _python(HIGHS_CHECK, *order) == "True 0 1.0"
+
+
+def test_missing_highs_extension_names_its_folder(monkeypatch):
+    monkeypatch.delitem(sys.modules, regression.HIGHS_MODULE)
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None
+    )
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    with pytest.raises(ImportError, match=f"in {folder}$"):
+        regression._load_highs()
