@@ -288,7 +288,7 @@ class UniformTableOracle:
 
 class Examples(tuple):
     """A draw's (masks, labels), whose groups attribute holds the draw's one
-    sort of its masks, np.unique(masks, return_inverse=True)."""
+    grouping of its masks, as np.unique(masks, return_inverse=True) gives."""
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,10 @@ class SampledOracle:
     """Generic example oracle: draws points from a distribution and labels
     them with label_fn(masks, rng), which may inject noise via rng.  With
     by_point, label_fn(points, counts, rng) labels the distinct points drawn,
-    ascending, each drawn counts times, and the draw returns Examples."""
+    ascending, each drawn counts times, and the draw returns Examples.  A
+    draw of at least 2^n examples finds its distinct points by counting
+    over the 2^n cells, a smaller one by np.unique's sort; both give the
+    same arrays, dtypes included."""
 
     dist: DistributionSpec
     label_fn: Callable[..., np.ndarray]
@@ -313,7 +316,16 @@ class SampledOracle:
         masks = cube.sample_masks(self.dist, m, rng)
         if not self.by_point:
             return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
-        points, rows, counts = np.unique(masks, return_inverse=True, return_counts=True)
+        if 1 << self.n <= m:
+            cells = np.bincount(masks.astype(np.intp), minlength=1 << self.n)
+            points = np.flatnonzero(cells)
+            counts = cells[points]
+            rows = (np.cumsum(cells != 0) - 1)[masks]
+            points = points.astype(masks.dtype)
+        else:
+            points, rows, counts = np.unique(
+                masks, return_inverse=True, return_counts=True
+            )
         labels = np.asarray(self.label_fn(points, counts, rng), dtype=np.float64)
         drawn = Examples((masks, labels[rows]))
         drawn.groups = points, rows

@@ -13,13 +13,22 @@ one point index per example; this module alone turns examples into LP rows.
 The loss is separable by design row, so the LP has one equality row per
 distinct design row (Barrodale and Roberts 1973).  A sort of the points
 groups those that share a design row.  Only the examples whose target
-differs from the first target of their group are sorted, so a draw whose
-labels are a function of the design row sorts none.  Equal targets of a row
+differs from the first target of their group are sorted, with each group's
+first example, so a draw whose labels are a function of the design row
+sorts one example per group.  Equal targets of a row
 become one target weighted by their count.  A row with several distinct
 targets, as the CLI's noise_scale labels give, keeps them as sorted
 breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
 example, and the primal-dual gap is in units of the sum of |r_i|.
+
+An unconstrained fit whose distinct design rows are linearly independent
+needs no LP, the trivial basic case of Barrodale and Roberts: every row can
+take any value, so each takes the weighted median of its targets, and beta
+solves Phi beta = medians on a basis of Phi's columns.  The sum of the
+rows' least losses bounds every beta's loss from below, which certifies the
+fit as the LP's gap certifies an LP solution.  Any other problem, and one
+whose design is ill-conditioned or whose certificate fails, goes to the LP.
 
 The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
 through the binding that scipy's linprog wraps, with linprog's options and
@@ -43,12 +52,34 @@ import scipy
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
+class _Loaded:
+    """Meta path finder and loader of a module already in hand: importing
+    its name then registers that very module and, as for any import, sets
+    it as an attribute of its parent package."""
+
+    def __init__(self, module) -> None:
+        self.module = module
+
+    def find_spec(self, name, path=None, target=None):
+        if name != self.module.__name__:
+            return None
+        return importlib.machinery.ModuleSpec(name, self, origin=self.module.__file__)
+
+    def create_module(self, spec):
+        return self.module
+
+    def exec_module(self, module) -> None:
+        pass
+
+
 def _load_highs():
     """The HiGHS binding that scipy's linprog calls, the extension module
     HIGHS_MODULE, loaded from its file without importing its packages.  It
-    is registered in sys.modules under that name, or taken from there, so a
-    process holds one module whichever of covlearn and scipy.optimize it
-    imports first."""
+    is taken from sys.modules when scipy.optimize loaded it first.
+    Otherwise it is handed to the import system, which registers it when
+    scipy.optimize, or anything else, imports it by name, after its parent
+    packages: so a process holds one module, reachable as an attribute of
+    its package, whichever of covlearn and scipy.optimize it imports first."""
     if HIGHS_MODULE in sys.modules:
         return sys.modules[HIGHS_MODULE]
     folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
@@ -57,7 +88,7 @@ def _load_highs():
         raise ImportError(f"no HiGHS extension _core in {folder}", name=HIGHS_MODULE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[HIGHS_MODULE] = module
+    sys.meta_path.insert(0, _Loaded(module))
     return module
 
 
@@ -74,6 +105,9 @@ FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 # above this equality-row count the interior-point method (with crossover)
 # is far faster than simplex and still certifies the gap via exact duals
 IPM_ROW_THRESHOLD = 10000
+# largest condition number of the basis on which the median fit solves for
+# beta; a design above it goes to the LP
+MEDIAN_COND_CAP = 1e8
 
 
 class LPNotOptimal(RuntimeError):
@@ -153,19 +187,23 @@ def _group_by_design_row(
     first = np.sort(earliest)[: np.count_nonzero(earliest < m)]
     # an example with its group's first target joins that target; only the
     # others, none when targets are a function of the design row, are
-    # sorted, stably, so each run of equal targets starts at its earliest
+    # sorted, along with each group's first example, which carries the
+    # count of its target.  The sort is by target, then stably by group: a
+    # radix sort of the small group ids.  Each run of equal targets takes
+    # its earliest example's target, zero sign included.
     rest = np.flatnonzero(targets != targets[first][group])
-    rest = rest[np.lexsort((targets[rest], group[rest]))]
-    g, y = group[rest], targets[rest]
-    new = np.ones(len(rest), dtype=bool)
-    new[1:] = (g[1:] != g[:-1]) | (y[1:] != y[:-1])
-    runs = np.flatnonzero(new)
-    kept = np.bincount(group) - np.bincount(g, minlength=len(first))
-    g = np.r_[np.arange(len(first)), g[runs]]
-    y = np.r_[targets[first], y[runs]]
-    w = np.r_[kept, np.diff(np.r_[runs, len(rest)])].astype(np.float64)
-    by = np.lexsort((y, g))
-    g, y, w = g[by], y[by], w[by]
+    kept = np.bincount(group) - np.bincount(group[rest], minlength=len(first))
+    pick = np.concatenate([first, rest])
+    w = np.concatenate([kept, np.ones(len(rest), dtype=kept.dtype)])
+    by = np.argsort(targets[pick])
+    ids = group[pick[by]].astype(np.min_scalar_type(len(first)))
+    by = by[np.argsort(ids, kind="stable")]
+    pick, w = pick[by], w[by]
+    g, y = group[pick], targets[pick]
+    new = (g[1:] != g[:-1]) | (y[1:] != y[:-1])
+    runs = np.flatnonzero(np.concatenate([[True], new]))
+    g, y = g[runs], targets[np.minimum.reduceat(pick, runs)]
+    w = np.add.reduceat(w, runs).astype(np.float64)
     new = np.r_[True, g[1:] != g[:-1]]
     starts = np.flatnonzero(new)
     weight = np.add.reduceat(w, starts)
@@ -224,9 +262,65 @@ def _within(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> bool:
     return bool(np.all((low - tol <= values) & (values <= high + tol)))
 
 
+def _basis(phi: np.ndarray) -> np.ndarray:
+    """Columns of phi, as many as its rows, that are independent when its
+    rows are: Gaussian elimination with partial pivoting on phi's
+    transpose.  Row by row, the pivot is the largest entry left in the row,
+    the first of equal ones, and eliminating it zeroes its column."""
+    a = phi.copy()
+    cols = np.empty(len(a), dtype=np.intp)
+    for i, row in enumerate(a):
+        j = cols[i] = np.argmax(np.abs(row))
+        a[i + 1 :] -= np.outer(a[i + 1 :, j], row / row[j])
+    return cols
+
+
+def _median_fit(
+    p: L1Problem, rows, low, weight, seg_row, width, slope
+) -> L1Solution | None:
+    """The l1 fit of an unconstrained problem whose distinct design rows
+    are independent, or None when they are not, when the condition number
+    of the rows, or of the basis beta is solved on, exceeds MEDIAN_COND_CAP
+    (the first bounded from below by R's diagonal), or when the
+    certificate fails.
+
+    Each row takes the weighted median of its targets: its smallest target
+    plus the width of each gap whose slope is negative.  Where the weight
+    splits evenly (a gap of slope 0) the median is the lower end of that
+    gap.  beta solves rows @ beta = medians on the columns _basis picks
+    and is 0 on the others.  A row's loss is at least the sum over its gaps
+    of width * min(count below, count above) = width * (W - |slope|) / 2
+    whatever beta is, so the sum of those bounds the optimum from below; the
+    gap is the loss of beta, recomputed over the examples, less that bound.
+    """
+    # rows.T = QR: R's diagonal holds each row's distance from the span of
+    # the rows before it, and cond(rows) >= max / min of it, so a quick
+    # test refuses a design with dependent rows before any elimination
+    diagonal = np.abs(np.diagonal(np.linalg.qr(rows.T, mode="r")))
+    if not diagonal.min() * MEDIAN_COND_CAP > diagonal.max():
+        return None
+    basis = _basis(rows)
+    if not np.linalg.cond(rows[:, basis]) <= MEDIAN_COND_CAP:
+        return None
+    fit = low + np.bincount(seg_row, width * (slope < 0), minlength=len(low))
+    beta = np.zeros(rows.shape[1])
+    beta[basis] = np.linalg.solve(rows[:, basis], fit)
+    residual = np.abs((p.points @ beta)[p.rows] - p.targets)
+    bound = float(width @ (weight[seg_row] - np.abs(slope))) / 2
+    gap = abs(float(residual.sum()) - bound)
+    if not gap / len(p.targets) <= OPT_TOL:
+        return None
+    return L1Solution(beta, float(residual.mean()), gap)
+
+
 def solve_l1(p: L1Problem) -> L1Solution:
-    """Solve the LP with HiGHS; the reported objective is within 1e-7 of the
-    optimum, certified by the primal-dual gap.
+    """Solve the LP with HiGHS, or without it where _median_fit applies;
+    the reported objective is within 1e-7 of the optimum, certified by the
+    primal-dual gap or by _median_fit's lower bound.
+
+    The median fit is tried on an unconstrained problem with no more
+    distinct design rows than columns; it never raises LPNotOptimal, and
+    when it declines the LP below solves the problem.
 
     The LP has one equality row per distinct design row.  A design row with
     sorted distinct targets y_1 < ... < y_M, each the target of w_j examples,
@@ -245,6 +339,10 @@ def solve_l1(p: L1Problem) -> L1Solution:
         p.points, p.rows, p.targets
     )
     m, k = rows.shape
+    if p.constraint == UNCONSTRAINED and m <= k:
+        fit = _median_fit(p, rows, low, weight, seg_row, width, slope)
+        if fit is not None:
+            return fit
     s = len(seg_row)
     cols = k + 2 * m + s
     simplex = p.constraint == SIMPLEX_LIKE

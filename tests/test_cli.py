@@ -26,7 +26,7 @@ from covlearn.privacy import (
     marginals_query_budget,
     synthetic_query_budget,
 )
-from covlearn.regression import L1Problem, LPNotOptimal, solve_l1
+from covlearn.regression import SIMPLEX_LIKE, L1Problem, LPNotOptimal, solve_l1
 from covlearn.serialize import coverage_from_json, dataset_from_text, load_json
 
 
@@ -1083,10 +1083,12 @@ class TestLpNotOptimal:
                 "hypothesis_000.json",
             ),
             (
+                # the synthetic release's fit is simplex-constrained, so it
+                # reaches HiGHS; the k-way release's fit takes no LP
                 "release",
                 {
-                    "release": "k-way",
-                    "k": 2,
+                    "release": "synthetic",
+                    "size_bound": 5,
                     "alpha_bar": 0.9,
                     "epsilon": 1.0,
                     "delta": 0.1,
@@ -1108,7 +1110,7 @@ class TestLpNotOptimal:
 
         monkeypatch.setattr(regression, "_run_highs", stopped)
         with pytest.raises(LPNotOptimal, match="Iteration limit reached"):
-            solve_l1(L1Problem(np.ones((2, 1)), np.array([0.25, 0.5])))
+            solve_l1(L1Problem(np.ones((2, 1)), np.array([0.25, 0.5]), SIMPLEX_LIKE))
         code, out_dir = run(tmp_path, verb, dict(cfg, seed=1, trials=1))
         assert code == EXIT_CONTRACT
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]

@@ -136,8 +136,20 @@ def test_one_highs_module_in_either_import_order(order):
     assert _python(HIGHS_CHECK, *order) == "True 0 1.0"
 
 
+def test_highs_module_is_an_attribute_of_its_package():
+    # covlearn loads the extension before its packages exist; importing it
+    # by name afterwards runs them, and the package holds covlearn's module
+    script = (
+        "import covlearn.cli, scipy\n"
+        "import scipy.optimize._highspy._core\n"
+        "print(scipy.optimize._highspy._core is covlearn.regression.highs)"
+    )
+    assert _python(script) == "True"
+
+
 def test_missing_highs_extension_names_its_folder(monkeypatch):
-    monkeypatch.delitem(sys.modules, regression.HIGHS_MODULE)
+    # registered only once scipy.optimize imports it
+    monkeypatch.delitem(sys.modules, regression.HIGHS_MODULE, raising=False)
     monkeypatch.setattr(
         importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None
     )

@@ -627,6 +627,62 @@ class TestFitPassesExamples:
         assert problem.design.tolist() == np.column_stack(want).tolist()
 
 
+def by_point_draw(dist, m, seed):
+    """A by_point SampledOracle's draw of m examples from dist: the masks
+    and the (points, rows, counts) its label function and Examples get."""
+    seen = {}
+
+    def labels(points, counts, rng):
+        seen.update(points=points, counts=counts)
+        return np.zeros(len(points))
+
+    drawn = SampledOracle(dist, labels, by_point=True).draw(m, child_rng(seed, 0))
+    points, rows = drawn.groups
+    assert points is seen["points"]
+    return drawn[0], (points, rows, seen["counts"])
+
+
+class TestCountingGrouping:
+    """A by_point draw of at least 2^n examples groups its masks by counting
+    over the 2^n cells; the arrays are those np.unique gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dist,m",
+        [
+            (DistributionSpec.uniform(5), 32),
+            (DistributionSpec.uniform(5), 31744),
+            (DistributionSpec.layer(5, 0), 40),
+            (DistributionSpec.layer(5, 2), 31744),
+            (DistributionSpec.layer(5, 5), 40),
+            (DistributionSpec.layer(12, 6), 1 << 12),
+            (DistributionSpec.symmetric([0.1, 0.0, 0.3, 0.2, 0.4]), 500),
+            (DistributionSpec.symmetric([0.0] * 12 + [1.0]), 53248),
+        ],
+        ids=["uniform-at-2^n", "uniform", "layer-0", "layer-2", "layer-n",
+             "layer-12", "symmetric", "symmetric-top-layer"],
+    )
+    def test_equals_unique(self, dist, m):
+        with mock.patch.object(learners.np, "unique", wraps=np.unique) as spy:
+            masks, got = by_point_draw(dist, m, 3)
+        assert spy.call_count == 0
+        want = np.unique(masks, return_inverse=True, return_counts=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "dist", [DistributionSpec.uniform(5), DistributionSpec.layer(12, 6)]
+    )
+    def test_fewer_examples_than_cells_sort(self, dist):
+        m = (1 << dist.n) - 1
+        with (
+            mock.patch.object(learners.np, "unique", wraps=np.unique) as unique,
+            mock.patch.object(learners.np, "bincount", wraps=np.bincount) as bincount,
+        ):
+            by_point_draw(dist, m, 3)
+        assert unique.call_count == 1 and bincount.call_count == 0
+
+
 class TestAgnostic:
     def test_degree_formula(self):
         assert agnostic_degree(0.25) == math.ceil(math.log2(12))

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -208,16 +208,44 @@ class TestGrouping:
         assert slope.tolist() == [2.0]  # 3 at or below the gap, 1 above
 
     def test_point_labels_sort_no_example(self):
-        # labels that are a function of the point leave nothing to sort
+        # labels that are a function of the point leave nothing to sort but
+        # the points and one first example per group
         points = np.array([[0.0], [1.0], [2.0]])
         rows = np.array([2, 0, 1, 0, 2, 2])
         targets = np.array([0.5, 1.0, 0.25, 1.0, 0.5, 0.5])
-        with mock.patch.object(regression.np, "lexsort", wraps=np.lexsort) as spy:
+        with (
+            mock.patch.object(regression.np, "lexsort", wraps=np.lexsort) as lex,
+            mock.patch.object(regression.np, "argsort", wraps=np.argsort) as arg,
+        ):
             got = regression._group_by_design_row(points, rows, targets)
-        sizes = [len(call.args[0][0]) for call in spy.call_args_list]
-        assert sizes == [3, 0, 3]  # the points, no example, the groups
+        assert [len(call.args[0][0]) for call in lex.call_args_list] == [3]
+        assert [len(call.args[0]) for call in arg.call_args_list] == [3, 3, 3, 3]
         assert got[0].tolist() == [[2.0], [0.0], [1.0]]
         assert got[2].tolist() == [3.0, 2.0, 1.0]
+
+
+def reach_highs(points, rows, targets, constraint):
+    """Under UNCONSTRAINED, the problem with k + 1 more examples, each on a
+    point of its own whose design row, constant at 3 or more, no drawn point
+    has: its distinct design rows outnumber its columns, so solve_l1 hands
+    it to HiGHS, not to the median fit.  Under SIMPLEX_LIKE, the problem as
+    it is.  Returns (points, rows, targets)."""
+    if constraint != UNCONSTRAINED:
+        return points, rows, targets
+    k = points.shape[1]
+    extra = np.repeat(np.arange(3.0, k + 4.0)[:, None], k, axis=1)
+    return (
+        np.vstack([points, extra]),
+        np.r_[rows, len(points) + np.arange(k + 1)],
+        np.r_[targets, np.full(k + 1, 0.5)],
+    )
+
+
+def reach_highs_dense(design, targets, constraint):
+    """reach_highs for a problem with one design row per example."""
+    rows = np.arange(len(design))
+    design, _, targets = reach_highs(design, rows, targets, constraint)
+    return design, targets
 
 
 def lp_arguments(problem):
@@ -258,7 +286,7 @@ class TestLpAssembly:
         segments=st.booleans(),
     )
     def test_csc_arrays_equal_the_block_build(self, problem, constraint, segments):
-        points, rows, targets = problem
+        points, rows, targets = reach_highs(*problem, constraint)
         if segments:  # example 0's point once more, with a target of its own
             rows, targets = np.r_[rows, rows[0]], np.r_[targets, targets[0] + 0.125]
         else:  # targets a function of the design row: no segment column
@@ -285,7 +313,7 @@ class TestDistinctPoints:
         constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
     )
     def test_indexed_problem_hands_highs_the_dense_lp(self, problem, constraint):
-        points, rows, targets = problem
+        points, rows, targets = reach_highs(*problem, constraint)
         indexed = L1Problem(points, targets, constraint, rows)
         dense = L1Problem(points[rows], targets, constraint)
         assert lp_arguments(indexed) == lp_arguments(dense)
@@ -341,7 +369,7 @@ class TestLabelSegments:
     @settings(max_examples=60, deadline=None)
     @given(problem=noisy_labels(), constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]))
     def test_one_lp_row_per_design_row(self, problem, constraint):
-        design, targets = problem
+        design, targets = reach_highs_dense(*problem, constraint)
         with highs_spy() as spy:
             s = solve_l1(L1Problem(design, targets, constraint))
         assert equality_rows(spy.call_args.args[0]) == len(np.unique(design, axis=0))
@@ -534,13 +562,13 @@ class TestAgainstLinprog:
     @settings(max_examples=150, deadline=None)
     @given(problem=pooled_examples(), constraint=CONSTRAINTS)
     def test_pooled_examples(self, problem, constraint):
-        points, rows, targets = problem
+        points, rows, targets = reach_highs(*problem, constraint)
         self.check(L1Problem(points, targets, constraint, rows))
 
     @settings(max_examples=60, deadline=None)
     @given(problem=noisy_labels(), constraint=CONSTRAINTS)
     def test_noisy_labels(self, problem, constraint):
-        design, targets = problem
+        design, targets = reach_highs_dense(*problem, constraint)
         self.check(L1Problem(design, targets, constraint))
 
     def test_interior_point_above_row_threshold(self):
@@ -555,8 +583,9 @@ class TestAgainstLinprog:
                     "log_to_console": False, "highs_debug_level": 0}
         with highs_spy() as spy:
             solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.5])))
-            rows = np.zeros(2, dtype=np.intp)  # one point, two targets
-            solve_l1(L1Problem(np.ones((1, 1)), np.array([0.25, 0.5]), rows=rows))
+            rows = np.array([0, 0, 1])  # two points, the first with two targets
+            solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.5, 0.5]),
+                               rows=rows))
         (_, plain, none), (_, segmented, one) = (c.args for c in spy.call_args_list)
         assert (plain, none) == (expected, 0)
         assert (segmented, one) == (dict(expected, presolve="off"), 1)
@@ -620,3 +649,170 @@ class TestChecks:
     def test_status_other_than_optimal(self):
         with pytest.raises(LPNotOptimal, match="Iteration limit reached"):
             self.solve_with(lambda r: r._replace(status="Iteration limit reached"))
+
+
+def forced_lp(p):
+    """solve_l1(p) with the median fit declined, so HiGHS solves it."""
+    with mock.patch.object(regression, "_median_fit", return_value=None):
+        return solve_l1(p)
+
+
+def loss(p, beta):
+    """The sum over p's examples of |residual| under beta."""
+    return float(np.abs((p.points @ beta)[p.rows] - p.targets).sum())
+
+
+@st.composite
+def independent_rows(draw):
+    """An unconstrained problem whose m distinct design rows, m <= k, are
+    linearly independent: a unit upper-triangular block on m of the k
+    columns, shuffled, plus integer entries elsewhere.  Each point carries
+    one label, or with segments several, with multiplicities that often
+    split a point's weight evenly.  Returns the problem and m."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, k))
+    upper = np.triu(np.array(draw(st.lists(st.integers(-2, 2), min_size=m * m,
+                                           max_size=m * m))).reshape(m, m), 1)
+    points = np.zeros((m, k))
+    cols = np.array(draw(st.permutations(range(k))))
+    points[:, cols[:m]] = upper + np.eye(m)
+    for j in cols[m:]:
+        points[:, j] = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    segments = draw(st.booleans())
+    rows, targets = [], []
+    for i in range(m):
+        labels = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 3)),
+                               min_size=1, max_size=4 if segments else 1,
+                               unique_by=lambda label: label[0]))
+        for target, mult in labels:
+            rows += [i] * mult
+            targets += [target / 8] * mult
+    order = np.array(draw(st.permutations(range(len(rows)))))
+    targets, rows = np.array(targets)[order], np.array(rows)[order]
+    p = L1Problem(points, targets, UNCONSTRAINED, rows)
+    return p, m
+
+
+class TestMedianFit:
+    """An unconstrained problem whose distinct design rows are independent
+    is fitted by per-row weighted medians, with no HiGHS call; every other
+    problem goes to HiGHS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=independent_rows())
+    def test_matches_highs(self, problem):
+        p, m = problem
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 0
+        lp = forced_lp(p)
+        examples = len(p.targets)
+        assert abs(s.objective - lp.objective) <= regression.OPT_TOL
+        # the certificate: no beta has a loss below the bound, and the
+        # median fit's loss is the bound, up to the reported gap
+        _, _, weight, seg_row, width, slope = regression._group_by_design_row(
+            p.points, p.rows, p.targets
+        )
+        bound = float(width @ (weight[seg_row] - np.abs(slope))) / 2
+        assert bound <= loss(p, lp.coefficients) + 1e-9
+        assert s.duality_gap == pytest.approx(abs(loss(p, s.coefficients) - bound),
+                                              abs=1e-12)
+        assert s.duality_gap / examples <= regression.OPT_TOL
+        # a basic beta, the same on every solve
+        assert np.count_nonzero(s.coefficients) <= m
+        assert solve_l1(p).coefficients.tobytes() == s.coefficients.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=independent_rows(),
+        mix=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+    )
+    def test_dependent_rows_go_to_highs(self, problem, mix):
+        # one more point, whose design row is a combination of the others
+        # (0 included) and differs from each of them: still m <= k rows
+        p, m = problem
+        combo = np.array(mix[:m], dtype=np.float64) @ p.points
+        assume(m < p.points.shape[1] and not (p.points == combo).all(1).any())
+        points = np.vstack([p.points, combo])
+        rows = np.r_[p.rows, m]
+        dependent = L1Problem(points, np.r_[p.targets, 0.5], UNCONSTRAINED, rows)
+        with highs_spy() as spy:
+            s = solve_l1(dependent)
+        assert spy.call_count == 1
+        assert s.coefficients.tobytes() == forced_lp(dependent).coefficients.tobytes()
+
+    def test_even_split_takes_the_lower_median(self):
+        # one point whose targets 0.25 and 0.75 weigh 2 each: every fit in
+        # [0.25, 0.75] is optimal, and the median fit takes 0.25
+        p = L1Problem(np.ones((1, 1)), np.array([0.75, 0.25, 0.25, 0.75]),
+                      rows=np.zeros(4, dtype=np.intp))
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 0
+        assert s.coefficients.tolist() == [0.25]
+        assert s.objective == 0.25 and s.duality_gap == 0.0
+
+    def test_basis_is_deterministic_and_sparse(self):
+        # two points, four columns of which columns 1 and 3 are a basis of
+        # the largest entries: beta is 0 on the others
+        points = np.array([[1.0, 2.0, 1.0, 0.0], [1.0, 0.0, 1.0, -3.0]])
+        p = L1Problem(points, np.array([0.5, 0.25]))
+        assert regression._basis(points).tolist() == [1, 3]
+        s = solve_l1(p)
+        assert s.coefficients.tolist() == [0.0, 0.25, 0.0, -1 / 12]
+        assert points @ s.coefficients == pytest.approx([0.5, 0.25], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]],  # rank 1 on two points
+            [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],  # rank 2
+            [[1.0, 0.0], [1.0, 1e-10]],  # condition number about 2e10
+        ],
+        ids=["dependent", "row-sum", "ill-conditioned"],
+    )
+    def test_dependent_or_ill_conditioned_rows_go_to_highs(self, points):
+        points = np.array(points)
+        targets = np.linspace(0.0, 1.0, len(points))
+        p = L1Problem(points, targets)
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 1
+        assert s.coefficients.tobytes() == forced_lp(p).coefficients.tobytes()
+
+    def test_ill_conditioned_rows_with_a_fair_diagonal_go_to_highs(self):
+        # the rows of a 60 x 60 Kahan matrix: R's diagonal spans a factor
+        # of 64 only, but the condition number is about 2e10
+        s, c = np.sin(1.2), np.cos(1.2)
+        kahan = np.diag(s ** np.arange(60)) @ (
+            np.eye(60) - c * np.triu(np.ones((60, 60)), 1)
+        )
+        p = L1Problem(kahan.T, np.linspace(0.0, 1.0, 60))
+        grouping = regression._group_by_design_row(p.points, p.rows, p.targets)
+        diagonal = np.abs(np.diagonal(np.linalg.qr(kahan, mode="r")))
+        assert diagonal.max() / diagonal.min() < 100
+        assert regression._median_fit(p, *grouping) is None
+        with highs_spy() as spy:
+            solve_l1(p)
+        assert spy.call_count == 1
+
+    def test_failed_certificate_goes_to_highs(self):
+        # a beta off the medians by 1e-3 fails the certificate
+        p = L1Problem(np.eye(2), np.array([0.25, 0.5]))
+        solve = np.linalg.solve
+        with (
+            mock.patch.object(regression.np.linalg, "solve",
+                              lambda a, b: solve(a, b) + 1e-3),
+            highs_spy() as spy,
+        ):
+            s = solve_l1(p)
+        assert spy.call_count == 1
+        assert s.coefficients == pytest.approx([0.25, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
+    def test_more_rows_than_columns_or_simplex_go_to_highs(self, constraint):
+        points = np.eye(2) if constraint == SIMPLEX_LIKE else np.ones((3, 2)).cumsum(0)
+        p = L1Problem(points, np.full(len(points), 0.25), constraint)
+        with highs_spy() as spy:
+            solve_l1(p)
+        assert spy.call_count == 1
