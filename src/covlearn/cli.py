@@ -442,7 +442,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     def write(trial: int, hypothesis) -> None:
         if hypothesis is not None:
             path = _trial_file(out_dir, "hypothesis", trial, "json")
-            dump_json(hypothesis_to_json(hypothesis), path)
+            dump_json(hypothesis_to_json(hypothesis, arrays=True), path)
 
     head = f"learn {learner}"
     tail = f"successful trials (threshold {SUCCESS_THRESHOLD:.3f})"
@@ -534,7 +534,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
 
     def write(trial: int, summary) -> None:
         path = _trial_file(out_dir, "summary", trial, "json")
-        dump_json(summary_to_json(summary), path)
+        dump_json(summary_to_json(summary, arrays=True), path)
         if summary.synthetic is not None and not summary.synthetic.is_empty():
             with open(_trial_file(out_dir, "synthetic", trial, "txt"), "w") as fh:
                 fh.write(dataset_to_text(summary.synthetic))

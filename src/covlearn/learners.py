@@ -26,7 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .estimation import (
     CoeffSource,
     SampleBatch,
     batch_source,
+    check_masks,
     hoeffding_samples,
     lattice_search,
     spectrum_from_counts,
@@ -80,6 +83,42 @@ class DesignTooLarge(ValueError):
 # Hypothesis representations
 
 
+class Coefficients(Mapping):
+    """A polynomial's coefficients as two read-only arrays, masks (distinct
+    and ascending, uint64) and values (float64), seen as a read-only mapping
+    from set mask to value.  Built from a mapping or a (masks, values) pair
+    in any order; a mask outside [0, 2^n) or a repeated one is refused."""
+
+    def __init__(self, n: int, coeffs) -> None:
+        if isinstance(coeffs, Coefficients):
+            coeffs = coeffs.masks, coeffs.values
+        elif isinstance(coeffs, Mapping):
+            coeffs = list(coeffs), list(coeffs.values())
+        masks, values = check_masks(coeffs[0], n), np.asarray(coeffs[1], dtype=float)
+        if masks.ndim != 1 or masks.shape != values.shape:
+            raise ValueError("masks and values must be 1-d and of equal length")
+        order = np.argsort(masks, kind="stable")
+        self.masks, self.values = masks[order], values[order]
+        if (self.masks[1:] == self.masks[:-1]).any():
+            raise ValueError("a set mask is repeated")
+        self.masks.flags.writeable = self.values.flags.writeable = False
+
+    def __getitem__(self, mask) -> float:
+        i = np.searchsorted(self.masks, mask) if 0 <= mask < 1 << 64 else 0
+        if i < len(self.masks) and self.masks[i] == mask:
+            return float(self.values[i])
+        raise KeyError(mask)
+
+    def __iter__(self):
+        return iter(self.masks.tolist())
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __repr__(self) -> str:
+        return f"Coefficients({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Sparse polynomial hypothesis.
@@ -88,6 +127,8 @@ class SparsePolynomial:
     basis "layered_parity": a separate parity polynomial per Hamming layer,
     value = sum over T of layers[weight(x)][T] * chi_T(x).
     clamp restricts emitted values to [0,1].
+    coeffs and each of layers' values are stored as Coefficients, built
+    from a mapping or a (masks, values) pair; layers is read-only.
     """
 
     n: int
@@ -102,6 +143,13 @@ class SparsePolynomial:
         if self.basis == "layered_parity":
             if any(not 0 <= k <= self.n for k in self.layers):
                 raise ValueError("layer keys must lie in 0..n")
+        layers = {k: Coefficients(self.n, c) for k, c in self.layers.items()}
+        object.__setattr__(self, "coeffs", Coefficients(self.n, self.coeffs))
+        object.__setattr__(self, "layers", MappingProxyType(layers))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        args = self.n, self.basis, self.coeffs, dict(self.layers), self.clamp
+        return SparsePolynomial, args
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.uint64)
@@ -122,20 +170,15 @@ class SparsePolynomial:
         return float(self.eval_masks(np.array([mask], dtype=np.uint64))[0])
 
 
-def _eval_parity_poly(
-    n: int, coeffs: Mapping[int, float], masks: np.ndarray
-) -> np.ndarray:
+def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
-        size = len(coeffs)
-        dense[np.fromiter(coeffs.keys(), np.int64, size)] = np.fromiter(
-            coeffs.values(), np.float64, size
-        )
+        dense[coeffs.masks] = coeffs.values
         return walsh_hadamard(dense, out=dense)[masks]
     # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
-    for t in sorted(coeffs):
-        out += coeffs[t] * eval_parity_batch(t, masks)
+    for t, v in zip(coeffs.masks.tolist(), coeffs.values.tolist()):
+        out += v * eval_parity_batch(t, masks)
     return out
 
 
@@ -286,9 +329,22 @@ class UniformTableOracle:
         return bits @ (np.uint64(1) << np.array(self.free_vars, dtype=np.uint64))
 
 
+def _group_points(masks: np.ndarray, n: int):
+    """(points, rows, counts) of masks on n coordinates, as np.unique(masks,
+    return_inverse=True, return_counts=True) gives them, dtypes included:
+    at least 2^n masks are grouped by counting over the 2^n cells, fewer by
+    np.unique's sort."""
+    if 1 << n > len(masks):
+        return np.unique(masks, return_inverse=True, return_counts=True)
+    cells = np.bincount(masks.astype(np.intp), minlength=1 << n)
+    points = np.flatnonzero(cells)
+    rows = (np.cumsum(cells != 0) - 1)[masks]
+    return points.astype(masks.dtype), rows, cells[points]
+
+
 class Examples(tuple):
     """A draw's (masks, labels), whose groups attribute holds the draw's one
-    grouping of its masks, as np.unique(masks, return_inverse=True) gives."""
+    grouping of its masks, the points and rows of _group_points."""
 
 
 @dataclass(frozen=True)
@@ -296,10 +352,8 @@ class SampledOracle:
     """Generic example oracle: draws points from a distribution and labels
     them with label_fn(masks, rng), which may inject noise via rng.  With
     by_point, label_fn(points, counts, rng) labels the distinct points drawn,
-    ascending, each drawn counts times, and the draw returns Examples.  A
-    draw of at least 2^n examples finds its distinct points by counting
-    over the 2^n cells, a smaller one by np.unique's sort; both give the
-    same arrays, dtypes included."""
+    ascending, each drawn counts times (_group_points), and the draw
+    returns Examples."""
 
     dist: DistributionSpec
     label_fn: Callable[..., np.ndarray]
@@ -316,16 +370,7 @@ class SampledOracle:
         masks = cube.sample_masks(self.dist, m, rng)
         if not self.by_point:
             return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
-        if 1 << self.n <= m:
-            cells = np.bincount(masks.astype(np.intp), minlength=1 << self.n)
-            points = np.flatnonzero(cells)
-            counts = cells[points]
-            rows = (np.cumsum(cells != 0) - 1)[masks]
-            points = points.astype(masks.dtype)
-        else:
-            points, rows, counts = np.unique(
-                masks, return_inverse=True, return_counts=True
-            )
+        points, rows, counts = _group_points(masks, self.n)
         labels = np.asarray(self.label_fn(points, counts, rng), dtype=np.float64)
         drawn = Examples((masks, labels[rows]))
         drawn.groups = points, rows
@@ -409,7 +454,8 @@ def pac_core(
     private-query paths: singleton screen, then lattice search."""
     t = search_thresholds(eps, None)
     kept = _screen_and_search(n, t, phase1_source, phase2_source_for)
-    return SparsePolynomial(n, "parity", kept)
+    masks = np.fromiter(kept, np.uint64, len(kept))
+    return SparsePolynomial(n, "parity", (masks, np.fromiter(kept.values(), float)))
 
 
 def _search_source(
@@ -459,8 +505,8 @@ def _pmac_leaf(
     eps."""
     scaled = oracle.scaled(1.0 / (3.0 * m_tilde))
     h = pac_learn_uniform(scaled, eps, child_seed(seed, *path), failure=eta)
-    coeffs = zip(oracle.lift_sets(list(h.coeffs)).tolist(), h.coeffs.values())
-    poly = SparsePolynomial(oracle.n_total, "parity", dict(coeffs))
+    lifted = oracle.lift_sets(h.coeffs.masks), h.coeffs.values
+    poly = SparsePolynomial(oracle.n_total, "parity", lifted)
     return PmacPolyLeaf(poly, m_tilde, shift)
 
 
@@ -636,7 +682,7 @@ def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint
             f"over the cap {DESIGN_BYTES_CAP}"
         )
     masks, labels = drawn = examples.draw(m, rng)
-    points, rows = getattr(drawn, "groups", ()) or np.unique(masks, return_inverse=True)
+    points, rows = getattr(drawn, "groups", ()) or _group_points(masks, examples.n)[:2]
     design = np.empty((len(points), width), dtype=np.float64)
     for j, column in enumerate(columns(points)):
         design[:, j] = column
@@ -691,10 +737,9 @@ def agnostic_learn(
 
     coef = _l1_fit(oracle, agnostic_samples(n, eps, len(blocks)), child_rng(seed, 1),
                    _support_size(d), len(features), columns, UNCONSTRAINED)
-    layers: dict = {k: {} for k in blocks}
-    for (k, t), v in zip(features, coef):
-        if v != 0.0:
-            layers[k][t] = float(v)
+    sets = np.array(parities, dtype=np.uint64)
+    coef = coef.reshape(len(blocks), -1)
+    layers = {k: (sets[c != 0.0], c[c != 0.0]) for k, c in zip(blocks, coef)}
     if blocks == [None]:
         return SparsePolynomial(n, "parity", layers[None], clamp=True)
     return SparsePolynomial(n, "layered_parity", layers=layers, clamp=True)

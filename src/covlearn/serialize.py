@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +22,7 @@ import numpy as np
 from .coverage import CoverageFunction, FourierTable
 from .cube import format_point_line, parse_point_line
 from .learners import (
+    Coefficients,
     PmacHypothesis,
     PmacNode,
     PmacPolyLeaf,
@@ -33,15 +32,11 @@ from .learners import (
 from .privacy import Dataset, ReleaseSummary
 
 DATASET_EXPANSION_CAP = 1_000_000
+ROW_BLOCK = 4096  # coefficient rows dump_json renders per chunk
 
 
 def _mask_to_indices(mask: int) -> list[int]:
-    indices = []
-    while mask:
-        low = mask & -mask  # lowest set bit
-        indices.append(low.bit_length())
-        mask ^= low
-    return indices
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _indices_to_mask(indices: Iterable[int], n: int) -> int:
@@ -108,24 +103,26 @@ def fourier_from_csv(text: str, n: int) -> FourierTable:
 # Hypotheses
 
 
-def _coeffs_to_json(coeffs) -> list:
-    return [
-        {"set": _mask_to_indices(m), "value": v} for m, v in sorted(coeffs.items())
-    ]
-
-
 def _coeffs_from_json(raw, n: int) -> dict[int, float]:
     return {_indices_to_mask(e["set"], n): float(e["value"]) for e in raw}
 
 
-def polynomial_to_json(p: SparsePolynomial) -> dict:
+def _coeff_rows(c: Coefficients) -> list:
+    """c's rows {"set": [1-based indices], "value": float}, masks ascending."""
+    sets = map(_mask_to_indices, c.masks.tolist())
+    return [{"set": t, "value": v} for t, v in zip(sets, c.values.tolist())]
+
+
+def polynomial_to_json(p: SparsePolynomial, arrays: bool = False) -> dict:
+    """A JSON-native tree, as every *_to_json gives; with arrays, the same
+    tree with each coefficient list left as its Coefficients node, which
+    dump_json writes as the same rows, straight from the arrays."""
+    rows = (lambda c: c) if arrays else _coeff_rows
     obj: dict = {"type": "polynomial", "n": p.n, "basis": p.basis, "clamp": p.clamp}
     if p.basis == "parity":
-        obj["coeffs"] = _coeffs_to_json(p.coeffs)
+        obj["coeffs"] = rows(p.coeffs)
     else:
-        obj["layers"] = {
-            str(k): _coeffs_to_json(c) for k, c in sorted(p.layers.items())
-        }
+        obj["layers"] = {str(k): rows(c) for k, c in p.layers.items()}
     return obj
 
 
@@ -139,21 +136,21 @@ def polynomial_from_json(obj: dict) -> SparsePolynomial:
     return SparsePolynomial(n, basis, layers=layers, clamp=clamp)
 
 
-def _pmac_node_to_json(node) -> dict:
+def _pmac_node_to_json(node, arrays: bool) -> dict:
     if isinstance(node, PmacZeroLeaf):
         return {"type": "zero"}
     if isinstance(node, PmacPolyLeaf):
         return {
             "type": "leaf",
-            "poly": polynomial_to_json(node.poly),
+            "poly": polynomial_to_json(node.poly, arrays),
             "m_tilde": node.m_tilde,
             "shift": node.shift,
         }
     return {
         "type": "node",
         "var": node.var + 1,
-        "minus": _pmac_node_to_json(node.minus),
-        "plus": _pmac_node_to_json(node.plus),
+        "minus": _pmac_node_to_json(node.minus, arrays),
+        "plus": _pmac_node_to_json(node.plus, arrays),
     }
 
 
@@ -176,23 +173,21 @@ def _pmac_node_from_json(obj: dict):
     raise ValueError(f"unknown tree node type {kind!r}")
 
 
-def pmac_to_json(h: PmacHypothesis) -> dict:
-    return {"type": "pmac", "n": h.n, "root": _pmac_node_to_json(h.root)}
+def pmac_to_json(h: PmacHypothesis, arrays: bool = False) -> dict:
+    return {"type": "pmac", "n": h.n, "root": _pmac_node_to_json(h.root, arrays)}
 
 
 def pmac_from_json(obj: dict) -> PmacHypothesis:
     return PmacHypothesis(int(obj["n"]), _pmac_node_from_json(obj["root"]))
 
 
-def hypothesis_to_json(h) -> dict:
+def hypothesis_to_json(h, arrays: bool = False) -> dict:
     if isinstance(h, SparsePolynomial):
-        return polynomial_to_json(h)
+        return polynomial_to_json(h, arrays)
     if isinstance(h, PmacHypothesis):
-        return pmac_to_json(h)
+        return pmac_to_json(h, arrays)
     if isinstance(h, CoverageFunction):
-        obj = coverage_to_json(h)
-        obj["type"] = "coverage"
-        return obj
+        return {**coverage_to_json(h), "type": "coverage"}
     raise TypeError(f"cannot serialize hypothesis of type {type(h).__name__}")
 
 
@@ -254,7 +249,7 @@ def dataset_from_text(text: str) -> Dataset:
 # Release summaries
 
 
-def summary_to_json(s: ReleaseSummary) -> dict:
+def summary_to_json(s: ReleaseSummary, arrays: bool = False) -> dict:
     obj: dict = {
         "variant": s.variant,
         "n": s.n,
@@ -267,7 +262,7 @@ def summary_to_json(s: ReleaseSummary) -> dict:
         },
     }
     if s.poly is not None:
-        obj["poly"] = polynomial_to_json(s.poly)
+        obj["poly"] = polynomial_to_json(s.poly, arrays)
     if s.synthetic is not None:
         obj["synthetic"] = dataset_to_lines(s.synthetic)
     return obj
@@ -320,32 +315,35 @@ def _scalar(x) -> str | None:
     return _float(x) if isinstance(x, float) else None
 
 
-def _row_chunks(rows: list, ind: str):
-    """A list of coefficient rows {"set": [ints], "value": float} at indent
-    ind, one chunk per row rendered from a template (the first opens the
-    list); None if any item has another shape."""
-    if not (
-        all(
-            type(r) is dict
-            and r.keys() == {"set", "value"}
-            and type(r["set"]) is list
-            and type(r["value"]) is float
-            for r in rows
-        )
-        and set(map(type, chain.from_iterable(map(itemgetter("set"), rows)))) <= {int}
-    ):
-        return None
-    inner = ind + "    "
-    sep = ",\n" + inner
-    head = f"%s\n{ind}{{\n{ind}  "
-    full = head + f'"set": [\n{inner}%s\n{ind}  ],\n{ind}  "value": %s\n{ind}}}'
-    empty = head + f'"set": [],\n{ind}  "value": %s\n{ind}}}'
-    return (
-        full % (lead, sep.join(map(int.__repr__, r["set"])), _float(r["value"]))
-        if r["set"]
-        else empty % (lead, _float(r["value"]))
-        for lead, r in zip(chain("[", repeat(",")), rows)
-    )
+def _coeff_chunks(c: Coefficients, ind: str):
+    """The list _coeff_rows(c) as json.dumps writes it at indent ind, rendered
+    from c's arrays ROW_BLOCK rows at a time.  A row whose set has k
+    indices is k + 2 pieces: its opening, one piece per index, looked up by
+    bit position, and its closing, which holds the value."""
+    r = ind + "  "
+    index = np.array([f"\n{r}    {i}" for i in range(1, 65)], dtype=object)
+    index = np.concatenate([index, "," + index])  # first in its set, later
+    opening = f',\n{r}{{\n{r}  "set": ['
+    # closings after an empty set and after a set's last index
+    closing = np.array([f"],\n{r}  ", f"\n{r}  ],\n{r}  "], dtype=object)
+    closing += '"value": '
+    for start in range(0, len(c), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        masks = c.masks[block].astype("<u8")
+        bits = np.unpackbits(masks.view(np.uint8), bitorder="little")
+        at = np.flatnonzero(bits.view(bool))  # 64 * row + bit
+        row, later = at >> 6, np.r_[False, at[1:] >> 6 == at[:-1] >> 6]
+        sizes = np.bincount(row, minlength=len(masks))
+        values = np.array([_float(v) for v in c.values[block].tolist()], dtype=object)
+        pieces = np.empty(len(at) + 2 * len(masks), dtype=object)
+        pieces.fill(opening)
+        pieces[np.arange(len(at)) + 2 * row + 1] = index[(at & 63) + 64 * later]
+        ends = closing[np.minimum(sizes, 1)] + values + f"\n{r}}}"
+        pieces[np.cumsum(sizes + 2) - 1] = ends
+        if start == 0:
+            pieces[0] = "[" + opening[1:]
+        yield "".join(pieces.tolist())
+    yield "\n" + ind + "]" if len(c) else "[]"
 
 
 def _json_chunks(obj, ind: str):
@@ -363,16 +361,14 @@ def _json_chunks(obj, ind: str):
             lead = ","
         yield "\n" + ind + "}"
     elif type(obj) is list and obj:
-        rows = _row_chunks(obj, inner)
-        if rows is not None:
-            yield from rows
-        else:
-            lead = "["
-            for item in obj:
-                yield f"{lead}\n{inner}"
-                yield from _json_chunks(item, inner)
-                lead = ","
+        lead = "["
+        for item in obj:
+            yield f"{lead}\n{inner}"
+            yield from _json_chunks(item, inner)
+            lead = ","
         yield "\n" + ind + "]"
+    elif isinstance(obj, Coefficients):
+        yield from _coeff_chunks(obj, ind)
     else:
         yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + ind)
 

@@ -690,9 +690,9 @@ class TestTrialClock:
     ):
         to_json_fast = getattr(cli, to_json)
 
-        def slow(obj):
+        def slow(obj, **kwargs):
             time.sleep(0.3)
-            return to_json_fast(obj)
+            return to_json_fast(obj, **kwargs)
 
         monkeypatch.setattr(cli, to_json, slow)
         _, out_dir = run(tmp_path, verb, dict(cfg, seed=3, trials=2))

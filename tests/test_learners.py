@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from covlearn import cli, learners, regression
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
+    Coefficients,
     DesignTooLarge,
     DisjointDnf,
     DnfClassifier,
@@ -73,6 +76,53 @@ class TestSparsePolynomial:
         p = SparsePolynomial(2, "parity", {0: 1.5}, clamp=True)
         assert p(0) == 1.0
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {8: 0.5, 1: 0.25},
+            {-1: 0.5},
+            (np.array([1, 2**64 - 1], dtype=np.uint64), np.array([0.5, 0.5])),
+            (np.array([3, 1, 3]), np.array([0.5, 0.25, 0.5])),
+            ([1, 2], [0.5]),
+        ],
+        ids=["mask-2^n", "negative", "mask-2^64-1", "repeated", "short-values"],
+    )
+    def test_rejects_bad_coefficients(self, coeffs):
+        # a mask outside [0, 2^n) would be written as an index the file's
+        # reader refuses, or evaluated as a constant
+        with pytest.raises(ValueError):
+            SparsePolynomial(3, "parity", coeffs)
+        with pytest.raises(ValueError):
+            SparsePolynomial(3, "layered_parity", layers={1: coeffs})
+
+    def test_out_of_range_mask_is_named(self):
+        with pytest.raises(ValueError, match=r"set mask 8 outside \[0, 2\^3\)"):
+            SparsePolynomial(3, "parity", {8: 0.5, 1: 0.25})
+
+    def test_masks_up_to_bit_63(self):
+        p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
+        assert p.coeffs.masks.tolist() == [0, 1 << 63, 2**64 - 1]
+        assert p(1 << 63) == 1.0 - 0.25 - 0.5
+
+    def test_coefficients_are_a_read_only_view(self):
+        p = SparsePolynomial(4, "parity", {0b101: -0.25, 0: 0.5, 0b10: 0.125})
+        assert p.coeffs.masks.dtype == np.uint64 and p.coeffs.values.dtype == np.float64
+        assert list(p.coeffs.items()) == [(0, 0.5), (0b10, 0.125), (0b101, -0.25)]
+        assert p.coeffs == {0b10: 0.125, 0: 0.5, 0b101: -0.25}
+        assert 0b101 in p.coeffs and 0b11 not in p.coeffs and -1 not in p.coeffs
+        with pytest.raises(TypeError):
+            p.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            p.coeffs.values[0] = 1.0
+        with pytest.raises(TypeError):
+            p.layers[0] = {}
+
+    def test_pickles(self):
+        p = SparsePolynomial(4, "layered_parity", layers={1: {1: 0.5}, 3: {}}, clamp=True)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p and q.layers[1].masks.tolist() == [1]
+            assert not q.layers[1].values.flags.writeable
+
     def test_dense_and_sparse_eval_agree(self):
         rng = child_rng(0, 0)
         coeffs = {int(t): float(v) for t, v in zip(range(300), rng.random(300))}
@@ -93,7 +143,8 @@ class TestSparsePolynomial:
         for t, v in coeffs.items():
             dense[t] = v
         expected = walsh_hadamard(dense)[masks]
-        assert _eval_parity_poly(n, coeffs, masks).tobytes() == expected.tobytes()
+        got = _eval_parity_poly(n, Coefficients(n, coeffs), masks)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestUniformTableOracle:
@@ -616,7 +667,7 @@ class TestFitPassesExamples:
         # a design with one row per distinct point
         masks, labels = examples
         sets = [1, 1 << 63]
-        drawn = mock.Mock(draw=mock.Mock(return_value=examples))
+        drawn = mock.Mock(n=64, draw=mock.Mock(return_value=examples))
         with mock.patch.object(learners, "solve_l1", wraps=learners.solve_l1) as spy:
             learners._fit_coverage(64, sets, drawn, len(masks), None, 1 << 64)
         drawn.draw.assert_called_once_with(len(masks), None)
@@ -669,6 +720,29 @@ class TestCountingGrouping:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10), st.integers(-2, 2), st.data())
+    def test_group_points_equals_unique(self, n, offset, data):
+        # both sides of the cut at 2^n masks, on draws that miss cells
+        m = max(1, (1 << n) + offset)
+        pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=9))
+        masks = child_rng(n, m).choice(np.array(pool, dtype=np.uint64), size=m)
+        got = learners._group_points(masks, n)
+        want = np.unique(masks, return_inverse=True, return_counts=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_ungrouped_fit_counts(self):
+        # per-example labels, as the CLI's noise_scale gives: 2048 examples
+        # on 2^3 cells are grouped by counting, not sorted
+        dist = DistributionSpec.uniform(3)
+        oracle = SampledOracle(dist, lambda masks, rng: np.zeros(len(masks)))
+        with mock.patch.object(learners.np, "unique", wraps=np.unique) as unique:
+            h = agnostic_learn(oracle, dist, 0.5, 0)
+        assert unique.call_count == 0
+        assert np.abs(h.eval_masks(np.arange(8, dtype=np.uint64))).max() == 0.0
 
     @pytest.mark.parametrize(
         "dist", [DistributionSpec.uniform(5), DistributionSpec.layer(12, 6)]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covlearn.coverage import CoverageFunction, exact_fourier, random_coverage
-from covlearn.cube import child_rng
+from covlearn import learners
+from covlearn.cube import child_rng, child_seed
 from covlearn.learners import (
     PmacHypothesis,
     PmacNode,
@@ -19,6 +20,7 @@ from covlearn.learners import (
     pmac_learn,
 )
 from covlearn.privacy import Dataset, ReleaseSummary, release_all_marginals
+from covlearn import serialize
 from covlearn.serialize import (
     coverage_from_json,
     coverage_to_json,
@@ -208,6 +210,20 @@ class TestSummaryJson:
         assert np.array_equal(back.answer_masks(masks), s.answer_masks(masks))
         assert back.queries_used == 7 and back.dataset_size == 100
 
+    def test_written_from_arrays(self, tmp_path):
+        d = Dataset.from_points(child_rng(0, 1).integers(0, 32, size=50).tolist(), 5)
+        layered = SparsePolynomial(
+            5, "layered_parity", layers={2: {0b11: -0.5, 0: 0.25}, 0: {}}, clamp=True
+        )
+        for s in (
+            release_all_marginals(d, 0.4, math.inf, 0.1, 0),
+            ReleaseSummary("polynomial", 5, 0.5, 1.0, 0.1, 9, 50, poly=layered),
+        ):
+            path = tmp_path / "summary.json"
+            dump_json(summary_to_json(s, arrays=True), str(path))
+            text = json.dumps(summary_to_json(s), indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == text.encode("ascii")
+
     def test_empty_synthetic_roundtrip(self):
         empty = Dataset(3, np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
         s = ReleaseSummary("synthetic", 3, 0.25, 1.0, 0.1, 0, 10, synthetic=empty)
@@ -322,3 +338,123 @@ class TestDumpJson:
             {"set": [16], "value": -math.inf},
         ]
         self._check(tmp_path, {"root": {"poly": {"coeffs": rows}}, "rows": rows})
+
+
+def _write_and_reload(tmp_path, h):
+    """Writes h as the CLI does and checks the file against json.dumps of
+    hypothesis_to_json(h); returns the file's bytes and the hypothesis read
+    back from it."""
+    path = tmp_path / "hypothesis.json"
+    dump_json(hypothesis_to_json(h, arrays=True), str(path))
+    text = json.dumps(hypothesis_to_json(h), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == text.encode("ascii")
+    return path.read_bytes(), hypothesis_from_json(load_json(str(path)))
+
+
+def _points(n: int, count: int = 64) -> np.ndarray:
+    return child_rng(n, 7).integers(0, 1 << n, size=count, dtype=np.uint64)
+
+
+# NaN without payloads: json writes every NaN as "NaN"
+_COEFF = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e22, math.nan, math.inf]),
+)
+
+
+@st.composite
+def _polynomials(draw, n: int):
+    full = (1 << n) - 1  # at n = 64, bit 63 is set
+    masks = st.one_of(st.integers(0, full), st.sampled_from([0, full, 1 << (n - 1)]))
+    coeffs = st.dictionaries(masks, _COEFF, max_size=10)
+    clamp = draw(st.booleans())
+    if draw(st.booleans()):
+        return SparsePolynomial(n, "parity", draw(coeffs), clamp=clamp)
+    layers = draw(st.dictionaries(st.integers(0, n), coeffs, max_size=4))
+    return SparsePolynomial(n, "layered_parity", layers=layers, clamp=clamp)
+
+
+@st.composite
+def _hypotheses(draw):
+    n = draw(st.one_of(st.just(64), st.integers(1, 64)))
+    if draw(st.booleans()):
+        return draw(_polynomials(n))
+
+    def node(depth: int):
+        kind = draw(st.sampled_from(["zero", "leaf", "node"][: 3 if depth < 3 else 2]))
+        if kind == "zero":
+            return PmacZeroLeaf()
+        if kind == "leaf":
+            return PmacPolyLeaf(draw(_polynomials(n)), draw(_COEFF), draw(_COEFF))
+        return PmacNode(draw(st.integers(0, n - 1)), node(depth + 1), node(depth + 1))
+
+    return PmacHypothesis(n, node(0))
+
+
+class TestHypothesisFiles:
+    """The file the CLI writes from a hypothesis's coefficient arrays is
+    json.dumps of hypothesis_to_json, byte for byte, and reads back to a
+    hypothesis that evaluates bit for bit like the written one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=_hypotheses())
+    def test_written_from_arrays(self, tmp_path_factory, h):
+        _, back = _write_and_reload(tmp_path_factory.mktemp("h"), h)
+        x = _points(h.n)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+            assert back.eval_masks(x).tobytes() == h.eval_masks(x).tobytes()
+
+    def test_chunks_split_rows(self, tmp_path, monkeypatch):
+        p = SparsePolynomial(12, "parity", {t: t / 7 for t in range(0, 4096, 3)})
+        whole, _ = _write_and_reload(tmp_path, p)
+        monkeypatch.setattr(serialize, "ROW_BLOCK", 5)
+        assert _write_and_reload(tmp_path, p)[0] == whole
+
+
+class TestArrayConstruction:
+    """A polynomial built from (masks, values) arrays and one built from the
+    same items as an unsorted dict are equal, evaluate bit for bit alike and
+    are written as the same bytes."""
+
+    @staticmethod
+    def _check_same(tmp_path, a, b):
+        assert a == b
+        x = _points(a.n)
+        assert a.eval_masks(x).tobytes() == b.eval_masks(x).tobytes()
+        assert _write_and_reload(tmp_path, a)[0] == _write_and_reload(tmp_path, b)[0]
+
+    def test_parity_and_layers(self, tmp_path):
+        rng = child_rng(3, 0)
+        masks = rng.choice(1 << 10, size=300, replace=False).astype(np.uint64)
+        values = rng.normal(size=300)
+        items = dict(zip(masks.tolist(), values.tolist()))
+        assert list(items) != sorted(items)
+        for n_items in (300, 40):  # the dense and the per-set evaluation
+            a = SparsePolynomial(10, "parity", (masks[:n_items], values[:n_items]))
+            b = SparsePolynomial(10, "parity", dict(list(items.items())[:n_items]))
+            self._check_same(tmp_path, a, b)
+        layers = {k: (masks[k::4], values[k::4]) for k in (0, 3, 10)}
+        a = SparsePolynomial(10, "layered_parity", layers=layers, clamp=True)
+        as_dicts = {k: dict(zip(m.tolist(), v.tolist())) for k, (m, v) in layers.items()}
+        b = SparsePolynomial(10, "layered_parity", layers=as_dicts, clamp=True)
+        self._check_same(tmp_path, a, b)
+
+    @pytest.mark.parametrize("free_vars", [(6, 1, 4), (0, 2, 3, 5, 7)])
+    def test_lifted_pmac_leaf(self, tmp_path, free_vars):
+        # the lift of a non-ascending free_vars reorders the masks
+        table = child_rng(4, len(free_vars)).random(1 << len(free_vars))
+        oracle = UniformTableOracle(8, free_vars, table)
+        eps, eta, seed = 0.2, 0.05, 11
+        leaf = learners._pmac_leaf(oracle, 1.0, eps, 0.01, eta, seed, 2)
+        compact = pac_learn_uniform(
+            oracle.scaled(1.0 / 3.0), eps, child_seed(seed, 2), failure=eta
+        )
+        lifted = {
+            sum(1 << v for i, v in enumerate(free_vars) if t >> i & 1): c
+            for t, c in compact.coeffs.items()
+        }
+        assert len(lifted) > 3
+        want = PmacPolyLeaf(SparsePolynomial(8, "parity", lifted), 1.0, 0.01)
+        assert leaf == want
+        tree = lambda l: PmacHypothesis(8, PmacNode(3, l, PmacZeroLeaf()))
+        self._check_same(tmp_path, tree(leaf), tree(want))
