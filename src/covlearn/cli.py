@@ -325,17 +325,17 @@ class _PerturbedEval:
 
 
 def _run_learn_trial(
-    cfg: dict, learner: str, eval_samples: int, seed: int, trial: int, tseed: int
+    cfg: dict, learner: str, n: int, params: dict, eval_samples: int, seed: int,
+    target: CoverageFunction | None, table: np.ndarray | None, trial: int,
+    tseed: int,
 ) -> tuple[dict, CoverageFunction | None]:
     """One learn trial: each learner branch builds its oracle, hypothesis,
     truth function, evaluation distribution and error bound; one block
     then evaluates the hypothesis.  Returns the row's fields and the
     hypothesis to write, None for a perturbed DNF inner.  samples is every
-    example any oracle of the trial drew."""
-    n = _count(cfg, "n", required=True)
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError("'params' must be an object")
+    example any oracle of the trial drew.  target and table are the
+    invocation's file target and, for a table learner, its read-only dense
+    table; None draws and tabulates the trial's own target."""
     eval_seed = child_seed(seed, trial, 1)
     drawn = [0]  # examples drawn by the trial's oracles
     if learner == "dnf-reduction":
@@ -356,7 +356,8 @@ def _run_learn_trial(
         bound = eps
         hypothesis = target_cov if inner_kind == "exact" else None
     else:
-        target = _load_target(cfg, n, tseed)
+        if target is None:
+            target = _load_target(cfg, n, tseed)
         truth, dist = target.eval_masks, DistributionSpec.uniform(n)
         if learner in ("agnostic", "proper-agnostic"):
             eps = _get(params, "epsilon", float, required=True)
@@ -385,9 +386,9 @@ def _run_learn_trial(
                 h = proper_agnostic_learn(oracle, dist, eps, kappa, tseed)
             bound = eps + noise_scale
         else:
-            oracle = _CountingTableOracle(
-                target.n, tuple(range(target.n)), dense_table(target), drawn
-            )
+            if table is None:
+                table = dense_table(target)
+            oracle = _CountingTableOracle(n, tuple(range(n)), table, drawn)
             truth = oracle.values.__getitem__  # eval_masks is elementwise
             if learner == "pmac":
                 gamma = _get(params, "gamma", float, required=True)
@@ -436,8 +437,21 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", _integer, 0)
     eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
+    n = _count(cfg, "n", required=True)
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError("'params' must be an object")
+    target = table = None  # a file target, seedless, is read and tabulated once
+    block = cfg.get("target")
+    if learner != "dnf-reduction" and isinstance(block, dict) and "path" in block:
+        target = _load_target(cfg, n, seed)
+        if learner in ("pac", "pmac", "proper"):
+            table = dense_table(target)
+            table.flags.writeable = False
 
-    run_trial = functools.partial(_run_learn_trial, cfg, learner, eval_samples, seed)
+    run_trial = functools.partial(
+        _run_learn_trial, cfg, learner, n, params, eval_samples, seed, target, table
+    )
 
     def write(trial: int, hypothesis) -> None:
         if hypothesis is not None:

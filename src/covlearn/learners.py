@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import cube
-from .coverage import MAX_DENSE_N, CoverageFunction, walsh_hadamard
+from .coverage import MAX_DENSE_N, CoverageFunction, dense_table, walsh_hadamard
 from .cube import (
     DistributionSpec,
     IndexSet,
@@ -267,8 +267,7 @@ class UniformTableOracle:
 
     @classmethod
     def from_coverage(cls, c: CoverageFunction) -> "UniformTableOracle":
-        masks = np.arange(1 << c.n, dtype=np.uint64)
-        return cls(c.n, tuple(range(c.n)), c.eval_masks(masks))
+        return cls(c.n, tuple(range(c.n)), dense_table(c))
 
     @property
     def n(self) -> int:

@@ -371,6 +371,115 @@ class TestSampleCount:
         assert row["samples"] == hoeffding_samples(t.tolerance, (1 / 3) / asked)
 
 
+def _generate_target(tmp_path, n):
+    gen = {
+        "seed": 2,
+        "coverage": {"n": n, "max_terms": 3, "max_arity": 2, "out": "t.json"},
+    }
+    _, gen_dir = run(tmp_path, "generate", gen, out="gen")
+    return os.path.join(gen_dir, "t.json")
+
+
+def _record(monkeypatch, name, calls):
+    """Replaces cli.<name> by a spy that appends (args, result) to calls."""
+    orig = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cli, name, recorded)
+
+
+class TestFileTarget:
+    """A target given by target.path is read, and for a table learner
+    tabulated, once per invocation; every trial shares that read-only table
+    but counts its own examples."""
+
+    FIT = {
+        "pac": "pac_learn_uniform", "pmac": "pmac_learn", "proper": "proper_pac_learn",
+    }
+    PARAMS = {
+        "pac": {"epsilon": 0.4},
+        "pmac": {"gamma": 0.5, "delta": 0.2},
+        "proper": {"epsilon": 0.4, "size_bound": 3},
+    }
+
+    def spied_run(self, tmp_path, monkeypatch, learner, target):
+        calls = {"read": [], "table": [], "fit": []}
+        _record(monkeypatch, "coverage_from_json", calls["read"])
+        _record(monkeypatch, "dense_table", calls["table"])
+        _record(monkeypatch, self.FIT[learner], calls["fit"])
+        cfg = {
+            "learner": learner, "n": 6, "seed": 5, "trials": 3,
+            "eval_samples": 2000, "target": target, "params": self.PARAMS[learner],
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code in (EXIT_PASS, EXIT_CONTRACT)
+        rows = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert [r["trial"] for r in rows] == [0, 1, 2]
+        oracles = [args[0] for args, _ in calls["fit"]]
+        return cfg, rows, oracles, calls
+
+    @pytest.mark.parametrize("learner", ["pac", "pmac", "proper"])
+    def test_read_and_tabulated_once(self, tmp_path, capsys, monkeypatch, learner):
+        target = {"path": _generate_target(tmp_path, 6)}
+        cfg, rows, oracles, calls = self.spied_run(
+            tmp_path, monkeypatch, learner, target
+        )
+        assert len(calls["read"]) == 1 and len(calls["table"]) == 1
+        (_, table), = calls["table"]
+        assert len(oracles) == 3
+        assert all(o.values is table for o in oracles)
+        assert len({id(o.counter) for o in oracles}) == 3
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        # the trials rebuilt one by one count the same examples: no tally
+        # is carried from one trial to the next
+        for row in rows:
+            fields, _ = cli._run_learn_trial(
+                cfg, learner, 6, cfg["params"], 2000, 5, None, None,
+                row["trial"], row["seed"],
+            )
+            assert fields["samples"] == row["samples"]
+            assert fields["l1_error"] == row["l1_error"]
+        assert len(calls["read"]) == 4 and len(calls["table"]) == 4
+
+    def test_drawn_targets_are_tabulated_per_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        target = {"max_terms": 3, "max_arity": 2}
+        _, _, oracles, calls = self.spied_run(tmp_path, monkeypatch, "pmac", target)
+        assert calls["read"] == []
+        assert len(calls["table"]) == 3
+        assert len({repr(args[0]) for args, _ in calls["table"]}) == 3
+        tables = [table for _, table in calls["table"]]
+        assert len(oracles) == 3
+        assert all(o.values is table for o, table in zip(oracles, tables))
+
+    def test_n_mismatch_stops_before_the_first_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fits = []
+        _record(monkeypatch, "pmac_learn", fits)
+        cfg = {
+            "learner": "pmac", "n": 9, "seed": 5, "trials": 3,
+            "eval_samples": 2000,
+            "target": {"path": _generate_target(tmp_path, 8)},
+            "params": self.PARAMS["pmac"],
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: target has n=8 but the config has n=9\n"
+        )
+        assert fits == []
+        written = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+        assert not [f for f in written if f.startswith(("report", "hypothesis_"))]
+
+
 class TestCountFields:
     LEARN = {
         "learner": "pac",

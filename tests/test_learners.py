@@ -204,6 +204,23 @@ class TestUniformTableOracle:
         o = UniformTableOracle(1, (0,), np.array([0.0, 3.0]))
         assert o.scaled(0.5).values.tolist() == [0.0, 1.0]
 
+    def test_from_coverage_is_the_dense_table(self):
+        c = random_coverage(6, 5, 3, 2)
+        o = UniformTableOracle.from_coverage(c)
+        assert o.values.tobytes() == dense_table(c).tobytes()
+        assert o.free_vars == tuple(range(6)) and o.n_total == 6
+
+    def test_from_coverage_refuses_a_table_too_large(self, monkeypatch):
+        # n = 25 is past MAX_DENSE_N: a typed error, and no 2^25-point
+        # evaluation is started
+        def no_eval(self, masks):
+            raise AssertionError("evaluated before the size check")
+
+        monkeypatch.setattr(CoverageFunction, "eval_masks", no_eval)
+        c = CoverageFunction(25, 0.0, {1 << 24: 0.5})
+        with pytest.raises(ValueError, match="n <= 24"):
+            UniformTableOracle.from_coverage(c)
+
     def test_draw_counts_total(self):
         o = UniformTableOracle.from_coverage(random_coverage(4, 3, 2, 1))
         counts = o.draw_counts(10_000, child_rng(1, 0))
