@@ -72,6 +72,7 @@ from .privacy import (
 from .regression import L1Problem, LPNotOptimal, solve_l1
 from .serialize import (
     DATASET_EXPANSION_CAP,
+    as_integer,
     coverage_from_json,
     coverage_to_json,
     dataset_from_text,
@@ -102,14 +103,6 @@ class SchemaError(ValueError):
     """Config does not match the expected schema."""
 
 
-def _integer(value) -> int:
-    """int(value) for an integral value; a boolean or a non-integral number
-    is refused rather than truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 @contextlib.contextmanager
 def _reading():
     """An OSError raised while reading a config or input path, or creating
@@ -133,7 +126,7 @@ def _get(cfg: dict, key: str, kind, default=None, required: bool = False):
 
 
 def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
-    value = _get(cfg, key, _integer, default, required)
+    value = _get(cfg, key, as_integer, default, required)
     if value < 1:
         raise SchemaError(f"field {key!r}: must be >= 1")
     return value
@@ -146,7 +139,7 @@ def _size_bound(cfg: dict) -> float:
     return size_bound
 
 
-def _dist_field(obj: dict, key: str, kind=_integer):
+def _dist_field(obj: dict, key: str, kind=as_integer):
     if key not in obj:
         raise KeyError(key)  # reported as a missing distribution field
     return _get(obj, key, kind)
@@ -182,13 +175,13 @@ def _dist_from_json(obj) -> DistributionSpec:
 
 
 def cmd_generate(cfg: dict, out_dir: str) -> int:
-    seed = _get(cfg, "seed", _integer, 0)
+    seed = _get(cfg, "seed", as_integer, 0)
     did_anything = False
     if "coverage" in cfg:
         block = cfg["coverage"]
-        n = _get(block, "n", _integer, required=True)
-        max_terms = _get(block, "max_terms", _integer, required=True)
-        max_arity = _get(block, "max_arity", _integer, required=True)
+        n = _get(block, "n", as_integer, required=True)
+        max_terms = _get(block, "max_terms", as_integer, required=True)
+        max_arity = _get(block, "max_arity", as_integer, required=True)
         count = _count(block, "count", 1)
         pattern = _get(block, "out", str, "target_{i}.json")
         if count > 1 and "{i}" not in pattern:
@@ -305,8 +298,8 @@ def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
         if target.n != n:
             raise SchemaError(f"target has n={target.n} but the config has n={n}")
         return target
-    max_terms = _get(block, "max_terms", _integer, required=True)
-    max_arity = _get(block, "max_arity", _integer, required=True)
+    max_terms = _get(block, "max_terms", as_integer, required=True)
+    max_arity = _get(block, "max_arity", as_integer, required=True)
     return random_coverage(n, max_terms, max_arity, trial_seed)
 
 
@@ -339,7 +332,7 @@ def _run_learn_trial(
     eval_seed = child_seed(seed, trial, 1)
     drawn = [0]  # examples drawn by the trial's oracles
     if learner == "dnf-reduction":
-        s = _get(params, "s", _integer, required=True)
+        s = _get(params, "s", as_integer, required=True)
         eps = _get(params, "epsilon", float, required=True)
         inner_kind = _get(params, "inner", str, "exact")
         dnf = random_disjoint_dnf(n, s, tseed)
@@ -435,7 +428,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             f"unknown learner {learner!r}; valid names: {', '.join(LEARNER_NAMES)}"
         )
     trials = _count(cfg, "trials", 1)
-    seed = _get(cfg, "seed", _integer, 0)
+    seed = _get(cfg, "seed", as_integer, 0)
     eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
     n = _count(cfg, "n", required=True)
     params = cfg.get("params", {})
@@ -465,19 +458,6 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
 
 # --------------------------------------------------------------------------
 # release
-
-
-def _release_gate(
-    variant: str, n: int, alpha_bar: float, epsilon: float, delta: float,
-    size_bound: float,
-) -> float:
-    if variant == "all-marginals":
-        q, tau = marginals_query_budget(n, alpha_bar)
-    elif variant == "k-way":
-        q, tau = k_way_query_budget(n, alpha_bar)
-    else:
-        q, tau = synthetic_query_budget(n, alpha_bar, size_bound)
-    return gate_size(q, tau, epsilon, delta)
 
 
 def _release_dataset(block, seed: int, gate: Callable[[int], float]) -> Dataset:
@@ -514,30 +494,30 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
         if not 0 < value < 1:  # NaN fails too
             raise SchemaError(f"field {name!r}: must lie in (0,1)")
     trials = _count(cfg, "trials", 1)
-    seed = _get(cfg, "seed", _integer, 0)
+    seed = _get(cfg, "seed", as_integer, 0)
     eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
-    size_bound = _size_bound(cfg) if variant == "synthetic" else math.inf
-    k = _get(cfg, "k", _integer, required=True) if variant == "k-way" else None
-    d = _release_dataset(
-        cfg.get("dataset"),
-        seed,
-        lambda n: _release_gate(variant, n, alpha_bar, epsilon, delta, size_bound),
-    )
+    # each variant's query budget (n, alpha_bar) -> (q, tau), release call
+    # (d, alpha_bar, epsilon, delta, seed) -> summary, and query distribution
+    qdist = DistributionSpec.uniform
+    if variant == "all-marginals":
+        budget, release = marginals_query_budget, release_all_marginals
+    elif variant == "k-way":
+        k = _get(cfg, "k", as_integer, required=True)
+        budget = k_way_query_budget
+        # looked up per call, as perfbench's traced cli.release_k_way site needs
+        release = lambda d, *args: release_k_way(d, k, *args)
+        qdist = lambda n: DistributionSpec.layer(n, k)
+    else:  # synthetic
+        size_bound = _size_bound(cfg)
+        budget = lambda n, a: synthetic_query_budget(n, a, size_bound)
+        release = functools.partial(release_synthetic, size_bound=size_bound)
+    gate = lambda n: gate_size(*budget(n, alpha_bar), epsilon, delta)
+    d = _release_dataset(cfg.get("dataset"), seed, gate)
     truth_table = all_conjunction_answers(d)
 
     def run_trial(trial: int, tseed: int):
-        if variant == "all-marginals":
-            summary = release_all_marginals(d, alpha_bar, epsilon, delta, tseed)
-            qdist = DistributionSpec.uniform(d.n)
-        elif variant == "k-way":
-            summary = release_k_way(d, k, alpha_bar, epsilon, delta, tseed)
-            qdist = DistributionSpec.layer(d.n, k)
-        else:
-            summary = release_synthetic(
-                d, alpha_bar, epsilon, delta, tseed, size_bound=size_bound
-            )
-            qdist = DistributionSpec.uniform(d.n)
-        x_masks = sample_masks(qdist, eval_queries, child_rng(seed, trial, 2))
+        summary = release(d, alpha_bar, epsilon, delta, tseed)
+        x_masks = sample_masks(qdist(d.n), eval_queries, child_rng(seed, trial, 2))
         answers = summary.answer_masks(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
         hw = hoeffding_half_width(eval_queries, 1)

@@ -57,9 +57,14 @@ def hoeffding_samples(tolerance: float, failure: float) -> int:
 
 def check_masks(masks, n: int) -> np.ndarray:
     """The set masks as a uint64 array; rejects any outside [0, 2^n), which
-    numpy would wrap into range.  Python ints are compared exactly, not
-    as the floats numpy makes of a list that fits no integer dtype."""
+    numpy would wrap into range, and any that is not an integer, which it
+    would truncate.  Python ints are compared exactly, not as the floats
+    numpy makes of a list that fits no integer dtype."""
     masks = masks if isinstance(masks, np.ndarray) else np.array(masks, dtype=object)
+    if masks.dtype.kind not in "iuO" or masks.dtype.kind == "O" and not all(
+        isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in masks.flat
+    ):
+        raise ValueError("set masks must be integers")
     if masks.size:
         lo, hi = masks.min(), masks.max()
         if lo < 0 or hi >= 1 << n:

@@ -140,11 +140,16 @@ class SparsePolynomial:
     def __post_init__(self) -> None:
         if self.basis not in ("parity", "layered_parity"):
             raise ValueError(f"unknown basis {self.basis!r}")
+        layers = {k: Coefficients(self.n, c) for k, c in self.layers.items()}
+        coeffs = Coefficients(self.n, self.coeffs)
         if self.basis == "layered_parity":
             if any(not 0 <= k <= self.n for k in self.layers):
                 raise ValueError("layer keys must lie in 0..n")
-        layers = {k: Coefficients(self.n, c) for k, c in self.layers.items()}
-        object.__setattr__(self, "coeffs", Coefficients(self.n, self.coeffs))
+            if coeffs:
+                raise ValueError("a layered_parity polynomial takes no coeffs")
+        elif layers:
+            raise ValueError("a parity polynomial takes no layers")
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "layers", MappingProxyType(layers))
 
     def __reduce__(self):  # a mappingproxy does not pickle
@@ -311,6 +316,8 @@ class UniformTableOracle:
         """Fix free coordinate compact_var to sign (-1 or +1)."""
         if not 0 <= compact_var < self.n:
             raise ValueError("variable index out of range")
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be -1 or +1, got {sign!r}")
         # axis 1 is bit compact_var of the cell mask; -1 is bit value 1
         half = self.values.reshape(-1, 2, 1 << compact_var)[:, 1 if sign == -1 else 0]
         free_vars = self.free_vars[:compact_var] + self.free_vars[compact_var + 1 :]

@@ -369,6 +369,18 @@ class ReleaseSummary:
         return np.clip(1.0 - self.poly.eval_masks(x_masks), 0.0, 1.0)
 
 
+def _release_oracle(
+    d: Dataset, alpha_bar: float, budget: Callable[[int, float], tuple[int, float]],
+    epsilon: float, delta: float, seed: int,
+) -> PrivateOracle:
+    """The private oracle a release asks: (q, tau) = budget(d.n, alpha_bar),
+    noise drawn on child_rng(seed, 0)."""
+    if not 0 < alpha_bar < 1:
+        raise ValueError("alpha_bar must lie in (0,1)")
+    q, tau = budget(d.n, alpha_bar)
+    return PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
+
+
 def marginals_query_budget(n: int, alpha_bar: float) -> tuple[int, float]:
     """(q, tau) for the all-marginals release: a query per set pac_core asks."""
     t = search_thresholds(alpha_bar, None)
@@ -380,10 +392,7 @@ def release_all_marginals(
 ) -> ReleaseSummary:
     """Private release answering all monotone conjunction queries with
     average error alpha_bar over the uniform query distribution."""
-    if not 0 < alpha_bar < 1:
-        raise ValueError("alpha_bar must lie in (0,1)")
-    q, tau = marginals_query_budget(d.n, alpha_bar)
-    oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
+    oracle = _release_oracle(d, alpha_bar, marginals_query_budget, epsilon, delta, seed)
     source = _private_coeff_source(oracle)
     poly = pac_core(d.n, alpha_bar, source, lambda pool: source)
     return ReleaseSummary.from_oracle("fourier", oracle, alpha_bar, poly=poly)
@@ -399,12 +408,9 @@ def release_k_way(
 ) -> ReleaseSummary:
     """Private release answering length-k conjunction queries with average
     error alpha_bar over the uniform distribution on length-k conjunctions."""
-    if not 0 < alpha_bar < 1:
-        raise ValueError("alpha_bar must lie in (0,1)")
     if not 0 <= k <= d.n:
         raise ValueError("k must lie in 0..n")
-    q, tau = k_way_query_budget(d.n, alpha_bar)
-    oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
+    oracle = _release_oracle(d, alpha_bar, k_way_query_budget, epsilon, delta, seed)
     dist = DistributionSpec.layer(d.n, k)
     poly = agnostic_learn(_private_examples(oracle, dist), dist, alpha_bar / 2.0, seed)
     return ReleaseSummary.from_oracle("polynomial", oracle, alpha_bar, poly=poly)
@@ -437,12 +443,10 @@ def release_synthetic(
     terms of c_D (fewer distinct dataset rows means a smaller bound and a
     laxer admission gate); pass math.inf when unknown.
     """
-    if not 0 < alpha_bar < 1:
-        raise ValueError("alpha_bar must lie in (0,1)")
+    budget = lambda n, a: synthetic_query_budget(n, a, size_bound)
+    oracle = _release_oracle(d, alpha_bar, budget, epsilon, delta, seed)
     eps_l = alpha_bar / 2.0
     s_eps = proper_size_bound(eps_l, size_bound)
-    q, tau = synthetic_query_budget(d.n, alpha_bar, size_bound)
-    oracle = PrivateOracle(d, q, tau, epsilon, delta, child_rng(seed, 0))
     source = _private_coeff_source(oracle)
     examples = _private_examples(oracle, DistributionSpec.uniform(d.n))
     hypothesis = proper_pac_core(

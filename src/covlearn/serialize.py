@@ -35,6 +35,15 @@ DATASET_EXPANSION_CAP = 1_000_000
 ROW_BLOCK = 4096  # coefficient rows dump_json renders per chunk
 
 
+def as_integer(value, name: str = "") -> int:
+    """int(value) for an integral value; a boolean or a non-integral number
+    is refused rather than truncated, naming the field name if given."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        field = f"field {name!r}: " if name else ""
+        raise ValueError(f"{field}expected an integer, got {value!r}")
+    return int(value)
+
+
 def _mask_to_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -42,6 +51,7 @@ def _mask_to_indices(mask: int) -> list[int]:
 def _indices_to_mask(indices: Iterable[int], n: int) -> int:
     mask = 0
     for i in indices:
+        i = as_integer(i, "set")
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range for n={n} (indices are 1-based)")
         mask |= 1 << (i - 1)
@@ -65,7 +75,7 @@ def coverage_to_json(c: CoverageFunction) -> dict:
 
 def coverage_from_json(obj: dict) -> CoverageFunction:
     try:
-        n = int(obj["n"])
+        n = as_integer(obj["n"], "n")
         affine = float(obj["affine"])
         terms: dict[int, float] = {}
         for entry in obj["terms"]:
@@ -127,7 +137,7 @@ def polynomial_to_json(p: SparsePolynomial, arrays: bool = False) -> dict:
 
 
 def polynomial_from_json(obj: dict) -> SparsePolynomial:
-    n = int(obj["n"])
+    n = as_integer(obj["n"], "n")
     basis = obj["basis"]
     clamp = bool(obj.get("clamp", False))
     if basis == "parity":
@@ -166,7 +176,7 @@ def _pmac_node_from_json(obj: dict):
         )
     if kind == "node":
         return PmacNode(
-            int(obj["var"]) - 1,
+            as_integer(obj["var"], "var") - 1,
             _pmac_node_from_json(obj["minus"]),
             _pmac_node_from_json(obj["plus"]),
         )
@@ -178,7 +188,7 @@ def pmac_to_json(h: PmacHypothesis, arrays: bool = False) -> dict:
 
 
 def pmac_from_json(obj: dict) -> PmacHypothesis:
-    return PmacHypothesis(int(obj["n"]), _pmac_node_from_json(obj["root"]))
+    return PmacHypothesis(as_integer(obj["n"], "n"), _pmac_node_from_json(obj["root"]))
 
 
 def hypothesis_to_json(h, arrays: bool = False) -> dict:
@@ -270,21 +280,22 @@ def summary_to_json(s: ReleaseSummary, arrays: bool = False) -> dict:
 
 def summary_from_json(obj: dict) -> ReleaseSummary:
     meta = obj["metadata"]
+    n = as_integer(obj["n"], "n")
     poly = polynomial_from_json(obj["poly"]) if "poly" in obj else None
     synthetic = None
     if obj.get("synthetic"):
         synthetic = dataset_from_lines(obj["synthetic"])
     elif "synthetic" in obj:
         # an empty synthetic dataset has no line to give its width
-        synthetic = Dataset.from_points([], int(obj["n"]))
+        synthetic = Dataset.from_points([], n)
     return ReleaseSummary(
         obj["variant"],
-        int(obj["n"]),
+        n,
         float(meta["alpha_bar"]),
         float(meta["epsilon"]),
         float(meta["delta"]),
-        int(meta["queries_used"]),
-        int(meta["dataset_size"]),
+        as_integer(meta["queries_used"], "queries_used"),
+        as_integer(meta["dataset_size"], "dataset_size"),
         poly=poly,
         synthetic=synthetic,
     )

@@ -979,6 +979,24 @@ class TestNonFiniteValues:
         assert err.startswith(f"error: field '{field}'")
         assert not os.path.exists(out_dir) or os.listdir(out_dir) == []
 
+    @pytest.mark.parametrize(
+        "n,set_,field",
+        [(4.5, [1], "n"), (True, [1], "n"), (4, [True], "set")],
+        ids=["n", "n-bool", "set"],
+    )
+    def test_non_integer_target_field_is_a_usage_error(
+        self, tmp_path, capsys, n, set_, field
+    ):
+        # int() would read n=4.5 as 4, which passes the config's n check
+        target = {"n": n, "affine": 0.0, "terms": [{"set": set_, "weight": 0.5}]}
+        target_path = write_config(tmp_path, "target.json", target)
+        cfg = dict(TestCountFields.LEARN, target={"path": target_path})
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"field {field!r}" in err
+        assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
     def test_nan_target_weight_is_a_usage_error(self, tmp_path, capsys):
         target = {"n": 4, "affine": 0.0, "terms": [{"set": [1], "weight": math.nan}]}
         target_path = write_config(tmp_path, "target.json", target)

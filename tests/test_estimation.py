@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from covlearn.coverage import CoverageFunction, exact_fourier, random_coverage
 from covlearn.cube import DistributionSpec, IndexSet, child_rng, sample_masks
+from covlearn.learners import Coefficients
 from covlearn.estimation import (
     SampleBatch,
     batch_source,
+    check_masks,
     estimate_coefficient,
     exact_source,
     hoeffding_samples,
@@ -103,6 +105,34 @@ class TestSpectrumFromCounts:
     def test_rejects_zero_total(self):
         with pytest.raises(ValueError):
             spectrum_from_counts(np.zeros(4), np.zeros(4))
+
+
+class TestCheckMasks:
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            np.array([1.5, 2.9]),
+            np.array([1.0]),
+            np.array([True, False]),
+            np.array([1 + 0j]),
+            np.array([1, 2.5], dtype=object),
+            [1, 2.0],
+            [True],
+        ],
+        ids=["float", "integral-float", "bool", "complex", "object-float",
+             "list-float", "list-bool"],
+    )
+    def test_refuses_non_integer_masks(self, masks):
+        # numpy would truncate 1.5 to mask 1 and read True as mask 1
+        with pytest.raises(ValueError, match="set masks must be integers"):
+            check_masks(masks, 3)
+        with pytest.raises(ValueError, match="set masks must be integers"):
+            Coefficients(3, (masks, np.ones(len(masks))))
+
+    def test_accepts_integer_masks(self):
+        for masks in ([1, np.uint64(2), np.int64(3)], np.array([1], dtype=np.int8), 5):
+            assert check_masks(masks, 3).dtype == np.uint64
+        assert check_masks([], 3).tolist() == []
 
 
 class TestSources:

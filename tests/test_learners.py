@@ -72,6 +72,19 @@ class TestSparsePolynomial:
         with pytest.raises(ValueError):
             SparsePolynomial(3, "layered_parity", layers={4: {0: 1.0}})
 
+    @pytest.mark.parametrize(
+        "basis,field",
+        [
+            ("parity", {"layers": {1: {1: 0.5}}}),
+            ("layered_parity", {"coeffs": {1: 0.5}}),
+        ],
+        ids=["parity-layers", "layered-coeffs"],
+    )
+    def test_refuses_a_field_its_basis_ignores(self, basis, field):
+        # the ignored field would evaluate to 0 everywhere
+        with pytest.raises(ValueError, match=f"takes no {next(iter(field))}"):
+            SparsePolynomial(3, basis, **field)
+
     def test_clamp(self):
         p = SparsePolynomial(2, "parity", {0: 1.5}, clamp=True)
         assert p(0) == 1.0
@@ -156,6 +169,12 @@ class TestUniformTableOracle:
         expected = c.eval_masks(masks)[(masks >> np.uint64(2)) & np.uint64(1) == 1]
         assert np.array_equal(r.values, expected)
         assert r.free_vars == (0, 1, 3, 4)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    def test_restrict_refuses_a_sign_other_than_plus_or_minus_one(self, sign):
+        o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            o.restrict(0, sign)
 
     def test_lift_sets(self):
         o = UniformTableOracle(5, (1, 3, 4), np.zeros(8))

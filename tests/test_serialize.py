@@ -77,6 +77,49 @@ class TestCoverageJson:
             coverage_from_json({"n": 3, "affine": 0.0, "terms": terms})
 
 
+class TestIntegerFields:
+    """Integer fields of an input file follow the CLI's integer rule: an
+    integral number, never a boolean or a fraction, which int() would
+    truncate."""
+
+    COVERAGE = {"n": 3, "affine": 0.0, "terms": [{"set": [1, 3], "weight": 0.5}]}
+    POLY = {"type": "polynomial", "n": 3, "basis": "parity",
+            "coeffs": [{"set": [2], "value": 0.5}]}
+
+    @pytest.mark.parametrize("n", [3.7, True], ids=["fraction", "bool"])
+    def test_coverage_n(self, n):
+        with pytest.raises(ValueError, match="field 'n': expected an integer"):
+            coverage_from_json(dict(self.COVERAGE, n=n))
+
+    @pytest.mark.parametrize("index", [True, 1.5], ids=["bool", "fraction"])
+    def test_set_index(self, index):
+        terms = [{"set": [index], "weight": 0.5}]
+        with pytest.raises(ValueError, match="field 'set': expected an integer"):
+            coverage_from_json(dict(self.COVERAGE, terms=terms))
+        coeffs = [{"set": [index], "value": 0.5}]
+        with pytest.raises(ValueError, match="field 'set': expected an integer"):
+            hypothesis_from_json(dict(self.POLY, coeffs=coeffs))
+
+    def test_integral_floats_are_read(self):
+        obj = dict(self.COVERAGE, n=3.0, terms=[{"set": [1.0, 3], "weight": 0.5}])
+        assert coverage_from_json(obj) == CoverageFunction(3, 0.0, {0b101: 0.5})
+
+    def test_pmac_var(self):
+        obj = {"type": "pmac", "n": 3, "root": {
+            "type": "node", "var": 1.5, "minus": {"type": "zero"},
+            "plus": {"type": "zero"}}}
+        with pytest.raises(ValueError, match="field 'var': expected an integer"):
+            hypothesis_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["queries_used", "dataset_size"])
+    def test_summary_metadata(self, key):
+        d = Dataset.from_points(range(8), 3)
+        obj = summary_to_json(release_all_marginals(d, 0.5, math.inf, 0.1, 0))
+        obj["metadata"][key] = 2.5
+        with pytest.raises(ValueError, match=f"field '{key}': expected an integer"):
+            summary_from_json(obj)
+
+
 class TestFourierCsv:
     def test_roundtrip_exact(self):
         t = exact_fourier(random_coverage(8, 6, 4, 2))
