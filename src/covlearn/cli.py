@@ -175,8 +175,13 @@ def _dist_from_json(obj) -> DistributionSpec:
 
 
 def cmd_generate(cfg: dict, out_dir: str) -> int:
+    """Reads and checks both blocks, then writes the targets and the dataset."""
     seed = _get(cfg, "seed", as_integer, 0)
-    did_anything = False
+    for key in ("coverage", "dataset"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise SchemaError(f"{key!r} must be an object")
+    if "coverage" not in cfg and "dataset" not in cfg:
+        raise SchemaError("generate config needs a 'coverage' or 'dataset' block")
     if "coverage" in cfg:
         block = cfg["coverage"]
         n = _get(block, "n", as_integer, required=True)
@@ -186,6 +191,14 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
         pattern = _get(block, "out", str, "target_{i}.json")
         if count > 1 and "{i}" not in pattern:
             raise SchemaError("field 'out': with count > 1 it must contain {i}")
+    if "dataset" in cfg:
+        block = cfg["dataset"]
+        dist = _dist_from_json(block.get("distribution"))
+        size = _count(block, "size", required=True)
+        if size > DATASET_EXPANSION_CAP:
+            raise SchemaError(f"field 'size': {size} exceeds the text expansion cap")
+        dataset_path = os.path.join(out_dir, _get(block, "out", str, "dataset.txt"))
+    if "coverage" in cfg:
         for i in range(count):
             try:  # a bad pattern fails at i = 0, before any file is written
                 c = random_coverage(n, max_terms, max_arity, child_seed(seed, i, 0))
@@ -193,23 +206,11 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
             except (LookupError, AttributeError, TypeError, ValueError) as exc:
                 raise SchemaError(f"coverage block: {exc!r}") from exc
             dump_json(coverage_to_json(c), os.path.join(out_dir, name))
-        did_anything = True
     if "dataset" in cfg:
-        block = cfg["dataset"]
-        dist = _dist_from_json(block.get("distribution"))
-        size = _count(block, "size", required=True)
-        if size > DATASET_EXPANSION_CAP:
-            raise SchemaError(
-                f"field 'size': {size} exceeds the text expansion cap"
-            )
-        name = _get(block, "out", str, "dataset.txt")
         masks = sample_masks(dist, size, child_rng(seed, 10**6))
         lines = [format_point_line(int(m), dist.n) for m in masks]
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(dataset_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        did_anything = True
-    if not did_anything:
-        raise SchemaError("generate config needs a 'coverage' or 'dataset' block")
     return EXIT_PASS
 
 
@@ -288,21 +289,6 @@ class _CountingTableOracle(UniformTableOracle):
         return super().draw_hits(total, hit, rng)
 
 
-def _load_target(cfg: dict, n: int, trial_seed: int) -> CoverageFunction:
-    block = cfg.get("target")
-    if not isinstance(block, dict):
-        raise SchemaError("learn config needs a 'target' object")
-    if "path" in block:
-        with _reading():
-            target = coverage_from_json(load_json(_get(block, "path", os.fspath)))
-        if target.n != n:
-            raise SchemaError(f"target has n={target.n} but the config has n={n}")
-        return target
-    max_terms = _get(block, "max_terms", as_integer, required=True)
-    max_arity = _get(block, "max_arity", as_integer, required=True)
-    return random_coverage(n, max_terms, max_arity, trial_seed)
-
-
 @dataclass(frozen=True)
 class _PerturbedEval:
     """An exactly eps-accurate stand-in hypothesis: the true function plus a
@@ -315,110 +301,6 @@ class _PerturbedEval:
         masks = np.asarray(masks, dtype=np.uint64)
         signs = 1.0 - 2.0 * ((masks & np.uint64(1)) == 1)
         return self.inner.eval_masks(masks) + self.eps * signs
-
-
-def _run_learn_trial(
-    cfg: dict, learner: str, n: int, params: dict, eval_samples: int, seed: int,
-    target: CoverageFunction | None, table: np.ndarray | None, trial: int,
-    tseed: int,
-) -> tuple[dict, CoverageFunction | None]:
-    """One learn trial: each learner branch builds its oracle, hypothesis,
-    truth function, evaluation distribution and error bound; one block
-    then evaluates the hypothesis.  Returns the row's fields and the
-    hypothesis to write, None for a perturbed DNF inner.  samples is every
-    example any oracle of the trial drew.  target and table are the
-    invocation's file target and, for a table learner, its read-only dense
-    table; None draws and tabulates the trial's own target."""
-    eval_seed = child_seed(seed, trial, 1)
-    drawn = [0]  # examples drawn by the trial's oracles
-    if learner == "dnf-reduction":
-        s = _get(params, "s", as_integer, required=True)
-        eps = _get(params, "epsilon", float, required=True)
-        inner_kind = _get(params, "inner", str, "exact")
-        dnf = random_disjoint_dnf(n, s, tseed)
-        target_cov = dnf_to_coverage(dnf)
-        truth, dist = dnf.eval_masks, DistributionSpec.uniform(n)
-        oracle = SampledOracle(dist, lambda masks, rng: dnf.eval_masks(masks))
-        if inner_kind == "exact":
-            inner_learner = lambda orc, e: target_cov
-        elif inner_kind == "perturbed":
-            inner_learner = lambda orc, e: _PerturbedEval(target_cov, e)
-        else:
-            raise SchemaError("field 'inner': expected 'exact' or 'perturbed'")
-        h = dnf_reduction_learn(oracle, s, eps, inner_learner)
-        bound = eps
-        hypothesis = target_cov if inner_kind == "exact" else None
-    else:
-        if target is None:
-            target = _load_target(cfg, n, tseed)
-        truth, dist = target.eval_masks, DistributionSpec.uniform(n)
-        if learner in ("agnostic", "proper-agnostic"):
-            eps = _get(params, "epsilon", float, required=True)
-            noise_scale = _get(params, "noise_scale", float, 0.0)
-            if not 0 <= noise_scale < math.inf:
-                raise SchemaError("field 'noise_scale': must be finite and >= 0")
-            if "distribution" in cfg:
-                dist = _dist_from_json(cfg["distribution"])
-                if dist.n != n:
-                    raise SchemaError(
-                        f"distribution has n={dist.n} but the config has n={n}"
-                    )
-
-            def labels(masks, rng):
-                drawn[0] += len(masks)
-                vals = target.eval_masks(masks)
-                if noise_scale > 0:
-                    vals = vals + rng.laplace(0.0, noise_scale, size=len(masks))
-                return np.clip(vals, 0.0, 1.0)
-
-            oracle = SampledOracle(dist, labels)
-            if learner == "agnostic":
-                h = agnostic_learn(oracle, dist, eps, tseed)
-            else:
-                kappa = _get(params, "kappa", float, required=True)
-                h = proper_agnostic_learn(oracle, dist, eps, kappa, tseed)
-            bound = eps + noise_scale
-        else:
-            if table is None:
-                table = dense_table(target)
-            oracle = _CountingTableOracle(n, tuple(range(n)), table, drawn)
-            truth = oracle.values.__getitem__  # eval_masks is elementwise
-            if learner == "pmac":
-                gamma = _get(params, "gamma", float, required=True)
-                delta = _get(params, "delta", float, required=True)
-                h = pmac_learn(oracle, gamma, delta, tseed)
-            else:
-                bound = _get(params, "epsilon", float, required=True)
-                if learner == "pac":
-                    h = pac_learn_uniform(oracle, bound, tseed)
-                else:
-                    h = proper_pac_learn(oracle, bound, _size_bound(params), tseed)
-        hypothesis = h
-
-    if learner == "pmac":
-        masks = sample_masks(dist, eval_samples, child_rng(eval_seed, 0))
-        cv = truth(masks)
-        hv = h.eval_masks(masks)
-        tol = 1e-9
-        mult_fraction = float(
-            ((hv <= cv + tol) & (cv <= (1 + gamma) * hv + tol)).mean()
-        )
-        hw = hoeffding_half_width(eval_samples, 1)
-        err = float(np.abs(hv - cv).mean())
-        success = mult_fraction >= 1 - delta
-    else:
-        estimate = h.eval_masks
-        if learner in ("pac", "proper"):
-            # one evaluation on the cube, then lookups: eval_masks is
-            # elementwise, so the error is the same to the bit
-            estimate = estimate(np.arange(1 << n, dtype=np.uint64)).__getitem__
-        err, hw = l1_distance_mc(estimate, truth, dist, eval_samples, eval_seed)
-        mult_fraction = None
-        success = err <= bound
-    return {
-        "l1_error": err, "l1_half_width": hw, "mult_fraction": mult_fraction,
-        "samples": drawn[0], "success": success,
-    }, hypothesis
 
 
 def cmd_learn(cfg: dict, out_dir: str) -> int:
@@ -434,17 +316,134 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
-    target = table = None  # a file target, seedless, is read and tabulated once
-    block = cfg.get("target")
-    if learner != "dnf-reduction" and isinstance(block, dict) and "path" in block:
-        target = _load_target(cfg, n, seed)
-        if learner in ("pac", "pmac", "proper"):
-            table = dense_table(target)
+    uniform = DistributionSpec.uniform(n)
+
+    def read_target():
+        """Reads the target block.  Returns target(tseed) and the file target
+        that every trial shares, None when each trial draws its own."""
+        block = cfg.get("target")
+        if not isinstance(block, dict):
+            raise SchemaError("learn config needs a 'target' object")
+        if "path" not in block:
+            max_terms = _get(block, "max_terms", as_integer, required=True)
+            max_arity = _get(block, "max_arity", as_integer, required=True)
+            return lambda tseed: random_coverage(n, max_terms, max_arity, tseed), None
+        with _reading():
+            shared = coverage_from_json(load_json(_get(block, "path", os.fspath)))
+        if shared.n != n:
+            raise SchemaError(f"target has n={shared.n} but the config has n={n}")
+        return lambda tseed: shared, shared
+
+    def l1_check(bound, dist=uniform, cube=False):
+        """check by the l1 error on dist.  cube evaluates h once on the cube,
+        then looks it up: eval_masks is elementwise, so the error is the same."""
+        def check(h, truth, eval_seed):
+            estimate = h.eval_masks
+            if cube:
+                estimate = estimate(np.arange(1 << n, dtype=np.uint64)).__getitem__
+            err, hw = l1_distance_mc(estimate, truth, dist, eval_samples, eval_seed)
+            return err, hw, None, err <= bound
+        return check
+
+    def table_fit(target, shared, learn, *args):
+        """fit by learn(oracle, *args, tseed) on the dense table of the
+        trial's target; a shared target is tabulated once, here, read-only."""
+        if shared is not None:
+            table = dense_table(shared)
             table.flags.writeable = False
 
-    run_trial = functools.partial(
-        _run_learn_trial, cfg, learner, n, params, eval_samples, seed, target, table
-    )
+        def fit(tseed, drawn):
+            values = table if shared is not None else dense_table(target(tseed))
+            oracle = _CountingTableOracle(n, tuple(range(n)), values, drawn)
+            h = learn(oracle, *args, tseed)
+            return h, oracle.values.__getitem__, h  # eval_masks is elementwise
+        return fit
+
+    def agnostic(learn, *extra):
+        """Reads the target, epsilon, noise_scale, distribution and extra
+        params.  fit by learn(oracle, dist, eps, *extra, tseed) on examples of
+        dist labelled by the trial's target plus Laplace(noise_scale) noise,
+        clipped to [0, 1]; check against eps + noise_scale."""
+        target, _ = read_target()
+        eps = _get(params, "epsilon", float, required=True)
+        noise_scale = _get(params, "noise_scale", float, 0.0)
+        if not 0 <= noise_scale < math.inf:
+            raise SchemaError("field 'noise_scale': must be finite and >= 0")
+        dist = uniform
+        if "distribution" in cfg:
+            dist = _dist_from_json(cfg["distribution"])
+        if dist.n != n:
+            raise SchemaError(f"distribution has n={dist.n} but the config has n={n}")
+        extra = [_get(params, name, float, required=True) for name in extra]
+
+        def fit(tseed, drawn):
+            t = target(tseed)
+            def labels(masks, rng):
+                drawn[0] += len(masks)
+                vals = t.eval_masks(masks)
+                if noise_scale > 0:
+                    vals = vals + rng.laplace(0.0, noise_scale, size=len(masks))
+                return np.clip(vals, 0.0, 1.0)
+            h = learn(SampledOracle(dist, labels), dist, eps, *extra, tseed)
+            return h, t.eval_masks, h
+        return fit, l1_check(eps + noise_scale, dist)
+
+    # each learner reads its fields, then binds fit(tseed, drawn) -> (h,
+    # truth, the hypothesis to write or None) and check(h, truth, eval_seed)
+    # -> (l1_error, l1_half_width, mult_fraction, success)
+    if learner == "dnf-reduction":
+        s = _get(params, "s", as_integer, required=True)
+        eps = _get(params, "epsilon", float, required=True)
+        inner = _get(params, "inner", str, "exact")
+        if inner not in ("exact", "perturbed"):
+            raise SchemaError("field 'inner': expected 'exact' or 'perturbed'")
+
+        def fit(tseed, drawn):
+            dnf = random_disjoint_dnf(n, s, tseed)
+            cov = dnf_to_coverage(dnf)
+            oracle = SampledOracle(uniform, lambda masks, rng: dnf.eval_masks(masks))
+            exact = inner == "exact"  # a perturbed inner has no file format
+            h = dnf_reduction_learn(
+                oracle, s, eps, lambda o, e: cov if exact else _PerturbedEval(cov, e)
+            )
+            return h, dnf.eval_masks, cov if exact else None
+
+        check = l1_check(eps)
+    elif learner == "pmac":
+        target, shared = read_target()
+        gamma = _get(params, "gamma", float, required=True)
+        delta = _get(params, "delta", float, required=True)
+        fit = table_fit(target, shared, pmac_learn, gamma, delta)
+
+        def check(h, truth, eval_seed):
+            masks = sample_masks(uniform, eval_samples, child_rng(eval_seed, 0))
+            cv, hv = truth(masks), h.eval_masks(masks)
+            mult = float(((hv <= cv + 1e-9) & (cv <= (1 + gamma) * hv + 1e-9)).mean())
+            hw = hoeffding_half_width(eval_samples, 1)
+            return float(np.abs(hv - cv).mean()), hw, mult, mult >= 1 - delta
+    elif learner == "pac":
+        target, shared = read_target()
+        eps = _get(params, "epsilon", float, required=True)
+        fit = table_fit(target, shared, pac_learn_uniform, eps)
+        check = l1_check(eps, cube=True)
+    elif learner == "proper":
+        target, shared = read_target()
+        eps = _get(params, "epsilon", float, required=True)
+        fit = table_fit(target, shared, proper_pac_learn, eps, _size_bound(params))
+        check = l1_check(eps, cube=True)
+    elif learner == "agnostic":
+        fit, check = agnostic(agnostic_learn)
+    else:  # proper-agnostic
+        fit, check = agnostic(proper_agnostic_learn, "kappa")
+
+    def run_trial(trial: int, tseed: int):
+        drawn = [0]  # examples drawn by the trial's oracles
+        h, truth, hypothesis = fit(tseed, drawn)
+        err, hw, mult_fraction, success = check(h, truth, child_seed(seed, trial, 1))
+        return {
+            "l1_error": err, "l1_half_width": hw, "mult_fraction": mult_fraction,
+            "samples": drawn[0], "success": success,
+        }, hypothesis
 
     def write(trial: int, hypothesis) -> None:
         if hypothesis is not None:

@@ -36,9 +36,12 @@ ROW_BLOCK = 4096  # coefficient rows dump_json renders per chunk
 
 
 def as_integer(value, name: str = "") -> int:
-    """int(value) for an integral value; a boolean or a non-integral number
-    is refused rather than truncated, naming the field name if given."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """int(value) for an integral number; a boolean, a string or a
+    non-integral number is refused rather than converted, naming the field
+    name if given."""
+    if isinstance(value, (bool, str, bytes)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         field = f"field {name!r}: " if name else ""
         raise ValueError(f"{field}expected an integer, got {value!r}")
     return int(value)

@@ -75,6 +75,8 @@ class TestUsageErrors:
 
 
 class TestGenerate:
+    COVERAGE = {"n": 4, "max_terms": 2, "max_arity": 2, "count": 2, "out": "t{i}.json"}
+
     def test_coverage_files(self, tmp_path):
         cfg = {
             "seed": 5,
@@ -149,6 +151,32 @@ class TestGenerate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"coverage": 5}, "'coverage' must be an object"),
+            ({"dataset": 5}, "'dataset' must be an object"),
+            ({"coverage": COVERAGE, "dataset": [1]}, "'dataset' must be an object"),
+            (
+                {"coverage": COVERAGE, "dataset": {"distribution": {"variant": "uniform"}}},
+                "distribution field 'n' is missing",
+            ),
+            (
+                {"coverage": COVERAGE, "dataset": {
+                    "distribution": {"variant": "uniform", "n": 3}}},
+                "missing required field 'size'",
+            ),
+        ],
+        ids=["coverage-number", "dataset-number", "dataset-list", "dataset-distribution",
+             "dataset-size"],
+    )
+    def test_bad_block_writes_nothing(self, tmp_path, capsys, cfg, message):
+        # both blocks are read and checked before the first file is written
+        code, out_dir = run(tmp_path, "generate", cfg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(out_dir) == []
 
     def test_lone_target_keeps_a_literal_name(self, tmp_path):
@@ -436,13 +464,14 @@ class TestFileTarget:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
-        # the trials rebuilt one by one count the same examples: no tally
-        # is carried from one trial to the next
+        # the trials rebuilt one by one, each by its own invocation of
+        # cmd_learn, count the same examples: no tally is carried from one
+        # trial to the next
+        built = []  # run_trial of each rebuild, the fourth argument of _run_trials
+        monkeypatch.setattr(cli, "_run_trials", lambda *args: built.append(args[3]))
         for row in rows:
-            fields, _ = cli._run_learn_trial(
-                cfg, learner, 6, cfg["params"], 2000, 5, None, None,
-                row["trial"], row["seed"],
-            )
+            cli.cmd_learn(cfg, str(tmp_path / "rebuilt"))
+            fields, _ = built[-1](row["trial"], row["seed"])
             assert fields["samples"] == row["samples"]
             assert fields["l1_error"] == row["l1_error"]
         assert len(calls["read"]) == 4 and len(calls["table"]) == 4
@@ -478,6 +507,26 @@ class TestFileTarget:
         assert fits == []
         written = os.listdir(out_dir) if os.path.isdir(out_dir) else []
         assert not [f for f in written if f.startswith(("report", "hypothesis_"))]
+
+    @pytest.mark.parametrize(
+        "learner,missing", [("pac", "epsilon"), ("pmac", "gamma"), ("proper", "epsilon")]
+    )
+    def test_bad_field_stops_before_tabulation(
+        self, tmp_path, capsys, monkeypatch, learner, missing
+    ):
+        tables = []
+        _record(monkeypatch, "dense_table", tables)
+        params = dict(self.PARAMS[learner])
+        del params[missing]
+        cfg = {
+            "learner": learner, "n": 6, "seed": 5, "trials": 3, "eval_samples": 2000,
+            "target": {"path": _generate_target(tmp_path, 6)}, "params": params,
+        }
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: missing required field {missing!r}\n"
+        assert tables == []
+        assert os.listdir(out_dir) == []
 
 
 class TestCountFields:
@@ -517,8 +566,8 @@ class TestCountFields:
 
 
 class TestIntegerFields:
-    """An integer field refuses a boolean or a non-integral number instead
-    of truncating it, wherever the field sits in the config."""
+    """An integer field refuses a boolean, a non-integral number or a string
+    instead of converting it, wherever the field sits in the config."""
 
     LEARN = TestCountFields.LEARN
     RELEASE = TestCountFields.RELEASE
@@ -549,10 +598,15 @@ class TestIntegerFields:
             ("release", dict(RELEASE, release="k-way", k=2.7), "k"),
             ("release", dict(RELEASE, dataset={"n": 3.5, "size": 50}), "n"),
             ("generate", {"coverage": {"n": 3.5, "max_terms": 2, "max_arity": 2}}, "n"),
+            ("learn", dict(LEARN, trials="2"), "trials"),
+            ("learn", dict(LEARN, seed="7"), "seed"),
+            ("learn", dict(LEARN, eval_samples="100"), "eval_samples"),
+            ("generate", {"coverage": {"n": "3", "max_terms": 2, "max_arity": 2}}, "n"),
         ],
         ids=[
             "count", "seed", "target-block", "params", "distribution", "top-level",
-            "dataset-block", "generate-block",
+            "dataset-block", "generate-block", "count-string", "seed-string",
+            "eval-samples-string", "generate-block-string",
         ],
     )
     def test_is_a_schema_error(self, tmp_path, capsys, verb, cfg, field):
@@ -680,6 +734,11 @@ class TestSchemaBranches:
                 dict(DNF, params={"s": 2, "epsilon": 0.3, "inner": "oracle"}),
                 "field 'inner'",
             ),
+            (  # refused before the DNF is drawn, which would refuse this s
+                "learn",
+                dict(DNF, params={"s": 10**6, "epsilon": 0.3, "inner": "oracle"}),
+                "field 'inner'",
+            ),
             (
                 "release",
                 {k: v for k, v in RELEASE.items() if k != "dataset"},
@@ -710,7 +769,8 @@ class TestSchemaBranches:
             "missing-field", "unconvertible-field", "distribution-not-object",
             "distribution-missing-field", "distribution-unknown-variant",
             "coverage-block", "dataset-over-expansion-cap", "no-target",
-            "params-not-object", "unknown-inner", "no-dataset", "root-not-object",
+            "params-not-object", "unknown-inner", "unknown-inner-before-draw",
+            "no-dataset", "root-not-object",
             "biases-not-a-list", "null-weight", "target-path-number",
             "target-path-list", "dataset-path-number", "dataset-path-list",
         ],

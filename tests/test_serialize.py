@@ -80,18 +80,20 @@ class TestCoverageJson:
 class TestIntegerFields:
     """Integer fields of an input file follow the CLI's integer rule: an
     integral number, never a boolean or a fraction, which int() would
-    truncate."""
+    truncate, nor a string of digits, which int() would parse."""
 
     COVERAGE = {"n": 3, "affine": 0.0, "terms": [{"set": [1, 3], "weight": 0.5}]}
     POLY = {"type": "polynomial", "n": 3, "basis": "parity",
             "coeffs": [{"set": [2], "value": 0.5}]}
 
-    @pytest.mark.parametrize("n", [3.7, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("n", [3.7, True, "3"], ids=["fraction", "bool", "string"])
     def test_coverage_n(self, n):
         with pytest.raises(ValueError, match="field 'n': expected an integer"):
             coverage_from_json(dict(self.COVERAGE, n=n))
 
-    @pytest.mark.parametrize("index", [True, 1.5], ids=["bool", "fraction"])
+    @pytest.mark.parametrize(
+        "index", [True, 1.5, "2", b"2"], ids=["bool", "fraction", "string", "bytes"]
+    )
     def test_set_index(self, index):
         terms = [{"set": [index], "weight": 0.5}]
         with pytest.raises(ValueError, match="field 'set': expected an integer"):
