@@ -34,6 +34,7 @@ from .coverage import (
     random_coverage,
 )
 from .cube import (
+    MAX_COMPACT_N,
     DistributionSpec,
     IndexSet,
     child_rng,
@@ -174,8 +175,19 @@ def _dist_from_json(obj) -> DistributionSpec:
 # generate
 
 
+def _try_writing(path: str) -> None:
+    """Opens path for writing without truncating it, then removes it if that
+    created it; an OSError is a usage error naming the path."""
+    created = not os.path.lexists(path)
+    with _reading(), open(path, "a"):
+        pass
+    if created:
+        os.remove(path)
+
+
 def cmd_generate(cfg: dict, out_dir: str) -> int:
-    """Reads and checks both blocks, then writes the targets and the dataset."""
+    """Reads and checks both blocks and tries every output path, then writes
+    the targets and the dataset."""
     seed = _get(cfg, "seed", as_integer, 0)
     for key in ("coverage", "dataset"):
         if not isinstance(cfg.get(key, {}), dict):
@@ -198,14 +210,22 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
         if size > DATASET_EXPANSION_CAP:
             raise SchemaError(f"field 'size': {size} exceeds the text expansion cap")
         dataset_path = os.path.join(out_dir, _get(block, "out", str, "dataset.txt"))
+    target_paths = []
     if "coverage" in cfg:
-        for i in range(count):
-            try:  # a bad pattern fails at i = 0, before any file is written
-                c = random_coverage(n, max_terms, max_arity, child_seed(seed, i, 0))
-                name = pattern.format(i=i) if "{i}" in pattern else pattern
-            except (LookupError, AttributeError, TypeError, ValueError) as exc:
-                raise SchemaError(f"coverage block: {exc!r}") from exc
-            dump_json(coverage_to_json(c), os.path.join(out_dir, name))
+        try:
+            names = (pattern.format(i=i) if "{i}" in pattern else pattern
+                     for i in range(count))
+            target_paths = [os.path.join(out_dir, name) for name in names]
+        except (LookupError, AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"coverage block: {exc!r}") from exc
+    for path in target_paths + ([dataset_path] if "dataset" in cfg else []):
+        _try_writing(path)
+    for i, path in enumerate(target_paths):
+        try:  # a bad block fails at i = 0, before any file is written
+            c = random_coverage(n, max_terms, max_arity, child_seed(seed, i, 0))
+        except ValueError as exc:
+            raise SchemaError(f"coverage block: {exc!r}") from exc
+        dump_json(coverage_to_json(c), path)
     if "dataset" in cfg:
         masks = sample_masks(dist, size, child_rng(seed, 10**6))
         lines = [format_point_line(int(m), dist.n) for m in masks]
@@ -216,6 +236,16 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
 
 # --------------------------------------------------------------------------
 # trials and reports
+
+
+def _cube_or_masks(f, n: int, samples: int):
+    """f, which a check asks at `samples` masks on n coordinates; or, when
+    the 2^n cells are no more than that, a lookup into f evaluated once on
+    every cell.  Every eval_masks and answer_masks is elementwise, so both
+    give the same values."""
+    if (1 << n) > samples:
+        return f
+    return f(np.arange(1 << n, dtype=np.uint64)).__getitem__
 
 
 def _trial_file(out_dir: str, kind: str, trial: int, ext: str) -> str:
@@ -334,13 +364,10 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             raise SchemaError(f"target has n={shared.n} but the config has n={n}")
         return lambda tseed: shared, shared
 
-    def l1_check(bound, dist=uniform, cube=False):
-        """check by the l1 error on dist.  cube evaluates h once on the cube,
-        then looks it up: eval_masks is elementwise, so the error is the same."""
+    def l1_check(bound, dist=uniform):
+        """check by the l1 error on dist."""
         def check(h, truth, eval_seed):
-            estimate = h.eval_masks
-            if cube:
-                estimate = estimate(np.arange(1 << n, dtype=np.uint64)).__getitem__
+            estimate = _cube_or_masks(h.eval_masks, n, eval_samples)
             err, hw = l1_distance_mc(estimate, truth, dist, eval_samples, eval_seed)
             return err, hw, None, err <= bound
         return check
@@ -392,6 +419,8 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     # truth, the hypothesis to write or None) and check(h, truth, eval_seed)
     # -> (l1_error, l1_half_width, mult_fraction, success)
     if learner == "dnf-reduction":
+        if 2 * n > MAX_COMPACT_N:
+            raise SchemaError(f"field 'n': dnf-reduction needs 2n <= {MAX_COMPACT_N}")
         s = _get(params, "s", as_integer, required=True)
         eps = _get(params, "epsilon", float, required=True)
         inner = _get(params, "inner", str, "exact")
@@ -417,7 +446,8 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
 
         def check(h, truth, eval_seed):
             masks = sample_masks(uniform, eval_samples, child_rng(eval_seed, 0))
-            cv, hv = truth(masks), h.eval_masks(masks)
+            cv = truth(masks)
+            hv = _cube_or_masks(h.eval_masks, n, eval_samples)(masks)
             mult = float(((hv <= cv + 1e-9) & (cv <= (1 + gamma) * hv + 1e-9)).mean())
             hw = hoeffding_half_width(eval_samples, 1)
             return float(np.abs(hv - cv).mean()), hw, mult, mult >= 1 - delta
@@ -425,12 +455,12 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         target, shared = read_target()
         eps = _get(params, "epsilon", float, required=True)
         fit = table_fit(target, shared, pac_learn_uniform, eps)
-        check = l1_check(eps, cube=True)
+        check = l1_check(eps)
     elif learner == "proper":
         target, shared = read_target()
         eps = _get(params, "epsilon", float, required=True)
         fit = table_fit(target, shared, proper_pac_learn, eps, _size_bound(params))
-        check = l1_check(eps, cube=True)
+        check = l1_check(eps)
     elif learner == "agnostic":
         fit, check = agnostic(agnostic_learn)
     else:  # proper-agnostic
@@ -517,7 +547,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
     def run_trial(trial: int, tseed: int):
         summary = release(d, alpha_bar, epsilon, delta, tseed)
         x_masks = sample_masks(qdist(d.n), eval_queries, child_rng(seed, trial, 2))
-        answers = summary.answer_masks(x_masks)
+        answers = _cube_or_masks(summary.answer_masks, d.n, eval_queries)(x_masks)
         avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
         hw = hoeffding_half_width(eval_queries, 1)
         return {

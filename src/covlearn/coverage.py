@@ -16,6 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .cube import (
+    MAX_COMPACT_N,
     DimensionMismatch,
     DistributionSpec,
     IndexSet,
@@ -45,6 +46,8 @@ class CoverageFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if self.n > MAX_COMPACT_N:
+            raise ValueError(f"dimension {self.n} is over the cap of {MAX_COMPACT_N}")
         if not self.affine >= -WEIGHT_TOL:  # NaN fails too
             raise ValueError("affine weight must be a non-negative number")
         total = self.affine

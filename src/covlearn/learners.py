@@ -35,6 +35,7 @@ import numpy as np
 from . import cube
 from .coverage import MAX_DENSE_N, CoverageFunction, dense_table, walsh_hadamard
 from .cube import (
+    MAX_COMPACT_N,
     DistributionSpec,
     IndexSet,
     child_rng,
@@ -796,6 +797,8 @@ class DisjointDnf:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n > MAX_COMPACT_N:
+            raise ValueError(f"dimension {self.n} is over the cap of {MAX_COMPACT_N}")
         for pos, neg in self.terms:
             if pos & neg:
                 raise ValueError("a term uses a variable in both polarities")
@@ -913,7 +916,11 @@ def dnf_reduction_learn(
     eps' = eps/(2s), which bounds the classification error by eps."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
     n = boolean_oracle.n
+    if 2 * n > MAX_COMPACT_N:
+        raise ValueError(f"2n = {2 * n} doubled coordinates exceed {MAX_COMPACT_N}")
     mapped = _MappedOracle(boolean_oracle, n, s)
     inner = coverage_learner(mapped, eps / (2.0 * s))
     return DnfClassifier(n, s, inner)

@@ -332,6 +332,101 @@ class TestLearn:
         assert proc.stdout.splitlines()[-1] == f"{EXIT_PASS} 1"
 
 
+class TestWhereChecksEvaluate:
+    """Every check evaluates its hypothesis once on the 2^n cells when they
+    are no more than its sample size, and at the sampled masks otherwise;
+    either way each report row is the same."""
+
+    TARGET = {"max_terms": 4, "max_arity": 2}
+
+    @pytest.mark.parametrize(
+        "verb,cfg,cls,method",
+        [
+            (
+                "learn",
+                {"learner": "pac", "n": 6, "eval_samples": 2000,
+                 "target": TARGET, "params": {"epsilon": 0.3}},
+                learners.SparsePolynomial, "eval_masks",
+            ),
+            (
+                "learn",
+                {"learner": "pac", "n": 13, "eval_samples": 2000,
+                 "target": TARGET, "params": {"epsilon": 0.3}},
+                learners.SparsePolynomial, "eval_masks",
+            ),
+            (
+                "learn",
+                {"learner": "pmac", "n": 6, "eval_samples": 2000,
+                 "target": TARGET, "params": {"gamma": 0.5, "delta": 0.2}},
+                learners.PmacHypothesis, "eval_masks",
+            ),
+            (
+                "learn",
+                {"learner": "pmac", "n": 6, "eval_samples": 50,
+                 "target": TARGET, "params": {"gamma": 0.5, "delta": 0.2}},
+                learners.PmacHypothesis, "eval_masks",
+            ),
+            (
+                "learn",
+                {"learner": "agnostic", "n": 4, "eval_samples": 2000,
+                 "target": TARGET, "params": {"epsilon": 0.5}},
+                learners.SparsePolynomial, "eval_masks",
+            ),
+            (
+                "release",
+                {"release": "k-way", "k": 2, "alpha_bar": 0.5, "epsilon": 1.0,
+                 "delta": 0.1, "eval_queries": 500,
+                 "dataset": {"n": 4, "gate_factor": 2}},
+                privacy.ReleaseSummary, "answer_masks",
+            ),
+            (
+                "release",
+                {"release": "k-way", "k": 2, "alpha_bar": 0.5, "epsilon": 1.0,
+                 "delta": 0.1, "eval_queries": 10,
+                 "dataset": {"n": 4, "gate_factor": 2}},
+                privacy.ReleaseSummary, "answer_masks",
+            ),
+        ],
+        ids=["pac-6", "pac-13", "pmac-6", "pmac-6-few-samples", "agnostic-4",
+             "release-k-way-4", "release-k-way-4-few-queries"],
+    )
+    def test_cube_exactly_when_it_fits(
+        self, tmp_path, capsys, monkeypatch, verb, cfg, cls, method
+    ):
+        cfg = dict(cfg, seed=5)
+        n = cfg["n"] if verb == "learn" else cfg["dataset"]["n"]
+        samples = cfg.get("eval_samples", cfg.get("eval_queries"))
+        calls = []
+        real = getattr(cls, method)
+
+        def spy(self, masks):
+            masks = np.asarray(masks)
+            on_cube = np.array_equal(masks, np.arange(1 << n))
+            calls.append(("cells" if on_cube else "samples", len(masks)))
+            return real(self, masks)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, method, spy)
+            code, out_dir = run(tmp_path, verb, cfg, out="cube_or_masks")
+        on_cube = 1 << n <= samples
+        assert calls == [("cells", 1 << n) if on_cube else ("samples", samples)]
+
+        monkeypatch.setattr(cli, "_cube_or_masks", lambda f, n, samples: f)
+        ref_code, ref_dir = run(tmp_path, verb, cfg, out="masks")
+        assert code == ref_code
+        rows, ref_rows = (
+            [{k: v for k, v in r.items() if k != "runtime_sec"}
+             for r in load_json(os.path.join(d, "report.json"))["rows"]]
+            for d in (out_dir, ref_dir)
+        )
+        assert rows == ref_rows
+        for name in sorted(os.listdir(out_dir)):
+            if name.startswith(("hypothesis", "summary")):
+                with open(os.path.join(out_dir, name), "rb") as a, \
+                        open(os.path.join(ref_dir, name), "rb") as b:
+                    assert a.read() == b.read()
+
+
 class TestSampleCount:
     """A learn row's samples is every example the trial's oracles drew,
     counted exactly, PMAC's restricted and scaled oracles included."""
@@ -739,6 +834,13 @@ class TestSchemaBranches:
                 dict(DNF, params={"s": 10**6, "epsilon": 0.3, "inner": "oracle"}),
                 "field 'inner'",
             ),
+            (  # the reduction's target lives on 2n coordinates
+                "learn",
+                dict(DNF, n=33, params={"s": 2, "epsilon": 0.3}),
+                "field 'n': dnf-reduction needs 2n <= 64",
+            ),
+            ("learn", dict(DNF, n=64, params={"s": 2, "epsilon": 0.3}), "field 'n'"),
+            ("learn", dict(DNF, params={"s": 2, "epsilon": -1}), "eps must lie in"),
             (
                 "release",
                 {k: v for k, v in RELEASE.items() if k != "dataset"},
@@ -770,6 +872,7 @@ class TestSchemaBranches:
             "distribution-missing-field", "distribution-unknown-variant",
             "coverage-block", "dataset-over-expansion-cap", "no-target",
             "params-not-object", "unknown-inner", "unknown-inner-before-draw",
+            "dnf-n-33", "dnf-n-64", "dnf-epsilon",
             "no-dataset", "root-not-object",
             "biases-not-a-list", "null-weight", "target-path-number",
             "target-path-list", "dataset-path-number", "dataset-path-list",
@@ -796,12 +899,18 @@ class TestSchemaBranches:
 
 
 class TestUnreadablePaths:
-    """A config or input path that cannot be read, or an --out that names a
-    file, is one error line naming the path and exit 2, before any file is
-    written."""
+    """A config or input path that cannot be read, an --out that names a
+    file, or an output path that cannot be written, is one error line naming
+    the path and exit 2, before any file is written."""
 
     LEARN = TestCountFields.LEARN
     RELEASE = TestCountFields.RELEASE
+    GENERATE = {
+        "coverage": TestGenerate.COVERAGE,
+        "dataset": {
+            "distribution": {"variant": "uniform", "n": 3}, "size": 5, "out": "."
+        },
+    }
 
     @pytest.mark.parametrize(
         "verb,cfg,config,out,named",
@@ -810,10 +919,11 @@ class TestUnreadablePaths:
             ("learn", LEARN, "cfg.json", "a_file", "a_file"),
             ("learn", dict(LEARN, target={"path": "."}), "cfg.json", "out", "."),
             ("release", dict(RELEASE, dataset={"path": "."}), "cfg.json", "out", "."),
+            ("generate", GENERATE, "cfg.json", "out", os.path.join("out", ".")),
         ],
         ids=[
             "config-is-a-directory", "out-is-a-file", "target-path-is-a-directory",
-            "dataset-path-is-a-directory",
+            "dataset-path-is-a-directory", "generated-dataset-is-a-directory",
         ],
     )
     def test_unreadable_path(

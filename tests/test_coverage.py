@@ -51,6 +51,9 @@ class TestCoverageFunction:
     def test_rejects_out_of_range_set(self):
         with pytest.raises(ValueError):
             CoverageFunction(2, 0.0, {0b100: 0.5})
+        # a point mask is one uint64, so no set may reach past x_64
+        with pytest.raises(ValueError, match="over the cap of 64"):
+            CoverageFunction(70, 0.0, {1 << 69: 1.0})
 
     @pytest.mark.parametrize("affine", [-0.0, 0.0, 0.125])
     @pytest.mark.parametrize("terms", [{}, {0b11: 0.25, 0b101100: 0.5, 0b10: 0.0}])

@@ -918,6 +918,24 @@ class TestDnfReduction:
             DisjointDnf(2, (((0b01), 0b01),))  # both polarities of x_1
         with pytest.raises(ValueError):
             DisjointDnf(2, ((0b01, 0), (0b11, 0)))  # overlapping terms
+        with pytest.raises(ValueError, match="over the cap of 64"):
+            DisjointDnf(65, ((1 << 64, 0),))
+
+    @pytest.mark.parametrize(
+        "n,eps", [(33, 0.3), (4, -1.0), (4, 0.0), (4, 1.0), (4, math.nan)]
+    )
+    def test_reduction_refuses(self, n, eps):
+        # 2n doubled coordinates must fit a mask, and eps must lie in (0, 1);
+        # both are refused before the inner learner runs
+        oracle = SampledOracle(
+            DistributionSpec.uniform(n), lambda m, rng: np.zeros(len(m))
+        )
+
+        def inner(o, e):
+            raise AssertionError("the inner learner ran")
+
+        with pytest.raises(ValueError):
+            dnf_reduction_learn(oracle, 2, eps, inner)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_coverage_identity(self, seed):
