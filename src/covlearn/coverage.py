@@ -233,6 +233,8 @@ def random_coverage(
     to <= 1.  Arity is uniform on 1..max_arity, then a uniform set of that
     arity; deterministic in seed.
     """
+    if not 1 <= n <= MAX_COMPACT_N:
+        raise ValueError(f"n must lie in 1..{MAX_COMPACT_N}")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if max_arity > n:

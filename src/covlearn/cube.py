@@ -134,59 +134,65 @@ def eval_parity_batch(set_mask: int, masks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Sampling law on the cube.
+    """Sampling law on the cube, one of the paper's two families.
 
-    variant is one of "uniform", "product", "layer", "symmetric".
-    product: biases[i] = Pr[x_i = -1], each in (0,1).
-    layer: uniform over points of Hamming weight k (number of -1s).
-    symmetric: mixture over layers 0..n with the given weights.
+    A product law when layer_weights is None: biases[i] = Pr[x_i = -1], each
+    in (0,1); biases None means every bias is 1/2, the uniform law.
+    A symmetric law otherwise: layer_weights[k] is the mass of the points of
+    Hamming weight k (number of -1s), uniform within the layer.
     """
 
-    variant: str
     n: int
     biases: tuple[float, ...] | None = None
-    k: int | None = None
     layer_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.variant == "uniform":
-            pass
-        elif self.variant == "product":
-            if self.biases is None or len(self.biases) != self.n:
+        if self.n > MAX_COMPACT_N:
+            raise ValueError(f"dimension {self.n} is over the cap of {MAX_COMPACT_N}")
+        w = self.layer_weights
+        if w is not None:
+            if self.biases is not None:
+                raise ValueError("a symmetric law takes no biases")
+            if len(w) != self.n + 1:
+                raise ValueError("symmetric mixture needs n+1 layer weights")
+            if not all(x >= 0 for x in w):  # NaN fails too
+                raise ValueError("layer weights must be non-negative")
+            if not abs(sum(w) - 1.0) <= 1e-12:
+                raise ValueError("layer weights must sum to 1")
+        elif self.biases is not None:
+            if len(self.biases) != self.n:
                 raise ValueError("product distribution needs n biases")
             if not all(0.0 < b < 1.0 for b in self.biases):
                 raise ValueError("product biases must lie in the open interval (0,1)")
-        elif self.variant == "layer":
-            if self.k is None or not 0 <= self.k <= self.n:
-                raise ValueError("layer k must lie in 0..n")
-        elif self.variant == "symmetric":
-            w = self.layer_weights
-            if w is None or len(w) != self.n + 1:
-                raise ValueError("symmetric mixture needs n+1 layer weights")
-            if any(x < 0 for x in w):
-                raise ValueError("layer weights must be non-negative")
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise ValueError("layer weights must sum to 1")
-        else:
-            raise ValueError(f"unknown distribution variant {self.variant!r}")
+
+    @property
+    def layers(self) -> tuple[int, ...] | None:
+        """The Hamming weights that carry mass; None for a product law."""
+        if self.layer_weights is None:
+            return None
+        return tuple(k for k, w in enumerate(self.layer_weights) if w > 0)
 
     @classmethod
     def uniform(cls, n: int) -> "DistributionSpec":
-        return cls("uniform", n)
+        return cls(n)
 
     @classmethod
     def product(cls, biases: Sequence[float]) -> "DistributionSpec":
-        return cls("product", len(biases), biases=tuple(biases))
+        return cls(len(biases), biases=tuple(biases))
 
     @classmethod
     def layer(cls, n: int, k: int) -> "DistributionSpec":
-        return cls("layer", n, k=k)
+        """The symmetric law with all its weight on layer k."""
+        cls.uniform(n)  # checks n, before k and before the n + 1 weights
+        if not 0 <= k <= n:
+            raise ValueError("layer k must lie in 0..n")
+        return cls(n, layer_weights=tuple(float(i == k) for i in range(n + 1)))
 
     @classmethod
     def symmetric(cls, weights: Sequence[float]) -> "DistributionSpec":
-        return cls("symmetric", len(weights) - 1, layer_weights=tuple(weights))
+        return cls(len(weights) - 1, layer_weights=tuple(weights))
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:
@@ -238,20 +244,16 @@ def _sample_layer(
 
 
 def sample_masks(d: DistributionSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw m point masks from the distribution (n <= 64)."""
-    n = d.n
-    if n > MAX_COMPACT_N:
-        raise ValueError(f"batch sampling supports n <= {MAX_COMPACT_N}")
-    if d.variant == "uniform":
-        return rng.integers(0, 1 << n, size=m, dtype=np.uint64)
-    if d.variant == "product":
+    """Draw m point masks from the distribution."""
+    n, layers = d.n, d.layers
+    if layers is None:
+        if d.biases is None:
+            return rng.integers(0, 1 << n, size=m, dtype=np.uint64)
         return _pack_bits(rng.random((m, n)) < np.asarray(d.biases)[None, :])
-    if d.variant == "layer":
-        return _sample_layer(n, d.k, rng, m)
-    if d.variant == "symmetric":
-        ks = rng.choice(n + 1, size=m, p=np.asarray(d.layer_weights))
-        return _sample_layer(n, ks.astype(np.int64), rng)
-    raise AssertionError("unreachable")
+    if len(layers) == 1:
+        return _sample_layer(n, layers[0], rng, m)
+    ks = rng.choice(n + 1, size=m, p=np.asarray(d.layer_weights))
+    return _sample_layer(n, ks.astype(np.int64), rng)
 
 
 def sample(d: DistributionSpec, rng: np.random.Generator) -> Point:

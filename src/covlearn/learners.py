@@ -668,11 +668,9 @@ def _check_columns(n: int, degree: int, blocks: int = 1) -> None:
 
 def _support_size(d: DistributionSpec) -> int:
     """Number of points of the cube to which d gives positive mass."""
-    if d.variant == "layer":
-        return math.comb(d.n, d.k)
-    if d.variant == "symmetric":
-        return sum(math.comb(d.n, k) for k, w in enumerate(d.layer_weights) if w > 0)
-    return 1 << d.n  # product biases lie in (0, 1)
+    if d.layers is None:
+        return 1 << d.n  # product biases lie in (0, 1)
+    return sum(math.comb(d.n, k) for k in d.layers)
 
 
 def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint):
@@ -726,12 +724,7 @@ def agnostic_learn(
     deg = agnostic_degree(eps)
     # one block of parities per Hamming layer in the support; None is the
     # single block of a product distribution, whose columns are not masked
-    if d.variant in ("uniform", "product"):
-        blocks: list[int | None] = [None]
-    elif d.variant == "layer":
-        blocks = [d.k]
-    else:
-        blocks = [k for k, w in enumerate(d.layer_weights) if w > 0]
+    blocks: list[int | None] = [None] if d.layers is None else list(d.layers)
     _check_columns(n, deg, len(blocks))
     parities = sets_up_to(n, deg)
     features = [(k, t) for k in blocks for t in parities]
@@ -770,9 +763,9 @@ def proper_agnostic_learn(
     from child_rng(seed, 1); path 0 is left to the caller's target."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    if d.variant not in ("uniform", "product"):
+    if d.layers is not None:
         raise ValueError("proper agnostic learning needs a product distribution")
-    biases = d.biases if d.variant == "product" else (0.5,) * d.n
+    biases = (0.5,) * d.n if d.biases is None else d.biases
     if any(min(b, 1 - b) < kappa - 1e-12 for b in biases):
         raise ValueError(f"marginals must satisfy min(bias, 1-bias) >= {kappa}")
 

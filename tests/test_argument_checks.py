@@ -17,7 +17,6 @@ from covlearn.cube import (
     DistributionSpec,
     IndexSet,
     child_rng,
-    sample_masks,
 )
 from covlearn.learners import (
     DisjointDnf,
@@ -82,24 +81,37 @@ CASES = [
     ("index-set-n", lambda: IndexSet(0, 0), ValueError, "dimension"),
     ("index-set-mask-high", lambda: IndexSet(0b1000, 3), ValueError, "outside"),
     ("index-set-mask-negative", lambda: IndexSet(-1, 3), ValueError, "outside"),
-    ("distribution-n", lambda: DistributionSpec("uniform", 0), ValueError, "dimension"),
+    ("distribution-n", lambda: DistributionSpec(0), ValueError, "dimension"),
+    (
+        "distribution-n-cap",
+        lambda: DistributionSpec.uniform(65),
+        ValueError,
+        "dimension 65 is over the cap of 64",
+    ),
+    (  # n is checked before k, and before the n + 1 weights are built
+        "layer-n-cap",
+        lambda: DistributionSpec.layer(10**30, 10**31),
+        ValueError,
+        "over the cap of 64",
+    ),
+    ("layer-n", lambda: DistributionSpec.layer(0, 5), ValueError, "dimension"),
     (
         "product-biases",
-        lambda: DistributionSpec("product", 3, biases=(0.5,)),
+        lambda: DistributionSpec(3, biases=(0.5,)),
         ValueError,
         "n biases",
     ),
     (
         "symmetric-weights",
-        lambda: DistributionSpec("symmetric", 3, layer_weights=(1.0,)),
+        lambda: DistributionSpec(3, layer_weights=(1.0,)),
         ValueError,
         "n\\+1 layer weights",
     ),
     (
-        "sample-masks-n",
-        lambda: sample_masks(DistributionSpec.uniform(65), 1, child_rng(0, 0)),
+        "symmetric-biases",
+        lambda: DistributionSpec(1, biases=(0.5,), layer_weights=(0.5, 0.5)),
         ValueError,
-        "n <= 64",
+        "no biases",
     ),
     # learners
     (

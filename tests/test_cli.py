@@ -866,6 +866,22 @@ class TestSchemaBranches:
             ("learn", dict(LEARN, target={"path": ["x"]}), "field 'path': "),
             ("release", dict(RELEASE, dataset={"path": 0}), "field 'path': "),
             ("release", dict(RELEASE, dataset={"path": ["x"]}), "field 'path': "),
+            (  # NaN fails every comparison, so the checks are written to fail it
+                "learn",
+                dict(
+                    AGNOSTIC,
+                    distribution={
+                        "variant": "symmetric", "weights": [math.nan, 0.2, 0.5, 0.3, 0]
+                    },
+                ),
+                "layer weights must be non-negative",
+            ),
+            ("learn", dict(LEARN, n=10**30), "is over the cap of 64"),
+            (
+                "generate",
+                {"coverage": {"n": 10**30, "max_terms": 2, "max_arity": 2}},
+                "n must lie in 1..64",
+            ),
         ],
         ids=[
             "missing-field", "unconvertible-field", "distribution-not-object",
@@ -876,6 +892,7 @@ class TestSchemaBranches:
             "no-dataset", "root-not-object",
             "biases-not-a-list", "null-weight", "target-path-number",
             "target-path-list", "dataset-path-number", "dataset-path-list",
+            "nan-weight", "learn-n-over-cap", "generate-n-over-cap",
         ],
     )
     def test_exits_with_one_error_line(

@@ -115,9 +115,23 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec.symmetric([1.5, -0.5])
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            DistributionSpec("gaussian", 3)
+    def test_nan_layer_weight(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DistributionSpec.symmetric([math.nan, 1.0])
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (5, 2), (64, 63)])
+    def test_layer_is_a_one_weight_symmetric_law(self, n, k):
+        d = DistributionSpec.layer(n, k)
+        assert d == DistributionSpec.symmetric([float(i == k) for i in range(n + 1)])
+        assert d.layers == (k,)
+        one_hot = DistributionSpec.symmetric([int(i == k) for i in range(n + 1)])
+        got = sample_masks(d, 1000, child_rng(n, k))
+        assert got.tobytes() == sample_masks(one_hot, 1000, child_rng(n, k)).tobytes()
+
+    def test_layers(self):
+        assert DistributionSpec.uniform(3).layers is None
+        assert DistributionSpec.product([0.3, 0.6]).layers is None
+        assert DistributionSpec.symmetric([0.25, 0, 0.75]).layers == (0, 2)
 
 
 class TestSampling:
@@ -281,7 +295,7 @@ class TestLayerSamplerReference:
             DistributionSpec.layer(5, 4),
             DistributionSpec.symmetric([0.25, 0.25, 0.5]),
         ],
-        ids=lambda d: d.variant + (str(d.k) if d.k is not None else ""),
+        ids=["uniform", "product", "layer2", "layer4", "symmetric"],
     )
     def test_no_examples_is_an_empty_mask_array(self, d):
         masks = sample_masks(d, 0, child_rng(0, 0))
@@ -296,6 +310,57 @@ class TestLayerSamplerReference:
         bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
         want = np.where(chosen, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
         assert got.tobytes() == want.tobytes()
+
+
+def tagged_sample_masks(variant, n, m, rng, biases=None, k=None, weights=None):
+    """sample_masks as it was when a distribution was one of four variants
+    named by a tag, with a k field for a layer: the reference for the
+    streams of the two families."""
+    if variant == "uniform":
+        return rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+    if variant == "product":
+        return cube._pack_bits(rng.random((m, n)) < np.asarray(biases)[None, :])
+    if variant == "layer":
+        return cube._sample_layer(n, k, rng, m)
+    ks = rng.choice(n + 1, size=m, p=np.asarray(weights))
+    return cube._sample_layer(n, ks.astype(np.int64), rng)
+
+
+class TestTwoFamilyStreams:
+    """Every law the four constructors build draws the stream it drew under
+    its variant tag."""
+
+    @pytest.mark.parametrize(
+        "d, variant, params",
+        [
+            (DistributionSpec.uniform(1), "uniform", {}),
+            (DistributionSpec.uniform(5), "uniform", {}),
+            (DistributionSpec.uniform(64), "uniform", {}),
+            (DistributionSpec.product([0.3, 0.5, 0.6, 0.7]), "product",
+             {"biases": [0.3, 0.5, 0.6, 0.7]}),
+            (DistributionSpec.product([0.2] * 64), "product", {"biases": [0.2] * 64}),
+            (DistributionSpec.layer(5, 0), "layer", {"k": 0}),
+            (DistributionSpec.layer(5, 2), "layer", {"k": 2}),
+            (DistributionSpec.layer(4, 2), "layer", {"k": 2}),
+            (DistributionSpec.layer(64, 40), "layer", {"k": 40}),
+            (DistributionSpec.symmetric([0, 0.2, 0.5, 0.3, 0]), "symmetric",
+             {"weights": [0, 0.2, 0.5, 0.3, 0]}),
+            (DistributionSpec.symmetric([0.5, 0, 0, 0.5]), "symmetric",
+             {"weights": [0.5, 0, 0, 0.5]}),
+        ],
+        ids=[
+            "uniform1", "uniform5", "uniform64", "product4", "product64",
+            "layer5-0", "layer5-2", "layer4-2", "layer64-40", "symmetric4",
+            "symmetric3-ends",
+        ],
+    )
+    @pytest.mark.parametrize("m", [0, 1, 7, 2000])
+    def test_stream_matches_the_tagged_sampler(self, d, variant, params, m):
+        for seed in range(3):
+            got = sample_masks(d, m, child_rng(seed, m))
+            want = tagged_sample_masks(variant, d.n, m, child_rng(seed, m), **params)
+            assert got.dtype == np.uint64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTextFormat:
