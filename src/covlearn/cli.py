@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import functools
 import math
 import os
@@ -44,6 +45,7 @@ from .cube import (
 )
 from .estimation import exact_source, lattice_search
 from .learners import (
+    DIRECT_DRAW_CAP,
     OracleExhausted,
     SampledOracle,
     UniformTableOracle,
@@ -130,6 +132,15 @@ def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
     value = _get(cfg, key, as_integer, default, required)
     if value < 1:
         raise SchemaError(f"field {key!r}: must be >= 1")
+    return value
+
+
+def _eval_size(cfg: dict, key: str, default: int) -> int:
+    """A check's sample size: a count of at most DIRECT_DRAW_CAP, since the
+    check draws its masks in one array."""
+    value = _count(cfg, key, default)
+    if value > DIRECT_DRAW_CAP:
+        raise SchemaError(f"field {key!r}: must be <= {DIRECT_DRAW_CAP}")
     return value
 
 
@@ -341,7 +352,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         )
     trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", as_integer, 0)
-    eval_samples = _count(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
+    eval_samples = _eval_size(cfg, "eval_samples", DEFAULT_EVAL_SAMPLES)
     n = _count(cfg, "n", required=True)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
@@ -524,7 +535,7 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
             raise SchemaError(f"field {name!r}: must lie in (0,1)")
     trials = _count(cfg, "trials", 1)
     seed = _get(cfg, "seed", as_integer, 0)
-    eval_queries = _count(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
+    eval_queries = _eval_size(cfg, "eval_queries", DEFAULT_EVAL_QUERIES)
     # each variant's query budget (n, alpha_bar) -> (q, tau), release call
     # (d, alpha_bar, epsilon, delta, seed) -> summary, and query distribution
     qdist = DistributionSpec.uniform
@@ -690,6 +701,27 @@ def cmd_selftest() -> int:
 # --------------------------------------------------------------------------
 # entry point
 
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameters, from malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> tuple[int, ...]:
+    """Has glibc serve blocks up to 32 MiB (on 64-bit; the largest mmap
+    threshold glibc has always accepted) from the heap, and trim the heap
+    only above twice that, glibc's own rule.  A trial's 2^n tables and check
+    arrays, 0.5 MiB and more at n = 16, then reuse the pages the trial
+    before freed instead of faulting in fresh ones.  Returns mallopt's
+    results, 1 each when it took the value, and () where there is no
+    mallopt (not glibc)."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no process-wide symbol table
+        mallopt = None
+    if mallopt is None:
+        return ()
+    cap = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    return mallopt(_M_MMAP_THRESHOLD, cap), mallopt(_M_TRIM_THRESHOLD, 2 * cap)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -709,6 +741,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
 
+    _keep_freed_heap()  # the CLI owns its process; a library caller keeps its policy
     if args.verb == "selftest":
         return cmd_selftest()
 

@@ -1,4 +1,5 @@
 import builtins
+import ctypes
 import json
 import math
 import os
@@ -34,6 +35,19 @@ def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Runs script in a fresh interpreter that imports this tree's covlearn,
+    with args as sys.argv[1:]; returns the last line it prints."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def run(tmp_path, verb, cfg, out="out", extra=()):
@@ -321,15 +335,61 @@ class TestLearn:
             "code = main(sys.argv[1:])\n"
             "print(code, threading.active_count())\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         args = ["learn", "--config", cfg_path, "--out", str(tmp_path / "out")]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            capture_output=True, text=True, env=env, timeout=300,
+        assert run_fresh(script, *args) == f"{EXIT_PASS} 1"
+
+    def test_pmac_trials_reuse_freed_pages(self, tmp_path):
+        # at n=16 every table and check array is above glibc's default mmap
+        # threshold; a fresh interpreter runs one trial to warm up, then
+        # counts the minor page faults of four more
+        cfg = {
+            "learner": "pmac",
+            "n": 16,
+            "seed": 4,
+            "target": {"max_terms": 50, "max_arity": 8},
+            "params": {"gamma": 0.5, "delta": 0.2},
+        }
+        one = write_config(tmp_path, "one.json", dict(cfg, trials=1))
+        four = write_config(tmp_path, "four.json", dict(cfg, trials=4))
+        script = (
+            "import resource, sys\n"
+            "from covlearn.cli import main\n"
+            "one, four, out = sys.argv[1:]\n"
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "main(['learn', '--config', one, '--out', out])\n"
+            "before = faults()\n"
+            "code = main(['learn', '--config', four, '--out', out])\n"
+            "print(code, (faults() - before) / 4)\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{EXIT_PASS} 1"
+        code, per_trial = run_fresh(script, one, four, str(tmp_path / "out")).split()
+        assert code == str(EXIT_PASS)
+        # the pages of one 2^16-cell float64 table; the default policy
+        # faults in about 1,600 per trial
+        assert float(per_trial) < 128
+
+
+class TestMemoryPolicy:
+    """The CLI sets glibc's allocator policy for its process; where there is
+    no mallopt it sets nothing and runs the same."""
+
+    def test_mallopt_takes_both_values(self):
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("no mallopt: the C library is not glibc")
+        assert cli._keep_freed_heap() == (1, 1)
+
+    def test_no_mallopt_runs_the_same(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 0.0)  # equal runtimes
+        cfg = dict(TestCountFields.LEARN, learner="pmac", n=6, trials=2,
+                   params={"gamma": 0.5, "delta": 0.2})
+        assert run(tmp_path, "learn", cfg, out="with")[0] == EXIT_PASS
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap() == ()
+        assert run(tmp_path, "learn", cfg, out="without")[0] == EXIT_PASS
+        with_policy, without = (
+            {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+            for out in ("with", "without")
+        )
+        assert with_policy == without
 
 
 class TestWhereChecksEvaluate:
@@ -658,6 +718,27 @@ class TestCountFields:
         assert code == EXIT_USAGE
         assert f"field {field!r}: must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out_dir, "report.json"))
+
+    @pytest.mark.parametrize(
+        "verb,cfg,field",
+        [
+            ("learn", dict(LEARN, learner="pmac", params={"gamma": 0.5, "delta": 0.2}),
+             "eval_samples"),
+            ("release", dict(RELEASE, release="k-way", k=2), "eval_queries"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [learners.DIRECT_DRAW_CAP + 1, 10**13])
+    def test_check_sample_over_the_draw_cap(
+        self, tmp_path, capsys, verb, cfg, field, value
+    ):
+        # refused as the config is read, not by a failed allocation after
+        # the fit
+        code, out_dir = run(tmp_path, verb, dict(cfg, **{field: value}))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: field {field!r}: must be <= {learners.DIRECT_DRAW_CAP}\n"
+        )
+        assert os.listdir(out_dir) == []
 
 
 class TestIntegerFields:
