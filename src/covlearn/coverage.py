@@ -8,8 +8,6 @@ term, keeping evaluation exact.
 
 from __future__ import annotations
 
-import mmap
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -108,56 +106,39 @@ def eval_coverage(c: CoverageFunction, x: Point) -> float:
     return v
 
 
-def walsh_hadamard(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """In-order Walsh-Hadamard transform of a length-2^n array.
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """In-order Walsh-Hadamard transform of a length-2^n array, as a new
+    float64 array; values is left unchanged.
 
     Index bit i of a table position corresponds to coordinate i being -1,
     matching the mask encoding.  Output[t] = sum_x values[x]*chi_t(x); divide
-    by 2^n for Fourier coefficients.  out=None returns a new array and
-    leaves values unchanged; out=values, which must then be a flat float64
-    array, transforms values in place and returns it.  Any other out is
-    refused.
+    by 2^n for Fourier coefficients.
 
     Constant-geometry (Pease) form: every level reads the even and odd
-    entries of one buffer and writes their sums to the first half and their
-    differences to the second half of the other.  Each level therefore
+    entries of one array and writes their sums to the first half and their
+    differences to the second half of another.  Each level therefore
     rotates the index right by one bit, so level k pairs the entries whose
     original indices differ in bit k, and after n levels the rotation is
     the identity.  Each butterfly computes x0 + x1 and x0 - x1 on the same
     operands as the in-order, level-by-level form, so the output is
-    bit-for-bit the same as that form's.  The other buffer is a prefix of
-    this thread's scratch, which grows to the largest transform the thread
-    has run and is kept; after an odd number of levels one copy lands the
-    result in out.
+    bit-for-bit the same as that form's.  The first level reads values;
+    the later ones alternate between the two buffers the call allocates.
     """
+    values = np.asarray(values, dtype=np.float64)
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
-    if out is None:
-        out = np.array(values, dtype=np.float64)
-    elif out is not values:
-        raise ValueError("out must be None or values itself")
-    elif out.dtype != np.float64 or out.ndim != 1:
-        raise ValueError("an in-place transform needs a flat float64 array")
-    if len(getattr(_scratch, "buf", ())) < size:
-        buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
-        _scratch.buf = np.frombuffer(buf, dtype=np.float64)
+    if size == 1:
+        return values.copy()
     half = size // 2
-    a, b = out, _scratch.buf[:size]
-    for _ in range(size.bit_length() - 1):
-        np.add(a[0::2], a[1::2], out=b[:half])
-        np.subtract(a[0::2], a[1::2], out=b[half:])
-        a, b = b, a
-    if a is not out:
-        out[...] = a
-    return out
-
-
-# buf: each thread's grow-only WHT buffer, in its own private anonymous
-# mapping.  In the malloc heap it would pin the heap's top, so memory freed
-# below it could not be returned (learn-pmac's peak RSS rose 0.5 MB); being
-# private, a forked child that inherits it writes to copy-on-write pages.
-_scratch = threading.local()
+    bufs = np.empty(size), np.empty(size)
+    src = values
+    for level in range(size.bit_length() - 1):
+        dst = bufs[level % 2]
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src = dst
+    return src
 
 
 def dense_table(c: CoverageFunction) -> np.ndarray:
@@ -188,8 +169,7 @@ def exact_fourier(c: CoverageFunction, method: str = "analytic") -> FourierTable
                     coeffs[sub] = coeffs.get(sub, 0.0) - scaled
         return FourierTable(c.n, coeffs)
     if method == "wht":
-        spectrum = dense_table(c)
-        walsh_hadamard(spectrum, out=spectrum)
+        spectrum = walsh_hadamard(dense_table(c))
         spectrum /= 1 << c.n
         coeffs = {int(t): float(v) for t, v in enumerate(spectrum) if v != 0.0}
         return FourierTable(c.n, coeffs)

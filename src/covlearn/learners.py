@@ -180,7 +180,7 @@ def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.nda
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[coeffs.masks] = coeffs.values
-        return walsh_hadamard(dense, out=dense)[masks]
+        return walsh_hadamard(dense)[masks]
     # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
     for t, v in zip(coeffs.masks.tolist(), coeffs.values.tolist()):

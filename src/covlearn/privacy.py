@@ -345,6 +345,11 @@ class ReleaseSummary:
         if isinstance(self.synthetic, Dataset) != syn or (self.poly is None) != syn:
             need = "a synthetic dataset" if syn else "a poly"
             raise ValueError(f"a {self.variant} summary needs {need} and nothing else")
+        data = self.synthetic if syn else self.poly
+        if data.n != self.n:
+            raise ValueError(f"a summary on n={self.n} holds data on n={data.n}")
+        if self.queries_used < 0 or self.dataset_size < 0:
+            raise ValueError("queries_used and dataset_size must be >= 0")
 
     @classmethod
     def from_oracle(

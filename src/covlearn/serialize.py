@@ -99,6 +99,7 @@ def fourier_to_csv(t: FourierTable) -> str:
 
 
 def fourier_from_csv(text: str, n: int) -> FourierTable:
+    """Refuses a set outside [0, 2^n) and a set given twice."""
     coeffs: dict[int, float] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -106,9 +107,12 @@ def fourier_from_csv(text: str, n: int) -> FourierTable:
             continue
         try:
             mask_hex, value = line.split(",")
-            coeffs[int(mask_hex, 16)] = float(value)
+            mask = int(mask_hex, 16)
+            if mask < 0 or mask >> n:
+                raise ValueError(f"set outside [0, 2^{n})")
+            _put_coeff(coeffs, mask, float(value))
         except ValueError as exc:
-            raise ValueError(f"bad Fourier CSV line {line!r}") from exc
+            raise ValueError(f"bad Fourier CSV line {line!r}: {exc}") from exc
     return FourierTable(n, coeffs)
 
 
@@ -116,8 +120,17 @@ def fourier_from_csv(text: str, n: int) -> FourierTable:
 # Hypotheses
 
 
+def _put_coeff(coeffs: dict[int, float], mask: int, value: float) -> None:
+    if mask in coeffs:
+        raise ValueError(f"set {_mask_to_indices(mask)} is given twice")
+    coeffs[mask] = value
+
+
 def _coeffs_from_json(raw, n: int) -> dict[int, float]:
-    return {_indices_to_mask(e["set"], n): float(e["value"]) for e in raw}
+    coeffs: dict[int, float] = {}
+    for e in raw:
+        _put_coeff(coeffs, _indices_to_mask(e["set"], n), float(e["value"]))
+    return coeffs
 
 
 def _coeff_rows(c: Coefficients) -> list:
@@ -167,21 +180,23 @@ def _pmac_node_to_json(node, arrays: bool) -> dict:
     }
 
 
-def _pmac_node_from_json(obj: dict):
+def _pmac_node_from_json(obj: dict, n: int):
     kind = obj["type"]
     if kind == "zero":
         return PmacZeroLeaf()
     if kind == "leaf":
-        return PmacPolyLeaf(
-            polynomial_from_json(obj["poly"]),
-            float(obj["m_tilde"]),
-            float(obj["shift"]),
-        )
+        poly = polynomial_from_json(obj["poly"])
+        if poly.n != n:
+            raise ValueError(f"leaf polynomial on n={poly.n} in a tree on n={n}")
+        return PmacPolyLeaf(poly, float(obj["m_tilde"]), float(obj["shift"]))
     if kind == "node":
+        var = as_integer(obj["var"], "var")
+        if not 1 <= var <= n:
+            raise ValueError(f"split variable {var} out of range for n={n} (1-based)")
         return PmacNode(
-            as_integer(obj["var"], "var") - 1,
-            _pmac_node_from_json(obj["minus"]),
-            _pmac_node_from_json(obj["plus"]),
+            var - 1,
+            _pmac_node_from_json(obj["minus"], n),
+            _pmac_node_from_json(obj["plus"], n),
         )
     raise ValueError(f"unknown tree node type {kind!r}")
 
@@ -191,7 +206,8 @@ def pmac_to_json(h: PmacHypothesis, arrays: bool = False) -> dict:
 
 
 def pmac_from_json(obj: dict) -> PmacHypothesis:
-    return PmacHypothesis(as_integer(obj["n"], "n"), _pmac_node_from_json(obj["root"]))
+    n = as_integer(obj["n"], "n")
+    return PmacHypothesis(n, _pmac_node_from_json(obj["root"], n))
 
 
 def hypothesis_to_json(h, arrays: bool = False) -> dict:

@@ -116,7 +116,7 @@ def assert_same_bits_as_reference(values):
     out = walsh_hadamard(values)
     assert out.tobytes() == reference_wht(values).tobytes()
     assert values.tobytes() == before
-    assert out is not values
+    assert not np.shares_memory(out, values)
 
 
 class TestWalshHadamard:
@@ -154,56 +154,30 @@ class TestWalshHadamard:
         assert abs(spec[0b101] - 1.0) < 1e-12
         assert np.abs(np.delete(spec, 0b101)).max() < 1e-12
 
-
-class TestWalshHadamardOut:
     @pytest.mark.parametrize("n", range(18))
-    def test_out_bits_equal_new_array(self, n):
+    def test_bits_equal_new_array(self, n):
         rng = np.random.default_rng(n)
-        values = rng.uniform(-1e3, 1e3, 1 << n)
-        before = values.tobytes()
-        expected = walsh_hadamard(values)
-        assert expected.tobytes() == reference_wht(values).tobytes()
-        assert values.tobytes() == before  # out=None leaves values alone
-        assert walsh_hadamard(values, out=values) is values
-        assert values.tobytes() == expected.tobytes()
+        assert_same_bits_as_reference(rng.uniform(-1e3, 1e3, 1 << n))
 
-    def test_interleaved_sizes_reuse_the_scratch(self):
+    def test_size_one_is_a_new_array(self):
+        values = np.array([-2.5])
+        out = walsh_hadamard(values)
+        assert out.tobytes() == values.tobytes()
+        assert not np.shares_memory(out, values)
+
+    def test_integer_input_transforms_as_float64(self):
+        values = np.arange(-8, 24, 2)
+        before = values.tobytes()
+        out = walsh_hadamard(values)
+        assert out.dtype == np.float64
+        assert out.tobytes() == reference_wht(values).tobytes()
+        assert values.tobytes() == before
+
+    def test_interleaved_sizes(self):
         rng = np.random.default_rng(3)
         for n in (16, 3, 16, 0, 17, 5, 16):
             values = rng.random(1 << n) * 10.0 ** rng.integers(-3, 16, 1 << n)
-            expected = reference_wht(values).tobytes()
-            assert walsh_hadamard(values, out=values).tobytes() == expected
-
-    @pytest.mark.parametrize(
-        "make_out",
-        [
-            lambda buf, values: np.zeros(8),  # a separate array
-            lambda buf, values: values.copy(),
-            lambda buf, values: buf[:8],  # values' memory, another object
-            lambda buf, values: np.zeros(4),  # wrong length
-            lambda buf, values: np.zeros(8, dtype=np.float32),  # wrong dtype
-            lambda buf, values: buf[4:12],  # partly overlaps values
-            lambda buf, values: buf[7::-1],  # values reversed
-        ],
-    )
-    def test_any_out_but_values_is_refused(self, make_out):
-        buf = np.arange(16.0)
-        values = buf[:8]
-        out = make_out(buf, values)
-        before, out_before = buf.tobytes(), out.tobytes()
-        with pytest.raises(ValueError):
-            walsh_hadamard(values, out=out)
-        assert buf.tobytes() == before
-        assert out.tobytes() == out_before
-
-    @pytest.mark.parametrize(
-        "values", [np.arange(8), np.zeros(8, dtype=np.float32), np.zeros((4, 2))]
-    )
-    def test_in_place_needs_a_flat_float64_array(self, values):
-        before = values.tobytes()
-        with pytest.raises(ValueError):
-            walsh_hadamard(values, out=values)
-        assert values.tobytes() == before
+            assert_same_bits_as_reference(values)
 
     def test_concurrent_threads_match_sequential(self):
         rng = np.random.default_rng(7)
@@ -211,15 +185,14 @@ class TestWalshHadamardOut:
             [rng.random(1 << n) for n in sizes]
             for sizes in ((15, 4, 13, 15, 9) * 6, (12, 16, 6, 14, 11) * 6)
         ]
-        expected = [[walsh_hadamard(v).tobytes() for v in job] for job in jobs]
+        expected = [[reference_wht(v).tobytes() for v in job] for job in jobs]
         got = [[], []]
         start = threading.Barrier(2)
 
         def run(i):
             start.wait()
             for v in jobs[i]:
-                w = v.copy()
-                got[i].append(walsh_hadamard(w, out=w).tobytes())
+                got[i].append(walsh_hadamard(v).tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -239,14 +212,12 @@ class TestWalshHadamardOut:
         rng = np.random.default_rng(11)
         inputs = [rng.uniform(-1e3, 1e3, 1 << 16) for _ in range(2)]
         expected = [reference_wht(v).tobytes() for v in inputs]
-        walsh_hadamard(inputs[0])  # warm up: this thread now holds a scratch
 
         def transforms_match(values, want):
             # long enough that parent and child overlap for many transforms
             ok, deadline = True, time.monotonic() + 0.5
             while time.monotonic() < deadline:
-                w = values.copy()
-                ok &= walsh_hadamard(w, out=w).tobytes() == want
+                ok &= walsh_hadamard(values).tobytes() == want
             return ok
 
         ready_r, ready_w = os.pipe()
@@ -289,29 +260,18 @@ def peak_traced_bytes(call):
 
 class TestTransformAllocations:
     @pytest.mark.parametrize("n", [15, 16])
-    def test_in_place_transform_allocates_less_than_a_table(self, n):
+    def test_transform_allocates_at_most_two_tables(self, n):
         values = np.random.default_rng(n).random(1 << n)
-        peak = peak_traced_bytes(lambda: walsh_hadamard(values, out=values))
-        assert peak < values.nbytes
+        peak = peak_traced_bytes(lambda: walsh_hadamard(values))
+        assert peak <= 2 * values.nbytes + 4096
 
-    def test_repeated_transforms_fault_in_no_new_table(self):
-        # the scratch is an anonymous mapping, which tracemalloc does not
-        # see; a fresh one per call would fault in 128 new pages each time
-        resource = pytest.importorskip("resource")
-        values = np.random.default_rng(1).random(1 << 16)
-        walsh_hadamard(values, out=values)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(10):
-            walsh_hadamard(values, out=values)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults < values.nbytes // 4096
-
-    def test_spectrum_allocates_at_most_its_result(self):
+    def test_spectrum_allocates_at_most_three_tables(self):
+        # the product weights * labels and the transform's two buffers
         rng = np.random.default_rng(16)
         counts = rng.multinomial(10**6, np.full(1 << 16, 2.0**-16)).astype(float)
         labels = rng.random(1 << 16)
         peak = peak_traced_bytes(lambda: spectrum_from_counts(counts, labels))
-        assert peak <= counts.nbytes + 4096
+        assert peak <= 3 * counts.nbytes + 4096
 
 
 class TestExactFourier:

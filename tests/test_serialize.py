@@ -133,6 +133,16 @@ class TestFourierCsv:
         with pytest.raises(ValueError):
             fourier_from_csv("zz,notanumber\n", 4)
 
+    @pytest.mark.parametrize("mask_hex", ["ff", "8", "-1", "-0x1"])
+    def test_rejects_set_outside_the_cube(self, mask_hex):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^3\)"):
+            fourier_from_csv(f"1,0.25\n{mask_hex},0.5\n", 3)
+
+    @pytest.mark.parametrize("text", ["5,0.5\n5,0.25\n", "5,0.5\n0x5,0.5\n"])
+    def test_rejects_repeated_set(self, text):
+        with pytest.raises(ValueError, match=r"set \[1, 3\] is given twice"):
+            fourier_from_csv(text, 3)
+
 
 class TestPolynomialJson:
     def test_parity_roundtrip(self):
@@ -146,6 +156,16 @@ class TestPolynomialJson:
         back = polynomial_from_json(polynomial_to_json(p))
         assert back.layers == p.layers
         assert back.basis == "layered_parity"
+
+    def test_rejects_repeated_set(self):
+        rows = [{"set": [1, 3], "value": 0.5}, {"set": [3, 1], "value": 0.25}]
+        obj = {"type": "polynomial", "n": 3, "basis": "parity", "coeffs": rows}
+        with pytest.raises(ValueError, match=r"set \[1, 3\] is given twice"):
+            polynomial_from_json(obj)
+        obj = dict(obj, basis="layered_parity", layers={"2": rows})
+        del obj["coeffs"]
+        with pytest.raises(ValueError, match=r"set \[1, 3\] is given twice"):
+            polynomial_from_json(obj)
 
 
 class TestPmacJson:
@@ -167,6 +187,25 @@ class TestPmacJson:
     def test_vars_one_based(self):
         h = PmacHypothesis(2, PmacNode(0, PmacZeroLeaf(), PmacZeroLeaf()))
         assert pmac_to_json(h)["root"]["var"] == 1
+
+    @pytest.mark.parametrize("var", [0, -1, 17, 65])
+    def test_rejects_split_variable_outside_1_to_n(self, var):
+        leaf = {"type": "leaf", "m_tilde": 1.0, "shift": 0.0,
+                "poly": {"type": "polynomial", "n": 16, "basis": "parity",
+                         "coeffs": [{"set": [], "value": 0.5}]}}
+        inner = {"type": "node", "var": var, "minus": leaf, "plus": {"type": "zero"}}
+        root = {"type": "node", "var": 16, "minus": {"type": "zero"}, "plus": inner}
+        with pytest.raises(ValueError, match=f"split variable {var} out of range"):
+            pmac_from_json({"type": "pmac", "n": 16, "root": root})
+
+    def test_rejects_leaf_polynomial_on_another_n(self):
+        poly = SparsePolynomial(16, "parity", {0: 0.5, 1 << 15: 0.25})
+        leaf = PmacPolyLeaf(poly, 1.0, 0.0)
+        obj = pmac_to_json(PmacHypothesis(16, PmacNode(2, leaf, PmacZeroLeaf())))
+        assert pmac_from_json(obj).n == 16
+        obj["n"] = 4
+        with pytest.raises(ValueError, match="leaf polynomial on n=16 in a tree on n=4"):
+            pmac_from_json(obj)
 
 
 class TestLearnedRoundTrip:
@@ -268,6 +307,32 @@ class TestSummaryJson:
             dump_json(summary_to_json(s, arrays=True), str(path))
             text = json.dumps(summary_to_json(s), indent=2, sort_keys=True) + "\n"
             assert path.read_bytes() == text.encode("ascii")
+
+    def test_rejects_data_on_another_n(self):
+        obj = summary_to_json(
+            ReleaseSummary("polynomial", 9, 0.5, 1.0, 0.1, 9, 50,
+                           poly=SparsePolynomial(9, "parity", {0b1: 0.5}))
+        )
+        obj["n"] = 3
+        with pytest.raises(ValueError, match="summary on n=3 holds data on n=9"):
+            summary_from_json(obj)
+        syn = Dataset.from_points([0b00011, 0b10111], 5)
+        obj = summary_to_json(
+            ReleaseSummary("synthetic", 5, 0.25, 1.0, 0.1, 7, 100, synthetic=syn)
+        )
+        obj["n"] = 3
+        with pytest.raises(ValueError, match="summary on n=3 holds data on n=5"):
+            summary_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["queries_used", "dataset_size"])
+    def test_rejects_negative_ledger_field(self, key):
+        syn = Dataset.from_points([0b011], 3)
+        obj = summary_to_json(
+            ReleaseSummary("synthetic", 3, 0.25, 1.0, 0.1, 7, 100, synthetic=syn)
+        )
+        obj["metadata"][key] = -10
+        with pytest.raises(ValueError, match="must be >= 0"):
+            summary_from_json(obj)
 
     def test_empty_synthetic_roundtrip(self):
         empty = Dataset(3, np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
