@@ -250,13 +250,17 @@ def cmd_generate(cfg: dict, out_dir: str) -> int:
 
 
 def _cube_or_masks(f, n: int, samples: int):
-    """f, which a check asks at `samples` masks on n coordinates; or, when
-    the 2^n cells are no more than that, a lookup into f evaluated once on
-    every cell.  Every eval_masks and answer_masks is elementwise, so both
-    give the same values."""
+    """f, the per-point quantity a check averages over `samples` masks on n
+    coordinates, as an array or a tuple of arrays; or, when the 2^n cells
+    are no more than that, a gather from f evaluated once on every cell.
+    Every eval_masks and answer_masks is elementwise, so both give the same
+    values."""
     if (1 << n) > samples:
         return f
-    return f(np.arange(1 << n, dtype=np.uint64)).__getitem__
+    tables = f(np.arange(1 << n, dtype=np.uint64))
+    if isinstance(tables, tuple):
+        return lambda masks: tuple(t[masks] for t in tables)
+    return tables.__getitem__
 
 
 def _trial_file(out_dir: str, kind: str, trial: int, ext: str) -> str:
@@ -378,8 +382,9 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
     def l1_check(bound, dist=uniform):
         """check by the l1 error on dist."""
         def check(h, truth, eval_seed):
-            estimate = _cube_or_masks(h.eval_masks, n, eval_samples)
-            err, hw = l1_distance_mc(estimate, truth, dist, eval_samples, eval_seed)
+            gap = lambda masks: np.abs(h.eval_masks(masks) - truth(masks))
+            gap = _cube_or_masks(gap, n, eval_samples)
+            err, hw = l1_distance_mc(gap, dist, eval_samples, eval_seed)
             return err, hw, None, err <= bound
         return check
 
@@ -456,12 +461,17 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         fit = table_fit(target, shared, pmac_learn, gamma, delta)
 
         def check(h, truth, eval_seed):
+            def gap_and_within(masks):
+                hv, cv = h.eval_masks(masks), truth(masks)
+                within = (hv <= cv + 1e-9) & (cv <= (1 + gamma) * hv + 1e-9)
+                return np.abs(hv - cv), within
+
+            gap_and_within = _cube_or_masks(gap_and_within, n, eval_samples)
             masks = sample_masks(uniform, eval_samples, child_rng(eval_seed, 0))
-            cv = truth(masks)
-            hv = _cube_or_masks(h.eval_masks, n, eval_samples)(masks)
-            mult = float(((hv <= cv + 1e-9) & (cv <= (1 + gamma) * hv + 1e-9)).mean())
+            gap, within = gap_and_within(masks)
+            mult = float(within.mean())
             hw = hoeffding_half_width(eval_samples, 1)
-            return float(np.abs(hv - cv).mean()), hw, mult, mult >= 1 - delta
+            return float(gap.mean()), hw, mult, mult >= 1 - delta
     elif learner == "pac":
         target, shared = read_target()
         eps = _get(params, "epsilon", float, required=True)
@@ -557,9 +567,10 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
 
     def run_trial(trial: int, tseed: int):
         summary = release(d, alpha_bar, epsilon, delta, tseed)
+        error = lambda masks: np.abs(summary.answer_masks(masks) - truth_table[masks])
+        error = _cube_or_masks(error, d.n, eval_queries)
         x_masks = sample_masks(qdist(d.n), eval_queries, child_rng(seed, trial, 2))
-        answers = _cube_or_masks(summary.answer_masks, d.n, eval_queries)(x_masks)
-        avg_error = float(np.abs(answers - truth_table[x_masks]).mean())
+        avg_error = float(error(x_masks).mean())
         hw = hoeffding_half_width(eval_queries, 1)
         return {
             "avg_error": avg_error, "l1_half_width": hw,

@@ -27,6 +27,7 @@ from .cube import (
 
 WEIGHT_TOL = 1e-12
 MAX_DENSE_N = 24
+WHT_BLOCK = 1 << 14  # cells of the transform's scratch: 128 KB, within L2
 
 
 @dataclass(frozen=True)
@@ -114,31 +115,49 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     matching the mask encoding.  Output[t] = sum_x values[x]*chi_t(x); divide
     by 2^n for Fourier coefficients.
 
-    Constant-geometry (Pease) form: every level reads the even and odd
-    entries of one array and writes their sums to the first half and their
-    differences to the second half of another.  Each level therefore
-    rotates the index right by one bit, so level k pairs the entries whose
-    original indices differ in bit k, and after n levels the rotation is
-    the identity.  Each butterfly computes x0 + x1 and x0 - x1 on the same
-    operands as the in-order, level-by-level form, so the output is
-    bit-for-bit the same as that form's.  The first level reads values;
-    the later ones alternate between the two buffers the call allocates.
+    The call allocates two arrays: the result table and one scratch block
+    of min(2^n, WHT_BLOCK) cells.  The levels of the low bits run on each
+    block of that many consecutive cells in constant-geometry (Pease) form:
+    every level reads the even and odd entries of one array and writes
+    their sums to the first half and their differences to the second half
+    of another, which rotates the block index right by one bit, so after
+    all the block's levels the rotation is the identity.  The first level
+    reads values and the later ones alternate between the scratch and the
+    block's slice of the result, the last landing in the result.  The
+    levels of the high bits then pair whole blocks, in place on the result
+    through the scratch.
+    Each butterfly computes x0 + x1 and x0 - x1 on the same operands as the
+    in-order, level-by-level form, in the same level order, so the output is
+    bit-for-bit the same as that form's.
     """
     values = np.asarray(values, dtype=np.float64)
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
-    if size == 1:
-        return values.copy()
-    half = size // 2
-    bufs = np.empty(size), np.empty(size)
-    src = values
-    for level in range(size.bit_length() - 1):
-        dst = bufs[level % 2]
-        np.add(src[0::2], src[1::2], out=dst[:half])
-        np.subtract(src[0::2], src[1::2], out=dst[half:])
-        src = dst
-    return src
+    out = np.empty(size)
+    block = min(size, WHT_BLOCK)
+    scratch = np.empty(block)
+    half, levels = block // 2, block.bit_length() - 1
+    if levels == 0:
+        out[:] = values
+    for start in range(0, size, block):
+        src = values[start : start + block]
+        for level in range(levels):
+            dst = scratch if (levels - level) % 2 == 0 else out[start : start + block]
+            np.add(src[0::2], src[1::2], out=dst[:half])
+            np.subtract(src[0::2], src[1::2], out=dst[half:])
+            src = dst
+    blocks = out.reshape(-1, block)
+    span = 1
+    while span < len(blocks):
+        for q in range(len(blocks)):
+            if not q & span:
+                x0, x1 = blocks[q], blocks[q + span]
+                np.subtract(x0, x1, out=scratch)
+                x0 += x1
+                x1[:] = scratch
+        span *= 2
+    return out
 
 
 def dense_table(c: CoverageFunction) -> np.ndarray:
@@ -233,18 +252,17 @@ def random_coverage(
 
 
 def l1_distance_mc(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
+    gap: Callable[[np.ndarray], np.ndarray],
     d: DistributionSpec,
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of E_d |f - g| with a Hoeffding half-width.
 
-    f and g map arrays of point masks to value arrays.  Returns (estimate,
-    hoeffding_half_width(samples, 2)): the half-width assumes gaps in a
-    range of width 2, such as [-1,1].  For gaps in [0,1] it is twice as wide
-    as needed.
+    gap maps an array of point masks to the gaps |f - g| at those points.
+    Returns (estimate, hoeffding_half_width(samples, 2)): the half-width
+    assumes gaps in a range of width 2, such as [-1,1].  For gaps in [0,1]
+    it is twice as wide as needed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -253,8 +271,7 @@ def l1_distance_mc(
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, 1 << 20)
-        masks = sample_masks(d, chunk, rng)
-        total += float(np.abs(f(masks) - g(masks)).sum())
+        total += float(gap(sample_masks(d, chunk, rng)).sum())
         remaining -= chunk
     return total / samples, hoeffding_half_width(samples, 2)
 

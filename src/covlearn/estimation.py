@@ -107,8 +107,9 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     non-negative reals); labels[x] is the label shared by that cell.  The
     result equals estimate_coefficient for every t simultaneously, via one
     Walsh-Hadamard transform of the product weights * labels, divided in
-    place by the total weight: the product and the transform's two buffers
-    are the tables the call allocates, and one of those buffers is returned.
+    place by the total weight: the product and the transform's result are
+    the tables the call allocates, besides the transform's scratch block of
+    at most WHT_BLOCK cells, and the result is returned.
     """
     total = float(weights.sum())
     if total <= 0:

@@ -207,8 +207,10 @@ class PmacPolyLeaf:
     shift: float
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        raw = 3.0 * self.m_tilde * (self.poly.eval_masks(masks) - self.shift)
-        return np.maximum(self.m_tilde / 4.0, raw)
+        out = self.poly.eval_masks(masks)  # a new array, worked in place
+        out -= self.shift
+        out *= 3.0 * self.m_tilde
+        return np.maximum(out, self.m_tilde / 4.0, out=out)
 
     def depth(self) -> int:
         return 0
@@ -298,14 +300,19 @@ class UniformTableOracle:
         """
         cells = len(self.values)
         p = np.full(cells, 1.0 / cells)
-        counts = np.zeros(cells, dtype=np.float64)
+        counts = None
         remaining = int(total)
-        chunk_cap = 4 * 10**18
         while remaining > 0:
-            chunk = min(remaining, chunk_cap)
-            counts += rng.multinomial(chunk, p)
+            chunk = min(remaining, 4 * 10**18)
             remaining -= chunk
-        return counts
+            draw = rng.multinomial(chunk, p)
+            if not remaining:
+                del p  # one chunk holds two tables at most: p or the sum, and the draw
+            if counts is None:
+                counts = draw.astype(np.float64)
+            else:
+                counts += draw
+        return np.zeros(cells) if counts is None else counts
 
     def draw_hits(self, total: int, hit: np.ndarray, rng: np.random.Generator) -> int:
         """How many of `total` i.i.d. uniform draws land in the cells where

@@ -57,6 +57,8 @@ def _indices_to_mask(indices: Iterable[int], n: int) -> int:
         i = as_integer(i, "set")
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range for n={n} (indices are 1-based)")
+        if mask >> (i - 1) & 1:
+            raise ValueError(f"set {indices!r} repeats index {i}")
         mask |= 1 << (i - 1)
     return mask
 

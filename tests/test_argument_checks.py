@@ -73,7 +73,7 @@ CASES = [
     ),
     (
         "l1-distance-samples",
-        lambda: l1_distance_mc(np.zeros_like, np.zeros_like, _UNIFORM3, 0, 0),
+        lambda: l1_distance_mc(np.zeros_like, _UNIFORM3, 0, 0),
         ValueError,
         "samples",
     ),

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from covlearn import cli, learners, privacy, regression
-from covlearn.cube import child_seed
+from covlearn.coverage import dense_table, random_coverage
+from covlearn.cube import DistributionSpec, child_rng, child_seed, sample_masks
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.estimation import hoeffding_samples
 from covlearn.cli import (
@@ -485,6 +486,81 @@ class TestWhereChecksEvaluate:
                 with open(os.path.join(out_dir, name), "rb") as a, \
                         open(os.path.join(ref_dir, name), "rb") as b:
                     assert a.read() == b.read()
+
+
+class TestCheckRowsPerSample:
+    """On both sides of the 2^n <= samples rule, each check's row is bit for
+    bit the per-sample formula: the hypothesis and the truth evaluated at
+    the check's drawn masks, then the row's quantity averaged."""
+
+    TARGET = {"max_terms": 4, "max_arity": 2}
+    SEED = 5
+
+    def fitted(self, tmp_path, monkeypatch, verb, cfg):
+        """The report row and the hypothesis or summary trial 0 wrote."""
+        written = []
+        to_json = "hypothesis_to_json" if verb == "learn" else "summary_to_json"
+        real = getattr(cli, to_json)
+        spy = lambda h, **kw: written.append(h) or real(h, **kw)
+        monkeypatch.setattr(cli, to_json, spy)
+        code, out_dir = run(tmp_path, verb, dict(cfg, seed=self.SEED))
+        assert code in (EXIT_PASS, EXIT_CONTRACT)
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        return row, written[0]
+
+    def eval_masks(self, dist, samples):
+        return sample_masks(dist, samples, child_rng(child_seed(self.SEED, 0, 1), 0))
+
+    @pytest.mark.parametrize("samples", [20, 2000])
+    @pytest.mark.parametrize(
+        "learner,n,params,dist",
+        [
+            ("pac", 6, {"epsilon": 0.3}, None),
+            ("proper", 5, {"epsilon": 0.4, "size_bound": 3}, None),
+            ("agnostic", 5, {"epsilon": 0.5},
+             {"variant": "product", "biases": [0.2, 0.5, 0.7, 0.4, 0.9]}),
+        ],
+    )
+    def test_l1_row(self, tmp_path, monkeypatch, learner, n, params, dist, samples):
+        cfg = {"learner": learner, "n": n, "eval_samples": samples,
+               "target": self.TARGET, "params": params}
+        if dist is not None:
+            cfg["distribution"] = dist
+        row, h = self.fitted(tmp_path, monkeypatch, "learn", cfg)
+        target = random_coverage(n, 4, 2, child_seed(self.SEED, 0, 0))
+        law = cli._dist_from_json(dist) if dist else DistributionSpec.uniform(n)
+        masks = self.eval_masks(law, samples)
+        truth = target.eval_masks(masks) if dist else dense_table(target)[masks]
+        gaps = np.abs(h.eval_masks(masks) - truth)
+        assert row["l1_error"] == float(gaps.sum()) / samples
+
+    @pytest.mark.parametrize("samples", [50, 2000])
+    def test_pmac_row(self, tmp_path, monkeypatch, samples):
+        cfg = {"learner": "pmac", "n": 6, "eval_samples": samples,
+               "target": self.TARGET, "params": {"gamma": 0.5, "delta": 0.2}}
+        row, h = self.fitted(tmp_path, monkeypatch, "learn", cfg)
+        target = random_coverage(6, 4, 2, child_seed(self.SEED, 0, 0))
+        masks = self.eval_masks(DistributionSpec.uniform(6), samples)
+        hv, cv = h.eval_masks(masks), dense_table(target)[masks]
+        within = (hv <= cv + 1e-9) & (cv <= 1.5 * hv + 1e-9)
+        assert row["mult_fraction"] == float(within.mean())
+        assert row["l1_error"] == float(np.abs(hv - cv).mean())
+
+    @pytest.mark.parametrize("queries", [10, 500])
+    def test_release_row(self, tmp_path, monkeypatch, queries):
+        cfg = {"release": "k-way", "k": 2, "alpha_bar": 0.5, "epsilon": 1.0,
+               "delta": 0.1, "eval_queries": queries,
+               "dataset": {"n": 4, "gate_factor": 2}}
+        tables = []
+        real = cli.all_conjunction_answers
+        spy = lambda d: tables.append(real(d)) or tables[0]
+        monkeypatch.setattr(cli, "all_conjunction_answers", spy)
+        row, summary = self.fitted(tmp_path, monkeypatch, "release", cfg)
+        truth_table = tables[0]
+        rng = child_rng(self.SEED, 0, 2)
+        masks = sample_masks(DistributionSpec.layer(4, 2), queries, rng)
+        errors = np.abs(summary.answer_masks(masks) - truth_table[masks])
+        assert row["avg_error"] == float(errors.mean())
 
 
 class TestSampleCount:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import signal
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlearn.cli import main as cli_main
 from covlearn.coverage import (
+    WHT_BLOCK,
     CoverageFunction,
     average_project,
     dense_table,
@@ -165,6 +168,13 @@ class TestWalshHadamard:
         assert out.tobytes() == values.tobytes()
         assert not np.shares_memory(out, values)
 
+    @pytest.mark.parametrize("n", [13, 14, 15, 20])
+    def test_bits_equal_on_both_sides_of_the_block(self, n):
+        assert WHT_BLOCK == 1 << 14
+        rng = np.random.default_rng(n)
+        values = rng.random(1 << n) * 10.0 ** rng.integers(-3, 16, 1 << n)
+        assert_same_bits_as_reference(values)
+
     def test_integer_input_transforms_as_float64(self):
         values = np.arange(-8, 24, 2)
         before = values.tobytes()
@@ -258,20 +268,37 @@ def peak_traced_bytes(call):
         tracemalloc.stop()
 
 
+SCRATCH_BYTES = 8 * WHT_BLOCK
+
+
 class TestTransformAllocations:
-    @pytest.mark.parametrize("n", [15, 16])
-    def test_transform_allocates_at_most_two_tables(self, n):
+    @pytest.mark.parametrize("n", [8, 14, 15, 16, 20])
+    def test_transform_allocates_one_table_and_the_scratch(self, n):
         values = np.random.default_rng(n).random(1 << n)
         peak = peak_traced_bytes(lambda: walsh_hadamard(values))
-        assert peak <= 2 * values.nbytes + 4096
+        assert peak <= values.nbytes + min(values.nbytes, SCRATCH_BYTES) + 4096
 
-    def test_spectrum_allocates_at_most_three_tables(self):
-        # the product weights * labels and the transform's two buffers
+    def test_spectrum_allocates_two_tables_and_the_scratch(self):
+        # the product weights * labels and the transform's result
         rng = np.random.default_rng(16)
         counts = rng.multinomial(10**6, np.full(1 << 16, 2.0**-16)).astype(float)
         labels = rng.random(1 << 16)
         peak = peak_traced_bytes(lambda: spectrum_from_counts(counts, labels))
-        assert peak <= 3 * counts.nbytes + 4096
+        assert peak <= 2 * counts.nbytes + SCRATCH_BYTES + 4096
+
+    def test_one_pac_trial_holds_four_tables(self, tmp_path):
+        # the target's table, the drawn counts, their product with the
+        # labels and the transform's result, plus the scratch and the
+        # check's sample arrays, under a tenth of a table at n = 18
+        n = 18
+        cfg = {"learner": "pac", "n": n, "seed": 4, "trials": 1,
+               "target": {"max_terms": 50, "max_arity": 8},
+               "params": {"epsilon": 0.4}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["learn", "--config", str(path), "--out", str(tmp_path)]
+        peak = peak_traced_bytes(lambda: cli_main(argv))
+        assert peak <= 4.1 * (8 << n)
 
 
 class TestExactFourier:
@@ -426,20 +453,18 @@ class TestL1DistanceMC:
     def test_identical_functions(self):
         c = random_coverage(5, 4, 3, 0)
         d = DistributionSpec.uniform(5)
-        est, hw = l1_distance_mc(c.eval_masks, c.eval_masks, d, 1000, 0)
+        gap = lambda m: np.abs(c.eval_masks(m) - c.eval_masks(m))
+        est, hw = l1_distance_mc(gap, d, 1000, 0)
         assert est == 0.0
         assert hw == pytest.approx(math.sqrt(math.log(2 / 0.05) * 2 / 1000))
 
     def test_constant_gap(self):
         d = DistributionSpec.uniform(4)
-        one = lambda m: np.ones(len(m))
-        zero = lambda m: np.zeros(len(m))
-        est, _ = l1_distance_mc(one, zero, d, 500, 1)
+        est, _ = l1_distance_mc(lambda m: np.ones(len(m)), d, 500, 1)
         assert est == 1.0
 
     def test_half_gap(self):
         c = CoverageFunction(4, 0.0, {1: 1.0})
-        zero = lambda m: np.zeros(len(m))
         d = DistributionSpec.uniform(4)
-        est, hw = l1_distance_mc(c.eval_masks, zero, d, 50_000, 2)
+        est, hw = l1_distance_mc(c.eval_masks, d, 50_000, 2)
         assert abs(est - 0.5) < hw

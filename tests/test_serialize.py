@@ -208,6 +208,32 @@ class TestPmacJson:
             pmac_from_json(obj)
 
 
+class TestRepeatedIndex:
+    """An index given twice within one set is refused, naming the set, in
+    every reader of 1-based sets; no writer produces one."""
+
+    def test_coverage_term(self):
+        obj = {"n": 3, "affine": 0.0, "terms": [{"set": [1, 1], "weight": 0.5}]}
+        with pytest.raises(ValueError, match=r"set \[1, 1\] repeats index 1"):
+            coverage_from_json(obj)
+
+    @pytest.mark.parametrize("basis", ["parity", "layered_parity"])
+    def test_coefficient_row(self, basis):
+        rows = [{"set": [3, 2, 3], "value": 0.5}]
+        obj = {"type": "polynomial", "n": 3, "basis": basis}
+        obj.update({"coeffs": rows} if basis == "parity" else {"layers": {"2": rows}})
+        with pytest.raises(ValueError, match=r"set \[3, 2, 3\] repeats index 3"):
+            polynomial_from_json(obj)
+
+    def test_pmac_leaf(self):
+        poly = {"type": "polynomial", "n": 4, "basis": "parity",
+                "coeffs": [{"set": [2, 2], "value": 0.25}]}
+        leaf = {"type": "leaf", "poly": poly, "m_tilde": 1.0, "shift": 0.0}
+        root = {"type": "node", "var": 1, "minus": leaf, "plus": {"type": "zero"}}
+        with pytest.raises(ValueError, match=r"set \[2, 2\] repeats index 2"):
+            pmac_from_json({"type": "pmac", "n": 4, "root": root})
+
+
 class TestLearnedRoundTrip:
     """A hypothesis file holds json.dump's text, and the hypothesis read
     back from it evaluates bit for bit like the learned one, although the
