@@ -107,9 +107,10 @@ def eval_coverage(c: CoverageFunction, x: Point) -> float:
     return v
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """In-order Walsh-Hadamard transform of a length-2^n array, as a new
-    float64 array; values is left unchanged.
+def walsh_hadamard(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """In-order Walsh-Hadamard transform of a length-2^n array, or of the
+    product values * weights when weights is given, as a new float64 array;
+    the inputs are left unchanged.
 
     Index bit i of a table position corresponds to coordinate i being -1,
     matching the mask encoding.  Output[t] = sum_x values[x]*chi_t(x); divide
@@ -122,26 +123,33 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     their sums to the first half and their differences to the second half
     of another, which rotates the block index right by one bit, so after
     all the block's levels the rotation is the identity.  The first level
-    reads values and the later ones alternate between the scratch and the
-    block's slice of the result, the last landing in the result.  The
-    levels of the high bits then pair whole blocks, in place on the result
-    through the scratch.
+    reads the values and the later ones alternate between the scratch and
+    the block's slice of the result, the last landing in the result.  With
+    weights, the block's product is formed first in whichever of the two
+    the first level does not write, so the product takes no memory of its
+    own.  The levels of the high bits then pair whole blocks, in place on
+    the result through the scratch.
     Each butterfly computes x0 + x1 and x0 - x1 on the same operands as the
     in-order, level-by-level form, in the same level order, so the output is
-    bit-for-bit the same as that form's.
+    bit-for-bit the same as that form's of the product.
     """
     values = np.asarray(values, dtype=np.float64)
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError("length must be a power of two")
+    if weights is not None and np.shape(weights) != values.shape:
+        raise ValueError("weights must match values in length")
     out = np.empty(size)
     block = min(size, WHT_BLOCK)
     scratch = np.empty(block)
     half, levels = block // 2, block.bit_length() - 1
-    if levels == 0:
-        out[:] = values
     for start in range(0, size, block):
         src = values[start : start + block]
+        if weights is not None:
+            spare = out[start : start + block] if levels % 2 == 0 else scratch
+            src = np.multiply(src, weights[start : start + block], out=spare)
+        if levels == 0:
+            out[:] = src
         for level in range(levels):
             dst = scratch if (levels - level) % 2 == 0 else out[start : start + block]
             np.add(src[0::2], src[1::2], out=dst[:half])
@@ -161,11 +169,16 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 
 
 def dense_table(c: CoverageFunction) -> np.ndarray:
-    """Evaluations on all 2^n points, indexed by point mask."""
+    """Evaluations on all 2^n points, indexed by point mask, computed
+    WHT_BLOCK points at a time, so the masks and the evaluation's
+    temporaries take a few blocks, not tables."""
     if c.n > MAX_DENSE_N:
         raise ValueError(f"dense table needs n <= {MAX_DENSE_N}")
-    masks = np.arange(1 << c.n, dtype=np.uint64)
-    return c.eval_masks(masks)
+    table = np.empty(1 << c.n)
+    for start in range(0, len(table), WHT_BLOCK):
+        masks = np.arange(start, min(start + WHT_BLOCK, len(table)), dtype=np.uint64)
+        table[start : start + len(masks)] = c.eval_masks(masks)
+    return table
 
 
 def exact_fourier(c: CoverageFunction, method: str = "analytic") -> FourierTable:

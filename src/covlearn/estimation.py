@@ -106,15 +106,16 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     weights[x] is how many sample points landed on point mask x (any
     non-negative reals); labels[x] is the label shared by that cell.  The
     result equals estimate_coefficient for every t simultaneously, via one
-    Walsh-Hadamard transform of the product weights * labels, divided in
-    place by the total weight: the product and the transform's result are
-    the tables the call allocates, besides the transform's scratch block of
-    at most WHT_BLOCK cells, and the result is returned.
+    Walsh-Hadamard transform of the product labels * weights, divided in
+    place by the total weight.  The transform forms the product one block
+    at a time, so its result is the one table the call allocates, besides
+    the transform's scratch block of at most WHT_BLOCK cells, and the
+    result is returned.
     """
     total = float(weights.sum())
     if total <= 0:
         raise ValueError("weights must have positive total")
-    spectrum = walsh_hadamard(weights * labels)
+    spectrum = walsh_hadamard(labels, weights)
     spectrum /= total
     return spectrum
 

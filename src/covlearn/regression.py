@@ -1,4 +1,5 @@
-"""Least-absolute-error linear regression, solved as a linear program.
+"""Least-absolute-error linear regression, certified at its rows' weighted
+medians or solved as a linear program.
 
 minimize (1/m) sum_i |sum_j beta_j phi_j(x_i) - y_i|
 
@@ -22,13 +23,18 @@ breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
 example, and the primal-dual gap is in units of the sum of |r_i|.
 
-An unconstrained fit whose distinct design rows are linearly independent
-needs no LP, the trivial basic case of Barrodale and Roberts: every row can
-take any value, so each takes the weighted median of its targets, and beta
-solves Phi beta = medians on a basis of Phi's columns.  The sum of the
-rows' least losses bounds every beta's loss from below, which certifies the
-fit as the LP's gap certifies an LP solution.  Any other problem, and one
-whose design is ill-conditioned or whose certificate fails, goes to the LP.
+Every fit first tries the rows' weighted medians, the LP's optimum when
+the labels are realizable (Barrodale and Roberts): each distinct row takes
+the weighted median of its targets, and the sum of the rows' least losses
+bounds every beta's loss from below, under either constraint.  beta comes
+from a basis of Phi's columns when the fit is unconstrained and the
+distinct rows are no more than the columns (the trivial basic case), and
+otherwise from least squares on the distinct rows, solved so that its bits
+do not depend on BLAS's thread count.  A simplex-like fit must also be
+feasible.  A beta whose loss reaches the bound is optimal, certified as the
+LP's gap certifies an LP solution.  A problem whose design is
+ill-conditioned, or whose medians no feasible beta reaches, as noisy labels
+give, goes to the LP.
 
 The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
 through the binding that scipy's linprog wraps, with linprog's options and
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -275,24 +282,11 @@ def _basis(phi: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _median_fit(
-    p: L1Problem, rows, low, weight, seg_row, width, slope
-) -> L1Solution | None:
-    """The l1 fit of an unconstrained problem whose distinct design rows
-    are independent, or None when they are not, when the condition number
-    of the rows, or of the basis beta is solved on, exceeds MEDIAN_COND_CAP
-    (the first bounded from below by R's diagonal), or when the
-    certificate fails.
-
-    Each row takes the weighted median of its targets: its smallest target
-    plus the width of each gap whose slope is negative.  Where the weight
-    splits evenly (a gap of slope 0) the median is the lower end of that
-    gap.  beta solves rows @ beta = medians on the columns _basis picks
-    and is 0 on the others.  A row's loss is at least the sum over its gaps
-    of width * min(count below, count above) = width * (W - |slope|) / 2
-    whatever beta is, so the sum of those bounds the optimum from below; the
-    gap is the loss of beta, recomputed over the examples, less that bound.
-    """
+def _basis_solve(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
+    """beta with rows @ beta = fit, for independent rows no more than the
+    columns: solved on the columns _basis picks and 0 on the others.  None
+    when the condition number of the rows, or of that basis, exceeds
+    MEDIAN_COND_CAP (the first bounded from below by R's diagonal)."""
     # rows.T = QR: R's diagonal holds each row's distance from the span of
     # the rows before it, and cond(rows) >= max / min of it, so a quick
     # test refuses a design with dependent rows before any elimination
@@ -302,9 +296,99 @@ def _median_fit(
     basis = _basis(rows)
     if not np.linalg.cond(rows[:, basis]) <= MEDIAN_COND_CAP:
         return None
-    fit = low + np.bincount(seg_row, width * (slope < 0), minlength=len(low))
     beta = np.zeros(rows.shape[1])
     beta[basis] = np.linalg.solve(rows[:, basis], fit)
+    return beta
+
+
+def _inverse_factor(gram: np.ndarray) -> np.ndarray | None:
+    """C with C.T @ C the inverse of a symmetric positive definite gram:
+    with gram = U.T @ U, U upper triangular, C = U^-T, from Cholesky
+    elimination on [gram | I], one pivot row at a time; None when a pivot
+    is not positive.  Only numpy's elementwise operations touch the
+    factor, so C's bits do not depend on how many threads BLAS runs."""
+    k = len(gram)
+    a = np.hstack([gram, np.eye(k)])
+    for j in range(k):
+        row = a[j, j:]  # becomes row j of U, then of C
+        if not row[0] > 0:
+            return None
+        row /= math.sqrt(row[0])
+        tail = row[1:]
+        a[j + 1 :, j + 1 :] -= tail[: k - j - 1, None] * tail
+    return a[:, k:]
+
+
+def _least_squares(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
+    """The least-squares solution of rows @ beta = fit, of least norm when
+    the rows are fewer than the columns, from the Gram matrix of the normal
+    equations and one step of iterative refinement on the residual of the
+    rows; None when the Gram matrix's condition number, the ratio of its
+    extreme eigenvalues, exceeds MEDIAN_COND_CAP.  The Gram matrix is one
+    BLAS product, each of whose entries one thread sums, and the other
+    products are numpy's einsum loops, so beta's bits do not depend on the
+    thread count."""
+    tall = len(rows) >= rows.shape[1]
+    gram = rows.T @ rows if tall else rows @ rows.T
+    eig = np.linalg.eigvalsh(gram)
+    if not (eig[0] > 0 and eig[-1] <= MEDIAN_COND_CAP * eig[0]):
+        return None
+    c = _inverse_factor(gram)
+    if c is None:
+        return None
+
+    def step(r):  # the least-squares, least-norm beta of rows @ beta = r
+        if tall:
+            r = np.einsum("ij,i->j", rows, r)
+        z = np.einsum("ij,i->j", c, np.einsum("ij,j->i", c, r))
+        return z if tall else np.einsum("ij,i->j", rows, z)
+
+    beta = step(fit)
+    return beta + step(fit - np.einsum("ij,j->i", rows, beta))
+
+
+def _snap_to_simplex(beta: np.ndarray) -> np.ndarray | None:
+    """beta clipped at 0 and, when that sums to more than 1 but at most
+    1 + CONSTRAINT_TOL, scaled to sum 1, so that beta >= 0 and sum(beta) <= 1
+    hold exactly; None when the clipped sum is above 1 + CONSTRAINT_TOL."""
+    beta = np.clip(beta, 0.0, None)
+    total = beta.sum()
+    if total > 1.0 + CONSTRAINT_TOL:
+        return None
+    return beta / total if total > 1.0 else beta
+
+
+def _median_fit(
+    p: L1Problem, rows, low, weight, seg_row, width, slope
+) -> L1Solution | None:
+    """The l1 fit that puts every distinct design row at the weighted
+    median of its targets, certified optimal, or None when no feasible beta
+    found here reaches the medians.
+
+    A row's median is its smallest target plus the width of each gap whose
+    slope is negative; where the weight splits evenly (a gap of slope 0) it
+    is the lower end of that gap.  An unconstrained problem with no more
+    distinct rows than columns takes beta from _basis_solve; any other takes
+    the least-squares solution on the distinct rows.  Either declines an
+    ill-conditioned design.  Under SIMPLEX_LIKE, beta must be at least
+    -FEASIBILITY_TOL everywhere and is then snapped as the LP's is.
+
+    A row's loss is at least the sum over its gaps of width * min(count
+    below, count above) = width * (W - |slope|) / 2 whatever beta is, so the
+    sum of those bounds the optimum from below under either constraint.  The
+    gap is the loss of the final beta, recomputed over the examples, less
+    that bound, and a gap above OPT_TOL per example declines the fit: beta
+    missed a median, as when the medians are not interpolable.
+    """
+    fit = low + np.bincount(seg_row, width * (slope < 0), minlength=len(low))
+    if p.constraint == UNCONSTRAINED and len(rows) <= rows.shape[1]:
+        beta = _basis_solve(rows, fit)
+    else:
+        beta = _least_squares(rows, fit)
+    if beta is not None and p.constraint == SIMPLEX_LIKE:
+        beta = _snap_to_simplex(beta) if beta.min() >= -FEASIBILITY_TOL else None
+    if beta is None:
+        return None
     residual = np.abs((p.points @ beta)[p.rows] - p.targets)
     bound = float(width @ (weight[seg_row] - np.abs(slope))) / 2
     gap = abs(float(residual.sum()) - bound)
@@ -314,13 +398,15 @@ def _median_fit(
 
 
 def solve_l1(p: L1Problem) -> L1Solution:
-    """Solve the LP with HiGHS, or without it where _median_fit applies;
-    the reported objective is within 1e-7 of the optimum, certified by the
-    primal-dual gap or by _median_fit's lower bound.
+    """Solve the l1 fit by the rows' weighted medians (_median_fit) or,
+    when that declines, by the LP with HiGHS; the reported objective is
+    within 1e-7 of the optimum, certified by _median_fit's lower bound or by
+    the primal-dual gap.
 
-    The median fit is tried on an unconstrained problem with no more
-    distinct design rows than columns; it never raises LPNotOptimal, and
-    when it declines the LP below solves the problem.
+    The median fit is tried first on every problem, under either constraint
+    and for any shape; it never raises LPNotOptimal, and when no feasible
+    beta it finds reaches the medians' bound, the LP below solves the
+    problem.
 
     The LP has one equality row per distinct design row.  A design row with
     sorted distinct targets y_1 < ... < y_M, each the target of w_j examples,
@@ -338,11 +424,10 @@ def solve_l1(p: L1Problem) -> L1Solution:
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
         p.points, p.rows, p.targets
     )
+    fit = _median_fit(p, rows, low, weight, seg_row, width, slope)
+    if fit is not None:
+        return fit
     m, k = rows.shape
-    if p.constraint == UNCONSTRAINED and m <= k:
-        fit = _median_fit(p, rows, low, weight, seg_row, width, slope)
-        if fit is not None:
-            return fit
     s = len(seg_row)
     cols = k + 2 * m + s
     simplex = p.constraint == SIMPLEX_LIKE
@@ -400,12 +485,9 @@ def solve_l1(p: L1Problem) -> L1Solution:
     beta = run.col_value[:k]
     if simplex:
         # snap solver-level noise so downstream invariants hold exactly
-        beta = np.clip(beta, 0.0, None)
-        total = beta.sum()
-        if total > 1.0:
-            if total > 1.0 + CONSTRAINT_TOL:
-                raise RuntimeError("LP violated the simplex constraint")
-            beta = beta / total
+        beta = _snap_to_simplex(beta)
+        if beta is None:
+            raise RuntimeError("LP violated the simplex constraint")
     objective = float(np.abs((p.points @ beta)[p.rows] - p.targets).mean())
 
     dual = float(low @ run.row_dual[lead:])

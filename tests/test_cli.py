@@ -1544,18 +1544,21 @@ class TestLpNotOptimal:
         [
             (
                 "learn",
+                # noisy labels leave no beta at the rows' medians, so the
+                # fit reaches HiGHS
                 {
-                    "learner": "proper",
+                    "learner": "proper-agnostic",
                     "n": 5,
                     "eval_samples": 1000,
                     "target": {"max_terms": 2, "max_arity": 2},
-                    "params": {"epsilon": 0.4, "size_bound": 2},
+                    "params": {"epsilon": 0.6, "kappa": 0.3, "noise_scale": 0.1},
                 },
                 "hypothesis_000.json",
             ),
             (
-                # the synthetic release's fit is simplex-constrained, so it
-                # reaches HiGHS; the k-way release's fit takes no LP
+                # at n=5 the synthetic release's private answers leave no
+                # feasible beta at the medians, so its fit reaches HiGHS; the
+                # k-way release's fit takes no LP
                 "release",
                 {
                     "release": "synthetic",
@@ -1563,7 +1566,7 @@ class TestLpNotOptimal:
                     "alpha_bar": 0.9,
                     "epsilon": 1.0,
                     "delta": 0.1,
-                    "dataset": {"n": 3, "gate_factor": 2},
+                    "dataset": {"n": 5, "gate_factor": 2},
                 },
                 "summary_000.json",
             ),
@@ -1581,7 +1584,9 @@ class TestLpNotOptimal:
 
         monkeypatch.setattr(regression, "_run_highs", stopped)
         with pytest.raises(LPNotOptimal, match="Iteration limit reached"):
-            solve_l1(L1Problem(np.ones((2, 1)), np.array([0.25, 0.5]), SIMPLEX_LIKE))
+            # two points whose labels no beta fits
+            solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.25]),
+                               SIMPLEX_LIKE))
         code, out_dir = run(tmp_path, verb, dict(cfg, seed=1, trials=1))
         assert code == EXIT_CONTRACT
         (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]

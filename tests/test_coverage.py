@@ -162,6 +162,21 @@ class TestWalshHadamard:
         rng = np.random.default_rng(n)
         assert_same_bits_as_reference(rng.uniform(-1e3, 1e3, 1 << n))
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 14, 15, 17])
+    def test_weighted_bits_equal_the_transform_of_the_product(self, n):
+        # float and integer weights, on both sides of the block size
+        rng = np.random.default_rng(n)
+        values = rng.uniform(-1e3, 1e3, 1 << n)
+        for weights in (rng.random(1 << n), rng.integers(0, 10**6, 1 << n)):
+            before = values.tobytes(), weights.tobytes()
+            out = walsh_hadamard(values, weights)
+            assert out.tobytes() == reference_wht(weights * values).tobytes()
+            assert (values.tobytes(), weights.tobytes()) == before
+
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(ValueError):
+            walsh_hadamard(np.zeros(4), np.ones(2))
+
     def test_size_one_is_a_new_array(self):
         values = np.array([-2.5])
         out = walsh_hadamard(values)
@@ -278,6 +293,14 @@ class TestTransformAllocations:
         peak = peak_traced_bytes(lambda: walsh_hadamard(values))
         assert peak <= values.nbytes + min(values.nbytes, SCRATCH_BYTES) + 4096
 
+    @pytest.mark.parametrize("n", [8, 14, 16])
+    def test_weighted_transform_allocates_one_table_and_the_scratch(self, n):
+        # the product of values and weights takes no memory of its own
+        rng = np.random.default_rng(n)
+        values, weights = rng.random(1 << n), rng.random(1 << n)
+        peak = peak_traced_bytes(lambda: walsh_hadamard(values, weights))
+        assert peak <= values.nbytes + min(values.nbytes, SCRATCH_BYTES) + 4096
+
     def test_spectrum_allocates_two_tables_and_the_scratch(self):
         # the product weights * labels and the transform's result
         rng = np.random.default_rng(16)
@@ -286,10 +309,10 @@ class TestTransformAllocations:
         peak = peak_traced_bytes(lambda: spectrum_from_counts(counts, labels))
         assert peak <= 2 * counts.nbytes + SCRATCH_BYTES + 4096
 
-    def test_one_pac_trial_holds_four_tables(self, tmp_path):
-        # the target's table, the drawn counts, their product with the
-        # labels and the transform's result, plus the scratch and the
-        # check's sample arrays, under a tenth of a table at n = 18
+    def test_one_pac_trial_holds_three_tables(self, tmp_path):
+        # the target's table, the drawn counts and the transform's result,
+        # plus the scratch and the check's sample arrays, under a tenth of a
+        # table at n = 18; the counts' product with the labels takes none
         n = 18
         cfg = {"learner": "pac", "n": n, "seed": 4, "trials": 1,
                "target": {"max_terms": 50, "max_arity": 8},
@@ -298,7 +321,7 @@ class TestTransformAllocations:
         path.write_text(json.dumps(cfg))
         argv = ["learn", "--config", str(path), "--out", str(tmp_path)]
         peak = peak_traced_bytes(lambda: cli_main(argv))
-        assert peak <= 4.1 * (8 << n)
+        assert peak <= 3.1 * (8 << n)
 
 
 class TestExactFourier:

@@ -291,3 +291,36 @@ def test_no_verb_imports_a_module(tmp_path):
         if modules:
             gained[name] = modules
     assert not gained
+
+
+# an exact agnostic fit whose design, 4,096 distinct points by 299 parities,
+# is large enough for BLAS to split its products between threads
+_AGNOSTIC_N12 = ("learn", {"learner": "agnostic", "n": 12, "trials": 1,
+                           "target": {"max_terms": 8, "max_arity": 3},
+                           "params": {"epsilon": 0.5}})
+
+
+@pytest.mark.parametrize("name", ["learn-proper", "learn-agnostic-n12"])
+def test_blas_threads_leave_the_hypotheses_unchanged(tmp_path, name):
+    """The median fit solves least squares with BLAS: a proper and an
+    agnostic fit write the same hypotheses, byte for byte, under one
+    OpenBLAS thread as under two."""
+    src = os.path.dirname(os.path.dirname(cube.__file__))
+    verb, cfg = dict(matrix(tmp_path), **{"learn-agnostic-n12": _AGNOSTIC_N12})[name]
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    written = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        argv = [verb, "--config", str(cfg_path), "--seed", str(SEEDS[0]),
+                "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, *argv], capture_output=True,
+            text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hypotheses = sorted(out.glob("hypothesis_*.json"))
+        assert hypotheses
+        written.add(tuple((p.name, p.read_bytes()) for p in hypotheses))
+    assert len(written) == 1

@@ -812,7 +812,9 @@ class TestAgnostic:
 
     def test_design_has_one_row_per_distinct_point(self, monkeypatch):
         # 617,600 examples of 386 features on 2^10 points: a dense design
-        # would take about 1.9 GB
+        # would take about 1.9 GB.  The target's terms of arity 7 and 4 are
+        # outside the degree-4 parities, so no beta fits the labels and
+        # the fit reaches HiGHS
         solved, solve = [], learners.solve_l1
 
         def spy(problem):
@@ -820,7 +822,7 @@ class TestAgnostic:
             return solve(problem)
 
         monkeypatch.setattr(learners, "solve_l1", spy)
-        c = random_coverage(10, 3, 2, 5)
+        c = random_coverage(10, 3, 8, 6)
         d = DistributionSpec.uniform(10)
         with mock.patch.object(
             regression, "_run_highs", wraps=regression._run_highs

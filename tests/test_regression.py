@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from covlearn import regression
-from covlearn.coverage import random_coverage
+from covlearn.coverage import DistributionSpec, dense_table, random_coverage
 from covlearn.cube import child_rng, eval_disjunction_batch
+from covlearn.learners import UniformTableOracle, agnostic_learn, proper_pac_learn
 from covlearn.regression import (
     SIMPLEX_LIKE,
     UNCONSTRAINED,
@@ -224,14 +225,13 @@ class TestGrouping:
         assert got[2].tolist() == [3.0, 2.0, 1.0]
 
 
-def reach_highs(points, rows, targets, constraint):
-    """Under UNCONSTRAINED, the problem with k + 1 more examples, each on a
-    point of its own whose design row, constant at 3 or more, no drawn point
-    has: its distinct design rows outnumber its columns, so solve_l1 hands
-    it to HiGHS, not to the median fit.  Under SIMPLEX_LIKE, the problem as
-    it is.  Returns (points, rows, targets)."""
-    if constraint != UNCONSTRAINED:
-        return points, rows, targets
+def reach_highs(points, rows, targets):
+    """The problem with k + 1 more examples, each on a point of its own
+    whose design row, constant at 3 or more, no drawn point has, and each
+    with target 0.5.  No beta fits two of those rows, so the rows' medians
+    are not interpolable under either constraint: the median fit declines
+    and solve_l1 hands the problem to HiGHS.  Returns (points, rows,
+    targets)."""
     k = points.shape[1]
     extra = np.repeat(np.arange(3.0, k + 4.0)[:, None], k, axis=1)
     return (
@@ -241,10 +241,10 @@ def reach_highs(points, rows, targets, constraint):
     )
 
 
-def reach_highs_dense(design, targets, constraint):
+def reach_highs_dense(design, targets):
     """reach_highs for a problem with one design row per example."""
     rows = np.arange(len(design))
-    design, _, targets = reach_highs(design, rows, targets, constraint)
+    design, _, targets = reach_highs(design, rows, targets)
     return design, targets
 
 
@@ -286,11 +286,12 @@ class TestLpAssembly:
         segments=st.booleans(),
     )
     def test_csc_arrays_equal_the_block_build(self, problem, constraint, segments):
-        points, rows, targets = reach_highs(*problem, constraint)
+        points, rows, targets = problem
         if segments:  # example 0's point once more, with a target of its own
             rows, targets = np.r_[rows, rows[0]], np.r_[targets, targets[0] + 0.125]
         else:  # targets a function of the design row: no segment column
             targets = np.abs(points[rows]).sum(axis=1) / 4
+        points, rows, targets = reach_highs(points, rows, targets)
         p = L1Problem(points * 0.75, targets, constraint, rows)
         with highs_spy() as spy:
             solve_l1(p)
@@ -313,7 +314,7 @@ class TestDistinctPoints:
         constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]),
     )
     def test_indexed_problem_hands_highs_the_dense_lp(self, problem, constraint):
-        points, rows, targets = reach_highs(*problem, constraint)
+        points, rows, targets = reach_highs(*problem)
         indexed = L1Problem(points, targets, constraint, rows)
         dense = L1Problem(points[rows], targets, constraint)
         assert lp_arguments(indexed) == lp_arguments(dense)
@@ -369,7 +370,7 @@ class TestLabelSegments:
     @settings(max_examples=60, deadline=None)
     @given(problem=noisy_labels(), constraint=st.sampled_from([UNCONSTRAINED, SIMPLEX_LIKE]))
     def test_one_lp_row_per_design_row(self, problem, constraint):
-        design, targets = reach_highs_dense(*problem, constraint)
+        design, targets = reach_highs_dense(*problem)
         with highs_spy() as spy:
             s = solve_l1(L1Problem(design, targets, constraint))
         assert equality_rows(spy.call_args.args[0]) == len(np.unique(design, axis=0))
@@ -485,13 +486,15 @@ class TestInvariants:
 
 @pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
 def test_interior_point_above_row_threshold(constraint):
-    # distinct rows past the threshold, with targets in the span of the
-    # columns, so the fit is exact and its coefficients are known
+    # distinct rows past the threshold: all but reach_highs' four have
+    # targets in the span of the columns, and so many rows fitted exactly
+    # outweigh the four, so beta is known
     rng = child_rng(4, 0)
-    design = rng.random((regression.IPM_ROW_THRESHOLD + 1, 3))
+    design = rng.random((regression.IPM_ROW_THRESHOLD - 3, 3))
     beta = np.array([0.2, 0.3, 0.1])
+    design, targets = reach_highs_dense(design, design @ beta)
     with highs_spy() as spy:
-        s = solve_l1(L1Problem(design, design @ beta, constraint))
+        s = solve_l1(L1Problem(design, targets, constraint))
     lp, options, _ = spy.call_args.args
     assert equality_rows(lp) == regression.IPM_ROW_THRESHOLD + 1
     assert options["solver"] == "ipm"
@@ -562,13 +565,13 @@ class TestAgainstLinprog:
     @settings(max_examples=150, deadline=None)
     @given(problem=pooled_examples(), constraint=CONSTRAINTS)
     def test_pooled_examples(self, problem, constraint):
-        points, rows, targets = reach_highs(*problem, constraint)
+        points, rows, targets = reach_highs(*problem)
         self.check(L1Problem(points, targets, constraint, rows))
 
     @settings(max_examples=60, deadline=None)
     @given(problem=noisy_labels(), constraint=CONSTRAINTS)
     def test_noisy_labels(self, problem, constraint):
-        design, targets = reach_highs_dense(*problem, constraint)
+        design, targets = reach_highs_dense(*problem)
         self.check(L1Problem(design, targets, constraint))
 
     def test_interior_point_above_row_threshold(self):
@@ -581,11 +584,14 @@ class TestAgainstLinprog:
         # simplex, no output; each one a valid HiGHS option
         expected = {"presolve": "on", "simplex_strategy": 1, "output_flag": False,
                     "log_to_console": False, "highs_debug_level": 0}
+        points = np.array([[1.0], [2.0]])
+        plain = reach_highs(points, np.arange(2), np.array([0.25, 0.5]))
+        # two points, the first with two targets
+        segmented = reach_highs(points, np.array([0, 0, 1]),
+                                np.array([0.25, 0.5, 0.5]))
         with highs_spy() as spy:
-            solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.5])))
-            rows = np.array([0, 0, 1])  # two points, the first with two targets
-            solve_l1(L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 0.5, 0.5]),
-                               rows=rows))
+            for points, rows, targets in (plain, segmented):
+                solve_l1(L1Problem(points, targets, rows=rows))
         (_, plain, none), (_, segmented, one) = (c.args for c in spy.call_args_list)
         assert (plain, none) == (expected, 0)
         assert (segmented, one) == (dict(expected, presolve="off"), 1)
@@ -695,8 +701,9 @@ def independent_rows(draw):
 
 class TestMedianFit:
     """An unconstrained problem whose distinct design rows are independent
-    is fitted by per-row weighted medians, with no HiGHS call; every other
-    problem goes to HiGHS."""
+    is fitted by per-row weighted medians on a basis, with no HiGHS call;
+    one with dependent or ill-conditioned rows goes to HiGHS, as does a
+    tall or simplex problem whose medians no feasible beta reaches."""
 
     @settings(max_examples=200, deadline=None)
     @given(problem=independent_rows())
@@ -811,8 +818,127 @@ class TestMedianFit:
 
     @pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
     def test_more_rows_than_columns_or_simplex_go_to_highs(self, constraint):
-        points = np.eye(2) if constraint == SIMPLEX_LIKE else np.ones((3, 2)).cumsum(0)
-        p = L1Problem(points, np.full(len(points), 0.25), constraint)
+        # a tall or simplex problem goes to HiGHS when no feasible beta
+        # puts its rows at their medians: three rows on one line that no
+        # beta fits, or, under SIMPLEX_LIKE, an interpolant that sums to 1.5
+        if constraint == SIMPLEX_LIKE:
+            points, targets = np.eye(2), np.full(2, 0.75)
+        else:
+            points, targets = np.ones((3, 2)).cumsum(0), np.full(3, 0.25)
+        p = L1Problem(points, targets, constraint)
         with highs_spy() as spy:
             solve_l1(p)
         assert spy.call_count == 1
+
+
+@st.composite
+def interpolable(draw):
+    """Distinct integer points labelled by a beta >= 0 with sum(beta) <= 1,
+    so the problem is realizable under either constraint.  Each point's
+    value comes with a count; some points also carry other labels of a
+    smaller total count (segments), which leave the value their median.
+    With noise, some points take a random label instead.  Returns (points,
+    rows, targets, realizable)."""
+    k = draw(st.integers(1, 4))
+    points = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                                    min_size=1, max_size=8, unique_by=tuple)), dtype=float)
+    beta = np.array(draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))) / (8 * k)
+    value = points @ beta
+    noisy = draw(st.booleans())
+    rows, targets = [], []
+    for i, y in enumerate(value):
+        if noisy and draw(st.booleans()):
+            y = draw(st.sampled_from(TARGETS))
+        count = draw(st.integers(1, 4))
+        others = draw(st.lists(st.sampled_from(TARGETS), max_size=count - 1))
+        rows += [i] * (count + len(others))
+        targets += [y] * count + others
+    order = np.array(draw(st.permutations(range(len(rows)))))
+    return points, np.array(rows)[order], np.array(targets)[order], not noisy
+
+
+def median_fit(p):
+    """regression._median_fit(p) on p's grouped examples."""
+    return regression._median_fit(
+        p, *regression._group_by_design_row(p.points, p.rows, p.targets)
+    )
+
+
+class TestMedianRoute:
+    """Under either constraint and for any shape, solve_l1 first tries the
+    weighted medians of the rows: it accepts a fit only when its loss
+    reaches their bound, and HiGHS solves the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        problem=st.one_of(interpolable(), pooled_examples().map(lambda p: (*p, False))),
+        constraint=CONSTRAINTS,
+    )
+    def test_accepted_fit_is_linprogs_optimum(self, problem, constraint):
+        points, rows, targets, realizable = problem
+        p = L1Problem(points, targets, constraint, rows)
+        fit = median_fit(p)
+        if realizable and np.linalg.matrix_rank(points) == points.shape[1]:
+            # a tall design of full rank: least squares finds the labelling beta
+            assert fit is not None
+        if fit is None:
+            return
+        examples = len(targets)
+        assert fit.duality_gap / examples <= regression.OPT_TOL
+        _, ref_objective = reference_l1(p.design, targets, constraint)
+        assert abs(fit.objective - ref_objective) <= fit.duality_gap / examples + 1e-9
+        if constraint == SIMPLEX_LIKE:
+            assert (fit.coefficients >= 0).all() and fit.coefficients.sum() <= 1
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 0
+        assert s.coefficients.tobytes() == fit.coefficients.tobytes()
+
+    @pytest.mark.parametrize("constraint", [UNCONSTRAINED, SIMPLEX_LIKE])
+    def test_declines_labels_no_beta_interpolates(self, constraint):
+        # three points on a line, whose labels are not on one
+        p = L1Problem(np.array([[1.0], [2.0], [3.0]]), np.array([0.25, 0.5, 0.5]),
+                      constraint)
+        assert median_fit(p) is None
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 1
+        assert s.objective == pytest.approx(0.25 / 3, abs=1e-9)  # beta = 0.25
+
+    def test_declines_a_simplex_interpolant_with_a_negative_entry(self):
+        # labels on the line 0.5 - 0.25 x: the unconstrained route fits them
+        # exactly; under SIMPLEX_LIKE that beta is infeasible, so HiGHS runs
+        points = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        targets = np.array([0.5, 0.25, 0.0])
+        free = median_fit(L1Problem(points, targets))
+        assert free.coefficients == pytest.approx([0.5, -0.25], abs=1e-15)
+        assert free.objective <= 1e-15
+        p = L1Problem(points, targets, SIMPLEX_LIKE)
+        assert median_fit(p) is None
+        with highs_spy() as spy:
+            s = solve_l1(p)
+        assert spy.call_count == 1 and s.objective > 0.05
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_inverse_factor_matches_lapack(self, k):
+        rng = child_rng(5, k)
+        rows = rng.standard_normal((2 * k + 3, k))
+        gram = rows.T @ rows
+        c = regression._inverse_factor(gram)
+        assert c.T @ c == pytest.approx(np.linalg.inv(gram), rel=1e-9, abs=1e-12)
+        # a matrix that is not positive definite has a pivot <= 0
+        assert regression._inverse_factor(gram - 2 * np.abs(gram).max() * np.eye(k)) is None
+
+    def test_noiseless_fits_make_no_highs_call(self):
+        # a proper fit at n=8 (the first target of acceptance test 5) and an
+        # agnostic fit at n=12 whose target lies in the degree-3 parities
+        proper = random_coverage(8, 5, 4, 50000)
+        agnostic = random_coverage(12, 8, 3, 7)
+        with highs_spy() as spy:
+            h = proper_pac_learn(UniformTableOracle.from_coverage(proper), 0.3, 5, 0)
+            g = agnostic_learn(UniformTableOracle.from_coverage(agnostic),
+                               DistributionSpec.uniform(12), 0.5, 3)
+        assert spy.call_count == 0
+        assert np.abs(dense_table(h) - dense_table(proper)).mean() <= 0.3
+        masks = np.arange(1 << 12, dtype=np.uint64)
+        assert np.abs(g.eval_masks(masks) - dense_table(agnostic)).mean() <= 1e-12
