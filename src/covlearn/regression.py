@@ -26,15 +26,15 @@ example, and the primal-dual gap is in units of the sum of |r_i|.
 Every fit first tries the rows' weighted medians, the LP's optimum when
 the labels are realizable (Barrodale and Roberts): each distinct row takes
 the weighted median of its targets, and the sum of the rows' least losses
-bounds every beta's loss from below, under either constraint.  beta comes
-from a basis of Phi's columns when the fit is unconstrained and the
-distinct rows are no more than the columns (the trivial basic case), and
-otherwise from least squares on the distinct rows, solved so that its bits
-do not depend on BLAS's thread count.  A simplex-like fit must also be
-feasible.  A beta whose loss reaches the bound is optimal, certified as the
-LP's gap certifies an LP solution.  A problem whose design is
-ill-conditioned, or whose medians no feasible beta reaches, as noisy labels
-give, goes to the LP.
+bounds every beta's loss from below, under either constraint.  beta is
+the least-squares solution on the distinct rows, solved so that its bits
+do not depend on BLAS's thread count, on a basis of Phi's columns when the
+distinct rows are fewer than the columns (the trivial basic case) and on
+all of them otherwise.  A simplex-like fit must also be feasible.  A beta
+whose loss reaches the bound is optimal, certified as the LP's gap
+certifies an LP solution.  A problem whose design is ill-conditioned, or
+whose medians no feasible beta reaches, as noisy labels give, goes to the
+LP.
 
 The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
 through the binding that scipy's linprog wraps, with linprog's options and
@@ -112,8 +112,9 @@ FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 # above this equality-row count the interior-point method (with crossover)
 # is far faster than simplex and still certifies the gap via exact duals
 IPM_ROW_THRESHOLD = 10000
-# largest condition number of the basis on which the median fit solves for
-# beta; a design above it goes to the LP
+# largest spread of R's diagonal in _basis's screen of the distinct rows,
+# and largest condition number of the Gram matrix the median fit solves;
+# a design above either goes to the LP
 MEDIAN_COND_CAP = 1e8
 
 
@@ -269,36 +270,23 @@ def _within(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> bool:
     return bool(np.all((low - tol <= values) & (values <= high + tol)))
 
 
-def _basis(phi: np.ndarray) -> np.ndarray:
+def _basis(phi: np.ndarray) -> np.ndarray | None:
     """Columns of phi, as many as its rows, that are independent when its
     rows are: Gaussian elimination with partial pivoting on phi's
     transpose.  Row by row, the pivot is the largest entry left in the row,
-    the first of equal ones, and eliminating it zeroes its column."""
+    the first of equal ones, and eliminating it zeroes its column.  None,
+    before any elimination, when the rows are dependent: in phi.T = QR,
+    R's diagonal holds each row's distance from the span of the rows
+    before it, and a spread above MEDIAN_COND_CAP declines."""
+    diagonal = np.abs(np.diagonal(np.linalg.qr(phi.T, mode="r")))
+    if not diagonal.min() * MEDIAN_COND_CAP > diagonal.max():
+        return None
     a = phi.copy()
     cols = np.empty(len(a), dtype=np.intp)
     for i, row in enumerate(a):
         j = cols[i] = np.argmax(np.abs(row))
         a[i + 1 :] -= np.outer(a[i + 1 :, j], row / row[j])
     return cols
-
-
-def _basis_solve(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
-    """beta with rows @ beta = fit, for independent rows no more than the
-    columns: solved on the columns _basis picks and 0 on the others.  None
-    when the condition number of the rows, or of that basis, exceeds
-    MEDIAN_COND_CAP (the first bounded from below by R's diagonal)."""
-    # rows.T = QR: R's diagonal holds each row's distance from the span of
-    # the rows before it, and cond(rows) >= max / min of it, so a quick
-    # test refuses a design with dependent rows before any elimination
-    diagonal = np.abs(np.diagonal(np.linalg.qr(rows.T, mode="r")))
-    if not diagonal.min() * MEDIAN_COND_CAP > diagonal.max():
-        return None
-    basis = _basis(rows)
-    if not np.linalg.cond(rows[:, basis]) <= MEDIAN_COND_CAP:
-        return None
-    beta = np.zeros(rows.shape[1])
-    beta[basis] = np.linalg.solve(rows[:, basis], fit)
-    return beta
 
 
 def _inverse_factor(gram: np.ndarray) -> np.ndarray | None:
@@ -320,16 +308,14 @@ def _inverse_factor(gram: np.ndarray) -> np.ndarray | None:
 
 
 def _least_squares(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
-    """The least-squares solution of rows @ beta = fit, of least norm when
-    the rows are fewer than the columns, from the Gram matrix of the normal
-    equations and one step of iterative refinement on the residual of the
-    rows; None when the Gram matrix's condition number, the ratio of its
-    extreme eigenvalues, exceeds MEDIAN_COND_CAP.  The Gram matrix is one
-    BLAS product, each of whose entries one thread sums, and the other
-    products are numpy's einsum loops, so beta's bits do not depend on the
-    thread count."""
-    tall = len(rows) >= rows.shape[1]
-    gram = rows.T @ rows if tall else rows @ rows.T
+    """The least-squares solution of rows @ beta = fit, for rows no fewer
+    than the columns, from the Gram matrix of the normal equations and one
+    step of iterative refinement on the residual of the rows; None when the
+    Gram matrix's condition number, the ratio of its extreme eigenvalues,
+    exceeds MEDIAN_COND_CAP.  The Gram matrix is one BLAS product, each of
+    whose entries one thread sums, and the other products are numpy's
+    einsum loops, so beta's bits do not depend on the thread count."""
+    gram = rows.T @ rows
     eig = np.linalg.eigvalsh(gram)
     if not (eig[0] > 0 and eig[-1] <= MEDIAN_COND_CAP * eig[0]):
         return None
@@ -337,11 +323,9 @@ def _least_squares(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
     if c is None:
         return None
 
-    def step(r):  # the least-squares, least-norm beta of rows @ beta = r
-        if tall:
-            r = np.einsum("ij,i->j", rows, r)
-        z = np.einsum("ij,i->j", c, np.einsum("ij,j->i", c, r))
-        return z if tall else np.einsum("ij,i->j", rows, z)
+    def step(r):  # the least-squares beta of rows @ beta = r
+        r = np.einsum("ij,i->j", rows, r)
+        return np.einsum("ij,i->j", c, np.einsum("ij,j->i", c, r))
 
     beta = step(fit)
     return beta + step(fit - np.einsum("ij,j->i", rows, beta))
@@ -349,13 +333,20 @@ def _least_squares(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
 
 def _snap_to_simplex(beta: np.ndarray) -> np.ndarray | None:
     """beta clipped at 0 and, when that sums to more than 1 but at most
-    1 + CONSTRAINT_TOL, scaled to sum 1, so that beta >= 0 and sum(beta) <= 1
-    hold exactly; None when the clipped sum is above 1 + CONSTRAINT_TOL."""
+    1 + CONSTRAINT_TOL, scaled to sum 1, its largest entry then lowered by
+    the excess and an ulp for as long as the division leaves the sum above
+    1, so that beta >= 0 and sum(beta) <= 1 hold exactly; None when the
+    clipped sum is above 1 + CONSTRAINT_TOL."""
     beta = np.clip(beta, 0.0, None)
     total = beta.sum()
     if total > 1.0 + CONSTRAINT_TOL:
         return None
-    return beta / total if total > 1.0 else beta
+    if total > 1.0:
+        beta /= total
+        top = np.argmax(beta)
+        while beta.sum() > 1.0:  # the division rounded the sum up
+            beta[top] = np.nextafter(beta[top] - (beta.sum() - 1.0), 0.0)
+    return beta
 
 
 def _median_fit(
@@ -367,11 +358,13 @@ def _median_fit(
 
     A row's median is its smallest target plus the width of each gap whose
     slope is negative; where the weight splits evenly (a gap of slope 0) it
-    is the lower end of that gap.  An unconstrained problem with no more
-    distinct rows than columns takes beta from _basis_solve; any other takes
-    the least-squares solution on the distinct rows.  Either declines an
-    ill-conditioned design.  Under SIMPLEX_LIKE, beta must be at least
-    -FEASIBILITY_TOL everywhere and is then snapped as the LP's is.
+    is the lower end of that gap.  beta is the least-squares solution on
+    the distinct rows, under either constraint: on all columns when the
+    rows are no fewer, and otherwise on the columns _basis picks, with 0 on
+    the others, so that beta has at most as many nonzeros as rows, as a
+    vertex of the LP has.  Dependent or ill-conditioned rows decline.
+    Under SIMPLEX_LIKE, beta must be at least -FEASIBILITY_TOL everywhere
+    and is then snapped as the LP's is.
 
     A row's loss is at least the sum over its gaps of width * min(count
     below, count above) = width * (W - |slope|) / 2 whatever beta is, so the
@@ -381,14 +374,17 @@ def _median_fit(
     missed a median, as when the medians are not interpolable.
     """
     fit = low + np.bincount(seg_row, width * (slope < 0), minlength=len(low))
-    if p.constraint == UNCONSTRAINED and len(rows) <= rows.shape[1]:
-        beta = _basis_solve(rows, fit)
-    else:
-        beta = _least_squares(rows, fit)
-    if beta is not None and p.constraint == SIMPLEX_LIKE:
-        beta = _snap_to_simplex(beta) if beta.min() >= -FEASIBILITY_TOL else None
-    if beta is None:
+    k = rows.shape[1]
+    cols = _basis(rows) if len(rows) < k else slice(None)
+    solved = None if cols is None else _least_squares(rows[:, cols], fit)
+    if solved is None:
         return None
+    beta = np.zeros(k)
+    beta[cols] = solved
+    if p.constraint == SIMPLEX_LIKE:
+        beta = _snap_to_simplex(beta) if beta.min() >= -FEASIBILITY_TOL else None
+        if beta is None:
+            return None
     residual = np.abs((p.points @ beta)[p.rows] - p.targets)
     bound = float(width @ (weight[seg_row] - np.abs(slope))) / 2
     gap = abs(float(residual.sum()) - bound)

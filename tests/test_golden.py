@@ -300,11 +300,13 @@ _AGNOSTIC_N12 = ("learn", {"learner": "agnostic", "n": 12, "trials": 1,
                            "params": {"epsilon": 0.5}})
 
 
-@pytest.mark.parametrize("name", ["learn-proper", "learn-agnostic-n12"])
+@pytest.mark.parametrize(
+    "name", ["learn-proper", "learn-agnostic-n12", "release-k-way"]
+)
 def test_blas_threads_leave_the_hypotheses_unchanged(tmp_path, name):
     """The median fit solves least squares with BLAS: a proper and an
-    agnostic fit write the same hypotheses, byte for byte, under one
-    OpenBLAS thread as under two."""
+    agnostic fit write the same hypotheses, and a k-way release the same
+    summaries, byte for byte, under one OpenBLAS thread as under two."""
     src = os.path.dirname(os.path.dirname(cube.__file__))
     verb, cfg = dict(matrix(tmp_path), **{"learn-agnostic-n12": _AGNOSTIC_N12})[name]
     cfg_path = tmp_path / f"{name}.json"
@@ -320,7 +322,8 @@ def test_blas_threads_leave_the_hypotheses_unchanged(tmp_path, name):
             text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        hypotheses = sorted(out.glob("hypothesis_*.json"))
-        assert hypotheses
-        written.add(tuple((p.name, p.read_bytes()) for p in hypotheses))
+        pattern = "summary_*.json" if verb == "release" else "hypothesis_*.json"
+        files = sorted(out.glob(pattern))
+        assert files
+        written.add(tuple((p.name, p.read_bytes()) for p in files))
     assert len(written) == 1

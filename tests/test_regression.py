@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,13 @@ from scipy.optimize import linprog
 
 from covlearn import regression
 from covlearn.coverage import DistributionSpec, dense_table, random_coverage
-from covlearn.cube import child_rng, eval_disjunction_batch
-from covlearn.learners import UniformTableOracle, agnostic_learn, proper_pac_learn
+from covlearn.cube import child_rng, eval_disjunction_batch, parity_sign
+from covlearn.learners import (
+    UniformTableOracle,
+    agnostic_learn,
+    proper_pac_learn,
+    sets_up_to,
+)
 from covlearn.regression import (
     SIMPLEX_LIKE,
     UNCONSTRAINED,
@@ -700,10 +706,12 @@ def independent_rows(draw):
 
 
 class TestMedianFit:
-    """An unconstrained problem whose distinct design rows are independent
-    is fitted by per-row weighted medians on a basis, with no HiGHS call;
-    one with dependent or ill-conditioned rows goes to HiGHS, as does a
-    tall or simplex problem whose medians no feasible beta reaches."""
+    """A problem whose distinct design rows are independent is fitted by
+    per-row weighted medians, with no HiGHS call: by least squares on the
+    columns of a basis when the rows are fewer than the columns, and on all
+    columns otherwise.  One with dependent or ill-conditioned rows goes to
+    HiGHS, as does a tall or simplex problem whose medians no feasible beta
+    reaches."""
 
     @settings(max_examples=200, deadline=None)
     @given(problem=independent_rows())
@@ -803,13 +811,25 @@ class TestMedianFit:
             solve_l1(p)
         assert spy.call_count == 1
 
+    def test_dependent_k_way_design_declines_before_elimination(self):
+        # the 252 points of layer 5 at n=10 by the 386 parities of degree
+        # <= 4, as a k-way release designs it: rank 210, so R's diagonal
+        # declines it and no elimination step (np.outer) runs
+        points = np.array([sum(1 << i for i in c)
+                           for c in itertools.combinations(range(10), 5)])
+        sets = np.array(sets_up_to(10, 4))
+        design = parity_sign(points[:, None] & sets).astype(np.float64)
+        assert design.shape == (252, 386)
+        with mock.patch.object(regression.np, "outer", side_effect=AssertionError):
+            assert regression._basis(design) is None
+
     def test_failed_certificate_goes_to_highs(self):
         # a beta off the medians by 1e-3 fails the certificate
         p = L1Problem(np.eye(2), np.array([0.25, 0.5]))
-        solve = np.linalg.solve
+        least_squares = regression._least_squares
         with (
-            mock.patch.object(regression.np.linalg, "solve",
-                              lambda a, b: solve(a, b) + 1e-3),
+            mock.patch.object(regression, "_least_squares",
+                              lambda a, b: least_squares(a, b) + 1e-3),
             highs_spy() as spy,
         ):
             s = solve_l1(p)
@@ -889,6 +909,10 @@ class TestMedianRoute:
         assert abs(fit.objective - ref_objective) <= fit.duality_gap / examples + 1e-9
         if constraint == SIMPLEX_LIKE:
             assert (fit.coefficients >= 0).all() and fit.coefficients.sum() <= 1
+        distinct = len(np.unique(points[rows], axis=0))
+        if distinct < points.shape[1]:
+            # a basic beta, as a vertex of the LP is, under either constraint
+            assert np.count_nonzero(fit.coefficients) <= distinct
         with highs_spy() as spy:
             s = solve_l1(p)
         assert spy.call_count == 0
@@ -918,6 +942,38 @@ class TestMedianRoute:
         with highs_spy() as spy:
             s = solve_l1(p)
         assert spy.call_count == 1 and s.objective > 0.05
+
+    def test_simplex_fit_sums_to_at_most_one(self):
+        # labels of beta = 1/4 everywhere: the fit's entries, divided by
+        # their sum of about 1 + 1e-16, summed to 1 + 2^-52 before the snap
+        # lowered its largest entry
+        points = np.array([[-2, 1, -1, -2], [-2, 1, 1, 0], [0, 0, 2, 1],
+                           [1, 1, -1, -2]], dtype=np.float64)
+        p = L1Problem(points, points @ np.full(4, 0.25), SIMPLEX_LIKE)
+        beta = solve_l1(p).coefficients
+        assert (beta >= 0).all() and beta.sum() <= 1.0
+        assert beta == pytest.approx(np.full(4, 0.25), abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-0.5, 1.0), min_size=1, max_size=30),
+        excess=st.floats(-1e-9, 2e-9),
+    )
+    def test_snap_to_simplex_holds_exactly(self, entries, excess):
+        # beta scaled so that its positive part sums to 1 + excess
+        beta = np.array(entries)
+        assume(beta.max() >= 0.01)
+        beta = beta / np.clip(beta, 0.0, None).sum() * (1.0 + excess)
+        clipped = np.clip(beta, 0.0, None)
+        total = clipped.sum()
+        snapped = regression._snap_to_simplex(beta)
+        if total > 1.0 + regression.CONSTRAINT_TOL:
+            assert snapped is None
+            return
+        assert (snapped >= 0).all() and snapped.sum() <= 1.0
+        if total <= 1.0:
+            assert snapped.tobytes() == clipped.tobytes()
+        assert snapped == pytest.approx(clipped / max(total, 1.0), rel=0, abs=4e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
     def test_inverse_factor_matches_lapack(self, k):
