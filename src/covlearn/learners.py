@@ -173,7 +173,7 @@ class SparsePolynomial:
         return out
 
     def __call__(self, mask: int) -> float:
-        return float(self.eval_masks(np.array([mask], dtype=np.uint64))[0])
+        return float(self.eval_masks(check_masks([mask], self.n))[0])
 
 
 def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
@@ -343,35 +343,28 @@ class UniformTableOracle:
         return bits @ (np.uint64(1) << np.array(self.free_vars, dtype=np.uint64))
 
 
-def _group_points(masks: np.ndarray, n: int):
+def group_points(masks: np.ndarray, n: int):
     """(points, rows, counts) of masks on n coordinates, as np.unique(masks,
     return_inverse=True, return_counts=True) gives them, dtypes included:
     at least 2^n masks are grouped by counting over the 2^n cells, fewer by
     np.unique's sort."""
     if 1 << n > len(masks):
         return np.unique(masks, return_inverse=True, return_counts=True)
-    cells = np.bincount(masks.astype(np.intp), minlength=1 << n)
-    points = np.flatnonzero(cells)
-    rows = (np.cumsum(cells != 0) - 1)[masks]
-    return points.astype(masks.dtype), rows, cells[points]
-
-
-class Examples(tuple):
-    """A draw's (masks, labels), whose groups attribute holds the draw's one
-    grouping of its masks, the points and rows of _group_points."""
+    # uint64 masks below 2^n read as the same int64 cells, with no copy
+    cells = masks.view(np.int64)
+    counts = np.bincount(cells, minlength=1 << n)
+    points = np.flatnonzero(counts)
+    rows = (np.cumsum(counts != 0) - 1)[cells]
+    return points.astype(masks.dtype), rows, counts[points]
 
 
 @dataclass(frozen=True)
 class SampledOracle:
     """Generic example oracle: draws points from a distribution and labels
-    them with label_fn(masks, rng), which may inject noise via rng.  With
-    by_point, label_fn(points, counts, rng) labels the distinct points drawn,
-    ascending, each drawn counts times (_group_points), and the draw
-    returns Examples."""
+    them with label_fn(masks, rng), which may inject noise via rng."""
 
     dist: DistributionSpec
-    label_fn: Callable[..., np.ndarray]
-    by_point: bool = False
+    label_fn: Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
     @property
     def n(self) -> int:
@@ -382,13 +375,7 @@ class SampledOracle:
             raise OracleExhausted(f"direct draw of {m} examples is over the cap")
         # looked up on the module: perfbench traces the cube.sample_masks site
         masks = cube.sample_masks(self.dist, m, rng)
-        if not self.by_point:
-            return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
-        points, rows, counts = _group_points(masks, self.n)
-        labels = np.asarray(self.label_fn(points, counts, rng), dtype=np.float64)
-        drawn = Examples((masks, labels[rows]))
-        drawn.groups = points, rows
-        return drawn
+        return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
 
 
 def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSource:
@@ -693,8 +680,8 @@ def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint
             f"regression design needs up to {size} bytes, "
             f"over the cap {DESIGN_BYTES_CAP}"
         )
-    masks, labels = drawn = examples.draw(m, rng)
-    points, rows = getattr(drawn, "groups", ()) or _group_points(masks, examples.n)[:2]
+    masks, labels = examples.draw(m, rng)
+    points, rows, _ = group_points(masks, examples.n)
     design = np.empty((len(points), width), dtype=np.float64)
     for j, column in enumerate(columns(points)):
         design[:, j] = column

@@ -44,6 +44,7 @@ from .learners import (
     SparsePolynomial,
     agnostic_learn,
     agnostic_samples,
+    group_points,
     pac_core,
     proper_pac_core,
     proper_regression_samples,
@@ -309,12 +310,13 @@ def _private_examples(oracle: PrivateOracle, dist: DistributionSpec) -> SampledO
     """Example oracle for the regression stage of a release: points drawn
     from dist, labelled for c_D as 1 - private answer to AND over S_x, one
     query batch per draw.  A point drawn w times gets one answer of weight
-    w, shared by its w examples."""
+    w, shared by its w examples; the points are asked in ascending order."""
 
-    def labels(points: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
-        return 1.0 - oracle.query([and_query(int(s)) for s in points], counts)
+    def labels(masks: np.ndarray, rng) -> np.ndarray:
+        points, rows, counts = group_points(masks, dist.n)
+        return 1.0 - oracle.query([and_query(int(s)) for s in points], counts)[rows]
 
-    return SampledOracle(dist, labels, by_point=True)
+    return SampledOracle(dist, labels)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ class TestGenerate:
         }
         code, out_dir = run(tmp_path, "generate", cfg)
         assert code == EXIT_PASS
-        d = dataset_from_text(open(os.path.join(out_dir, "d.txt")).read())
+        d = dataset_from_text(Path(out_dir, "d.txt").read_text())
         assert d.n == 5 and d.size == 200
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -130,8 +131,8 @@ class TestGenerate:
         _, out_a = run(tmp_path, "generate", cfg, out="a")
         _, out_b = run(tmp_path, "generate", cfg, out="b")
         for name in ("t.json", "d.txt"):
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             assert a == b
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -141,8 +142,8 @@ class TestGenerate:
         }
         _, out_a = run(tmp_path, "generate", cfg, out="a")
         _, out_b = run(tmp_path, "generate", cfg, out="b", extra=["--seed", "10"])
-        a = open(os.path.join(out_a, "t.json")).read()
-        b = open(os.path.join(out_b, "t.json")).read()
+        a = Path(out_a, "t.json").read_text()
+        b = Path(out_b, "t.json").read_text()
         assert a != b
 
     def test_empty_config_rejected(self, tmp_path, capsys):
@@ -224,7 +225,8 @@ class TestLearn:
             assert r["samples"] > 0
             assert r["runtime_sec"] >= 0
         assert os.path.exists(os.path.join(out_dir, "hypothesis_000.json"))
-        csv_head = open(os.path.join(out_dir, "report.csv")).readline()
+        with open(os.path.join(out_dir, "report.csv")) as fh:
+            csv_head = fh.readline()
         assert csv_head.startswith("trial,seed,l1_error,l1_half_width")
 
     def test_pmac_reports_mult_fraction(self, tmp_path, capsys):
@@ -1473,7 +1475,7 @@ class TestRelease:
         assert code == EXIT_PASS
         syn_path = os.path.join(out_dir, "synthetic_000.txt")
         assert os.path.exists(syn_path)
-        d = dataset_from_text(open(syn_path).read())
+        d = dataset_from_text(Path(syn_path).read_text())
         assert d.n == n
         cfg2 = dict(cfg, dataset={"path": syn_path}, seed=3)
         code2, _ = run(tmp_path, "release", cfg2, out="out2")

@@ -22,7 +22,7 @@ from covlearn.cube import (
     eval_disjunction_batch,
 )
 from covlearn.estimation import exact_source, hoeffding_samples
-from covlearn import cli, learners, regression
+from covlearn import cli, learners, privacy, regression
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
@@ -111,6 +111,24 @@ class TestSparsePolynomial:
     def test_out_of_range_mask_is_named(self):
         with pytest.raises(ValueError, match=r"set mask 8 outside \[0, 2\^3\)"):
             SparsePolynomial(3, "parity", {8: 0.5, 1: 0.25})
+
+    @pytest.mark.parametrize(
+        "n,coeffs",
+        [
+            (3, {0: 0.5, 0b101: -0.25}),
+            (10, {t: 1.0 / (t + 1) for t in range(DENSE_EVAL_SUPPORT + 44)}),
+        ],
+        ids=["per-coefficient", "dense"],
+    )
+    def test_call_refuses_a_point_outside_the_cube(self, n, coeffs):
+        # the per-coefficient path read bits above n as absent, answering
+        # 2^n with the value at 0; the dense path indexed past its table
+        p = SparsePolynomial(n, "parity", coeffs)
+        with pytest.raises(ValueError, match=rf"set mask {1 << n} outside \[0, 2\^{n}\)"):
+            p(1 << n)
+        with pytest.raises(ValueError, match=r"set mask -1 outside"):
+            p(-1)
+        assert p((1 << n) - 1) == p.eval_masks(np.array([(1 << n) - 1]))[0]
 
     def test_masks_up_to_bit_63(self):
         p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
@@ -714,24 +732,37 @@ class TestFitPassesExamples:
         assert problem.design.tolist() == np.column_stack(want).tolist()
 
 
-def by_point_draw(dist, m, seed):
-    """A by_point SampledOracle's draw of m examples from dist: the masks
-    and the (points, rows, counts) its label function and Examples get."""
-    seen = {}
+def labelled_draw(dist, m, seed):
+    """The release labeller's draw of m examples from dist: the masks and
+    the (points, rows, counts) group_points gave it, after checking that it
+    asked one query per point, ascending and weighted by the point's count,
+    and gave each example its point's answer."""
+    grouped, asked = [], []
 
-    def labels(points, counts, rng):
-        seen.update(points=points, counts=counts)
-        return np.zeros(len(points))
+    def group(masks, n):
+        grouped.append(learners.group_points(masks, n))
+        return grouped[-1]
 
-    drawn = SampledOracle(dist, labels, by_point=True).draw(m, child_rng(seed, 0))
-    points, rows = drawn.groups
-    assert points is seen["points"]
-    return drawn[0], (points, rows, seen["counts"])
+    def query(predicates, weights):
+        asked.append((predicates, weights))
+        return np.arange(len(predicates), dtype=np.float64)
+
+    oracle = mock.Mock(query=query)
+    with mock.patch.object(privacy, "group_points", group), \
+            mock.patch.object(privacy, "and_query", int):
+        masks, labels = privacy._private_examples(oracle, dist).draw(
+            m, child_rng(seed, 0)
+        )
+    [(points, rows, counts)] = grouped
+    [(predicates, weights)] = asked
+    assert predicates == points.tolist() and weights is counts
+    assert labels.tolist() == (1.0 - rows).tolist()
+    return masks, (points, rows, counts)
 
 
 class TestCountingGrouping:
-    """A by_point draw of at least 2^n examples groups its masks by counting
-    over the 2^n cells; the arrays are those np.unique gives, bit for bit."""
+    """group_points groups a draw of at least 2^n examples by counting over
+    the 2^n cells; the arrays are those np.unique gives, bit for bit."""
 
     @pytest.mark.parametrize(
         "dist,m",
@@ -750,7 +781,7 @@ class TestCountingGrouping:
     )
     def test_equals_unique(self, dist, m):
         with mock.patch.object(learners.np, "unique", wraps=np.unique) as spy:
-            masks, got = by_point_draw(dist, m, 3)
+            masks, got = labelled_draw(dist, m, 3)
         assert spy.call_count == 0
         want = np.unique(masks, return_inverse=True, return_counts=True)
         for g, w in zip(got, want):
@@ -764,7 +795,7 @@ class TestCountingGrouping:
         m = max(1, (1 << n) + offset)
         pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=9))
         masks = child_rng(n, m).choice(np.array(pool, dtype=np.uint64), size=m)
-        got = learners._group_points(masks, n)
+        got = learners.group_points(masks, n)
         want = np.unique(masks, return_inverse=True, return_counts=True)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -789,7 +820,7 @@ class TestCountingGrouping:
             mock.patch.object(learners.np, "unique", wraps=np.unique) as unique,
             mock.patch.object(learners.np, "bincount", wraps=np.bincount) as bincount,
         ):
-            by_point_draw(dist, m, 3)
+            labelled_draw(dist, m, 3)
         assert unique.call_count == 1 and bincount.call_count == 0
 
 

@@ -320,19 +320,26 @@ class TestBatchedQuery:
             assert 50 < (answers[1::2] == 0.0).sum() < 200
             assert 0.0 <= answers.min() and answers.max() <= 1.0
 
-    def test_label_draw_is_one_minus_sequential_answers(self):
-        d = gated_dataset({0b0011: 2, 0b0101: 1, 0b1110: 4}, 4, 500, 2.0)
+    @pytest.mark.parametrize(
+        "dist,m,points",
+        [(DistributionSpec.layer(4, 2), 500, 6), (DistributionSpec.uniform(8), 100, 84)],
+        ids=["counted", "fewer-examples-than-cells"],
+    )
+    def test_label_draw_is_one_minus_sequential_answers(self, dist, m, points):
+        # the labeller groups 500 examples on 2^4 cells by counting and 100
+        # examples on 2^8 cells by sorting
+        d = gated_dataset({0b0011: 2, 0b0101: 1, 0b1110: 4}, dist.n, 500, 2.0)
         o = PrivateOracle(d, 500, 0.25, 2.0, 0.1, child_rng(7, 0))
-        dist = DistributionSpec.layer(4, 2)
-        masks, labels = privacy._private_examples(o, dist).draw(500, child_rng(7, 1))
-        assert masks.tolist() == sample_masks(dist, 500, child_rng(7, 1)).tolist()
+        masks, labels = privacy._private_examples(o, dist).draw(m, child_rng(7, 1))
+        assert masks.tolist() == sample_masks(dist, m, child_rng(7, 1)).tolist()
         twin = child_rng(7, 0)
         answers = sequential_answers(d, masks, o.scale, twin)
         assert labels.dtype == np.float64
         assert labels.tolist() == (1.0 - answers).tolist()
-        # six points on the layer, one weighted answer each, 500 units charged
-        assert len(set(labels.tolist())) == len(np.unique(masks)) == 6
-        assert o.used == 500
+        # one weighted answer per point drawn, m units charged
+        assert len(set(zip(masks.tolist(), labels.tolist()))) == points
+        assert len(np.unique(masks)) == points
+        assert o.used == m
         assert o.rng.bit_generator.state == twin.bit_generator.state
 
     def test_label_draw_over_the_direct_draw_cap_is_refused(self):
@@ -465,8 +472,8 @@ class TestWeightedQuery:
 
 def two_sort_examples(oracle, dist):
     """The release's example oracle with two sorts of the drawn masks, the
-    reference for the one it shares: the labeller sorts them for its
-    weighted AND queries and _l1_fit sorts them again for the design."""
+    reference for group_points: the labeller sorts them for its weighted AND
+    queries and _l1_fit sorts them again for the design."""
 
     def labels(masks, rng):
         sets, inverse, counts = np.unique(
@@ -504,7 +511,7 @@ def traced_k_way_release(d, k, alpha, epsilon, seed, examples):
     return summary, asked, weights, problems
 
 
-class TestSingleGrouping:
+class TestReleaseGrouping:
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(2, 5),
