@@ -734,7 +734,7 @@ def _keep_freed_heap() -> tuple[int, ...]:
     return mallopt(_M_MMAP_THRESHOLD, cap), mallopt(_M_TRIM_THRESHOLD, 2 * cap)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covlearn",
         description="Coverage-function learning and private query release.",
@@ -746,9 +746,17 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
     sub.add_parser("selftest")
+    return parser
 
+
+# built once, at import: its messages' gettext imports locale, which a verb
+# would otherwise pay for inside main
+PARSER = _parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
 

@@ -28,9 +28,10 @@ the labels are realizable (Barrodale and Roberts): each distinct row takes
 the weighted median of its targets, and the sum of the rows' least losses
 bounds every beta's loss from below, under either constraint.  beta is
 the least-squares solution on the distinct rows, solved so that its bits
-do not depend on BLAS's thread count, on a basis of Phi's columns when the
-distinct rows are fewer than the columns (the trivial basic case) and on
-all of them otherwise.  A simplex-like fit must also be feasible.  A beta
+do not depend on BLAS's thread count on designs of 0, 1 and -1, the only
+ones covlearn builds (_least_squares), on a basis of Phi's columns when
+the distinct rows are fewer than the columns (the trivial basic case) and
+on all of them otherwise.  A simplex-like fit must also be feasible.  A beta
 whose loss reaches the bound is optimal, certified as the LP's gap
 certifies an LP solution.  A problem whose design is ill-conditioned, or
 whose medians no feasible beta reaches, as noisy labels give, goes to the
@@ -39,12 +40,14 @@ LP.
 The LP goes to HiGHS (Huangfu and Hall 2018) as one model in one call,
 through the binding that scipy's linprog wraps, with linprog's options and
 its feasibility check but none of its Python set-up and read-back.  That
-binding is loaded from its file, so scipy.optimize's __init__ (scipy.sparse,
-scipy.linalg and the rest, most of the import time) never runs.
+binding is loaded from its file by the first LP, so scipy.optimize's
+__init__ (scipy.sparse, scipy.linalg and the rest, most of the import time)
+never runs, and a process that solves no LP never imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 
@@ -86,10 +88,14 @@ def _load_highs():
     Otherwise it is handed to the import system, which registers it when
     scipy.optimize, or anything else, imports it by name, after its parent
     packages: so a process holds one module, reachable as an attribute of
-    its package, whichever of covlearn and scipy.optimize it imports first."""
+    its package, whichever of covlearn and scipy.optimize it imports first.
+    scipy's folder comes from its spec, so no scipy code runs here."""
     if HIGHS_MODULE in sys.modules:
         return sys.modules[HIGHS_MODULE]
-    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("HiGHS is scipy's extension; no scipy", name="scipy")
+    folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
     spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [folder])
     if spec is None:
         raise ImportError(f"no HiGHS extension _core in {folder}", name=HIGHS_MODULE)
@@ -99,7 +105,16 @@ def _load_highs():
     return module
 
 
-highs = _load_highs()
+# the binding, loaded by the first LP; a load that raises is not kept
+_highs = functools.cache(_load_highs)
+
+
+def __getattr__(name: str):
+    """regression.highs, the binding, loaded when first asked for."""
+    if name == "highs":
+        return _highs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 UNCONSTRAINED = "unconstrained"
 SIMPLEX_LIKE = "simplex_like"
@@ -243,6 +258,7 @@ def _run_highs(lp: highs.HighsLp, options: dict, bounded: int) -> _Run:
     """Solve lp once with HiGHS under the given options: the one call into
     the solver.  upper_dual holds the dual of each of the last `bounded`
     columns that ends at its upper bound, and 0 for the others."""
+    highs = _highs()
     h = highs._Highs()
     for key, value in options.items():
         h.setOptionValue(key, value)
@@ -312,9 +328,13 @@ def _least_squares(rows: np.ndarray, fit: np.ndarray) -> np.ndarray | None:
     than the columns, from the Gram matrix of the normal equations and one
     step of iterative refinement on the residual of the rows; None when the
     Gram matrix's condition number, the ratio of its extreme eigenvalues,
-    exceeds MEDIAN_COND_CAP.  The Gram matrix is one BLAS product, each of
-    whose entries one thread sums, and the other products are numpy's
-    einsum loops, so beta's bits do not depend on the thread count."""
+    exceeds MEDIAN_COND_CAP.  The other products are numpy's einsum loops,
+    and the Gram matrix is one BLAS product, whose summation order can
+    change with BLAS's thread count.  beta's bits do not depend on the
+    thread count only because the designs covlearn builds hold 0, 1 and -1,
+    whose Gram entries are exact integers in any order.  A real-valued
+    design's Gram matrix can change bits with the thread count, so it must
+    not come from a BLAS product."""
     gram = rows.T @ rows
     eig = np.linalg.eigvalsh(gram)
     if not (eig[0] > 0 and eig[-1] <= MEDIAN_COND_CAP * eig[0]):
@@ -444,6 +464,7 @@ def solve_l1(p: L1Problem) -> L1Solution:
     row_lower = np.r_[np.full(lead, -np.inf), low]
     row_upper = np.r_[np.ones(lead), low]
 
+    highs = _highs()
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cols
     lp.num_row_ = lp.a_matrix_.num_row_ = m + lead

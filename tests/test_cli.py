@@ -90,6 +90,28 @@ class TestUsageErrors:
         assert "quantum" in err and "pac" in err and "dnf-reduction" in err
 
 
+    def test_calls_share_the_parser_independently(self, tmp_path, capsys):
+        # main parses with one parser per process: a usage error leaves
+        # nothing behind that changes the next call's files
+        cfg = {
+            "seed": 9,
+            "coverage": {"n": 5, "max_terms": 3, "max_arity": 2, "out": "t.json"},
+            "dataset": {"distribution": {"variant": "uniform", "n": 4}, "size": 50},
+        }
+        cfg_path = write_config(tmp_path, "generate.json", cfg)
+        assert main(["generate", "--seed", "3"]) == EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
+        code, out_dir = run(tmp_path, "generate", cfg, out="shared")
+        assert code == EXIT_PASS
+        script = "import sys\nfrom covlearn.cli import main\nprint(main(sys.argv[1:]))"
+        fresh = tmp_path / "fresh"
+        args = ["generate", "--config", cfg_path, "--out", str(fresh)]
+        assert run_fresh(script, *args) == str(EXIT_PASS)
+        shared = sorted((p.name, p.read_bytes()) for p in Path(out_dir).iterdir())
+        assert shared == sorted((p.name, p.read_bytes()) for p in fresh.iterdir())
+        assert [name for name, _ in shared] == ["dataset.txt", "t.json"]
+
+
 class TestGenerate:
     COVERAGE = {"n": 4, "max_terms": 2, "max_arity": 2, "count": 2, "out": "t{i}.json"}
 

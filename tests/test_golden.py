@@ -15,8 +15,10 @@ hashes.
 A second test runs every config for one trial with child_rng spied at each
 covlearn module that binds it, and checks that no (seed, path) stream is
 opened twice in one run: no two consumers share a stream.  A third runs each
-config in a fresh interpreter and checks that the verb imports no module
-that `import covlearn.cli` did not, so no lazily loaded module adds to it.
+config in a fresh interpreter and checks which modules the verb imports
+that `import covlearn.cli` did not: none when the manifest records no LP for
+the run, and otherwise only the HiGHS binding and the modules under it,
+which the first LP loads.
 
 After an intended change of outputs, regenerate the manifest with
 
@@ -275,8 +277,12 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def test_no_verb_imports_a_module(tmp_path):
+    """A verb that hands no LP to HiGHS imports nothing; one that does
+    imports only the binding, regression.HIGHS_MODULE, and names under it."""
     src = os.path.dirname(os.path.dirname(cube.__file__))
-    gained = {}
+    manifest = json.loads(MANIFEST.read_text())["runs"]
+    binding = regression.HIGHS_MODULE
+    gained, lp_runs = {}, 0
     for name, (verb, cfg) in matrix(tmp_path).items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -288,9 +294,15 @@ def test_no_verb_imports_a_module(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         modules = json.loads(proc.stdout.splitlines()[-1])
+        if manifest[f"{name}@{SEEDS[0]}"]["lp"]["calls"] > 0:
+            lp_runs += 1
+            modules = [
+                m for m in modules if m != binding and not m.startswith(binding + ".")
+            ]
         if modules:
             gained[name] = modules
     assert not gained
+    assert lp_runs > 0  # the matrix holds a run that loads the binding
 
 
 # an exact agnostic fit whose design, 4,096 distinct points by 299 parities,

@@ -1,11 +1,13 @@
 """Import hygiene of the package's modules: every module-level import is
 used (the check a linter's unused-import rule would make), every import is
 at module level, and no module imports a private name from a sibling.  The
-CLI's import loads scipy's HiGHS extension without scipy.optimize, and the
-process then holds one such module whichever of the two comes first."""
+CLI imports no scipy until an LP loads scipy's HiGHS extension, without
+scipy.optimize, and the process then holds one such module whichever of the
+two comes first."""
 
 import ast
 import importlib.machinery
+import json
 import os
 import subprocess
 import sys
@@ -110,37 +112,69 @@ def _python(script: str, *args: str) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    script = "import sys, covlearn.cli; print('scipy.optimize' in sys.modules)"
-    assert _python(script) == "False"
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    # neither the import nor a verb that solves no LP, such as PMAC
+    # learning, imports scipy or loads the binding
+    cfg = {"learner": "pmac", "n": 6, "seed": 4, "trials": 1, "eval_samples": 2000,
+           "target": {"max_terms": 3, "max_arity": 2},
+           "params": {"gamma": 0.5, "delta": 0.2}}
+    cfg_path = tmp_path / "pmac.json"
+    cfg_path.write_text(json.dumps(cfg))
+    script = (
+        "import json, sys, covlearn.cli\n"
+        "names = ('scipy', 'scipy.optimize', covlearn.regression.HIGHS_MODULE)\n"
+        "before = [name for name in names if name in sys.modules]\n"
+        "code = covlearn.cli.main(sys.argv[1:])\n"
+        "after = [name for name in names if name in sys.modules]\n"
+        "print(json.dumps([before, code, after]))\n"
+    )
+    args = ["learn", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    before, code, after = json.loads(_python(script, *args).splitlines()[-1])
+    assert (before, code, after) == ([], 0, [])
 
 
 HIGHS_CHECK = """
 import importlib, sys
+import numpy as np
 for name in sys.argv[1:]:
-    importlib.import_module(name)
+    if name == "lp":  # covlearn solves an LP through HiGHS before scipy loads
+        from covlearn import regression
+        # one column cannot fit targets 0 and 1 at x = 1 and x = 2
+        p = regression.L1Problem(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
+        assert regression.solve_l1(p).objective == 0.25
+        assert regression._highs.cache_info().currsize == 1
+        assert "scipy.optimize" not in sys.modules
+    else:
+        importlib.import_module(name)
 import scipy.optimize._highspy._core as core
 from covlearn import regression
 from scipy.optimize import linprog
 res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
-print(core is regression.highs, res.status, res.fun)
+chain = sys.modules["scipy"].optimize._highspy._core is core
+print(core is regression.highs, chain, res.status, res.fun)
 """
 
 
 @pytest.mark.parametrize(
     "order",
-    [("covlearn.cli", "scipy.optimize"), ("scipy.optimize", "covlearn.cli")],
-    ids=["covlearn-first", "scipy-first"],
+    [
+        ("covlearn.cli", "scipy.optimize"),
+        ("scipy.optimize", "covlearn.cli"),
+        ("covlearn.cli", "lp", "scipy.optimize"),
+    ],
+    ids=["covlearn-first", "scipy-first", "covlearn-lp-first"],
 )
 def test_one_highs_module_in_either_import_order(order):
-    assert _python(HIGHS_CHECK, *order) == "True 0 1.0"
+    assert _python(HIGHS_CHECK, *order) == "True True 0 1.0"
 
 
 def test_highs_module_is_an_attribute_of_its_package():
-    # covlearn loads the extension before its packages exist; importing it
-    # by name afterwards runs them, and the package holds covlearn's module
+    # covlearn loads the extension, on its first use, before its packages
+    # exist; importing it by name afterwards runs them, and the package
+    # holds covlearn's module
     script = (
         "import covlearn.cli, scipy\n"
+        "covlearn.regression.highs\n"
         "import scipy.optimize._highspy._core\n"
         "print(scipy.optimize._highspy._core is covlearn.regression.highs)"
     )
@@ -156,3 +190,24 @@ def test_missing_highs_extension_names_its_folder(monkeypatch):
     folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
     with pytest.raises(ImportError, match=f"in {folder}$"):
         regression._load_highs()
+
+
+def test_failed_highs_load_is_not_kept():
+    # the accessor keeps its module for the process, so a fresh interpreter
+    # shows that a load that raised is tried again once the finder is back
+    script = """
+import importlib.machinery, scipy
+from unittest import mock
+from covlearn import regression
+finder = importlib.machinery.PathFinder
+with mock.patch.object(finder, "find_spec", lambda *args, **kwargs: None):
+    try:
+        regression._highs()
+    except ImportError as exc:
+        print("raised", exc.name)
+print(regression._highs() is regression.highs, regression.highs.__name__)
+"""
+    assert _python(script).splitlines() == [
+        f"raised {regression.HIGHS_MODULE}",
+        f"True {regression.HIGHS_MODULE}",
+    ]
