@@ -200,17 +200,19 @@ class PmacZeroLeaf:
 @dataclass(frozen=True)
 class PmacPolyLeaf:
     """Shifted, rescaled and clamped polynomial leaf:
-    value = max(m_tilde/4, 3*m_tilde*(poly(x) - shift))."""
+    value = max(floor, 3*m_tilde*(poly(x) - shift)), where floor is the
+    least target value its subcube's test supports (pmac_learn)."""
 
     poly: SparsePolynomial
     m_tilde: float
     shift: float
+    floor: float
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
         out = self.poly.eval_masks(masks)  # a new array, worked in place
         out -= self.shift
         out *= 3.0 * self.m_tilde
-        return np.maximum(out, self.m_tilde / 4.0, out=out)
+        return np.maximum(out, self.floor, out=out)
 
     def depth(self) -> int:
         return 0
@@ -491,6 +493,7 @@ def pac_learn_uniform(
 def _pmac_leaf(
     oracle: UniformTableOracle,
     m_tilde: float,
+    floor: float,
     eps: float,
     shift: float,
     eta: float,
@@ -498,7 +501,7 @@ def _pmac_leaf(
     *path: int,
 ) -> PmacPolyLeaf:
     """PAC fit of the labels scaled by 1/(3 m~) at failure eta, seeded from
-    path and lifted to the full cube.
+    path, lifted to the full cube and floored at floor.
 
     Failure budget.  The fit is one run whose estimates are, by the union
     bound `_search_source` sizes its sample with, all within tau with
@@ -508,7 +511,7 @@ def _pmac_leaf(
     h = pac_learn_uniform(scaled, eps, child_seed(seed, *path), failure=eta)
     lifted = oracle.lift_sets(h.coeffs.masks), h.coeffs.values
     poly = SparsePolynomial(oracle.n_total, "parity", lifted)
-    return PmacPolyLeaf(poly, m_tilde, shift)
+    return PmacPolyLeaf(poly, m_tilde, shift, floor)
 
 
 def pmac_learn(
@@ -522,6 +525,16 @@ def pmac_learn(
     half of each pivot and draws from child_rng(seed, k, 0); it either stops
     with a leaf (stream path (k, 1)) or splits off a minus-half leaf (path
     (k, 2)).
+
+    Leaf floors.  A leaf never falls below its floor, so it overshoots c
+    where c is below the floor; each floor is the least value below which
+    its level's draws bound the mass.  The tail leaf's is m~/4, which p~
+    tested.  A minus leaf's is label_floor = m~ / (16 ln(9/delta)): had the
+    pivot's minus half a delta/3 share of the level's points below
+    label_floor, each of the m_piv = (3/delta) ln(n/eta) pivot draws would
+    find one with probability delta/3, so that every draw misses them for
+    some coordinate has probability at most eta.  The draws bound nothing
+    between label_floor and m~/4.
     """
     if not 0 < gamma or not 0 < delta < 1:
         raise ValueError("gamma must be positive and delta in (0,1)")
@@ -544,7 +557,9 @@ def pmac_learn(
         p_tilde = oracle.draw_hits(m_p, small, rng) / m_p
         if p_tilde < 2 * delta / 9:
             eps1 = (1.0 / 12.0) * (gamma / 2.0) * (delta / 3.0)
-            tail = _pmac_leaf(oracle, m_tilde, eps1, gamma / 24.0, eta, seed, k, 1)
+            tail = _pmac_leaf(
+                oracle, m_tilde, m_tilde / 4.0, eps1, gamma / 24.0, eta, seed, k, 1
+            )
             break
 
         # pivot search: the first coordinate set in no draw labelled below the
@@ -559,7 +574,9 @@ def pmac_learn(
         eps_minus = (gamma / 2.0) * (delta / 3.0) / (48.0 * log_term)
         shift = gamma / (96.0 * log_term)
         minus = oracle.restrict(pivot, -1)
-        leaf = _pmac_leaf(minus, m_tilde, eps_minus, shift, eta, seed, k, 2)
+        leaf = _pmac_leaf(
+            minus, m_tilde, label_floor, eps_minus, shift, eta, seed, k, 2
+        )
         splits.append((oracle.free_vars[pivot], leaf))
         oracle = oracle.restrict(pivot, +1)
 

@@ -21,7 +21,12 @@ become one target weighted by their count.  A row with several distinct
 targets, as the CLI's noise_scale labels give, keeps them as sorted
 breakpoints of its convex piecewise-linear loss, one bounded segment column
 per gap between consecutive targets.  The optimum is that of one row per
-example, and the primal-dual gap is in units of the sum of |r_i|.
+example.
+
+Every fit solve_l1 returns is certified (_certified): beta is feasible and
+its sum of |residual| is within OPT_TOL per example of a lower bound on
+every feasible beta's, the medians' bound or the LP's dual objective plus
+the constant that the LP's objective leaves out.
 
 Every fit first tries the rows' weighted medians, the LP's optimum when
 the labels are realizable (Barrodale and Roberts): each distinct row takes
@@ -31,9 +36,7 @@ the least-squares solution on the distinct rows, solved so that its bits
 do not depend on BLAS's thread count on designs of 0, 1 and -1, the only
 ones covlearn builds (_least_squares), on a basis of Phi's columns when
 the distinct rows are fewer than the columns (the trivial basic case) and
-on all of them otherwise.  A simplex-like fit must also be feasible.  A beta
-whose loss reaches the bound is optimal, certified as the LP's gap
-certifies an LP solution.  A problem whose design is ill-conditioned, or
+on all of them otherwise.  A problem whose design is ill-conditioned, or
 whose medians no feasible beta reaches, as noisy labels give, goes to the
 LP.
 
@@ -135,8 +138,8 @@ MEDIAN_COND_CAP = 1e8
 
 class LPNotOptimal(RuntimeError):
     """HiGHS stopped without a certified optimum (iteration limit, numerical
-    trouble, a solution off its bounds or a gap above OPT_TOL); its
-    coefficients must not become a hypothesis."""
+    trouble, a solution off its bounds, a beta off the simplex or a gap
+    above OPT_TOL); its coefficients must not become a hypothesis."""
 
 
 @dataclass(frozen=True)
@@ -247,36 +250,30 @@ class _Run(NamedTuple):
     """What one HiGHS run reports."""
 
     status: str  # HiGHS's model status, "Optimal" when solved
-    objective: float
     col_value: np.ndarray
     row_value: np.ndarray
     row_dual: np.ndarray
-    upper_dual: np.ndarray  # of the last columns asked for; 0 off their bound
+    upper_dual: np.ndarray  # of the last columns asked for, min(dual, 0)
 
 
 def _run_highs(lp: highs.HighsLp, options: dict, bounded: int) -> _Run:
     """Solve lp once with HiGHS under the given options: the one call into
-    the solver.  upper_dual holds the dual of each of the last `bounded`
-    columns that ends at its upper bound, and 0 for the others."""
-    highs = _highs()
-    h = highs._Highs()
+    the solver.  upper_dual holds min(dual, 0) of each of the last `bounded`
+    columns: a column z in [0, width] adds width * min(dual, 0), the least
+    of dual * z, to the Lagrangian dual bound, whatever the duals are."""
+    h = _highs()._Highs()
     for key, value in options.items():
         h.setOptionValue(key, value)
     h.passModel(lp)
     h.run()
     sol = h.getSolution()
-    upper = np.zeros(bounded)
-    if bounded:
-        status = h.getBasis().col_status[-bounded:]
-        at_upper = [s == highs.HighsBasisStatus.kUpper for s in status]
-        upper[at_upper] = np.asarray(sol.col_dual)[-bounded:][at_upper]
+    col_dual = np.asarray(sol.col_dual)
     return _Run(
         h.modelStatusToString(h.getModelStatus()),
-        h.getInfo().objective_function_value,
         np.asarray(sol.col_value),
         np.asarray(sol.row_value),
         np.asarray(sol.row_dual),
-        upper,
+        np.minimum(col_dual[len(col_dual) - bounded :], 0.0),
     )
 
 
@@ -369,6 +366,22 @@ def _snap_to_simplex(beta: np.ndarray) -> np.ndarray | None:
     return beta
 
 
+def _certified(p: L1Problem, beta: np.ndarray, bound: float) -> L1Solution | None:
+    """The fit beta, snapped under SIMPLEX_LIKE, when its sum of |residual|
+    over p's examples is within OPT_TOL per example of bound, a lower bound
+    on every feasible beta's; None otherwise or when an entry of beta is
+    below -FEASIBILITY_TOL under SIMPLEX_LIKE."""
+    if p.constraint == SIMPLEX_LIKE:
+        beta = _snap_to_simplex(beta) if beta.min() >= -FEASIBILITY_TOL else None
+        if beta is None:
+            return None
+    residual = np.abs((p.points @ beta)[p.rows] - p.targets)
+    gap = abs(float(residual.sum()) - bound)
+    if not gap / len(p.targets) <= OPT_TOL:
+        return None
+    return L1Solution(beta, float(residual.mean()), gap)
+
+
 def _median_fit(
     p: L1Problem, rows, low, weight, seg_row, width, slope
 ) -> L1Solution | None:
@@ -383,15 +396,12 @@ def _median_fit(
     rows are no fewer, and otherwise on the columns _basis picks, with 0 on
     the others, so that beta has at most as many nonzeros as rows, as a
     vertex of the LP has.  Dependent or ill-conditioned rows decline.
-    Under SIMPLEX_LIKE, beta must be at least -FEASIBILITY_TOL everywhere
-    and is then snapped as the LP's is.
 
     A row's loss is at least the sum over its gaps of width * min(count
     below, count above) = width * (W - |slope|) / 2 whatever beta is, so the
-    sum of those bounds the optimum from below under either constraint.  The
-    gap is the loss of the final beta, recomputed over the examples, less
-    that bound, and a gap above OPT_TOL per example declines the fit: beta
-    missed a median, as when the medians are not interpolable.
+    sum of those bounds the optimum from below under either constraint, and
+    _certified holds beta to it: a beta that missed a median, as when the
+    medians are not interpolable, declines.
     """
     fit = low + np.bincount(seg_row, width * (slope < 0), minlength=len(low))
     k = rows.shape[1]
@@ -401,23 +411,13 @@ def _median_fit(
         return None
     beta = np.zeros(k)
     beta[cols] = solved
-    if p.constraint == SIMPLEX_LIKE:
-        beta = _snap_to_simplex(beta) if beta.min() >= -FEASIBILITY_TOL else None
-        if beta is None:
-            return None
-    residual = np.abs((p.points @ beta)[p.rows] - p.targets)
-    bound = float(width @ (weight[seg_row] - np.abs(slope))) / 2
-    gap = abs(float(residual.sum()) - bound)
-    if not gap / len(p.targets) <= OPT_TOL:
-        return None
-    return L1Solution(beta, float(residual.mean()), gap)
+    return _certified(p, beta, float(width @ (weight[seg_row] - np.abs(slope))) / 2)
 
 
 def solve_l1(p: L1Problem) -> L1Solution:
     """Solve the l1 fit by the rows' weighted medians (_median_fit) or,
-    when that declines, by the LP with HiGHS; the reported objective is
-    within 1e-7 of the optimum, certified by _median_fit's lower bound or by
-    the primal-dual gap.
+    when that declines, by the LP with HiGHS; either route returns through
+    _certified, so the reported objective is within OPT_TOL of the optimum.
 
     The median fit is tried first on every problem, under either constraint
     and for any shape; it never raises LPNotOptimal, and when no feasible
@@ -429,13 +429,13 @@ def solve_l1(p: L1Problem) -> L1Solution:
     W in all, has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
     cost W each and the segment column z_j in [0, y_{j+1} - y_j] costs
     2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
-    the sum of |residual| over the examples.  The gap (counting the
-    segments' upper-bound duals) is in those units, and IPM_ROW_THRESHOLD
-    counts equality rows.  A design row with one distinct target has no
-    segment columns.  Under SIMPLEX_LIKE the row sum(beta) <= 1 comes first.
-    Raises LPNotOptimal when HiGHS stops short of an optimum, when its
-    solution is off its bounds or rows by more than FEASIBILITY_TOL, or when
-    the gap per example exceeds OPT_TOL.
+    the sum of |residual| over the examples, and the dual objective (with
+    the segments' upper-bound duals) plus that constant is the LP route's
+    bound.  IPM_ROW_THRESHOLD counts equality rows.  A design row with one
+    distinct target has no segment columns.  Under SIMPLEX_LIKE the row
+    sum(beta) <= 1 comes first.  Raises LPNotOptimal when HiGHS stops short
+    of an optimum, when its solution is off its bounds or rows by more than
+    FEASIBILITY_TOL, or when _certified declines its beta.
     """
     rows, low, weight, seg_row, width, slope = _group_by_design_row(
         p.points, p.rows, p.targets
@@ -499,19 +499,17 @@ def solve_l1(p: L1Problem) -> L1Solution:
             f"HiGHS solution off its bounds or rows by more than {FEASIBILITY_TOL:.2e}"
         )
 
-    beta = run.col_value[:k]
-    if simplex:
-        # snap solver-level noise so downstream invariants hold exactly
-        beta = _snap_to_simplex(beta)
-        if beta is None:
-            raise RuntimeError("LP violated the simplex constraint")
-    objective = float(np.abs((p.points @ beta)[p.rows] - p.targets).mean())
-
+    # the dual objective, plus the constant sum_j w_j (y_j - y_1) that the
+    # LP's objective leaves out, bounds every beta's sum of |residual|
     dual = float(low @ run.row_dual[lead:])
     if simplex:
         dual += float(run.row_dual[0])
     dual += float(width @ run.upper_dual)
-    gap = abs(float(run.objective) - dual)
-    if not gap / len(p.targets) <= OPT_TOL:
-        raise LPNotOptimal(f"duality gap {gap:.3e} exceeds {OPT_TOL:g} per example")
-    return L1Solution(beta, objective, gap)
+    offset = float(width @ (weight[seg_row] - slope)) / 2
+    fit = _certified(p, run.col_value[:k], dual + offset)
+    if fit is None:
+        raise LPNotOptimal(
+            f"duality gap of HiGHS's beta above {OPT_TOL:g} per example,"
+            " or the beta off the simplex"
+        )
+    return fit

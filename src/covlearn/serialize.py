@@ -173,6 +173,7 @@ def _pmac_node_to_json(node, arrays: bool) -> dict:
             "poly": polynomial_to_json(node.poly, arrays),
             "m_tilde": node.m_tilde,
             "shift": node.shift,
+            "floor": node.floor,
         }
     return {
         "type": "node",
@@ -190,7 +191,10 @@ def _pmac_node_from_json(obj: dict, n: int):
         poly = polynomial_from_json(obj["poly"])
         if poly.n != n:
             raise ValueError(f"leaf polynomial on n={poly.n} in a tree on n={n}")
-        return PmacPolyLeaf(poly, float(obj["m_tilde"]), float(obj["shift"]))
+        m_tilde = float(obj["m_tilde"])
+        # a file from before leaves carried their floor: every leaf had m~/4
+        floor = float(obj.get("floor", m_tilde / 4.0))
+        return PmacPolyLeaf(poly, m_tilde, float(obj["shift"]), floor)
     if kind == "node":
         var = as_integer(obj["var"], "var")
         if not 1 <= var <= n:

@@ -1620,6 +1620,34 @@ class TestLpNotOptimal:
         assert "runtime_sec" not in row
         assert not os.path.exists(os.path.join(out_dir, output))
 
+    def test_beta_above_the_simplex(self, tmp_path, capsys, monkeypatch):
+        # HiGHS's beta raised to sum 1 + 1e-6, within its feasibility
+        # tolerance but off the simplex: a failed trial row, not a traceback
+        solve = regression._run_highs
+
+        def above(lp, options, bounded):
+            run = solve(lp, options, bounded)
+            k = lp.num_col_ - 2 * (lp.num_row_ - 1) - bounded
+            beta = run.col_value[:k].copy()
+            beta[0] += 1 + 1e-6 - beta.sum()
+            return run._replace(col_value=np.r_[beta, run.col_value[k:]])
+
+        monkeypatch.setattr(regression, "_run_highs", above)
+        cfg = {
+            "learner": "proper-agnostic",
+            "n": 5,
+            "eval_samples": 1000,
+            "target": {"max_terms": 2, "max_arity": 2},
+            "params": {"epsilon": 0.6, "kappa": 0.3, "noise_scale": 0.1},
+        }
+        code, out_dir = run(tmp_path, "learn", dict(cfg, seed=1, trials=1))
+        assert code == EXIT_CONTRACT
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert row["success"] is False
+        assert "off the simplex" in row["error"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "hypothesis_000.json"))
+
 
 class TestBudgetExhausted:
     def test_becomes_a_failed_trial_row(self, tmp_path, capsys, monkeypatch):

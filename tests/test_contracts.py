@@ -15,6 +15,13 @@ every release spends exactly its budget q.  Its confidence is the agnostic
 learner's 2/3 times the gate's 1 - delta.  At six seeds that confidence
 asks no success of a cell, so the row's releases are also pooled and held
 to the quantile for their number.
+
+PMAC row: gamma 0.5, delta 0.2, on three targets whose small term lies
+between a minus leaf's floor and a quarter of its level's maximum, and on
+64 random targets (n 5-10, at most 1-4 terms of arity 1-3, total weight at
+most 1), twelve seeds each.  A run succeeds when its hypothesis h meets
+h <= c <= (1 + gamma) h, to the CLI check's 1e-9, on at least 1 - delta of
+the cube, counted exactly.  Its confidence is 2/3.
 """
 
 import math
@@ -23,7 +30,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from covlearn.coverage import CoverageFunction, random_coverage
 from covlearn.cube import child_rng
+from covlearn.learners import UniformTableOracle, pmac_learn
 from covlearn.privacy import (
     Dataset,
     all_conjunction_answers,
@@ -86,3 +95,29 @@ def test_k_way_row_pooled(k_way_row):
     runs = [ok for cell in k_way_row.values() for ok, _ in cell]
     assert len(runs) == 216
     assert sum(runs) >= floor_successes(len(runs), K_WAY_CONFIDENCE)
+
+
+PMAC_GAMMA, PMAC_DELTA = 0.5, 0.2
+PMAC_SEEDS = range(12)
+PMAC_TARGETS = [
+    CoverageFunction(8, 0.0, {1: 0.064, 16: 0.606}),
+    CoverageFunction(9, 0.0, {64: 0.044, 256: 0.332}),
+    CoverageFunction(10, 0.0, {1: 0.093, 8: 0.157, 32: 0.478}),
+] + [random_coverage(5 + i % 6, 1 + i // 6 % 4, 1 + i // 24 % 3, i) for i in range(64)]
+
+
+def pmac_succeeds(c: CoverageFunction, seed: int) -> bool:
+    """Whether pmac_learn's h meets the multiplicative bound on at least
+    1 - delta of the cube."""
+    h = pmac_learn(UniformTableOracle.from_coverage(c), PMAC_GAMMA, PMAC_DELTA, seed)
+    masks = np.arange(1 << c.n, dtype=np.uint64)
+    hv, cv = h.eval_masks(masks), c.eval_masks(masks)
+    within = (hv <= cv + 1e-9) & (cv <= (1 + PMAC_GAMMA) * hv + 1e-9)
+    return bool(within.mean() >= 1 - PMAC_DELTA)
+
+
+@pytest.mark.parametrize("target", range(len(PMAC_TARGETS)))
+def test_pmac_cell(target):
+    c = PMAC_TARGETS[target]
+    successes = sum(pmac_succeeds(c, seed) for seed in PMAC_SEEDS)
+    assert successes >= floor_successes(len(PMAC_SEEDS), 2.0 / 3.0)

@@ -645,7 +645,8 @@ class TestPmacLeaf:
         monkeypatch.setattr(learners, "pac_learn_uniform", spy)
         o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
         eta = 0.001
-        learners._pmac_leaf(o, float(o.values.max()), 0.3, 0.01, eta, 7, 3, 1)
+        m_tilde = float(o.values.max())
+        learners._pmac_leaf(o, m_tilde, m_tilde / 4, 0.3, 0.01, eta, 7, 3, 1)
         assert calls == [(child_seed(7, 3, 1), (), {"failure": eta})]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -654,7 +655,7 @@ class TestPmacLeaf:
         # scaled by 1/(3 m~), measured exactly on the whole cube
         o = UniformTableOracle.from_coverage(random_coverage(6, 5, 3, seed + 40))
         m_tilde, eps, eta = float(o.values.max()), 0.3, 0.05
-        leaf = learners._pmac_leaf(o, m_tilde, eps, 0.0, eta, seed, 0, 1)
+        leaf = learners._pmac_leaf(o, m_tilde, m_tilde / 4, eps, 0.0, eta, seed, 0, 1)
         hv = leaf.poly.eval_masks(np.arange(1 << 6, dtype=np.uint64))
         assert float(np.abs(hv - o.values / (3.0 * m_tilde)).mean()) <= eps
 

@@ -561,11 +561,11 @@ class TestAgainstLinprog:
     grouped LP is the reference it must reproduce bit for bit."""
 
     def check(self, p):
-        s, (run,) = solve_recording_runs(p)
-        beta, objective, fun, gap = linprog_l1(p)
+        s, (_,) = solve_recording_runs(p)  # one HiGHS run
+        beta, objective, _, gap = linprog_l1(p)
         assert s.coefficients.dtype == beta.dtype
         assert s.coefficients.tobytes() == beta.tobytes()
-        assert s.objective == objective and run.objective == fun
+        assert s.objective == objective
         assert s.duality_gap <= regression.OPT_TOL and gap <= regression.OPT_TOL
 
     @settings(max_examples=150, deadline=None)
@@ -609,7 +609,9 @@ class TestAgainstLinprog:
 
 class TestChecks:
     """solve_l1 refuses a HiGHS run whose solution breaks its bounds or rows,
-    or whose duals leave a gap above OPT_TOL per example."""
+    or whose beta is off the simplex or has a loss above the duals' bound by
+    more than OPT_TOL per example.  P's optimum is beta 0.5, of loss 0.25;
+    beta + d has loss 0.25 + 3d."""
 
     P = L1Problem(np.array([[1.0], [2.0]]), np.array([0.25, 1.0]), SIMPLEX_LIKE)
 
@@ -640,22 +642,40 @@ class TestChecks:
         with pytest.raises(LPNotOptimal, match="bounds or rows"):
             self.solve_with(change)
 
+    @staticmethod
+    def shift_beta(d):
+        return lambda r: r._replace(col_value=np.r_[r.col_value[:1] + d, r.col_value[1:]])
+
     @pytest.mark.parametrize(
         "change",
         [
             lambda r: r._replace(row_dual=r.row_dual + 1e-3),
-            lambda r: r._replace(objective=r.objective + 1e-6),
-            lambda r: r._replace(objective=np.nan),
+            # rows, duals and residual columns as solved: the returned beta
+            # itself is 1.5e-4 per example above the optimum
+            shift_beta(1e-4),
+            # sum(beta) = 1 + 1e-6, within FEASIBILITY_TOL of its row but
+            # above the snap's CONSTRAINT_TOL
+            lambda r: r._replace(col_value=np.r_[1 + 1e-6, r.col_value[1:]]),
+            lambda r: r._replace(row_dual=np.full_like(r.row_dual, np.nan)),
         ],
-        ids=["row-duals", "objective", "nan"],
+        ids=["row-duals", "beta", "beta-above-simplex", "nan"],
     )
     def test_gap_above_tolerance(self, change):
         with pytest.raises(LPNotOptimal, match="duality gap"):
             self.solve_with(change)
 
-    def test_gap_is_per_example(self):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # the sum(beta) <= 1 row's dual counts once in the bound
+            lambda r: r._replace(row_dual=np.r_[r.row_dual[:1] + 1.5e-7, r.row_dual[1:]]),
+            shift_beta(5e-8),
+        ],
+        ids=["row-dual", "beta"],
+    )
+    def test_gap_is_per_example(self, change):
         # a gap of 1.5e-7 over two examples is 7.5e-8 each, within OPT_TOL
-        s = self.solve_with(lambda r: r._replace(objective=r.objective + 1.5e-7))
+        s = self.solve_with(change)
         assert s.duality_gap == pytest.approx(1.5e-7, rel=1e-6)
 
     def test_status_other_than_optimal(self):

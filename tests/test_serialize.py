@@ -170,7 +170,7 @@ class TestPolynomialJson:
 
 class TestPmacJson:
     def test_handwritten_tree_roundtrip(self):
-        leaf = PmacPolyLeaf(SparsePolynomial(3, "parity", {0: 0.5}), 2.0, 0.1)
+        leaf = PmacPolyLeaf(SparsePolynomial(3, "parity", {0: 0.5}), 2.0, 0.1, 0.5)
         root = PmacNode(1, leaf, PmacZeroLeaf())
         h = PmacHypothesis(3, root)
         back = pmac_from_json(pmac_to_json(h))
@@ -183,6 +183,31 @@ class TestPmacJson:
         back = pmac_from_json(pmac_to_json(h))
         masks = np.arange(64, dtype=np.uint64)
         assert np.array_equal(back.eval_masks(masks), h.eval_masks(masks))
+
+    def test_every_leaf_writes_its_floor(self):
+        # c = 0.25 + 0.05 OR_{x1} + 0.7 OR_{x2}: a quarter of the cube sits
+        # at 0.25, so the root splits on x1, whose minus leaf takes the
+        # pivot's label floor; on the plus half c >= 0.95 / 4, so the tail
+        # leaf takes a quarter of its m_tilde.  The file keeps each floor.
+        c = CoverageFunction(4, 0.25, {1: 0.05, 2: 0.7})
+        h = pmac_learn(UniformTableOracle.from_coverage(c), 0.5, 0.2, 0)
+        minus, tail = h.root.minus, h.root.plus
+        assert minus.floor == minus.m_tilde / (16 * math.log(9 / 0.2))
+        assert tail.floor == tail.m_tilde / 4
+        obj = pmac_to_json(h)
+        root = obj["root"]
+        assert (root["minus"]["floor"], root["plus"]["floor"]) == (minus.floor, tail.floor)
+        masks = np.arange(1 << 4, dtype=np.uint64)
+        back = pmac_from_json(json.loads(json.dumps(obj)))
+        assert back.eval_masks(masks).tobytes() == h.eval_masks(masks).tobytes()
+
+    def test_leaf_without_floor_reads_a_quarter_of_m_tilde(self):
+        leaf = {"type": "leaf", "m_tilde": 0.75, "shift": 0.0,
+                "poly": {"type": "polynomial", "n": 3, "basis": "parity",
+                         "coeffs": [{"set": [], "value": 0.0}]}}
+        h = pmac_from_json({"type": "pmac", "n": 3, "root": leaf})
+        assert h.root.floor == 0.1875
+        assert h.eval_masks(np.arange(8, dtype=np.uint64)).tolist() == [0.1875] * 8
 
     def test_vars_one_based(self):
         h = PmacHypothesis(2, PmacNode(0, PmacZeroLeaf(), PmacZeroLeaf()))
@@ -200,7 +225,7 @@ class TestPmacJson:
 
     def test_rejects_leaf_polynomial_on_another_n(self):
         poly = SparsePolynomial(16, "parity", {0: 0.5, 1 << 15: 0.25})
-        leaf = PmacPolyLeaf(poly, 1.0, 0.0)
+        leaf = PmacPolyLeaf(poly, 1.0, 0.0, 0.25)
         obj = pmac_to_json(PmacHypothesis(16, PmacNode(2, leaf, PmacZeroLeaf())))
         assert pmac_from_json(obj).n == 16
         obj["n"] = 4
@@ -521,7 +546,9 @@ def _hypotheses(draw):
         if kind == "zero":
             return PmacZeroLeaf()
         if kind == "leaf":
-            return PmacPolyLeaf(draw(_polynomials(n)), draw(_COEFF), draw(_COEFF))
+            return PmacPolyLeaf(
+                draw(_polynomials(n)), draw(_COEFF), draw(_COEFF), draw(_COEFF)
+            )
         return PmacNode(draw(st.integers(0, n - 1)), node(depth + 1), node(depth + 1))
 
     return PmacHypothesis(n, node(0))
@@ -581,7 +608,7 @@ class TestArrayConstruction:
         table = child_rng(4, len(free_vars)).random(1 << len(free_vars))
         oracle = UniformTableOracle(8, free_vars, table)
         eps, eta, seed = 0.2, 0.05, 11
-        leaf = learners._pmac_leaf(oracle, 1.0, eps, 0.01, eta, seed, 2)
+        leaf = learners._pmac_leaf(oracle, 1.0, 0.25, eps, 0.01, eta, seed, 2)
         compact = pac_learn_uniform(
             oracle.scaled(1.0 / 3.0), eps, child_seed(seed, 2), failure=eta
         )
@@ -590,7 +617,7 @@ class TestArrayConstruction:
             for t, c in compact.coeffs.items()
         }
         assert len(lifted) > 3
-        want = PmacPolyLeaf(SparsePolynomial(8, "parity", lifted), 1.0, 0.01)
+        want = PmacPolyLeaf(SparsePolynomial(8, "parity", lifted), 1.0, 0.01, 0.25)
         assert leaf == want
         tree = lambda l: PmacHypothesis(8, PmacNode(3, l, PmacZeroLeaf()))
         self._check_same(tmp_path, tree(leaf), tree(want))
