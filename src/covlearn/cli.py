@@ -38,6 +38,7 @@ from .cube import (
     MAX_COMPACT_N,
     DistributionSpec,
     IndexSet,
+    cell_index,
     child_rng,
     child_seed,
     format_point_line,
@@ -254,13 +255,13 @@ def _cube_or_masks(f, n: int, samples: int):
     coordinates, as an array or a tuple of arrays; or, when the 2^n cells
     are no more than that, a gather from f evaluated once on every cell.
     Every eval_masks and answer_masks is elementwise, so both give the same
-    values."""
+    values.  The masks a check draws lie in [0, 2^n)."""
     if (1 << n) > samples:
         return f
     tables = f(np.arange(1 << n, dtype=np.uint64))
     if isinstance(tables, tuple):
-        return lambda masks: tuple(t[masks] for t in tables)
-    return tables.__getitem__
+        return lambda masks: tuple(t[cell_index(masks)] for t in tables)
+    return lambda masks: tables[cell_index(masks)]
 
 
 def _trial_file(out_dir: str, kind: str, trial: int, ext: str) -> str:
@@ -399,7 +400,8 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             values = table if shared is not None else dense_table(target(tseed))
             oracle = _CountingTableOracle(n, tuple(range(n)), values, drawn)
             h = learn(oracle, *args, tseed)
-            return h, oracle.values.__getitem__, h  # eval_masks is elementwise
+            # the truth of a check's masks, which lie in [0, 2^n)
+            return h, lambda masks: values[cell_index(masks)], h
         return fit
 
     def agnostic(learn, *extra):
@@ -567,7 +569,9 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
 
     def run_trial(trial: int, tseed: int):
         summary = release(d, alpha_bar, epsilon, delta, tseed)
-        error = lambda masks: np.abs(summary.answer_masks(masks) - truth_table[masks])
+        error = lambda masks: np.abs(
+            summary.answer_masks(masks) - truth_table[cell_index(masks)]
+        )
         error = _cube_or_masks(error, d.n, eval_queries)
         x_masks = sample_masks(qdist(d.n), eval_queries, child_rng(seed, trial, 2))
         avg_error = float(error(x_masks).mean())

@@ -8,6 +8,7 @@ term, keeping evaluation exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -169,15 +170,51 @@ def walsh_hadamard(values: np.ndarray, weights: np.ndarray | None = None) -> np.
 
 
 def dense_table(c: CoverageFunction) -> np.ndarray:
-    """Evaluations on all 2^n points, indexed by point mask, computed
-    WHT_BLOCK points at a time, so the masks and the evaluation's
-    temporaries take a few blocks, not tables."""
+    """Evaluations on all 2^n points, indexed by point mask, built one block
+    of WHT_BLOCK cells at a time, term by term in the order of c.terms.
+
+    A term whose set meets the block's high bits adds its weight to the
+    whole block.  Otherwise the cells it misses are the subcube of the block
+    with the set's low bits at 0: that subcube is saved, the block gets the
+    weight and the subcube is restored.  A term that misses the whole block
+    is skipped.  No mask array is built; the only temporary is the saved
+    subcube, at most half a block.
+
+    The bytes are those of the per-term loop table += w * OR_S.  That
+    loop's adds of w * 0 change a cell only from -0.0 to +0.0, which its
+    first positive weight does to every cell still at -0.0 (an affine of
+    -0.0 that no term has reached); one closing table += 0.0 does the same.
+    """
     if c.n > MAX_DENSE_N:
         raise ValueError(f"dense table needs n <= {MAX_DENSE_N}")
-    table = np.empty(1 << c.n)
-    for start in range(0, len(table), WHT_BLOCK):
-        masks = np.arange(start, min(start + WHT_BLOCK, len(table)), dtype=np.uint64)
-        table[start : start + len(masks)] = c.eval_masks(masks)
+    table = np.full(1 << c.n, c.affine)
+    size = min(len(table), WHT_BLOCK)
+    bits = size.bit_length() - 1
+    # per term, the index of the subcube of cells its low bits miss, on a
+    # block seen with axis a as bit bits - 1 - a.  Each index is made from a
+    # list, at its final size: a tuple grown from a generator is resized,
+    # and every such tuple freed stays on the interpreter's free list.
+    terms = [
+        (mask, w, tuple([slice(1) if mask >> (bits - 1 - a) & 1 else slice(None)
+                         for a in range(bits)]))
+        for mask, w in c.terms.items()
+        if w
+    ]
+    for start in range(0, len(table), size):
+        block = table[start : start + size]
+        axes = block.reshape((2,) * bits)
+        for mask, w, index in terms:
+            if mask & start:
+                block += w
+            elif mask & (size - 1):
+                missed = axes[index]
+                saved = missed.copy()
+                block += w
+                missed[...] = saved
+            # else the term misses the whole block
+    negative_zero = c.affine == 0 and math.copysign(1.0, c.affine) < 0
+    if negative_zero and any(w > 0 for w in c.terms.values()):
+        table += 0.0
     return table
 
 

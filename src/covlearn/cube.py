@@ -27,6 +27,17 @@ def parity_sign(masks: np.ndarray) -> np.ndarray:
     return (1 - 2 * (np.bitwise_count(masks).astype(np.int8) & 1)).astype(np.int8)
 
 
+def cell_index(masks: np.ndarray) -> np.ndarray:
+    """uint64 masks as an int64 view of the same memory, with no copy, to
+    gather from or scatter into a table indexed by mask: numpy casts and
+    bounds-checks a uint64 index array on every fancy index, an int64 one
+    it takes as it is.  Valid only for masks below 2^63, such as every cell
+    of a 2^n table with n <= MAX_DENSE_N.  A mask at or above 2^63 reads as
+    a negative index, which numpy wraps silently, so an array from a caller
+    is range-checked before it is viewed."""
+    return masks.view(np.int64)
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask

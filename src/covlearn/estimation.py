@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .coverage import FourierTable, walsh_hadamard
-from .cube import IndexSet, eval_parity_batch
+from .cube import IndexSet, cell_index, eval_parity_batch
 
 CoeffSource = Callable[[np.ndarray], np.ndarray]
 
@@ -97,7 +97,7 @@ def spectrum_source(n: int, spectrum: np.ndarray) -> CoeffSource:
     """Lookup into a length-2^n array of coefficients indexed by set mask."""
     if len(spectrum) != 1 << n:
         raise ValueError("spectrum length must be 2^n")
-    return lambda masks: spectrum[check_masks(masks, n)]
+    return lambda masks: spectrum[cell_index(check_masks(masks, n))]
 
 
 def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:

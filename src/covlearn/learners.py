@@ -38,6 +38,7 @@ from .cube import (
     MAX_COMPACT_N,
     DistributionSpec,
     IndexSet,
+    cell_index,
     child_rng,
     child_seed,
     eval_disjunction_batch,
@@ -179,8 +180,11 @@ class SparsePolynomial:
 def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
-        dense[coeffs.masks] = coeffs.values
-        return walsh_hadamard(dense)[masks]
+        dense[cell_index(coeffs.masks)] = coeffs.values
+        top = int(masks.max()) if len(masks) else 0
+        if top >> n:  # the view would wrap a mask of 2^63 or more
+            raise IndexError(f"point mask {top} outside [0, 2^{n})")
+        return walsh_hadamard(dense)[cell_index(masks)]
     # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
     for t, v in zip(coeffs.masks.tolist(), coeffs.values.tolist()):
@@ -287,7 +291,7 @@ class UniformTableOracle:
         if m > DIRECT_DRAW_CAP:
             raise OracleExhausted(f"direct draw of {m} examples is over the cap")
         masks = rng.integers(0, len(self.values), size=m, dtype=np.uint64)
-        return masks, self.values[masks]
+        return masks, self.values[cell_index(masks)]
 
     def draw_counts(self, total: int, rng: np.random.Generator) -> np.ndarray:
         """Per-cell counts of `total` i.i.d. uniform draws: one uniform
@@ -352,8 +356,7 @@ def group_points(masks: np.ndarray, n: int):
     np.unique's sort."""
     if 1 << n > len(masks):
         return np.unique(masks, return_inverse=True, return_counts=True)
-    # uint64 masks below 2^n read as the same int64 cells, with no copy
-    cells = masks.view(np.int64)
+    cells = cell_index(masks)
     counts = np.bincount(cells, minlength=1 << n)
     points = np.flatnonzero(counts)
     rows = (np.cumsum(counts != 0) - 1)[cells]

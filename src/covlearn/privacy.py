@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .coverage import MAX_DENSE_N, CoverageFunction
-from .cube import MAX_COMPACT_N, DistributionSpec, child_rng
+from .cube import MAX_COMPACT_N, DistributionSpec, cell_index, child_rng
 from .estimation import CoeffSource, check_masks
 from .learners import (
     SampledOracle,
@@ -179,7 +179,7 @@ def all_conjunction_answers(d: Dataset) -> np.ndarray:
     if d.is_empty():
         raise ValueError("counting query on an empty dataset")
     table = np.zeros(1 << d.n, dtype=np.float64)
-    table[d.masks] = d.mults
+    table[cell_index(d.masks)] = d.mults
     for bit in range(d.n):
         t = table.reshape(-1, 2 << bit)
         t[:, : 1 << bit] += t[:, 1 << bit :]

@@ -253,6 +253,7 @@ class _Run(NamedTuple):
     col_value: np.ndarray
     row_value: np.ndarray
     row_dual: np.ndarray
+    col_dual: np.ndarray  # reduced costs of the columns before the last ones
     upper_dual: np.ndarray  # of the last columns asked for, min(dual, 0)
 
 
@@ -260,7 +261,9 @@ def _run_highs(lp: highs.HighsLp, options: dict, bounded: int) -> _Run:
     """Solve lp once with HiGHS under the given options: the one call into
     the solver.  upper_dual holds min(dual, 0) of each of the last `bounded`
     columns: a column z in [0, width] adds width * min(dual, 0), the least
-    of dual * z, to the Lagrangian dual bound, whatever the duals are."""
+    of dual * z, to the Lagrangian dual bound, whatever the duals are.
+    col_dual holds the reduced costs of the other columns, which have no
+    upper bound."""
     h = _highs()._Highs()
     for key, value in options.items():
         h.setOptionValue(key, value)
@@ -268,12 +271,14 @@ def _run_highs(lp: highs.HighsLp, options: dict, bounded: int) -> _Run:
     h.run()
     sol = h.getSolution()
     col_dual = np.asarray(sol.col_dual)
+    split = len(col_dual) - bounded
     return _Run(
         h.modelStatusToString(h.getModelStatus()),
         np.asarray(sol.col_value),
         np.asarray(sol.row_value),
         np.asarray(sol.row_dual),
-        np.minimum(col_dual[len(col_dual) - bounded :], 0.0),
+        col_dual[:split],
+        np.minimum(col_dual[split:], 0.0),
     )
 
 
@@ -429,10 +434,10 @@ def solve_l1(p: L1Problem) -> L1Solution:
     W in all, has the row  phi.beta + a - b - sum_j z_j = y_1,  where a, b >= 0
     cost W each and the segment column z_j in [0, y_{j+1} - y_j] costs
     2 (w_1 + ... + w_j) - W: the LP's objective plus sum_j w_j (y_j - y_1) is
-    the sum of |residual| over the examples, and the dual objective (with
-    the segments' upper-bound duals) plus that constant is the LP route's
-    bound.  IPM_ROW_THRESHOLD counts equality rows.  A design row with one
-    distinct target has no segment columns.  Under SIMPLEX_LIKE the row
+    the sum of |residual| over the examples, and the Lagrangian bound of
+    HiGHS's duals, valid whatever their signs, plus that constant is the LP
+    route's bound.  IPM_ROW_THRESHOLD counts equality rows.  A design row
+    with one distinct target has no segment columns.  Under SIMPLEX_LIKE the row
     sum(beta) <= 1 comes first.  Raises LPNotOptimal when HiGHS stops short
     of an optimum, when its solution is off its bounds or rows by more than
     FEASIBILITY_TOL, or when _certified declines its beta.
@@ -499,12 +504,22 @@ def solve_l1(p: L1Problem) -> L1Solution:
             f"HiGHS solution off its bounds or rows by more than {FEASIBILITY_TOL:.2e}"
         )
 
-    # the dual objective, plus the constant sum_j w_j (y_j - y_1) that the
-    # LP's objective leaves out, bounds every beta's sum of |residual|
+    # the Lagrangian bound of HiGHS's duals plus the constant sum_j w_j
+    # (y_j - y_1) that the LP's objective leaves out bounds every beta's sum
+    # of |residual|, whatever the duals' signs.  The sum(beta) <= 1 row's
+    # dual counts only when <= 0 (taking it as 0 only raises beta's reduced
+    # costs), and a column with no upper bound whose reduced cost has the
+    # wrong sign (< 0, or != 0 for a free beta) beyond FEASIBILITY_TOL, or
+    # is NaN, makes the bound minus infinity.
     dual = float(low @ run.row_dual[lead:])
     if simplex:
-        dual += float(run.row_dual[0])
+        dual += min(float(run.row_dual[0]), 0.0)
     dual += float(width @ run.upper_dual)
+    reduced = run.col_dual.copy()
+    if not simplex:
+        reduced[:k] = -np.abs(reduced[:k])
+    if not np.all(reduced >= -FEASIBILITY_TOL):
+        dual = -math.inf
     offset = float(width @ (weight[seg_row] - slope)) / 2
     fit = _certified(p, run.col_value[:k], dual + offset)
     if fit is None:

@@ -355,7 +355,9 @@ def _coeff_chunks(c: Coefficients, ind: str):
     """The list _coeff_rows(c) as json.dumps writes it at indent ind, rendered
     from c's arrays ROW_BLOCK rows at a time.  A row whose set has k
     indices is k + 2 pieces: its opening, one piece per index, looked up by
-    bit position, and its closing, which holds the value."""
+    bit position, and its closing, which holds the value.  A block whose
+    values are all finite renders them with float.__repr__, json's text of
+    a finite float."""
     r = ind + "  "
     index = np.array([f"\n{r}    {i}" for i in range(1, 65)], dtype=object)
     index = np.concatenate([index, "," + index])  # first in its set, later
@@ -370,7 +372,9 @@ def _coeff_chunks(c: Coefficients, ind: str):
         at = np.flatnonzero(bits.view(bool))  # 64 * row + bit
         row, later = at >> 6, np.r_[False, at[1:] >> 6 == at[:-1] >> 6]
         sizes = np.bincount(row, minlength=len(masks))
-        values = np.array([_float(v) for v in c.values[block].tolist()], dtype=object)
+        vals = c.values[block]
+        render = float.__repr__ if np.isfinite(vals).all() else _float
+        values = np.array(list(map(render, vals.tolist())), dtype=object)
         pieces = np.empty(len(at) + 2 * len(masks), dtype=object)
         pieces.fill(opening)
         pieces[np.arange(len(at)) + 2 * row + 1] = index[(at & 63) + 64 * later]

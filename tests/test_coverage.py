@@ -73,6 +73,40 @@ class TestCoverageFunction:
         assert abs(c.total_weight() - 0.3) < 1e-15
 
 
+def reference_table(c):
+    """The per-term loop dense_table replaced, as CoverageFunction.eval_masks
+    runs it: the affine everywhere, then each nonzero weight times its
+    disjunction, added in the order of c.terms."""
+    cells = np.arange(1 << c.n, dtype=np.uint64)
+    out = np.full(len(cells), c.affine)
+    for mask, w in c.terms.items():
+        if w:
+            out += w * ((cells & np.uint64(mask)) != 0)
+    return out
+
+
+@st.composite
+def coverages(draw):
+    """n of 1 to 17, so one block, several blocks and sets of high bits
+    only all occur; weights of 0.0 and -1e-13 and an affine of -0.0 among
+    the others."""
+    n = draw(st.integers(1, 17))
+    full = (1 << n) - 1
+    sets = [st.integers(1, full), st.just(full), st.just(full & (WHT_BLOCK - 1))]
+    if n > 14:
+        sets.append(st.integers(1, full >> 14).map(lambda high: high << 14))
+    weights = st.one_of(st.sampled_from([0.0, -1e-13]), st.floats(0.0, 0.08))
+    terms = draw(st.dictionaries(st.one_of(sets), weights, max_size=8))
+    return CoverageFunction(n, draw(st.sampled_from([0.0, -0.0, 0.3])), terms)
+
+
+class TestDenseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(c=coverages())
+    def test_bits_equal_the_per_term_loop(self, c):
+        assert dense_table(c).tobytes() == reference_table(c).tobytes()
+
+
 class TestEvalCoverage:
     def setup_method(self):
         # 0.5*OR_{1} + 0.5*OR_{2}

@@ -12,6 +12,7 @@ from covlearn.cube import (
     DistributionSpec,
     IndexSet,
     Point,
+    cell_index,
     child_rng,
     child_seed,
     eval_disjunction,
@@ -24,6 +25,8 @@ from covlearn.cube import (
     sample,
     sample_masks,
 )
+from covlearn.estimation import spectrum_source
+from covlearn.learners import UniformTableOracle
 
 
 class TestPoint:
@@ -378,3 +381,23 @@ class TestTextFormat:
     @given(st.integers(0, 2**16 - 1))
     def test_roundtrip_property(self, mask):
         assert parse_point_line(format_point_line(mask, 16)) == (mask, 16)
+
+
+class TestCellIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_reads_and_writes_equal_the_uint64_ones(self, n, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=1 << n)
+        masks = rng.integers(0, 1 << n, size=500, dtype=np.uint64)
+        masks[:2] = 0, (1 << n) - 1
+        cells = cell_index(masks)
+        assert cells.dtype == np.int64 and np.shares_memory(cells, masks)
+        assert table[cells].tobytes() == table[masks].tobytes()
+        assert spectrum_source(n, table)(masks).tobytes() == table[masks].tobytes()
+        oracle = UniformTableOracle(n, tuple(range(n)), table)
+        drawn, labels = oracle.draw(500, child_rng(seed, 0))
+        assert labels.tobytes() == table[drawn].tobytes()
+        written, expected, values = np.zeros(1 << n), np.zeros(1 << n), rng.random(500)
+        written[cells], expected[masks] = values, values
+        assert written.tobytes() == expected.tobytes()

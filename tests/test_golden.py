@@ -89,6 +89,9 @@ def matrix(work: Path) -> dict[str, tuple[str, dict]]:
         # 2^13 cells: the matrix's table of 2^13 cells or more
         "learn-pac-n13": _learn("pac", 13, {"epsilon": 0.4}),
         "learn-pmac": _learn("pmac", 6, {"gamma": 0.5, "delta": 0.2}),
+        # 2^15 cells: a dense table and transform of two blocks, and a check
+        # that samples its 2,000 masks
+        "learn-pmac-n15": _learn("pmac", 15, {"gamma": 0.5, "delta": 0.2}),
         "learn-proper": _learn("proper", 5, {"epsilon": 0.4, "size_bound": 2}),
         "learn-agnostic-uniform": _learn("agnostic", 4, {"epsilon": 0.5}),
         "learn-agnostic-product": _learn(

@@ -130,6 +130,18 @@ class TestSparsePolynomial:
             p(-1)
         assert p((1 << n) - 1) == p.eval_masks(np.array([(1 << n) - 1]))[0]
 
+    @pytest.mark.parametrize("bad", [1 << 10, (1 << 64) - 1], ids=["2^n", "2^64-1"])
+    def test_dense_eval_refuses_a_mask_outside_the_cube(self, bad):
+        # the dense path reads its table through an int64 view, in which
+        # 2^64 - 1 is -1, an index numpy would wrap to the last cell
+        coeffs = {t: 1.0 / (t + 1) for t in range(DENSE_EVAL_SUPPORT + 44)}
+        poly = SparsePolynomial(10, "parity", coeffs)
+        tree = PmacHypothesis(10, PmacPolyLeaf(poly, 1.0, 0.0, 0.0))
+        masks = np.array([3, bad], dtype=np.uint64)
+        for h in (poly, tree):
+            with pytest.raises(IndexError):
+                h.eval_masks(masks)
+
     def test_masks_up_to_bit_63(self):
         p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
         assert p.coeffs.masks.tolist() == [0, 1 << 63, 2**64 - 1]

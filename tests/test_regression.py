@@ -667,8 +667,9 @@ class TestChecks:
     @pytest.mark.parametrize(
         "change",
         [
-            # the sum(beta) <= 1 row's dual counts once in the bound
-            lambda r: r._replace(row_dual=np.r_[r.row_dual[:1] + 1.5e-7, r.row_dual[1:]]),
+            # the sum(beta) <= 1 row's dual, of the right sign (<= 0), counts
+            # once in the bound
+            lambda r: r._replace(row_dual=np.r_[r.row_dual[:1] - 1.5e-7, r.row_dual[1:]]),
             shift_beta(5e-8),
         ],
         ids=["row-dual", "beta"],
@@ -677,6 +678,37 @@ class TestChecks:
         # a gap of 1.5e-7 over two examples is 7.5e-8 each, within OPT_TOL
         s = self.solve_with(change)
         assert s.duality_gap == pytest.approx(1.5e-7, rel=1e-6)
+
+    def test_wrong_sign_row_dual_leaves_the_bound(self):
+        # a <= row's dual above 0 would raise the bound above the optimum;
+        # the bound takes that dual as 0
+        s = self.solve_with(
+            lambda r: r._replace(row_dual=np.r_[r.row_dual[:1] + 1e-3, r.row_dual[1:]])
+        )
+        assert s.duality_gap == self.solve_with(lambda r: r).duality_gap
+
+    @pytest.mark.parametrize(
+        "constraint, column, value",
+        [
+            (SIMPLEX_LIKE, 0, -1e-3),  # beta >= 0
+            (SIMPLEX_LIKE, 2, -1e-3),  # a residual column >= 0
+            (UNCONSTRAINED, 0, 1e-3),  # a free beta
+            (UNCONSTRAINED, 0, -1e-3),
+            (UNCONSTRAINED, 4, np.nan),
+        ],
+        ids=["beta", "residual", "free-beta-above", "free-beta-below", "nan"],
+    )
+    def test_wrong_sign_reduced_cost(self, constraint, column, value):
+        # a column with no upper bound whose reduced cost has the wrong sign
+        # by more than FEASIBILITY_TOL makes the bound minus infinity
+        def change(r):
+            col_dual = r.col_dual.copy()
+            col_dual[column] = value
+            return r._replace(col_dual=col_dual)
+
+        self.P = L1Problem(self.P.points, self.P.targets, constraint)
+        with pytest.raises(LPNotOptimal, match="duality gap"):
+            self.solve_with(change)
 
     def test_status_other_than_optimal(self):
         with pytest.raises(LPNotOptimal, match="Iteration limit reached"):

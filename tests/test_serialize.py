@@ -573,6 +573,17 @@ class TestHypothesisFiles:
         monkeypatch.setattr(serialize, "ROW_BLOCK", 5)
         assert _write_and_reload(tmp_path, p)[0] == whole
 
+    def test_non_finite_values_after_a_finite_block(self, tmp_path, monkeypatch):
+        # blocks of four rows: the first all finite, the second with NaN and
+        # both infinities; each is written as json.dumps writes it
+        monkeypatch.setattr(serialize, "ROW_BLOCK", 4)
+        coeffs = {0: 0.5, 1: -0.0, 2: 1e22, 3: 5e-324,
+                  4: math.nan, 5: math.inf, 6: -math.inf, 7: 0.25}
+        leaf = PmacPolyLeaf(SparsePolynomial(3, "parity", coeffs), 1.0, 0.0, 0.0)
+        tree = PmacHypothesis(3, PmacNode(1, leaf, PmacZeroLeaf()))
+        text, _ = _write_and_reload(tmp_path, tree)
+        assert b"NaN" in text and b"-Infinity" in text
+
 
 class TestArrayConstruction:
     """A polynomial built from (masks, values) arrays and one built from the
