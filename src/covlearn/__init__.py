@@ -13,11 +13,7 @@ from .coverage import (
     walsh_hadamard,
 )
 from .cube import DimensionMismatch, DistributionSpec, IndexSet, Point, child_rng
-from .estimation import (
-    SampleBatch,
-    hoeffding_samples,
-    lattice_search,
-)
+from .estimation import hoeffding_samples, lattice_search
 from .learners import (
     BasisTooLarge,
     DesignTooLarge,

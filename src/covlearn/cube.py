@@ -38,6 +38,20 @@ def cell_index(masks: np.ndarray) -> np.ndarray:
     return masks.view(np.int64)
 
 
+def group_points(masks: np.ndarray, n: int):
+    """(points, rows, counts) of masks on n coordinates, as np.unique(masks,
+    return_inverse=True, return_counts=True) gives them, dtypes included:
+    at least 2^n masks are grouped by counting over the 2^n cells, fewer by
+    np.unique's sort."""
+    if 1 << n > len(masks):
+        return np.unique(masks, return_inverse=True, return_counts=True)
+    cells = cell_index(masks)
+    counts = np.bincount(cells, minlength=1 << n)
+    points = np.flatnonzero(counts)
+    rows = (np.cumsum(counts != 0) - 1)[cells]
+    return points.astype(masks.dtype), rows, counts[points]
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask

@@ -3,48 +3,27 @@
 A "coefficient source" is a callable from an integer array of set masks to
 the float64 array of estimated Fourier coefficients at those sets, in the
 same order; it raises ValueError for a mask outside [0, 2^n).  Three
-implementations live here: empirical estimation over a sample batch, exact
-lookup in a Fourier table, and one fancy index into a precomputed spectrum,
-such as the spectrum of aggregated per-point counts (the route used when
-nominal sample counts are astronomically large but n is small).  The
-lattice search asks its source once per level.
+implementations live here: empirical estimation over a drawn sample,
+grouped into its distinct points; exact lookup in a Fourier table; and one
+fancy index into a precomputed spectrum, such as the spectrum of aggregated
+per-point counts (the route used when nominal sample counts are
+astronomically large but n is small).  The lattice search asks its source
+once per level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coverage import FourierTable, walsh_hadamard
-from .cube import IndexSet, cell_index, eval_parity_batch
+from .cube import IndexSet, cell_index, eval_parity_batch, group_points
 
 CoeffSource = Callable[[np.ndarray], np.ndarray]
 
 LABEL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Labeled sample: point masks and labels in [0,1], same length."""
-
-    n: int
-    masks: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.masks) == 0:
-            raise ValueError("sample batch must be non-empty")
-        if len(self.masks) != len(self.labels):
-            raise ValueError("points and labels must have equal length")
-        lo, hi = float(self.labels.min()), float(self.labels.max())
-        if lo < -LABEL_TOL or hi > 1 + LABEL_TOL:
-            raise ValueError(f"labels outside [0,1]: range [{lo}, {hi}]")
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
 
 def hoeffding_samples(tolerance: float, failure: float) -> int:
@@ -72,17 +51,32 @@ def check_masks(masks, n: int) -> np.ndarray:
     return masks.astype(np.uint64, copy=False)
 
 
-def estimate_coefficient(batch: SampleBatch, mask: int) -> float:
-    """Empirical mean of label * parity over the batch; unbiased for the
-    coefficient when the batch is uniform."""
-    check_masks(mask, batch.n)
-    signs = eval_parity_batch(mask, batch.masks)
-    return float(signs @ batch.labels) / len(batch)
+def batch_source(n: int, masks: np.ndarray, labels: np.ndarray) -> CoeffSource:
+    """Empirical coefficients of a drawn sample of uint64 point masks and
+    labels in [0,1]: at set mask t, the mean over the examples of
+    label * chi_t, unbiased for the coefficient when the draw is uniform.
+    The draw is grouped once into its distinct points, with the sum of
+    their labels, so each set mask costs one parity evaluation over the
+    distinct points.  The sum is an einsum, not a BLAS dot, whose bits
+    could depend on the thread count."""
+    if len(masks) == 0:
+        raise ValueError("sample must be non-empty")
+    if len(masks) != len(labels):
+        raise ValueError("points and labels must have equal length")
+    lo, hi = float(np.min(labels)), float(np.max(labels))
+    if lo < -LABEL_TOL or hi > 1 + LABEL_TOL:
+        raise ValueError(f"labels outside [0,1]: range [{lo}, {hi}]")
+    points, rows, _ = group_points(masks, n)
+    sums, m = np.bincount(rows, weights=labels, minlength=len(points)), len(masks)
 
+    def source(set_masks: np.ndarray) -> np.ndarray:
+        set_masks = check_masks(set_masks, n).tolist()
+        return np.array(
+            [np.einsum("i,i->", eval_parity_batch(t, points), sums) for t in set_masks],
+            dtype=np.float64,
+        ) / m
 
-def batch_source(batch: SampleBatch) -> CoeffSource:
-    # one estimate per mask, each checked by estimate_coefficient
-    return lambda masks: np.array([estimate_coefficient(batch, int(t)) for t in masks])
+    return source
 
 
 def exact_source(table: FourierTable) -> CoeffSource:
@@ -105,12 +99,12 @@ def spectrum_from_counts(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     weights[x] is how many sample points landed on point mask x (any
     non-negative reals); labels[x] is the label shared by that cell.  The
-    result equals estimate_coefficient for every t simultaneously, via one
-    Walsh-Hadamard transform of the product labels * weights, divided in
-    place by the total weight.  The transform forms the product one block
-    at a time, so its result is the one table the call allocates, besides
-    the transform's scratch block of at most WHT_BLOCK cells, and the
-    result is returned.
+    result is batch_source's estimate on the expanded sample at every t at
+    once, via one Walsh-Hadamard transform of the product labels * weights,
+    divided in place by the total weight.  The transform forms the product
+    one block at a time, so its result is the one table the call allocates,
+    besides the transform's scratch block of at most WHT_BLOCK cells, and
+    the result is returned.
     """
     total = float(weights.sum())
     if total <= 0:

@@ -33,7 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import cube
-from .coverage import MAX_DENSE_N, CoverageFunction, dense_table, walsh_hadamard
+from .coverage import (
+    MAX_DENSE_N, WEIGHT_TOL, CoverageFunction, dense_table, walsh_hadamard
+)
 from .cube import (
     MAX_COMPACT_N,
     DistributionSpec,
@@ -43,10 +45,10 @@ from .cube import (
     child_seed,
     eval_disjunction_batch,
     eval_parity_batch,
+    group_points,
 )
 from .estimation import (
     CoeffSource,
-    SampleBatch,
     batch_source,
     check_masks,
     hoeffding_samples,
@@ -178,12 +180,14 @@ class SparsePolynomial:
 
 
 def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
+    # the per-coefficient path would drop bits above n; the dense path's
+    # view would wrap a mask of 2^63 or more
+    top = int(masks.max()) if len(masks) else 0
+    if top >> n:
+        raise IndexError(f"point mask {top} outside [0, 2^{n})")
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[cell_index(coeffs.masks)] = coeffs.values
-        top = int(masks.max()) if len(masks) else 0
-        if top >> n:  # the view would wrap a mask of 2^63 or more
-            raise IndexError(f"point mask {top} outside [0, 2^{n})")
         return walsh_hadamard(dense)[cell_index(masks)]
     # ascending mask order, the order a serialized polynomial is read back in
     out = np.zeros(len(masks), dtype=np.float64)
@@ -349,20 +353,6 @@ class UniformTableOracle:
         return bits @ (np.uint64(1) << np.array(self.free_vars, dtype=np.uint64))
 
 
-def group_points(masks: np.ndarray, n: int):
-    """(points, rows, counts) of masks on n coordinates, as np.unique(masks,
-    return_inverse=True, return_counts=True) gives them, dtypes included:
-    at least 2^n masks are grouped by counting over the 2^n cells, fewer by
-    np.unique's sort."""
-    if 1 << n > len(masks):
-        return np.unique(masks, return_inverse=True, return_counts=True)
-    cells = cell_index(masks)
-    counts = np.bincount(cells, minlength=1 << n)
-    points = np.flatnonzero(counts)
-    rows = (np.cumsum(counts != 0) - 1)[cells]
-    return points.astype(masks.dtype), rows, counts[points]
-
-
 @dataclass(frozen=True)
 class SampledOracle:
     """Generic example oracle: draws points from a distribution and labels
@@ -389,8 +379,7 @@ def _oracle_coeff_source(oracle, m: int, rng: np.random.Generator) -> CoeffSourc
     if isinstance(oracle, UniformTableOracle):
         counts = oracle.draw_counts(m, rng)
         return spectrum_source(oracle.n, spectrum_from_counts(counts, oracle.values))
-    masks, labels = oracle.draw(m, rng)
-    return batch_source(SampleBatch(oracle.n, masks, labels))
+    return batch_source(oracle.n, *oracle.draw(m, rng))
 
 
 # --------------------------------------------------------------------------
@@ -606,7 +595,9 @@ def proper_regression_samples(eps: float, sets: int) -> int:
 
 def _fit_coverage(n: int, sets: Sequence[int], examples, m: int, rng, support: int):
     """Simplex-constrained l1 fit of m drawn examples over an affine column
-    plus one OR_S column per set; the weights form a coverage function."""
+    plus one OR_S column per set; the weights form a coverage function,
+    whose terms are the sets weighted above WEIGHT_TOL: a least-squares fit
+    leaves rounding dust of about 1e-17 on the sets it does not use."""
 
     def columns(points):
         yield 1.0  # the affine column
@@ -614,7 +605,7 @@ def _fit_coverage(n: int, sets: Sequence[int], examples, m: int, rng, support: i
             yield eval_disjunction_batch(s, points)
 
     coef = _l1_fit(examples, m, rng, support, len(sets) + 1, columns, SIMPLEX_LIKE)
-    terms = {s: float(w) for s, w in zip(sets, coef[1:]) if w > 0.0}
+    terms = {s: float(w) for s, w in zip(sets, coef[1:]) if w > WEIGHT_TOL}
     return CoverageFunction(n, float(coef[0]), terms)
 
 

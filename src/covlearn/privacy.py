@@ -37,14 +37,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .coverage import MAX_DENSE_N, CoverageFunction
-from .cube import MAX_COMPACT_N, DistributionSpec, cell_index, child_rng
+from .cube import MAX_COMPACT_N, DistributionSpec, cell_index, child_rng, group_points
 from .estimation import CoeffSource, check_masks
 from .learners import (
     SampledOracle,
     SparsePolynomial,
     agnostic_learn,
     agnostic_samples,
-    group_points,
     pac_core,
     proper_pac_core,
     proper_regression_samples,

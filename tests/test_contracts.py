@@ -32,7 +32,13 @@ from scipy import stats
 
 from covlearn.coverage import CoverageFunction, random_coverage
 from covlearn.cube import child_rng
-from covlearn.learners import UniformTableOracle, pmac_learn
+from covlearn.learners import (
+    UniformTableOracle,
+    pac_learn_uniform,
+    pmac_learn,
+    proper_pac_learn,
+    proper_size_bound,
+)
 from covlearn.privacy import (
     Dataset,
     all_conjunction_answers,
@@ -121,3 +127,56 @@ def test_pmac_cell(target):
     c = PMAC_TARGETS[target]
     successes = sum(pmac_succeeds(c, seed) for seed in PMAC_SEEDS)
     assert successes >= floor_successes(len(PMAC_SEEDS), 2.0 / 3.0)
+
+
+EPS = 0.2
+PAC_SEEDS = range(12)
+WIDE = {"or-all", "chain", "long-and-small"}  # a term over n - 1 or more coordinates
+
+
+def pac_targets(n: int) -> dict[str, CoverageFunction]:
+    full = (1 << n) - 1
+    chain = {(1 << k) - 1: 1.0 / n for k in range(1, n + 1)}
+    return {
+        "or-all": CoverageFunction(n, 0.0, {full: 1.0}),
+        "chain": CoverageFunction(n, 0.0, chain),
+        "long-and-small": CoverageFunction(n, 0.0, {full ^ 1: 0.9, 1: 0.05}),
+        "singletons": CoverageFunction(n, 0.0, {1 << i: 1.0 / n for i in range(n)}),
+        "affine": CoverageFunction(n, 0.4, {0b11: 0.3, 1 << (n - 1): 0.3}),
+        "random-4": random_coverage(n, 4, 3, n),
+        "random-8": random_coverage(n, 8, 4, n + 1),
+    }
+
+
+PAC_CELLS = [(n, name) for n in (6, 8, 10) for name in pac_targets(n)]
+PROPER_CELLS = [(n, name) for n, name in PAC_CELLS if n == 6 or name not in WIDE]
+
+
+def l1_error(h, c: CoverageFunction) -> float:
+    masks = np.arange(1 << c.n, dtype=np.uint64)
+    return float(np.abs(h.eval_masks(masks) - c.eval_masks(masks)).mean())
+
+
+@pytest.mark.parametrize("cell", PAC_CELLS, ids="n{0[0]}-{0[1]}".format)
+def test_pac_cell(cell):
+    c = pac_targets(cell[0])[cell[1]]
+    oracle = UniformTableOracle.from_coverage(c)
+    successes = sum(
+        l1_error(pac_learn_uniform(oracle, EPS, seed), c) <= EPS for seed in PAC_SEEDS
+    )
+    assert successes >= floor_successes(len(PAC_SEEDS), 2.0 / 3.0)
+
+
+def proper_succeeds(c: CoverageFunction, seed: int) -> bool:
+    """Whether proper_pac_learn, told the target's term count, returns a
+    coverage function within eps with at most s_eps terms."""
+    h = proper_pac_learn(UniformTableOracle.from_coverage(c), EPS, c.size(), seed)
+    assert isinstance(h, CoverageFunction)
+    return len(h.terms) <= proper_size_bound(EPS, c.size()) and l1_error(h, c) <= EPS
+
+
+@pytest.mark.parametrize("cell", PROPER_CELLS, ids="n{0[0]}-{0[1]}".format)
+def test_proper_cell(cell):
+    c = pac_targets(cell[0])[cell[1]]
+    successes = sum(proper_succeeds(c, seed) for seed in PAC_SEEDS)
+    assert successes >= floor_successes(len(PAC_SEEDS), 2.0 / 3.0)

@@ -9,10 +9,8 @@ from covlearn.coverage import CoverageFunction, exact_fourier, random_coverage
 from covlearn.cube import DistributionSpec, IndexSet, child_rng, sample_masks
 from covlearn.learners import Coefficients
 from covlearn.estimation import (
-    SampleBatch,
     batch_source,
     check_masks,
-    estimate_coefficient,
     exact_source,
     hoeffding_samples,
     lattice_search,
@@ -22,17 +20,19 @@ from covlearn.estimation import (
 
 
 class TestSampleBatch:
+    """The draws batch_source refuses."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            SampleBatch(3, np.array([], dtype=np.uint64), np.array([]))
+            batch_source(3, np.array([], dtype=np.uint64), np.array([]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            SampleBatch(3, np.zeros(2, dtype=np.uint64), np.zeros(3))
+            batch_source(3, np.zeros(2, dtype=np.uint64), np.zeros(3))
 
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError):
-            SampleBatch(3, np.zeros(1, dtype=np.uint64), np.array([1.5]))
+            batch_source(3, np.zeros(1, dtype=np.uint64), np.array([1.5]))
 
 
 class TestHoeffding:
@@ -55,21 +55,30 @@ class TestHoeffding:
             hoeffding_samples(0.5, 1.5)
 
 
+def brute_force_estimates(masks, labels, set_masks):
+    """The mean over the examples of label * chi_t, one example at a time."""
+    return [
+        sum(y * (-1) ** (int(x) & t).bit_count() for x, y in zip(masks, labels.tolist()))
+        / len(masks)
+        for t in set_masks
+    ]
+
+
 class TestEstimateCoefficient:
+    """batch_source's estimates: exact on small draws, unbiased on uniform ones."""
+
     def test_zero_labels(self):
-        batch = SampleBatch(3, np.arange(8, dtype=np.uint64), np.zeros(8))
-        for t in range(8):
-            assert estimate_coefficient(batch, t) == 0.0
+        src = batch_source(3, np.arange(8, dtype=np.uint64), np.zeros(8))
+        assert src(np.arange(8)).tolist() == [0.0] * 8
 
     def test_one_labels_empty_set(self):
-        batch = SampleBatch(3, np.arange(8, dtype=np.uint64), np.ones(8))
-        assert estimate_coefficient(batch, 0) == 1.0
+        src = batch_source(3, np.arange(8, dtype=np.uint64), np.ones(8))
+        assert src(np.array([0]))[0] == 1.0
 
     def test_single_disjunction_monte_carlo(self):
         c = CoverageFunction(4, 0.0, {1: 1.0})
         masks = sample_masks(DistributionSpec.uniform(4), 100_000, child_rng(0, 0))
-        batch = SampleBatch(4, masks, c.eval_masks(masks))
-        est = estimate_coefficient(batch, 1)
+        est = batch_source(4, masks, c.eval_masks(masks))(np.array([1]))[0]
         assert abs(est - (-0.5)) < 0.02
 
     def test_unbiased(self):
@@ -81,11 +90,31 @@ class TestEstimateCoefficient:
         vals = []
         for i in range(100):
             masks = sample_masks(d, m, child_rng(1, i))
-            batch = SampleBatch(4, masks, c.eval_masks(masks))
-            vals.append(estimate_coefficient(batch, 1))
+            vals.append(batch_source(4, masks, c.eval_masks(masks))(np.array([1]))[0])
         mean = float(np.mean(vals))
         stderr = 0.5 / math.sqrt(m * 100)  # variance of OR*chi is <= 1/4
         assert abs(mean - (-0.5)) < 3 * stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 3, 5, 64]),
+        m=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_brute_force_mean(self, n, m, seed, data):
+        # draws from a pool of at most 6 points repeat points; at n < 64 the
+        # draw has more examples than cells, and then fewer, as m varies
+        top = (1 << n) - 1
+        pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+        rng = np.random.default_rng(seed)
+        masks = rng.choice(np.array(pool, dtype=np.uint64), size=m)
+        labels = rng.random(m)
+        sets = data.draw(st.lists(st.integers(0, top), min_size=0, max_size=12))
+        got = batch_source(n, masks, labels)(np.array(sets, dtype=np.uint64))
+        want = brute_force_estimates(masks, labels, sets)
+        assert got.dtype == np.float64 and len(got) == len(sets)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
 class TestSpectrumFromCounts:
@@ -95,12 +124,10 @@ class TestSpectrumFromCounts:
         rng = child_rng(2, 0)
         counts = rng.multinomial(5000, np.full(64, 1 / 64)).astype(np.float64)
         spectrum = spectrum_from_counts(counts, values)
-        # expand the counts into an explicit batch and compare every t
+        # expand the counts into an explicit draw and compare every t
         masks = np.repeat(np.arange(64, dtype=np.uint64), counts.astype(int))
-        batch = SampleBatch(6, masks, c.eval_masks(masks))
-        for t in range(64):
-            direct = estimate_coefficient(batch, t)
-            assert abs(spectrum[t] - direct) < 1e-12
+        direct = batch_source(6, masks, c.eval_masks(masks))(np.arange(64))
+        assert np.abs(spectrum - direct).max() < 1e-12
 
     def test_rejects_zero_total(self):
         with pytest.raises(ValueError):
@@ -153,7 +180,7 @@ class TestSources:
         sources = [
             spectrum_source(3, np.zeros(8)),
             exact_source(exact_fourier(c)),
-            batch_source(SampleBatch(3, np.arange(8, dtype=np.uint64), np.ones(8))),
+            batch_source(3, np.arange(8, dtype=np.uint64), np.ones(8)),
         ]
         for src in sources:
             with pytest.raises(ValueError):
@@ -162,8 +189,7 @@ class TestSources:
                 src(np.array([1, mask, 2]))
 
     def test_batch_source(self):
-        batch = SampleBatch(2, np.arange(4, dtype=np.uint64), np.ones(4))
-        src = batch_source(batch)
+        src = batch_source(2, np.arange(4, dtype=np.uint64), np.ones(4))
         assert src(np.array([0]))[0] == 1.0
         assert src(np.array([3]))[0] == 0.0
 

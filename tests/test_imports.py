@@ -3,12 +3,16 @@ used (the check a linter's unused-import rule would make), every import is
 at module level, and no module imports a private name from a sibling.  The
 CLI imports no scipy until an LP loads scipy's HiGHS extension, without
 scipy.optimize, and the process then holds one such module whichever of the
-two comes first."""
+two comes first.  Every module-qualified name README puts in backticks
+resolves."""
 
 import ast
+import functools
+import importlib
 import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +101,28 @@ def test_search_constants_stay_in_learners(path):
         elif isinstance(node, ast.ImportFrom):
             named.update(alias.name for alias in node.names)
     assert named & SEARCH_CONSTANTS == set(), f"{path.name} names a search constant"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+QUALIFIED = re.compile(
+    r"(?:covlearn\.)?({})((?:\.\w+)*)".format("|".join(p.stem for p in MODULES))
+)
+
+
+def test_readme_names_resolve():
+    # such as `cube.cell_index` or `covlearn.learners.UniformTableOracle.draw`
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    names = sorted({s for s in spans if "." in s and QUALIFIED.fullmatch(s)})
+    assert len(names) >= 20
+    missing = []
+    for name in names:
+        module, attrs = QUALIFIED.fullmatch(name).groups()
+        try:
+            obj = importlib.import_module(f"covlearn.{module}")
+            functools.reduce(getattr, attrs.split(".")[1:], obj)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == [], f"README names what the package does not have: {missing}"
 
 
 def _python(script: str, *args: str) -> str:

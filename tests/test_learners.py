@@ -20,6 +20,7 @@ from covlearn.cube import (
     child_rng,
     child_seed,
     eval_disjunction_batch,
+    group_points,
 )
 from covlearn.estimation import exact_source, hoeffding_samples
 from covlearn import cli, learners, privacy, regression
@@ -133,14 +134,16 @@ class TestSparsePolynomial:
     @pytest.mark.parametrize("bad", [1 << 10, (1 << 64) - 1], ids=["2^n", "2^64-1"])
     def test_dense_eval_refuses_a_mask_outside_the_cube(self, bad):
         # the dense path reads its table through an int64 view, in which
-        # 2^64 - 1 is -1, an index numpy would wrap to the last cell
-        coeffs = {t: 1.0 / (t + 1) for t in range(DENSE_EVAL_SUPPORT + 44)}
-        poly = SparsePolynomial(10, "parity", coeffs)
-        tree = PmacHypothesis(10, PmacPolyLeaf(poly, 1.0, 0.0, 0.0))
-        masks = np.array([3, bad], dtype=np.uint64)
-        for h in (poly, tree):
-            with pytest.raises(IndexError):
-                h.eval_masks(masks)
+        # 2^64 - 1 is -1, an index numpy would wrap to the last cell; the
+        # per-coefficient path would drop the bits above n
+        for support in (DENSE_EVAL_SUPPORT + 44, DENSE_EVAL_SUPPORT):
+            coeffs = {t: 1.0 / (t + 1) for t in range(support)}
+            poly = SparsePolynomial(10, "parity", coeffs)
+            tree = PmacHypothesis(10, PmacPolyLeaf(poly, 1.0, 0.0, 0.0))
+            masks = np.array([3, bad], dtype=np.uint64)
+            for h in (poly, tree):
+                with pytest.raises(IndexError):
+                    h.eval_masks(masks)
 
     def test_masks_up_to_bit_63(self):
         p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
@@ -753,7 +756,7 @@ def labelled_draw(dist, m, seed):
     grouped, asked = [], []
 
     def group(masks, n):
-        grouped.append(learners.group_points(masks, n))
+        grouped.append(group_points(masks, n))
         return grouped[-1]
 
     def query(predicates, weights):
@@ -808,7 +811,7 @@ class TestCountingGrouping:
         m = max(1, (1 << n) + offset)
         pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=9))
         masks = child_rng(n, m).choice(np.array(pool, dtype=np.uint64), size=m)
-        got = learners.group_points(masks, n)
+        got = group_points(masks, n)
         want = np.unique(masks, return_inverse=True, return_counts=True)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
