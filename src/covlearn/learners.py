@@ -67,6 +67,7 @@ PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
+COUNT_DRAW_CAP = 1 << 72  # largest total a table oracle draws as cell counts
 DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
 
@@ -161,7 +162,7 @@ class SparsePolynomial:
         return SparsePolynomial, args
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.uint64)
+        masks = _check_points(masks, self.n)
         if self.basis == "parity":
             out = _eval_parity_poly(self.n, self.coeffs, masks)
         else:
@@ -179,12 +180,18 @@ class SparsePolynomial:
         return float(self.eval_masks(check_masks([mask], self.n))[0])
 
 
-def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
-    # the per-coefficient path would drop bits above n; the dense path's
-    # view would wrap a mask of 2^63 or more
+def _check_points(masks, n: int) -> np.ndarray:
+    """The point masks as uint64, refusing any outside [0, 2^n): a parity
+    would drop its bits above n, a layer or a tree branch would answer it
+    silently, and a dense table's view would wrap a mask of 2^63 or more."""
+    masks = np.asarray(masks, dtype=np.uint64)
     top = int(masks.max()) if len(masks) else 0
     if top >> n:
         raise IndexError(f"point mask {top} outside [0, 2^{n})")
+    return masks
+
+
+def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
     if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[cell_index(coeffs.masks)] = coeffs.values
@@ -255,7 +262,7 @@ class PmacHypothesis:
     root: PmacNode | PmacPolyLeaf | PmacZeroLeaf
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        return self.root.eval_masks(np.asarray(masks, dtype=np.uint64))
+        return self.root.eval_masks(_check_points(masks, self.n))
 
     def depth(self) -> int:
         return self.root.depth()
@@ -306,8 +313,11 @@ class UniformTableOracle:
         above it rounded, by a relative 2^-52 or less per chunk.  PMAC's
         small leaves go above it (a 32-cell leaf at n = 6 draws about 1e20
         examples), and their estimates only divide counts by the total, so
-        the rounding stays far inside every tolerance used here.
+        the rounding stays far inside every tolerance used here.  A total
+        over COUNT_DRAW_CAP raises OracleExhausted before anything is drawn.
         """
+        if total > COUNT_DRAW_CAP:
+            raise OracleExhausted(f"count draw of {total} examples is over the cap 2^72")
         cells = len(self.values)
         p = np.full(cells, 1.0 / cells)
         counts = None

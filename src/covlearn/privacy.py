@@ -10,7 +10,9 @@ counting queries reproduce the learned hypothesis exactly.
 Each release runs one of the learners' own statistical-query stages against
 that oracle: Fourier coefficients come from coefficient sources that ask one
 query batch per call, and a regression stage draws its examples from a
-learners.SampledOracle whose labels are 1 - private AND-query answers.
+learners.SampledOracle whose labels are 1 - private AND-query answers.  A
+Fourier source reads exact answers off one 2^n superset-sum table of the
+rows, so the all-marginals and synthetic releases need n <= MAX_DENSE_N.
 
 Privacy model: each counting query has sensitivity 1/|D|; adding Laplace
 noise of scale b = q/(epsilon * |D|) to each of at most q queries makes the
@@ -38,7 +40,7 @@ import numpy as np
 
 from .coverage import MAX_DENSE_N, CoverageFunction
 from .cube import MAX_COMPACT_N, DistributionSpec, cell_index, child_rng, group_points
-from .estimation import CoeffSource, check_masks
+from .estimation import CoeffSource, check_masks, spectrum_source
 from .learners import (
     SampledOracle,
     SparsePolynomial,
@@ -156,33 +158,36 @@ def coverage_of_dataset(d: Dataset) -> CoverageFunction:
     identically 0, so it adds nothing; then c_D(x) = 1 - CQ_D(AND over S_x)
     pointwise.  An empty dataset gives the zero function.
     """
-    full = (1 << d.n) - 1
-    size = d.size
-    terms: dict[int, float] = {}
-    for mask, mult in zip(d.masks, d.mults):
-        s = int(~mask) & full
-        if s:
-            terms[s] = terms.get(s, 0.0) + int(mult) / size
-    return CoverageFunction(d.n, 0.0, terms)
+    # distinct rows have distinct +1-sets, so no term is hit twice
+    rows = zip((d.masks ^ np.uint64((1 << d.n) - 1)).tolist(), d.mults.tolist())
+    return CoverageFunction(d.n, 0.0, {s: m / d.size for s, m in rows if s})
 
 
-def all_conjunction_answers(d: Dataset) -> np.ndarray:
-    """Exact counting-query answers for every monotone conjunction at once.
-
-    Returns a length-2^n array indexed by set mask: entry S is the fraction
-    of dataset rows z with S contained in the -1-coordinates of z, computed
-    by a superset-sum transform (n <= MAX_DENSE_N).
-    """
+def _superset_sums(d: Dataset, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Length-2^n float64 array whose entry S sums weights[i] over the i
+    with S contained in cells[i], by a superset-sum transform; sums of
+    integers stay exact below 2^53.  Needs n <= MAX_DENSE_N and a non-empty
+    dataset d, on whose rows the cells stand."""
     if d.n > MAX_DENSE_N:
         raise ValueError(f"dense conjunction table needs n <= {MAX_DENSE_N}")
     if d.is_empty():
         raise ValueError("counting query on an empty dataset")
     table = np.zeros(1 << d.n, dtype=np.float64)
-    table[cell_index(d.masks)] = d.mults
+    table[cell_index(cells)] = weights
     for bit in range(d.n):
         t = table.reshape(-1, 2 << bit)
-        t[:, : 1 << bit] += t[:, 1 << bit :]
-    return table / d.size
+        lo, hi = t[:, : 1 << bit], t[:, 1 << bit :]
+        # numpy adds short rows slowly: rows of 2 or 4 cells go by columns
+        for j in range(1 << bit) if bit in (1, 2) else [slice(None)]:
+            lo[:, j] += hi[:, j]
+    return table
+
+
+def all_conjunction_answers(d: Dataset) -> np.ndarray:
+    """Exact counting-query answers for every monotone conjunction at once:
+    entry S is the fraction of rows z with S contained in the
+    -1-coordinates of z (n <= MAX_DENSE_N)."""
+    return _superset_sums(d, d.masks, d.mults) / d.size
 
 
 def gate_size(q: int, tau: float, epsilon: float, delta: float) -> float:
@@ -243,19 +248,23 @@ class PrivateOracle:
     def query(
         self, predicates: Sequence[Predicate], weights: np.ndarray | None = None
     ) -> np.ndarray:
-        """Noised answers, one per predicate: answer j stands for weights[j]
-        queries (default 1 each), so its Laplace noise has scale b/weights[j]
-        and it is charged weights[j] units.  Bad weights, or a batch over the
-        remaining budget, raise before any budget is charged or noise
-        drawn."""
-        count = len(predicates)
+        """Noised answers, one per predicate, charged as _answer charges."""
+        exact = np.array([counting_query(self.dataset, p) for p in predicates])
+        return self._answer(exact, weights)
+
+    def _answer(self, exact: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """Noised answers to queries whose exact answers are given: answer j
+        stands for weights[j] queries (default 1 each), so its Laplace noise
+        has scale b/weights[j] and it is charged weights[j] units.  Bad
+        weights, or a batch over the remaining budget, raise before any
+        budget is charged or noise drawn."""
+        count = len(exact)
         w = np.ones(count) if weights is None else _check_weights(weights, count)
         m = int(w.sum())
         if self.used + m > self.q:
             raise BudgetExhausted(
                 f"{m} queries exceed the remaining budget of {self.q - self.used}"
             )
-        exact = np.array([counting_query(self.dataset, p) for p in predicates])
         self.used += m
         noise = self.rng.laplace(0.0, self.scale / w) if self.scale else 0.0
         return np.clip(exact + noise, 0.0, 1.0)
@@ -275,34 +284,24 @@ def _check_weights(weights: np.ndarray, count: int) -> np.ndarray:
     return w
 
 
-def _fourier_predicate(d: Dataset, t_mask: int) -> Predicate:
-    """F_T(z) = (1 + h(T)) / 2 where h is the Fourier coefficient of the
-    disjunction contributed by z, computed analytically."""
-    full = (1 << d.n) - 1
-
-    def predicate(masks: np.ndarray) -> np.ndarray:
-        s_neg = ~masks & np.uint64(full)
-        scale = 2.0 ** -np.bitwise_count(s_neg).astype(np.float64)
-        if t_mask == 0:
-            or_hat = 1.0 - scale
-        else:
-            inside = (s_neg & np.uint64(t_mask)) == t_mask
-            or_hat = np.where(inside, -scale, 0.0)
-        return (1.0 + or_hat) / 2.0
-
-    return predicate
-
-
 def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
-    """Fourier coefficients of c_D through private counting queries:
-    coefficient = 2 * query(F_T) - 1, one query batch per call."""
+    """Fourier coefficients of c_D through private counting queries, 2 *
+    answer - 1, one batch per call.  The query at T averages F_T(z) = (1 +
+    h_z(T)) / 2 over the rows, h_z the spectrum of OR over the +1-coordinates
+    s of z: h_z(0) = 1 - 2^-|s|, h_z(T) = -2^-|s| for 0 != T inside s, else 0.
+    With W the integer superset-sum of mult(z) 2^(n-|s|) over the s, its
+    answer is (|D| 2^n (1 + [T = 0]) - W(T)) / (|D| 2^(n+1)), correctly
+    rounded while |D| 2^(n+1) < 2^53, as the per-row average is."""
     d = oracle.dataset
-
-    def source(masks: np.ndarray) -> np.ndarray:
-        predicates = [_fourier_predicate(d, int(t)) for t in check_masks(masks, d.n)]
-        return 2.0 * oracle.query(predicates) - 1.0
-
-    return source
+    s = d.masks ^ np.uint64((1 << d.n) - 1)
+    top = d.size * 2.0**d.n
+    numer = _superset_sums(d, s, np.ldexp(d.mults, d.n - np.bitwise_count(s)))
+    np.subtract(top, numer, out=numer)
+    numer[0] += top
+    numer /= 2.0 ** (d.n + 1)
+    numer /= d.size
+    exact = spectrum_source(d.n, numer)
+    return lambda masks: 2.0 * oracle._answer(exact(masks), None) - 1.0
 
 
 def _private_examples(oracle: PrivateOracle, dist: DistributionSpec) -> SampledOracle:

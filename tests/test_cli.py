@@ -1649,6 +1649,29 @@ class TestLpNotOptimal:
         assert not os.path.exists(os.path.join(out_dir, "hypothesis_000.json"))
 
 
+class TestCountDrawCap:
+    def test_unbounded_proper_fails_fast(self, tmp_path, capsys):
+        # size_bound defaults to inf, so the proper search's tolerance asks
+        # for about 6e25 examples: over the cap, not some 14 million chunks
+        cfg = {
+            "learner": "proper",
+            "n": 6,
+            "seed": 1,
+            "trials": 1,
+            "eval_samples": 1000,
+            "target": {"max_terms": 2, "max_arity": 2},
+            "params": {"epsilon": 0.2},
+        }
+        start = time.monotonic()
+        code, out_dir = run(tmp_path, "learn", cfg)
+        assert time.monotonic() - start < 5.0
+        assert code == EXIT_CONTRACT
+        (row,) = load_json(os.path.join(out_dir, "report.json"))["rows"]
+        assert row["success"] is False
+        assert "over the cap 2^72" in row["error"]
+        assert not os.path.exists(os.path.join(out_dir, "hypothesis_000.json"))
+
+
 class TestBudgetExhausted:
     def test_becomes_a_failed_trial_row(self, tmp_path, capsys, monkeypatch):
         # a budget of 3 queries: the screen asks 5 singletons in one batch;

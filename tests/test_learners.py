@@ -145,6 +145,20 @@ class TestSparsePolynomial:
                 with pytest.raises(IndexError):
                     h.eval_masks(masks)
 
+    @pytest.mark.parametrize(
+        "h,masks",
+        [
+            (SparsePolynomial(3, "layered_parity", layers={1: {0: 0.5}}), [15, 1]),
+            (PmacHypothesis(3, PmacZeroLeaf()), [8]),
+        ],
+        ids=["layered-popcount-over-n", "pmac-zero-leaf"],
+    )
+    def test_every_hypothesis_refuses_a_mask_outside_the_cube(self, h, masks):
+        # no layer key matches popcount 4, and a zero leaf reads no bit, so
+        # both answered 0 silently
+        with pytest.raises(IndexError, match=rf"point mask {max(masks)} outside"):
+            h.eval_masks(np.array(masks, dtype=np.uint64))
+
     def test_masks_up_to_bit_63(self):
         p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
         assert p.coeffs.masks.tolist() == [0, 1 << 63, 2**64 - 1]
@@ -331,6 +345,15 @@ class TestBlockSampler:
         assert sum(int(c) for c in exact) == 2**52
         rounded = table.draw_counts(2**55, child_rng(9, 1))
         assert abs(sum(int(c) for c in rounded) - 2**55) <= 2**55 * 2.0**-52
+
+    def test_a_total_over_the_cap_is_refused_before_any_draw(self):
+        rng = child_rng(7, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(OracleExhausted, match=r"over the cap 2\^72"):
+            self._table(6).draw_counts(learners.COUNT_DRAW_CAP + 1, rng)
+        assert rng.bit_generator.state == state
+        counts = self._table(0).draw_counts(learners.COUNT_DRAW_CAP, rng)
+        assert counts.tolist() == [float(learners.COUNT_DRAW_CAP)]
 
     def test_moments_match_the_multinomial(self):
         cells, total, draws = 1 << 13, 10**6, 400

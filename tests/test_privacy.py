@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from covlearn import learners, privacy
-from covlearn.coverage import CoverageFunction, eval_coverage
+from covlearn.coverage import MAX_DENSE_N, CoverageFunction, eval_coverage
 from covlearn.cube import DistributionSpec, Point, child_rng, sample_masks
 from covlearn.learners import (
     REGRESSION_SAMPLE_FACTOR,
@@ -672,6 +672,90 @@ class TestLevelBatchedFourierQueries:
         assert a.synthetic.mults.tolist() == b.synthetic.mults.tolist()
         assert oracle_a.used == oracle_b.used == a.queries_used
         assert oracle_a.rng.bit_generator.state == oracle_b.rng.bit_generator.state
+
+
+def fourier_predicate(d: Dataset, t_mask: int):
+    """Reference for the private Fourier source: F_T(z) = (1 + h(T)) / 2,
+    h the Fourier coefficients of the disjunction z contributes, evaluated
+    per row and averaged by counting_query."""
+    full = (1 << d.n) - 1
+
+    def predicate(masks: np.ndarray) -> np.ndarray:
+        s_neg = ~masks & np.uint64(full)
+        scale = 2.0 ** -np.bitwise_count(s_neg).astype(np.float64)
+        if t_mask == 0:
+            or_hat = 1.0 - scale
+        else:
+            inside = (s_neg & np.uint64(t_mask)) == t_mask
+            or_hat = np.where(inside, -scale, 0.0)
+        return (1.0 + or_hat) / 2.0
+
+    return predicate
+
+
+@st.composite
+def fourier_cases(draw, exact: bool):
+    """(dataset, set-mask batches): n in 1..10, multiplicities such that
+    |D| * 2^(n+1) < 2^53 when exact, and far past it otherwise."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=64,
+                         unique=True))
+    top = 1 << (45 - n) if exact else 1 << 56
+    mults = draw(st.lists(st.integers(1, top), min_size=len(rows),
+                          max_size=len(rows)))
+    batch = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20)
+    batches = draw(st.lists(batch, min_size=1, max_size=4))
+    return Dataset.from_multiplicities(zip(rows, mults), n), batches
+
+
+class TestFourierAnswersFromOneTransform:
+    """The private Fourier source answers each batch off one transform of
+    the conjunction counts, as asking the per-row predicates would."""
+
+    def _both(self, d, batches, seed):
+        q = sum(map(len, batches))
+        oracles = [PrivateOracle(d, q, 1.0, 1e6, 0.1, child_rng(seed, 0))
+                   for _ in range(2)]
+        source = privacy._private_coeff_source(oracles[0])
+        got = [source(np.array(b, dtype=np.uint64)) for b in batches]
+        want = [2.0 * oracles[1].query([fourier_predicate(d, t) for t in b]) - 1.0
+                for b in batches]
+        return np.concatenate(got), np.concatenate(want), oracles
+
+    @settings(max_examples=60, deadline=None)
+    @given(fourier_cases(exact=True), st.integers(0, 2**32 - 1))
+    def test_bit_identical_below_the_bound(self, case, seed):
+        d, batches = case
+        assert d.size * 2 ** (d.n + 1) < 2**53
+        got, want, (a, b) = self._both(d, batches, seed)
+        assert got.tobytes() == want.tobytes()
+        assert a.used == b.used == len(got)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(fourier_cases(exact=False), st.integers(0, 2**32 - 1))
+    def test_close_past_the_bound(self, case, seed):
+        d, batches = case
+        got, want, (a, b) = self._both(d, batches, seed)
+        assert np.abs(got - want).max() <= 1e-12
+        assert a.used == b.used == len(got)
+
+    @pytest.mark.parametrize("release", ["all_marginals", "synthetic"])
+    def test_refused_past_max_dense_n_before_any_query(self, monkeypatch, release):
+        n = MAX_DENSE_N + 1
+        d = Dataset.from_points([0, 5, (1 << n) - 1], n)
+        oracles = []
+        real = privacy._release_oracle
+        monkeypatch.setattr(
+            privacy, "_release_oracle",
+            lambda *args: oracles.append(real(*args)) or oracles[-1],
+        )
+        run = {"all_marginals": release_all_marginals,
+               "synthetic": release_synthetic}[release]
+        with pytest.raises(ValueError, match=f"needs n <= {MAX_DENSE_N}"):
+            run(d, 0.5, math.inf, 0.1, 0)
+        (oracle,) = oracles
+        assert oracle.used == 0
 
 
 class TestReleases:
