@@ -67,7 +67,6 @@ PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
 DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
-COUNT_DRAW_CAP = 1 << 72  # largest total a table oracle draws as cell counts
 DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
 DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
 
@@ -313,11 +312,8 @@ class UniformTableOracle:
         above it rounded, by a relative 2^-52 or less per chunk.  PMAC's
         small leaves go above it (a 32-cell leaf at n = 6 draws about 1e20
         examples), and their estimates only divide counts by the total, so
-        the rounding stays far inside every tolerance used here.  A total
-        over COUNT_DRAW_CAP raises OracleExhausted before anything is drawn.
+        the rounding stays far inside every tolerance used here.
         """
-        if total > COUNT_DRAW_CAP:
-            raise OracleExhausted(f"count draw of {total} examples is over the cap 2^72")
         cells = len(self.values)
         p = np.full(cells, 1.0 / cells)
         counts = None
@@ -644,12 +640,15 @@ def proper_pac_learn(
 ) -> CoverageFunction:
     """Proper PAC learner: the hypothesis is itself a coverage function with
     l1 error at most eps (confidence 2/3).  size_bound is the caller's bound
-    on the number of terms of the target, or math.inf."""
+    on the number of terms of the target, or math.inf; a coverage function
+    on n variables has fewer than 2^n terms, so 2^n bounds it too.  At n =
+    6 and eps 0.2 an infinite bound would size the search's sample at about
+    6e25 examples, and 2^6 sizes it at 4e11."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     if not size_bound >= 1:  # NaN fails too
         raise ValueError("size_bound must be >= 1")
-    s_eps = proper_size_bound(eps, size_bound)
+    s_eps = proper_size_bound(eps, min(size_bound, 2.0**oracle.n))
     t = search_thresholds(eps, s_eps)
     source = _search_source(oracle, seed, t, 2 * PROPER_PHASE_FAILURE)
     return proper_pac_core(

@@ -163,23 +163,20 @@ def coverage_of_dataset(d: Dataset) -> CoverageFunction:
     return CoverageFunction(d.n, 0.0, {s: m / d.size for s, m in rows if s})
 
 
-def _superset_sums(d: Dataset, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _superset_sums(n: int, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Length-2^n float64 array whose entry S sums weights[i] over the i
     with S contained in cells[i], by a superset-sum transform; sums of
-    integers stay exact below 2^53.  Needs n <= MAX_DENSE_N and a non-empty
-    dataset d, on whose rows the cells stand."""
-    if d.n > MAX_DENSE_N:
+    integers stay exact below 2^53.  Needs n <= MAX_DENSE_N and at least
+    one cell, as the rows of a non-empty dataset give."""
+    if n > MAX_DENSE_N:
         raise ValueError(f"dense conjunction table needs n <= {MAX_DENSE_N}")
-    if d.is_empty():
+    if not len(cells):
         raise ValueError("counting query on an empty dataset")
-    table = np.zeros(1 << d.n, dtype=np.float64)
+    table = np.zeros(1 << n, dtype=np.float64)
     table[cell_index(cells)] = weights
-    for bit in range(d.n):
+    for bit in range(n):
         t = table.reshape(-1, 2 << bit)
-        lo, hi = t[:, : 1 << bit], t[:, 1 << bit :]
-        # numpy adds short rows slowly: rows of 2 or 4 cells go by columns
-        for j in range(1 << bit) if bit in (1, 2) else [slice(None)]:
-            lo[:, j] += hi[:, j]
+        t[:, : 1 << bit] += t[:, 1 << bit :]
     return table
 
 
@@ -187,7 +184,7 @@ def all_conjunction_answers(d: Dataset) -> np.ndarray:
     """Exact counting-query answers for every monotone conjunction at once:
     entry S is the fraction of rows z with S contained in the
     -1-coordinates of z (n <= MAX_DENSE_N)."""
-    return _superset_sums(d, d.masks, d.mults) / d.size
+    return _superset_sums(d.n, d.masks, d.mults) / d.size
 
 
 def gate_size(q: int, tau: float, epsilon: float, delta: float) -> float:
@@ -295,7 +292,7 @@ def _private_coeff_source(oracle: PrivateOracle) -> CoeffSource:
     d = oracle.dataset
     s = d.masks ^ np.uint64((1 << d.n) - 1)
     top = d.size * 2.0**d.n
-    numer = _superset_sums(d, s, np.ldexp(d.mults, d.n - np.bitwise_count(s)))
+    numer = _superset_sums(d.n, s, np.ldexp(d.mults, d.n - np.bitwise_count(s)))
     np.subtract(top, numer, out=numer)
     numer[0] += top
     numer /= 2.0 ** (d.n + 1)
@@ -396,7 +393,9 @@ def release_all_marginals(
     d: Dataset, alpha_bar: float, epsilon: float, delta: float, seed: int
 ) -> ReleaseSummary:
     """Private release answering all monotone conjunction queries with
-    average error alpha_bar over the uniform query distribution."""
+    average error alpha_bar over the uniform query distribution.  Needs n <=
+    MAX_DENSE_N: its answers come from a 2^n table built before any query
+    is charged, in n passes over the table whatever |D| is."""
     oracle = _release_oracle(d, alpha_bar, marginals_query_budget, epsilon, delta, seed)
     source = _private_coeff_source(oracle)
     poly = pac_core(d.n, alpha_bar, source, lambda pool: source)
@@ -446,7 +445,8 @@ def release_synthetic(
 
     size_bound is an a-priori bound on the number of distinct disjunction
     terms of c_D (fewer distinct dataset rows means a smaller bound and a
-    laxer admission gate); pass math.inf when unknown.
+    laxer admission gate); pass math.inf when unknown.  Needs n <=
+    MAX_DENSE_N, as release_all_marginals does.
     """
     budget = lambda n, a: synthetic_query_budget(n, a, size_bound)
     oracle = _release_oracle(d, alpha_bar, budget, epsilon, delta, seed)

@@ -346,15 +346,6 @@ class TestBlockSampler:
         rounded = table.draw_counts(2**55, child_rng(9, 1))
         assert abs(sum(int(c) for c in rounded) - 2**55) <= 2**55 * 2.0**-52
 
-    def test_a_total_over_the_cap_is_refused_before_any_draw(self):
-        rng = child_rng(7, 0)
-        state = rng.bit_generator.state
-        with pytest.raises(OracleExhausted, match=r"over the cap 2\^72"):
-            self._table(6).draw_counts(learners.COUNT_DRAW_CAP + 1, rng)
-        assert rng.bit_generator.state == state
-        counts = self._table(0).draw_counts(learners.COUNT_DRAW_CAP, rng)
-        assert counts.tolist() == [float(learners.COUNT_DRAW_CAP)]
-
     def test_moments_match_the_multinomial(self):
         cells, total, draws = 1 << 13, 10**6, 400
         table = self._table(13)
@@ -617,6 +608,17 @@ class TestPmacLearning:
         good = (hv <= cv + 1e-12) & (cv <= (1 + gamma) * hv + 1e-12)
         assert good.mean() >= 1 - delta
 
+    @pytest.mark.parametrize("gamma,delta", [(0.5, 0.05), (0.25, 0.1)])
+    def test_small_leaves_draw_past_2_to_the_72(self, gamma, delta):
+        # the smallest minus leaves draw about 3e22 and 2e22 examples as
+        # counts, some 8,000 and 4,500 multinomial chunks
+        c = random_coverage(6, 6, 4, 20)
+        h = pmac_learn(UniformTableOracle.from_coverage(c), gamma, delta, 0)
+        masks = np.arange(1 << 6, dtype=np.uint64)
+        hv, cv = h.eval_masks(masks), c.eval_masks(masks)
+        good = (hv <= cv + 1e-12) & (cv <= (1 + gamma) * hv + 1e-12)
+        assert good.mean() >= 1 - delta
+
     def test_single_point_subcube_gets_a_leaf(self):
         # the split on x_0 leaves two 0-variable subcubes: c = 1 on the minus
         # point, 0 on the plus point
@@ -723,6 +725,15 @@ class TestProperPac:
         o = UniformTableOracle.from_coverage(CoverageFunction.zero(3))
         with pytest.raises(ValueError):
             proper_pac_learn(o, 0.3, 0.5, 0)
+
+    def test_an_infinite_size_bound_is_read_as_2_to_the_n(self):
+        # a target on n variables has fewer than 2^n terms; unbounded, the
+        # search at eps 0.2 would size its sample at about 6e25 examples
+        c = random_coverage(6, 3, 2, 5)
+        o = UniformTableOracle.from_coverage(c)
+        h = proper_pac_learn(o, 0.2, math.inf, 4)
+        assert h == proper_pac_learn(o, 0.2, 64, 4)
+        assert l1_exact(h, c) <= 0.2
 
     def test_sampled_oracle_route(self):
         c = CoverageFunction(5, 0.0, {0b00011: 0.5})
