@@ -46,7 +46,7 @@ from .cube import (
 )
 from .estimation import exact_source, lattice_search
 from .learners import (
-    DIRECT_DRAW_CAP,
+    MEMORY_CAP,
     OracleExhausted,
     SampledOracle,
     UniformTableOracle,
@@ -137,11 +137,10 @@ def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
 
 
 def _eval_size(cfg: dict, key: str, default: int) -> int:
-    """A check's sample size: a count of at most DIRECT_DRAW_CAP, since the
-    check draws its masks in one array."""
+    """A check's sample size, drawn in one array: at most MEMORY_CAP // 16."""
     value = _count(cfg, key, default)
-    if value > DIRECT_DRAW_CAP:
-        raise SchemaError(f"field {key!r}: must be <= {DIRECT_DRAW_CAP}")
+    if value > MEMORY_CAP // 16:
+        raise SchemaError(f"field {key!r}: must be <= {MEMORY_CAP // 16}")
     return value
 
 
@@ -316,26 +315,6 @@ def _run_trials(
 
 
 @dataclass(frozen=True)
-class _CountingTableOracle(UniformTableOracle):
-    """Table oracle that tallies the examples it draws; its restricted and
-    scaled copies share the tally."""
-
-    counter: list  # one shared cell: [examples drawn]
-
-    def draw(self, m, rng):
-        self.counter[0] += int(m)
-        return super().draw(m, rng)
-
-    def draw_counts(self, total, rng):
-        self.counter[0] += int(total)
-        return super().draw_counts(total, rng)
-
-    def draw_hits(self, total, hit, rng):
-        self.counter[0] += int(total)
-        return super().draw_hits(total, hit, rng)
-
-
-@dataclass(frozen=True)
 class _PerturbedEval:
     """An exactly eps-accurate stand-in hypothesis: the true function plus a
     +-eps perturbation on the first coordinate's sign."""
@@ -396,12 +375,12 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             table = dense_table(shared)
             table.flags.writeable = False
 
-        def fit(tseed, drawn):
+        def fit(tseed):
             values = table if shared is not None else dense_table(target(tseed))
-            oracle = _CountingTableOracle(n, tuple(range(n)), values, drawn)
+            oracle = UniformTableOracle(n, tuple(range(n)), values)
             h = learn(oracle, *args, tseed)
             # the truth of a check's masks, which lie in [0, 2^n)
-            return h, lambda masks: values[cell_index(masks)], h
+            return h, oracle.examples_drawn, lambda masks: values[cell_index(masks)], h
         return fit
 
     def agnostic(learn, *extra):
@@ -421,21 +400,21 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             raise SchemaError(f"distribution has n={dist.n} but the config has n={n}")
         extra = [_get(params, name, float, required=True) for name in extra]
 
-        def fit(tseed, drawn):
+        def fit(tseed):
             t = target(tseed)
             def labels(masks, rng):
-                drawn[0] += len(masks)
                 vals = t.eval_masks(masks)
                 if noise_scale > 0:
                     vals = vals + rng.laplace(0.0, noise_scale, size=len(masks))
                 return np.clip(vals, 0.0, 1.0)
-            h = learn(SampledOracle(dist, labels), dist, eps, *extra, tseed)
-            return h, t.eval_masks, h
+            oracle = SampledOracle(dist, labels)
+            h = learn(oracle, dist, eps, *extra, tseed)
+            return h, oracle.examples_drawn, t.eval_masks, h
         return fit, l1_check(eps + noise_scale, dist)
 
-    # each learner reads its fields, then binds fit(tseed, drawn) -> (h,
-    # truth, the hypothesis to write or None) and check(h, truth, eval_seed)
-    # -> (l1_error, l1_half_width, mult_fraction, success)
+    # each learner reads its fields, then binds fit(tseed) -> (h, examples
+    # its oracle drew, truth, the hypothesis to write or None) and check(h,
+    # truth, eval_seed) -> (l1_error, l1_half_width, mult_fraction, success)
     if learner == "dnf-reduction":
         if 2 * n > MAX_COMPACT_N:
             raise SchemaError(f"field 'n': dnf-reduction needs 2n <= {MAX_COMPACT_N}")
@@ -445,7 +424,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         if inner not in ("exact", "perturbed"):
             raise SchemaError("field 'inner': expected 'exact' or 'perturbed'")
 
-        def fit(tseed, drawn):
+        def fit(tseed):
             dnf = random_disjoint_dnf(n, s, tseed)
             cov = dnf_to_coverage(dnf)
             oracle = SampledOracle(uniform, lambda masks, rng: dnf.eval_masks(masks))
@@ -453,7 +432,7 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
             h = dnf_reduction_learn(
                 oracle, s, eps, lambda o, e: cov if exact else _PerturbedEval(cov, e)
             )
-            return h, dnf.eval_masks, cov if exact else None
+            return h, oracle.examples_drawn, dnf.eval_masks, cov if exact else None
 
         check = l1_check(eps)
     elif learner == "pmac":
@@ -490,12 +469,11 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
         fit, check = agnostic(proper_agnostic_learn, "kappa")
 
     def run_trial(trial: int, tseed: int):
-        drawn = [0]  # examples drawn by the trial's oracles
-        h, truth, hypothesis = fit(tseed, drawn)
+        h, samples, truth, hypothesis = fit(tseed)
         err, hw, mult_fraction, success = check(h, truth, child_seed(seed, trial, 1))
         return {
             "l1_error": err, "l1_half_width": hw, "mult_fraction": mult_fraction,
-            "samples": drawn[0], "success": success,
+            "samples": samples, "success": success,
         }, hypothesis
 
     def write(trial: int, hypothesis) -> None:

@@ -66,9 +66,8 @@ PROPER_THETA_DIV = 108  # theta = eps^2 / 108
 PROPER_PHASE_FAILURE = 1 / 9  # screen and search 2/9 on one sample, regression 1/9
 PMAC_ETA_NUM = 1 / 18  # eta = (1/18) / log2(3/delta)
 REGRESSION_SAMPLE_FACTOR = 64  # m = ceil(64 * features / eps^2)
-DIRECT_DRAW_CAP = 1 << 26  # largest materialized sample for generic oracles
-DESIGN_BYTES_CAP = 1 << 30  # largest float64 regression design
-DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval is used
+MEMORY_CAP = 1 << 30  # bytes: a float64 design, or 16 per drawn (mask, label)
+DENSE_EVAL_SUPPORT = 256  # polynomial support above which dense eval may be used
 
 
 class OracleExhausted(RuntimeError):
@@ -191,7 +190,8 @@ def _check_points(masks, n: int) -> np.ndarray:
 
 
 def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
-    if len(coeffs) > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N:
+    terms = len(coeffs)  # the sum takes terms x points steps, the transform n 2^n
+    if terms > DENSE_EVAL_SUPPORT and n <= MAX_DENSE_N and terms * len(masks) >= 1 << n:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[cell_index(coeffs.masks)] = coeffs.values
         return walsh_hadamard(dense)[cell_index(masks)]
@@ -272,7 +272,26 @@ class PmacHypothesis:
 
 
 @dataclass(frozen=True)
-class UniformTableOracle:
+class _Tallied:
+    """An oracle's examples_drawn, the examples its draws asked for, which
+    its restricted and scaled copies add to; == and repr skip the tally.  A
+    direct draw, 16 bytes an example, is refused above its cap."""
+
+    _drawn: list = field(default_factory=lambda: [0], compare=False, repr=False,
+                         kw_only=True)
+
+    @property
+    def examples_drawn(self) -> int:
+        return self._drawn[0]
+
+    def _count(self, m: int, cap: float = math.inf) -> None:
+        if m > cap:
+            raise OracleExhausted(f"direct draw of {m} examples is over the cap")
+        self._drawn[0] += int(m)
+
+
+@dataclass(frozen=True)
+class UniformTableOracle(_Tallied):
     """Uniform example oracle over a subcube, backed by a dense value table.
 
     free_vars[i] is the original coordinate carried by compact bit i; values
@@ -298,8 +317,7 @@ class UniformTableOracle:
         return len(self.free_vars)
 
     def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if m > DIRECT_DRAW_CAP:
-            raise OracleExhausted(f"direct draw of {m} examples is over the cap")
+        self._count(m, MEMORY_CAP // 16)
         masks = rng.integers(0, len(self.values), size=m, dtype=np.uint64)
         return masks, self.values[cell_index(masks)]
 
@@ -314,6 +332,7 @@ class UniformTableOracle:
         examples), and their estimates only divide counts by the total, so
         the rounding stays far inside every tolerance used here.
         """
+        self._count(total)
         cells = len(self.values)
         p = np.full(cells, 1.0 / cells)
         counts = None
@@ -334,6 +353,7 @@ class UniformTableOracle:
         """How many of `total` i.i.d. uniform draws land in the cells where
         hit is true: one Binomial(total, |hit| / cells) draw, whose dyadic
         probability is exact in float64."""
+        self._count(total)
         return int(rng.binomial(total, np.count_nonzero(hit) / len(self.values)))
 
     def restrict(self, compact_var: int, sign: int) -> "UniformTableOracle":
@@ -360,7 +380,7 @@ class UniformTableOracle:
 
 
 @dataclass(frozen=True)
-class SampledOracle:
+class SampledOracle(_Tallied):
     """Generic example oracle: draws points from a distribution and labels
     them with label_fn(masks, rng), which may inject noise via rng."""
 
@@ -372,8 +392,7 @@ class SampledOracle:
         return self.dist.n
 
     def draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if m > DIRECT_DRAW_CAP:
-            raise OracleExhausted(f"direct draw of {m} examples is over the cap")
+        self._count(m, MEMORY_CAP // 16)
         # looked up on the module: perfbench traces the cube.sample_masks site
         masks = cube.sample_masks(self.dist, m, rng)
         return masks, np.asarray(self.label_fn(masks, rng), dtype=np.float64)
@@ -692,13 +711,12 @@ def _l1_fit(examples, m: int, rng, support: int, width: int, columns, constraint
     of m drawn labels over the `width` columns that columns(points) yields
     for the distinct drawn points; returns one coefficient per column.  The
     design has one float64 row per distinct point, so at most
-    min(m, support) rows; one over DESIGN_BYTES_CAP is refused before any
-    example is drawn."""
+    min(m, support) rows; one over MEMORY_CAP is refused before any example
+    is drawn."""
     size = min(m, support) * width * 8
-    if size > DESIGN_BYTES_CAP:
+    if size > MEMORY_CAP:
         raise DesignTooLarge(
-            f"regression design needs up to {size} bytes, "
-            f"over the cap {DESIGN_BYTES_CAP}"
+            f"regression design needs up to {size} bytes, over the cap {MEMORY_CAP}"
         )
     masks, labels = examples.draw(m, rng)
     points, rows, _ = group_points(masks, examples.n)

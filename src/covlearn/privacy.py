@@ -91,6 +91,8 @@ class Dataset:
             raise ValueError("masks must be distinct")
         if (self.mults < 1).any():
             raise ValueError("multiplicities must be >= 1")
+        if self.size >= 1 << 63:
+            raise ValueError(f"dataset size {self.size} is outside [0, 2^63)")
 
     @classmethod
     def from_points(cls, masks: Iterable[int], n: int) -> "Dataset":
@@ -124,8 +126,9 @@ class Dataset:
 
     @cached_property
     def size(self) -> int:
-        # read by every exact counting query and by the noise scale
-        return int(self.mults.sum())
+        # exact: each half's int64 sum holds 2^31 rows without wrapping
+        high, low = np.divmod(self.mults, 1 << 32)
+        return (int(high.sum()) << 32) + int(low.sum())
 
     def is_empty(self) -> bool:
         return len(self.masks) == 0

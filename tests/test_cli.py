@@ -715,7 +715,8 @@ class TestFileTarget:
         (_, table), = calls["table"]
         assert len(oracles) == 3
         assert all(o.values is table for o in oracles)
-        assert len({id(o.counter) for o in oracles}) == 3
+        # each trial's oracle keeps its own tally, which its row reports
+        assert [o.examples_drawn for o in oracles] == [r["samples"] for r in rows]
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -827,7 +828,7 @@ class TestCountFields:
             ("release", dict(RELEASE, release="k-way", k=2), "eval_queries"),
         ],
     )
-    @pytest.mark.parametrize("value", [learners.DIRECT_DRAW_CAP + 1, 10**13])
+    @pytest.mark.parametrize("value", [learners.MEMORY_CAP // 16 + 1, 10**13])
     def test_check_sample_over_the_draw_cap(
         self, tmp_path, capsys, verb, cfg, field, value
     ):
@@ -836,7 +837,7 @@ class TestCountFields:
         code, out_dir = run(tmp_path, verb, dict(cfg, **{field: value}))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: field {field!r}: must be <= {learners.DIRECT_DRAW_CAP}\n"
+            f"error: field {field!r}: must be <= {learners.MEMORY_CAP // 16}\n"
         )
         assert os.listdir(out_dir) == []
 

@@ -131,6 +131,12 @@ class TestEvalCoverage:
         for m in range(4):
             assert vals[m] == eval_coverage(self.c, Point(m, 2))
 
+    def test_call_is_eval_coverage(self):
+        for m in range(4):
+            assert self.c(Point(m, 2)) == eval_coverage(self.c, Point(m, 2))
+        with pytest.raises(DimensionMismatch):
+            self.c(Point(0, 3))
+
 
 def reference_wht(values):
     """The in-order, level-by-level butterfly: level h adds and subtracts
@@ -391,6 +397,12 @@ class TestExactFourier:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             exact_fourier(CoverageFunction.zero(2), "fft")
+
+    def test_term_of_weight_zero_adds_no_coefficient(self):
+        with_zero = CoverageFunction(3, 0.125, {0b011: 0.0, 0b100: 0.5})
+        without = CoverageFunction(3, 0.125, {0b100: 0.5})
+        assert exact_fourier(with_zero).coeffs == exact_fourier(without).coeffs
+        assert set(exact_fourier(with_zero).coeffs) == {0, 0b100}
 
 
 class TestSpectralInvariants:

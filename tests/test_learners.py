@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from covlearn.cube import (
     group_points,
 )
 from covlearn.estimation import exact_source, hoeffding_samples
-from covlearn import cli, learners, privacy, regression
+from covlearn import learners, privacy, regression
 from covlearn.learners import (
     DENSE_EVAL_SUPPORT,
     BasisTooLarge,
@@ -135,12 +136,13 @@ class TestSparsePolynomial:
     def test_dense_eval_refuses_a_mask_outside_the_cube(self, bad):
         # the dense path reads its table through an int64 view, in which
         # 2^64 - 1 is -1, an index numpy would wrap to the last cell; the
-        # per-coefficient path would drop the bits above n
+        # per-coefficient path would drop the bits above n; 300 terms on 8
+        # points would take the dense path
         for support in (DENSE_EVAL_SUPPORT + 44, DENSE_EVAL_SUPPORT):
             coeffs = {t: 1.0 / (t + 1) for t in range(support)}
             poly = SparsePolynomial(10, "parity", coeffs)
             tree = PmacHypothesis(10, PmacPolyLeaf(poly, 1.0, 0.0, 0.0))
-            masks = np.array([3, bad], dtype=np.uint64)
+            masks = np.array([3] * 7 + [bad], dtype=np.uint64)
             for h in (poly, tree):
                 with pytest.raises(IndexError):
                     h.eval_masks(masks)
@@ -206,6 +208,44 @@ class TestSparsePolynomial:
         got = _eval_parity_poly(n, Coefficients(n, coeffs), masks)
         assert got.tobytes() == expected.tobytes()
 
+    def test_dense_table_only_when_it_costs_less_than_the_terms(self, monkeypatch):
+        # 300 terms on 2^10 cells: the transform for 4 points, not for 3
+        tables = []
+        real = learners.walsh_hadamard
+        monkeypatch.setattr(
+            learners, "walsh_hadamard", lambda v: tables.append(len(v)) or real(v)
+        )
+        coeffs = Coefficients(10, {t: 1.0 / (t + 1) for t in range(300)})
+        few = _eval_parity_poly(10, coeffs, np.arange(3, dtype=np.uint64))
+        assert tables == []
+        more = _eval_parity_poly(10, coeffs, np.arange(4, dtype=np.uint64))
+        assert tables == [1 << 10]
+        assert np.abs(more[:3] - few).max() < 1e-12
+
+    def test_one_point_at_n24_builds_no_table(self):
+        # the dense path would hold a 128 MB table and its transform
+        n, point = 24, 0xABCDEF
+        rng = child_rng(0, 2)
+        masks = np.unique(rng.integers(0, 1 << n, size=290, dtype=np.uint64))
+        coeffs = Coefficients(n, (masks, rng.normal(size=len(masks))))
+        points = np.array([point], dtype=np.uint64)
+        _eval_parity_poly(n, coeffs, points)
+        tracemalloc.start()
+        try:
+            got = _eval_parity_poly(n, coeffs, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = 0.0
+        for t, v in zip(coeffs.masks.tolist(), coeffs.values.tolist()):
+            want += -v if (t & point).bit_count() % 2 else v
+        assert got.tolist() == [want]
+
+    def test_coefficients_repr(self):
+        c = Coefficients(3, {0b101: -0.25, 0: 0.5})
+        assert repr(c) == "Coefficients({0: 0.5, 5: -0.25})"
+
 
 class TestUniformTableOracle:
     def test_restrict_conditions_exactly(self):
@@ -245,26 +285,22 @@ class TestUniformTableOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.data())
     def test_restrict_matches_the_index_mask(self, k, data):
-        # the counting oracle of the CLI must keep its class and its tally
+        # a restricted copy keeps its parent's tally
         coords = st.sets(st.integers(0, 15), min_size=k, max_size=k)
         free_vars = tuple(sorted(data.draw(coords)))
         cells = st.lists(st.floats(0, 1), min_size=1 << k, max_size=1 << k)
         values = np.asarray(data.draw(cells))
-        counter = [0]
-        for o in (
-            UniformTableOracle(16, free_vars, values),
-            cli._CountingTableOracle(16, free_vars, values, counter),
-        ):
-            for var in range(k):
-                for sign in (-1, +1):
-                    r = o.restrict(var, sign)
-                    want_vars, want_values = _restrict_by_index_mask(o, var, sign)
-                    assert type(r) is type(o)
-                    assert r.free_vars == want_vars
-                    assert r.values.tobytes() == want_values.tobytes()
-                    assert not np.shares_memory(r.values, o.values)
-                    if isinstance(o, cli._CountingTableOracle):
-                        assert r.counter is counter
+        o = UniformTableOracle(16, free_vars, values)
+        for var in range(k):
+            for sign in (-1, +1):
+                r = o.restrict(var, sign)
+                want_vars, want_values = _restrict_by_index_mask(o, var, sign)
+                assert r.free_vars == want_vars
+                assert r.values.tobytes() == want_values.tobytes()
+                assert not np.shares_memory(r.values, o.values)
+                drawn = o.examples_drawn
+                r.draw_hits(3, r.values > 0.5, child_rng(var, 0))
+                assert o.examples_drawn == drawn + 3
 
     def test_scaled_clamp(self):
         o = UniformTableOracle(1, (0,), np.array([0.0, 3.0]))
@@ -296,6 +332,31 @@ class TestUniformTableOracle:
         o = UniformTableOracle.from_coverage(random_coverage(3, 2, 2, 0))
         with pytest.raises(OracleExhausted):
             o.draw(1 << 27, child_rng(0, 0))
+        assert o.examples_drawn == 0
+
+    def test_every_draw_adds_to_the_tally(self):
+        # copies share their parent's tally, and the tally is no part of
+        # == or repr
+        o = UniformTableOracle.from_coverage(random_coverage(4, 3, 2, 1))
+        rng = child_rng(2, 0)
+        assert o.examples_drawn == 0
+        o.draw(7, rng)
+        o.draw_counts(10**20, rng)
+        o.restrict(1, -1).draw_hits(5, np.ones(8, dtype=bool), rng)
+        o.scaled(0.5).restrict(0, +1).draw(np.int64(4), rng)
+        assert o.examples_drawn == 7 + 10**20 + 5 + 4
+        assert type(o.examples_drawn) is int
+        fresh = UniformTableOracle(4, o.free_vars, o.values)
+        assert repr(fresh) == repr(o) and "drawn" not in repr(o)
+        assert o.examples_drawn != fresh.examples_drawn
+        s = SampledOracle(DistributionSpec.uniform(3), lambda m, rng: np.zeros(len(m)))
+        s.draw(6, rng)
+        s.draw(0, rng)
+        assert s.examples_drawn == 6
+        with pytest.raises(OracleExhausted, match=f"draw of {(1 << 26) + 1} examples"):
+            s.draw((1 << 26) + 1, rng)
+        assert s.examples_drawn == 6
+        assert SampledOracle(s.dist, s.label_fn) == s
 
 
 def _lift_by_bits(o: UniformTableOracle, compact_mask: int) -> int:
@@ -566,7 +627,7 @@ class TestPacLearning:
 
     def test_design_over_byte_cap(self, monkeypatch):
         # the regression's examples are refused before any is drawn
-        monkeypatch.setattr(learners, "DESIGN_BYTES_CAP", 8)
+        monkeypatch.setattr(learners, "MEMORY_CAP", 8)
         src = exact_source(exact_fourier(CoverageFunction(3, 0.0, {0b011: 0.5})))
         with pytest.raises(DesignTooLarge):
             learners.proper_pac_core(
@@ -662,6 +723,28 @@ class TestPmacLearning:
             runs.append(set(seeds))
         assert runs[0] and runs[1]
         assert runs[0].isdisjoint(runs[1])
+
+    def test_stops_when_every_coordinate_is_in_a_small_draw(self):
+        # every cell but the maximum's is below the floor, so the pivot
+        # draws below it cover both coordinates and no pivot is left
+        o = UniformTableOracle(2, (0, 1), np.array([1.0, 0.0, 0.0, 0.0]))
+        h = pmac_learn(o, 0.5, 0.2, 0)
+        assert h.root == PmacZeroLeaf()
+
+    def test_examples_drawn_sum_every_draw(self, monkeypatch):
+        # the leaves draw on restricted and scaled copies, which add to the
+        # tally of the oracle the run was given
+        o = UniformTableOracle.from_coverage(random_coverage(8, 6, 4, 26))
+        draws = []
+        for name in ("draw", "draw_counts", "draw_hits"):
+            def spy(self, size, *args, real=getattr(UniformTableOracle, name)):
+                draws.append((self is o, int(size)))
+                return real(self, size, *args)
+
+            monkeypatch.setattr(UniformTableOracle, name, spy)
+        pmac_learn(o, 0.5, 0.2, 4)
+        assert {root for root, _ in draws} == {True, False}
+        assert o.examples_drawn == sum(size for _, size in draws)
 
     def test_rejects_bad_args(self):
         o = UniformTableOracle.from_coverage(CoverageFunction.zero(3))
@@ -978,7 +1061,7 @@ class TestProperAgnostic:
             proper_agnostic_learn(_undrawable_oracle(30), d, 0.2, 0.5, 0)
 
     def test_design_over_byte_cap(self, monkeypatch):
-        monkeypatch.setattr(learners, "DESIGN_BYTES_CAP", 8)
+        monkeypatch.setattr(learners, "MEMORY_CAP", 8)
         d = DistributionSpec.uniform(3)
         with pytest.raises(DesignTooLarge):
             proper_agnostic_learn(_undrawable_oracle(3), d, 0.5, 0.5, 0)

@@ -110,6 +110,24 @@ class TestDataset:
         assert d.size == 2 * 10**15
         assert counting_query(d, and_query(0b01)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "pairs,n,total",
+        [
+            ([(0, 2**62), (1, 2**62)], 1, 2**63),
+            ([(0, 2**63 - 1), (1, 2**63 - 1), (2, 3)], 2, 2**64 + 1),
+        ],
+        ids=["2^63", "2^64+1"],
+    )
+    def test_refuses_a_size_past_int64(self, pairs, n, total):
+        # an int64 sum wrapped these to -2^63 and 1, and every exact answer
+        # and the noise scale divide by the size
+        with pytest.raises(ValueError, match=rf"dataset size {total} is outside"):
+            Dataset.from_multiplicities(pairs, n)
+
+    def test_largest_size_is_exact(self):
+        d = Dataset.from_multiplicities([(0, 2**62), (1, 2**62 - 1)], 1)
+        assert d.size == 2**63 - 1 and type(d.size) is int
+
 
 class TestCountingQuery:
     def test_two_point_example(self):
@@ -346,7 +364,7 @@ class TestBatchedQuery:
         # k-way at n=13 and alpha_bar 0.1 asks for q examples in one draw;
         # the sampled oracle refuses before any point is drawn or queried
         q, _ = k_way_query_budget(13, 0.1)
-        assert q == 104_857_600 > learners.DIRECT_DRAW_CAP
+        assert q == 104_857_600 > learners.MEMORY_CAP // 16
         d = Dataset.from_points([0b1, 0b10], 13)
         with pytest.raises(learners.OracleExhausted):
             release_k_way(d, 2, 0.1, math.inf, 0.1, 0)

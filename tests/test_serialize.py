@@ -133,6 +133,10 @@ class TestFourierCsv:
         with pytest.raises(ValueError):
             fourier_from_csv("zz,notanumber\n", 4)
 
+    def test_skips_blank_lines(self):
+        t = fourier_from_csv("\n1,0.25\n   \n\n5,-0.5\n\n", 3)
+        assert t.coeffs == {1: 0.25, 5: -0.5}
+
     @pytest.mark.parametrize("mask_hex", ["ff", "8", "-1", "-0x1"])
     def test_rejects_set_outside_the_cube(self, mask_hex):
         with pytest.raises(ValueError, match=r"outside \[0, 2\^3\)"):
