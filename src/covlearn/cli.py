@@ -26,6 +26,7 @@ import numpy as np
 
 from .coverage import (
     CoverageFunction,
+    check_chunk,
     dense_table,
     exact_fourier,
     hoeffding_half_width,
@@ -137,7 +138,8 @@ def _count(cfg: dict, key: str, default=None, required: bool = False) -> int:
 
 
 def _eval_size(cfg: dict, key: str, default: int) -> int:
-    """A check's sample size, drawn in one array: at most MEMORY_CAP // 16."""
+    """A check's sample size: at most MEMORY_CAP // 16 = 2^26, a config
+    limit; the check draws and scores it check_chunk(n) masks at a time."""
     value = _count(cfg, key, default)
     if value > MEMORY_CAP // 16:
         raise SchemaError(f"field {key!r}: must be <= {MEMORY_CAP // 16}")
@@ -261,6 +263,20 @@ def _cube_or_masks(f, n: int, samples: int):
     if isinstance(tables, tuple):
         return lambda masks: tuple(t[cell_index(masks)] for t in tables)
     return lambda masks: tables[cell_index(masks)]
+
+
+def _check_means(f, d: DistributionSpec, samples: int, rng) -> list[float]:
+    """The means of f's arrays over `samples` masks drawn from d on rng.  f
+    maps masks to a tuple of arrays and is read through _cube_or_masks.  The
+    masks are drawn through sample_masks and scored check_chunk(d.n) at a
+    time, and each array's sum accumulates per chunk, as in l1_distance_mc."""
+    f = _cube_or_masks(f, d.n, samples)
+    chunk = check_chunk(d.n)
+    totals = 0.0
+    for start in range(0, samples, chunk):
+        values = f(sample_masks(d, min(chunk, samples - start), rng))
+        totals = totals + np.array([v.sum() for v in values], dtype=np.float64)
+    return [float(t) / samples for t in totals]
 
 
 def _trial_file(out_dir: str, kind: str, trial: int, ext: str) -> str:
@@ -447,12 +463,10 @@ def cmd_learn(cfg: dict, out_dir: str) -> int:
                 within = (hv <= cv + 1e-9) & (cv <= (1 + gamma) * hv + 1e-9)
                 return np.abs(hv - cv), within
 
-            gap_and_within = _cube_or_masks(gap_and_within, n, eval_samples)
-            masks = sample_masks(uniform, eval_samples, child_rng(eval_seed, 0))
-            gap, within = gap_and_within(masks)
-            mult = float(within.mean())
+            rng = child_rng(eval_seed, 0)
+            err, mult = _check_means(gap_and_within, uniform, eval_samples, rng)
             hw = hoeffding_half_width(eval_samples, 1)
-            return float(gap.mean()), hw, mult, mult >= 1 - delta
+            return err, hw, mult, mult >= 1 - delta
     elif learner == "pac":
         target, shared = read_target()
         eps = _get(params, "epsilon", float, required=True)
@@ -547,12 +561,11 @@ def cmd_release(cfg: dict, out_dir: str) -> int:
 
     def run_trial(trial: int, tseed: int):
         summary = release(d, alpha_bar, epsilon, delta, tseed)
-        error = lambda masks: np.abs(
-            summary.answer_masks(masks) - truth_table[cell_index(masks)]
+        error = lambda masks: (
+            np.abs(summary.answer_masks(masks) - truth_table[cell_index(masks)]),
         )
-        error = _cube_or_masks(error, d.n, eval_queries)
-        x_masks = sample_masks(qdist(d.n), eval_queries, child_rng(seed, trial, 2))
-        avg_error = float(error(x_masks).mean())
+        rng = child_rng(seed, trial, 2)
+        avg_error, = _check_means(error, qdist(d.n), eval_queries, rng)
         hw = hoeffding_half_width(eval_queries, 1)
         return {
             "avg_error": avg_error, "l1_half_width": hw,

@@ -20,6 +20,7 @@ from .cube import (
     DistributionSpec,
     IndexSet,
     Point,
+    check_points,
     child_rng,
     eval_disjunction_batch,
     iter_submasks,
@@ -29,6 +30,7 @@ from .cube import (
 WEIGHT_TOL = 1e-12
 MAX_DENSE_N = 24
 WHT_BLOCK = 1 << 14  # cells of the transform's scratch: 128 KB, within L2
+CHECK_CHUNK = 1 << 14  # masks a check draws and scores at a time: 128 KB, within L2
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,9 @@ class CoverageFunction:
         return eval_coverage(self, x)
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an array of point masks."""
+        """Vectorized evaluation over an array of point masks, checked by
+        check_points."""
+        masks = check_points(masks, self.n)
         out = np.full(len(masks), self.affine, dtype=np.float64)
         for mask, w in self.terms.items():
             if w:
@@ -301,6 +305,16 @@ def random_coverage(
     return CoverageFunction(n, 0.0, terms)
 
 
+def check_chunk(n: int) -> int:
+    """The masks a check on n coordinates draws and scores at a time:
+    CHECK_CHUNK, or one cube's 2^n masks when n <= MAX_DENSE_N and that is
+    more, so a hypothesis whose evaluation builds a 2^n transform builds it
+    at most once per cube's worth of masks."""
+    if n <= MAX_DENSE_N:
+        return max(CHECK_CHUNK, 1 << n)
+    return CHECK_CHUNK
+
+
 def l1_distance_mc(
     gap: Callable[[np.ndarray], np.ndarray],
     d: DistributionSpec,
@@ -310,19 +324,19 @@ def l1_distance_mc(
     """Monte-Carlo estimate of E_d |f - g| with a Hoeffding half-width.
 
     gap maps an array of point masks to the gaps |f - g| at those points.
-    Returns (estimate, hoeffding_half_width(samples, 2)): the half-width
-    assumes gaps in a range of width 2, such as [-1,1].  For gaps in [0,1]
-    it is twice as wide as needed.
+    The masks are drawn and scored check_chunk(d.n) at a time, and the
+    gaps' sums accumulate per chunk.  Returns (estimate,
+    hoeffding_half_width(samples, 2)): the half-width assumes gaps in a
+    range of width 2, such as [-1,1].  For gaps in [0,1] it is twice as wide
+    as needed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = child_rng(seed, 0)
+    chunk = check_chunk(d.n)
     total = 0.0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, 1 << 20)
-        total += float(gap(sample_masks(d, chunk, rng)).sum())
-        remaining -= chunk
+    for start in range(0, samples, chunk):
+        total += float(gap(sample_masks(d, min(chunk, samples - start), rng)).sum())
     return total / samples, hoeffding_half_width(samples, 2)
 
 

@@ -38,6 +38,23 @@ def cell_index(masks: np.ndarray) -> np.ndarray:
     return masks.view(np.int64)
 
 
+def check_points(masks, n: int) -> np.ndarray:
+    """The point masks on n coordinates as uint64.  An array that is not of
+    integers raises ValueError, since numpy would truncate 1.7 to 1 and read
+    True as 1; a mask outside [0, 2^n) raises IndexError, since a parity
+    would drop its bits above n, a disjunction, a layer or a tree branch
+    would answer it silently, and a table's view would wrap a mask of 2^63
+    or more."""
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu" and masks.size:
+        raise ValueError(f"point masks must be integers, not {masks.dtype}")
+    masks = masks.astype(np.uint64, copy=False)
+    top = int(masks.max()) if len(masks) else 0
+    if top >> n:
+        raise IndexError(f"point mask {top} outside [0, 2^{n})")
+    return masks
+
+
 def group_points(masks: np.ndarray, n: int):
     """(points, rows, counts) of masks on n coordinates, as np.unique(masks,
     return_inverse=True, return_counts=True) gives them, dtypes included:

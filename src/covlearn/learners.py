@@ -41,6 +41,7 @@ from .cube import (
     DistributionSpec,
     IndexSet,
     cell_index,
+    check_points,
     child_rng,
     child_seed,
     eval_disjunction_batch,
@@ -160,7 +161,7 @@ class SparsePolynomial:
         return SparsePolynomial, args
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        masks = _check_points(masks, self.n)
+        masks = check_points(masks, self.n)
         if self.basis == "parity":
             out = _eval_parity_poly(self.n, self.coeffs, masks)
         else:
@@ -176,17 +177,6 @@ class SparsePolynomial:
 
     def __call__(self, mask: int) -> float:
         return float(self.eval_masks(check_masks([mask], self.n))[0])
-
-
-def _check_points(masks, n: int) -> np.ndarray:
-    """The point masks as uint64, refusing any outside [0, 2^n): a parity
-    would drop its bits above n, a layer or a tree branch would answer it
-    silently, and a dense table's view would wrap a mask of 2^63 or more."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    top = int(masks.max()) if len(masks) else 0
-    if top >> n:
-        raise IndexError(f"point mask {top} outside [0, 2^{n})")
-    return masks
 
 
 def _eval_parity_poly(n: int, coeffs: Coefficients, masks: np.ndarray) -> np.ndarray:
@@ -261,7 +251,7 @@ class PmacHypothesis:
     root: PmacNode | PmacPolyLeaf | PmacZeroLeaf
 
     def eval_masks(self, masks: np.ndarray) -> np.ndarray:
-        return self.root.eval_masks(_check_points(masks, self.n))
+        return self.root.eval_masks(check_points(masks, self.n))
 
     def depth(self) -> int:
         return self.root.depth()

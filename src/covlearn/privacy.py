@@ -98,8 +98,7 @@ class Dataset:
     def from_points(cls, masks: Iterable[int], n: int) -> "Dataset":
         if n > MAX_COMPACT_N:
             raise ValueError(f"point width {n} is over the cap of {MAX_COMPACT_N}")
-        arr = np.asarray(list(masks), dtype=np.uint64)
-        uniq, counts = np.unique(arr, return_counts=True)
+        uniq, counts = np.unique(check_masks(list(masks), n), return_counts=True)
         return cls(n, uniq, counts.astype(np.int64))
 
     @classmethod

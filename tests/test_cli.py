@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covlearn import cli, learners, privacy, regression
-from covlearn.coverage import dense_table, random_coverage
+from covlearn.coverage import CHECK_CHUNK, dense_table, random_coverage
 from covlearn.cube import DistributionSpec, child_rng, child_seed, sample_masks
 from covlearn.learners import SampledOracle, UniformTableOracle
 from covlearn.estimation import hoeffding_samples
@@ -513,12 +514,15 @@ class TestWhereChecksEvaluate:
 
 
 class TestCheckRowsPerSample:
-    """On both sides of the 2^n <= samples rule, each check's row is bit for
-    bit the per-sample formula: the hypothesis and the truth evaluated at
-    the check's drawn masks, then the row's quantity averaged."""
+    """On both sides of the 2^n <= samples rule, each check's row is the
+    per-sample formula: the hypothesis and the truth evaluated at the
+    check's drawn masks, then the row's quantity averaged.  A sample of at
+    most one chunk gives the one-array mean's bits; a larger one sums per
+    chunk, which may move the mean's last bits only."""
 
     TARGET = {"max_terms": 4, "max_arity": 2}
     SEED = 5
+    SIZES = [CHECK_CHUNK, CHECK_CHUNK + 2]
 
     def fitted(self, tmp_path, monkeypatch, verb, cfg):
         """The report row and the hypothesis or summary trial 0 wrote."""
@@ -535,7 +539,15 @@ class TestCheckRowsPerSample:
     def eval_masks(self, dist, samples):
         return sample_masks(dist, samples, child_rng(child_seed(self.SEED, 0, 1), 0))
 
-    @pytest.mark.parametrize("samples", [20, 2000])
+    @staticmethod
+    def assert_mean(value, per_sample):
+        mean = float(per_sample.mean())
+        if len(per_sample) <= CHECK_CHUNK:
+            assert value == mean
+        else:
+            assert value == pytest.approx(mean, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("samples", [20, 2000] + SIZES)
     @pytest.mark.parametrize(
         "learner,n,params,dist",
         [
@@ -555,10 +567,9 @@ class TestCheckRowsPerSample:
         law = cli._dist_from_json(dist) if dist else DistributionSpec.uniform(n)
         masks = self.eval_masks(law, samples)
         truth = target.eval_masks(masks) if dist else dense_table(target)[masks]
-        gaps = np.abs(h.eval_masks(masks) - truth)
-        assert row["l1_error"] == float(gaps.sum()) / samples
+        self.assert_mean(row["l1_error"], np.abs(h.eval_masks(masks) - truth))
 
-    @pytest.mark.parametrize("samples", [50, 2000])
+    @pytest.mark.parametrize("samples", [50, 2000] + SIZES)
     def test_pmac_row(self, tmp_path, monkeypatch, samples):
         cfg = {"learner": "pmac", "n": 6, "eval_samples": samples,
                "target": self.TARGET, "params": {"gamma": 0.5, "delta": 0.2}}
@@ -567,10 +578,10 @@ class TestCheckRowsPerSample:
         masks = self.eval_masks(DistributionSpec.uniform(6), samples)
         hv, cv = h.eval_masks(masks), dense_table(target)[masks]
         within = (hv <= cv + 1e-9) & (cv <= 1.5 * hv + 1e-9)
-        assert row["mult_fraction"] == float(within.mean())
-        assert row["l1_error"] == float(np.abs(hv - cv).mean())
+        self.assert_mean(row["mult_fraction"], within)
+        self.assert_mean(row["l1_error"], np.abs(hv - cv))
 
-    @pytest.mark.parametrize("queries", [10, 500])
+    @pytest.mark.parametrize("queries", [10, 500] + SIZES)
     def test_release_row(self, tmp_path, monkeypatch, queries):
         cfg = {"release": "k-way", "k": 2, "alpha_bar": 0.5, "epsilon": 1.0,
                "delta": 0.1, "eval_queries": queries,
@@ -581,10 +592,74 @@ class TestCheckRowsPerSample:
         monkeypatch.setattr(cli, "all_conjunction_answers", spy)
         row, summary = self.fitted(tmp_path, monkeypatch, "release", cfg)
         truth_table = tables[0]
-        rng = child_rng(self.SEED, 0, 2)
-        masks = sample_masks(DistributionSpec.layer(4, 2), queries, rng)
+        # a layer law's Floyd passes run per chunk, so its masks are drawn
+        # chunk by chunk
+        law, rng = DistributionSpec.layer(4, 2), child_rng(self.SEED, 0, 2)
+        masks = np.concatenate([
+            sample_masks(law, min(CHECK_CHUNK, queries - start), rng)
+            for start in range(0, queries, CHECK_CHUNK)
+        ])
         errors = np.abs(summary.answer_masks(masks) - truth_table[masks])
-        assert row["avg_error"] == float(errors.mean())
+        self.assert_mean(row["avg_error"], errors)
+
+
+class TestCheckChunks:
+    """A check draws and scores its sample check_chunk(n) masks at a time:
+    a uniform or product law draws the masks of one draw, and the check's
+    memory does not grow with eval_samples."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [DistributionSpec.uniform(8), DistributionSpec.uniform(40),
+         DistributionSpec.product([0.2, 0.5, 0.7, 0.4, 0.9, 0.1])],
+        ids=["uniform-8", "uniform-40", "product-6"],
+    )
+    def test_chunks_draw_the_masks_of_one_draw(self, monkeypatch, d):
+        samples = 2 * CHECK_CHUNK + 2
+        seen = []
+        spy = lambda *args: seen.append(sample_masks(*args)) or seen[-1]
+        monkeypatch.setattr(cli, "sample_masks", spy)
+        f = lambda masks: (np.ones(len(masks)),)
+        assert cli._check_means(f, d, samples, child_rng(3, 0)) == [1.0]
+        assert [len(m) for m in seen] == [CHECK_CHUNK, CHECK_CHUNK, 2]
+        one = sample_masks(d, samples, child_rng(3, 0))
+        assert np.concatenate(seen).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("learner,n,params", [
+        ("pmac", 10, {"gamma": 0.5, "delta": 0.2}),
+        ("proper", 8, {"epsilon": 0.3, "size_bound": 5}),
+    ])
+    def test_check_memory_does_not_grow_with_eval_samples(
+        self, tmp_path, monkeypatch, learner, n, params
+    ):
+        # the traced memory from the fit's return to the hypothesis's write,
+        # at 2^22 samples: 32 MB of masks drawn as one array
+        fit_name = {"pmac": "pmac_learn", "proper": "proper_pac_learn"}[learner]
+        real_fit, real_to_json = getattr(cli, fit_name), cli.hypothesis_to_json
+        marks = []
+
+        def fit(*args):
+            h = real_fit(*args)
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return h
+
+        def to_json(h, **kw):
+            marks.append(tracemalloc.get_traced_memory()[1])
+            return real_to_json(h, **kw)
+
+        monkeypatch.setattr(cli, fit_name, fit)
+        monkeypatch.setattr(cli, "hypothesis_to_json", to_json)
+        cfg = {"learner": learner, "n": n, "seed": 2, "eval_samples": 1 << 22,
+               "target": {"max_terms": 5, "max_arity": 3}, "params": params}
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, "learn", cfg)
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        start, peak = marks
+        assert peak - start < 2 << 20
 
 
 class TestSampleCount:

@@ -16,6 +16,14 @@ learner's 2/3 times the gate's 1 - delta.  At six seeds that confidence
 asks no success of a cell, so the row's releases are also pooled and held
 to the quantile for their number.
 
+All-marginals release row: alpha_bar 0.5, n in {4, 5, 6}, epsilon inf and
+1, six seeds, each dataset drawn as in the k-way row.  A release succeeds
+when its average error over all 2^n conjunctions is at most alpha_bar,
+against the exact answers, and every release spends at most its budget q:
+the search may ask fewer sets than q counts.  Its confidence is the PAC
+learner's 2/3 times the gate's 1 - delta, and its releases are pooled as
+the k-way row's are.
+
 PMAC row: gamma 0.5, delta 0.2, on three targets whose small term lies
 between a minus leaf's floor and a quarter of its level's maximum, and on
 64 random targets (n 5-10, at most 1-4 terms of arity 1-3, total weight at
@@ -44,6 +52,8 @@ from covlearn.privacy import (
     all_conjunction_answers,
     gate_size,
     k_way_query_budget,
+    marginals_query_budget,
+    release_all_marginals,
     release_k_way,
 )
 
@@ -101,6 +111,44 @@ def test_k_way_row_pooled(k_way_row):
     runs = [ok for cell in k_way_row.values() for ok, _ in cell]
     assert len(runs) == 216
     assert sum(runs) >= floor_successes(len(runs), K_WAY_CONFIDENCE)
+
+
+MARGINALS_CONFIDENCE = 2.0 / 3.0 * (1.0 - DELTA)
+MARGINALS_CELLS = [(n, epsilon) for n in (4, 5, 6) for epsilon in (math.inf, 1.0)]
+
+
+def marginals_release(n: int, epsilon: float, seed: int) -> tuple[bool, bool]:
+    """(error at most alpha_bar, queries_used <= q) of one all-marginals
+    release."""
+    q, tau = marginals_query_budget(n, ALPHA_BAR)
+    size = max(1000, math.ceil(gate_size(q, tau, epsilon, DELTA)))
+    d = Dataset.iid_uniform(n, size, child_rng(seed, 5))
+    summary = release_all_marginals(d, ALPHA_BAR, epsilon, DELTA, seed)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    error = np.abs(summary.answer_masks(masks) - all_conjunction_answers(d)).mean()
+    return bool(error <= ALPHA_BAR), summary.queries_used <= q
+
+
+@pytest.fixture(scope="module")
+def marginals_row():
+    return {
+        cell: [marginals_release(*cell, seed) for seed in SEEDS]
+        for cell in MARGINALS_CELLS
+    }
+
+
+@pytest.mark.parametrize("cell", MARGINALS_CELLS, ids=lambda c: "n{}-eps{}".format(*c))
+def test_marginals_cell(marginals_row, cell):
+    runs = marginals_row[cell]
+    assert all(spent for _, spent in runs), "a release spent more than q queries"
+    successes = sum(ok for ok, _ in runs)
+    assert successes >= floor_successes(len(runs), MARGINALS_CONFIDENCE)
+
+
+def test_marginals_row_pooled(marginals_row):
+    runs = [ok for cell in marginals_row.values() for ok, _ in cell]
+    assert len(runs) == 36
+    assert sum(runs) >= floor_successes(len(runs), MARGINALS_CONFIDENCE)
 
 
 PMAC_GAMMA, PMAC_DELTA = 0.5, 0.2

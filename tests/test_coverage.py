@@ -13,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covlearn.cli import main as cli_main
+from covlearn import coverage
 from covlearn.coverage import (
+    CHECK_CHUNK,
+    MAX_DENSE_N,
     WHT_BLOCK,
     CoverageFunction,
     average_project,
+    check_chunk,
     dense_table,
     eval_coverage,
     exact_fourier,
@@ -25,7 +29,14 @@ from covlearn.coverage import (
     random_coverage,
     walsh_hadamard,
 )
-from covlearn.cube import DimensionMismatch, DistributionSpec, IndexSet, Point
+from covlearn.cube import (
+    DimensionMismatch,
+    DistributionSpec,
+    IndexSet,
+    Point,
+    child_rng,
+    sample_masks,
+)
 from covlearn.estimation import spectrum_from_counts
 
 
@@ -50,6 +61,16 @@ class TestCoverageFunction:
     def test_rejects_total_above_one(self):
         with pytest.raises(ValueError):
             CoverageFunction(3, 0.5, {1: 0.6})
+
+    def test_eval_masks_refuses_a_point_outside_the_cube(self):
+        # mask 9 read as mask 1 through the disjunction's bit test
+        c = CoverageFunction(3, 0.0, {1: 0.5})
+        with pytest.raises(IndexError, match="point mask 9 outside"):
+            c.eval_masks(np.array([1, 9], dtype=np.uint64))
+
+    def test_eval_masks_refuses_masks_that_are_not_integers(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            CoverageFunction(3, 0.0, {1: 0.5}).eval_masks(np.array([1.5]))
 
     def test_rejects_out_of_range_set(self):
         with pytest.raises(ValueError):
@@ -537,3 +558,25 @@ class TestL1DistanceMC:
         d = DistributionSpec.uniform(4)
         est, hw = l1_distance_mc(c.eval_masks, d, 50_000, 2)
         assert abs(est - 0.5) < hw
+
+    def test_check_chunk_is_one_cube_from_2_to_the_15_to_dense_n(self):
+        for n in [1, 8, 14, MAX_DENSE_N + 1, 40, 64]:
+            assert check_chunk(n) == CHECK_CHUNK
+        for n in range(15, MAX_DENSE_N + 1):
+            assert check_chunk(n) == 1 << n
+
+    @pytest.mark.parametrize(
+        "d",
+        [DistributionSpec.uniform(8), DistributionSpec.uniform(40),
+         DistributionSpec.product([0.2, 0.5, 0.7, 0.4, 0.9, 0.1])],
+        ids=["uniform-8", "uniform-40", "product-6"],
+    )
+    def test_chunks_draw_the_masks_of_one_draw(self, monkeypatch, d):
+        samples = 2 * CHECK_CHUNK + 2
+        seen = []
+        spy = lambda *args: seen.append(sample_masks(*args)) or seen[-1]
+        monkeypatch.setattr(coverage, "sample_masks", spy)
+        assert l1_distance_mc(lambda m: np.ones(len(m)), d, samples, 3)[0] == 1.0
+        assert [len(m) for m in seen] == [CHECK_CHUNK, CHECK_CHUNK, 2]
+        one = sample_masks(d, samples, child_rng(3, 0))
+        assert np.concatenate(seen).tobytes() == one.tobytes()

@@ -13,6 +13,7 @@ from covlearn.cube import (
     IndexSet,
     Point,
     cell_index,
+    check_points,
     child_rng,
     child_seed,
     eval_disjunction,
@@ -401,3 +402,22 @@ class TestCellIndex:
         written, expected, values = np.zeros(1 << n), np.zeros(1 << n), rng.random(500)
         written[cells], expected[masks] = values, values
         assert written.tobytes() == expected.tobytes()
+
+
+class TestCheckPoints:
+    def test_integer_masks_pass_as_uint64(self):
+        for masks in ([0, 7], np.array([0, 7]), np.array([0, 7], dtype=np.uint8)):
+            out = check_points(masks, 3)
+            assert out.dtype == np.uint64 and out.tolist() == list(np.asarray(masks))
+        assert check_points([], 3).tolist() == []
+
+    @pytest.mark.parametrize("masks", [[1.7], [1.0, 2.0], [True, False]], ids=str)
+    def test_refuses_an_array_not_of_integers(self, masks):
+        # numpy would truncate 1.7 to mask 1 and read True as mask 1
+        with pytest.raises(ValueError, match="must be integers"):
+            check_points(masks, 3)
+
+    @pytest.mark.parametrize("masks", [[8], [1, 9], [-1]], ids=str)
+    def test_refuses_a_mask_outside_the_cube(self, masks):
+        with pytest.raises(IndexError, match="outside"):
+            check_points(np.array(masks), 3)

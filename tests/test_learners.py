@@ -161,6 +161,15 @@ class TestSparsePolynomial:
         with pytest.raises(IndexError, match=rf"point mask {max(masks)} outside"):
             h.eval_masks(np.array(masks, dtype=np.uint64))
 
+    @pytest.mark.parametrize("masks", [[1.7], [True]], ids=str)
+    def test_refuses_masks_that_are_not_integers(self, masks):
+        # numpy's cast read 1.7 and True as mask 1, where the value is -0.5
+        poly = SparsePolynomial(3, "parity", {1: 0.5})
+        tree = PmacHypothesis(3, PmacPolyLeaf(poly, 1.0, 0.0, 0.0))
+        for h in (poly, tree):
+            with pytest.raises(ValueError, match="must be integers"):
+                h.eval_masks(masks)
+
     def test_masks_up_to_bit_63(self):
         p = SparsePolynomial(64, "parity", {2**64 - 1: 0.5, 1 << 63: 0.25, 0: 1.0})
         assert p.coeffs.masks.tolist() == [0, 1 << 63, 2**64 - 1]

@@ -86,6 +86,12 @@ class TestDataset:
         assert d.size == 6
         assert Dataset.from_points([(1 << 64) - 1, 0], 64).size == 2
 
+    @pytest.mark.parametrize("points", [[1.5, 2], [True, 2]], ids=str)
+    def test_from_points_refuses_points_that_are_not_integers(self, points):
+        # the uint64 cast stored 1.5 and True as mask 1
+        with pytest.raises(ValueError, match="must be integers"):
+            Dataset.from_points(points, 3)
+
     def test_from_points_refuses_a_width_over_64(self):
         with pytest.raises(ValueError, match="width 65"):
             Dataset.from_points([1 << 64], 65)
